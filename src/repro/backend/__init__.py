@@ -25,6 +25,7 @@ from repro.backend.core import (
     ArrayBackend,
     BackendUnavailableError,
     available_backends,
+    backend_signature,
     default_backend,
     get_backend,
     match_dtype,
@@ -38,6 +39,7 @@ __all__ = [
     "BackendUnavailableError",
     "NumpyBackend",
     "available_backends",
+    "backend_signature",
     "default_backend",
     "get_backend",
     "match_dtype",

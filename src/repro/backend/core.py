@@ -262,7 +262,7 @@ class ArrayBackend:
         # Backends ride inside picklable chunk payloads dispatched to
         # process pools; reconstruct by name so workers re-resolve the
         # runtime locally instead of shipping module handles.
-        return (get_backend, (self.name, self.dtype.name, self.accum_dtype.name))
+        return (get_backend, backend_signature(self))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -324,3 +324,15 @@ def get_backend(
 def default_backend() -> ArrayBackend:
     """The environment-selected backend (``numpy``/``float64`` by default)."""
     return get_backend()
+
+
+def backend_signature(backend: Optional[ArrayBackend]) -> Tuple[str, str, str]:
+    """``(name, dtype, accum_dtype)`` of the backend a run executes on.
+
+    ``None`` resolves the environment default, which is what the chunk
+    kernels use when no backend is pinned.  Campaign checkpoint
+    fingerprints include this triple, so a run under ``REPRO_DTYPE=float32``
+    cannot resume a float64 campaign's units (and vice versa).
+    """
+    xp = backend if backend is not None else default_backend()
+    return (xp.name, xp.dtype.name, xp.accum_dtype.name)

@@ -167,20 +167,6 @@ class CNTTypeModel:
             removal_prob_semiconducting=self.removal_prob_semiconducting,
         )
 
-    def with_removal_eta(self, removal_eta: float) -> "CNTTypeModel":
-        """Return a copy with pRm = ``removal_eta`` (imperfect removal).
-
-        ``removal_eta`` below 1 leaves surviving metallic tubes with
-        per-tube probability :attr:`surviving_metallic_probability`,
-        which activates the short failure mode of
-        :mod:`repro.device.shorts` in every consumer that threads it.
-        """
-        return CNTTypeModel(
-            metallic_fraction=self.metallic_fraction,
-            removal_prob_metallic=ensure_probability(removal_eta, "removal_eta"),
-            removal_prob_semiconducting=self.removal_prob_semiconducting,
-        )
-
     def with_no_processing(self) -> "CNTTypeModel":
         """Return a copy describing growth with no removal step at all."""
         return CNTTypeModel(

@@ -34,12 +34,12 @@ model extrapolates to the 1e8-device, 1e-9-probability regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 import repro.montecarlo.rare_event as rare_event
-from repro.backend import ArrayBackend, default_backend
+from repro.backend import ArrayBackend, backend_signature, default_backend
 from repro.growth.pitch import GapTilt, PitchDistribution, pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.engine import (
@@ -118,14 +118,6 @@ class ChipTailResult:
         if loss == 0:
             return float("nan")
         return self.yield_standard_error / loss
-
-
-@dataclass(frozen=True)
-class _DeviceWindow:
-    """Pre-computed geometry of one device inside its row."""
-
-    y_low_nm: float
-    y_high_nm: float
 
 
 @dataclass(frozen=True)
@@ -422,80 +414,95 @@ class ChipMonteCarlo:
                 raise ValueError("placement contains no transistors to simulate")
             row_height_nm = first_cell.height_nm
         self.row_height_nm = ensure_positive(row_height_nm, "row_height_nm")
-        self._row_windows = self._collect_device_windows()
-        self._device_count = sum(len(w) for w in self._row_windows)
-        self._small_device_count = sum(
-            1
-            for row in self._rows
-            for placed in row.placed
-            for w in placed.cell.transistor_widths_nm()
-            if w <= self.small_width_threshold_nm
-        )
         self._geometry = self._build_geometry()
 
     # ------------------------------------------------------------------
     # Geometry pre-computation
     # ------------------------------------------------------------------
 
-    def _collect_device_windows(self) -> List[List[_DeviceWindow]]:
-        """Per row, the y-window of every transistor's active region."""
-        rows: List[List[_DeviceWindow]] = []
-        for row in self._rows:
-            windows: List[_DeviceWindow] = []
-            for placed in row.placed:
-                for cell_region in placed.cell.active_regions(x_origin_nm=placed.x_nm):
-                    region = cell_region.region
-                    # Clamp both ends into the grown span: tracks only exist
-                    # in [0, row_height], and the batched window counter
-                    # requires in-span queries.  A region entirely outside
-                    # the span collapses to a zero-width window that
-                    # captures no tracks (the device always fails).
-                    y_low = min(max(region.y_nm, 0.0), self.row_height_nm)
-                    y_high = min(max(region.y_end_nm, y_low), self.row_height_nm)
-                    windows.append(
-                        _DeviceWindow(y_low_nm=y_low, y_high_nm=y_high)
-                    )
-            rows.append(windows)
-        return rows
-
     def _build_geometry(self) -> _ChipGeometry:
-        """Flatten the device windows of non-empty rows into engine arrays.
+        """Materialise every device window of the placement in one pass.
 
-        Windows are deduplicated per row: devices covering the same y-band
-        capture the same tracks, so one weighted query answers all of them.
+        A device's y-window does not depend on where its cell sits along the
+        row, so one ``active_regions()`` call per cell master serves all its
+        instances (masters are told apart by identity within this
+        construction only: cells are mutable).  Windows are clamped into the
+        grown span — tracks only exist in ``[0, row_height]`` and the batched
+        counter requires in-span queries; a region entirely outside collapses
+        to a zero-width window that captures no tracks (the device always
+        fails).  From the per-device window keys of one pass over the placed
+        instances, array operations derive the counts, the scalar oracle's
+        per-row windows, the device-to-window map of :meth:`instance_windows`
+        and the engine arrays.  Those are deduplicated per row (devices on
+        the same y-band capture the same tracks, so one weighted query
+        answers them all) and numbered row by row in order of first
+        appearance; rows without transistors cannot fail and are dropped,
+        which keeps every simulated row non-empty (``reduceat`` needs that).
         """
-        lo: List[float] = []
-        hi: List[float] = []
-        weight: List[int] = []
-        row_of_window: List[int] = []
-        row_starts: List[int] = []
-        sim_row = 0
-        for windows in self._row_windows:
-            if not windows:
-                # Rows without transistors cannot fail; dropping them keeps
-                # every simulated row non-empty (reduceat needs that).
-                continue
-            distinct: Dict[Tuple[float, float], int] = {}
-            for window in windows:
-                key = (window.y_low_nm, window.y_high_nm)
-                distinct[key] = distinct.get(key, 0) + 1
-            row_starts.append(len(lo))
-            for (y_low, y_high), count in distinct.items():
-                lo.append(y_low)
-                hi.append(y_high)
-                weight.append(count)
-                row_of_window.append(sim_row)
-            sim_row += 1
+        keys: Dict[Tuple[float, float], int] = {}
+        masters: Dict[int, Tuple[np.ndarray, int]] = {}
+        # An empty leading entry starts the cumulative instance offsets at 0
+        # and keeps an empty placement concatenable.
+        instance_keys: List[np.ndarray] = [np.zeros(0, np.int64)]
+        instance_rows: List[int] = [-1]
+        small = 0
+        for row_index, row in enumerate(self._rows):
+            for placed in row.placed:
+                master = masters.get(id(placed.cell))
+                if master is None:
+                    cell_keys = []
+                    for cell_region in placed.cell.active_regions():
+                        region = cell_region.region
+                        y_low = min(max(region.y_nm, 0.0), self.row_height_nm)
+                        y_high = min(max(region.y_end_nm, y_low), self.row_height_nm)
+                        cell_keys.append(keys.setdefault((y_low, y_high), len(keys)))
+                    master = masters[id(placed.cell)] = (
+                        np.asarray(cell_keys, dtype=np.int64),
+                        sum(w <= self.small_width_threshold_nm
+                            for w in placed.cell.transistor_widths_nm()),
+                    )
+                instance_keys.append(master[0])
+                instance_rows.append(row_index)
+                small += master[1]
+        per_instance = np.asarray([k.size for k in instance_keys], dtype=np.int64)
+        self._instance_starts = np.cumsum(per_instance)
+        self._device_count = int(self._instance_starts[-1])
+        self._small_device_count = small
+        device_key = np.concatenate(instance_keys)
+        device_row = np.repeat(instance_rows, per_instance)
+        key_lo = np.asarray([lo for lo, _ in keys], dtype=float)
+        key_hi = np.asarray([hi for _, hi in keys], dtype=float)
+
+        self._row_windows: List[np.ndarray] = (
+            np.split(np.column_stack((key_lo[device_key], key_hi[device_key])),
+                     np.flatnonzero(np.diff(device_row)) + 1)
+            if self._device_count else []
+        )
+
+        n_keys = max(len(keys), 1)
+        row_key, first, inverse = np.unique(
+            device_row * n_keys + device_key,
+            return_index=True, return_inverse=True,
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self._device_window = rank[inverse]
+        row_key = row_key[order]
+        window_key = row_key % n_keys
+        _, window_row = np.unique(row_key // n_keys, return_inverse=True)
         return _ChipGeometry(
             pitch=self.pitch,
             per_cnt_failure=self.type_model.per_cnt_failure_probability,
             row_height_nm=self.row_height_nm,
-            n_rows=sim_row,
-            window_lo=np.asarray(lo, dtype=float),
-            window_hi=np.asarray(hi, dtype=float),
-            window_weight=np.asarray(weight, dtype=np.int64),
-            window_row=np.asarray(row_of_window, dtype=np.int64),
-            row_starts=np.asarray(row_starts, dtype=np.int64),
+            n_rows=len(self._row_windows),
+            window_lo=key_lo[window_key],
+            window_hi=key_hi[window_key],
+            window_weight=np.bincount(
+                self._device_window, minlength=order.size
+            ).astype(np.int64),
+            window_row=window_row.astype(np.int64),
+            row_starts=np.flatnonzero(np.diff(window_row, prepend=-1)),
             backend=self.backend,
             short_probability=self.type_model.surviving_metallic_probability,
             min_working_tubes=self.min_working_tubes,
@@ -520,36 +527,19 @@ class ChipMonteCarlo:
     def instance_windows(self) -> List[Tuple["PlacedInstance", List[int]]]:
         """Per placed instance, the distinct-window index of each transistor.
 
-        Replays the exact clamping of :meth:`_collect_device_windows` and the
-        per-row insertion-ordered deduplication of :meth:`_build_geometry`,
-        so the returned indices address columns of the count matrices the
-        chunk kernels produce (:func:`_chip_window_counts`).  Instances are
-        returned in placement order; an instance without transistors (filler
-        cells) gets an empty index list.  This is the bridge the timing tier
-        uses to read each gate's captured-tube count out of the same sampled
-        tracks that decide functional yield.
+        Read from the device-to-window map built with the geometry, so the
+        returned indices address columns of the count matrices the chunk
+        kernels produce (:func:`_chip_window_counts`).  Instances are
+        returned in placement order, each transistor in cell order; an
+        instance without transistors (filler cells) gets an empty index
+        list.  This is the bridge the timing tier uses to read each gate's
+        captured-tube count out of the same sampled tracks that decide
+        functional yield.
         """
-        result: List[Tuple[PlacedInstance, List[int]]] = []
-        next_global = 0
-        for row, windows in zip(self._rows, self._row_windows):
-            if not windows:
-                for placed in row.placed:
-                    result.append((placed, []))
-                continue
-            distinct: Dict[Tuple[float, float], int] = {}
-            for placed in row.placed:
-                indices: List[int] = []
-                for cell_region in placed.cell.active_regions(x_origin_nm=placed.x_nm):
-                    region = cell_region.region
-                    y_low = min(max(region.y_nm, 0.0), self.row_height_nm)
-                    y_high = min(max(region.y_end_nm, y_low), self.row_height_nm)
-                    key = (y_low, y_high)
-                    if key not in distinct:
-                        distinct[key] = next_global
-                        next_global += 1
-                    indices.append(distinct[key])
-                result.append((placed, indices))
-        return result
+        windows = self._device_window.tolist()
+        starts = self._instance_starts.tolist()
+        placed = (p for row in self._rows for p in row.placed)
+        return [(p, windows[a:b]) for p, a, b in zip(placed, starts, starts[1:])]
 
     def width_class_histogram(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
         """Distinct device-width classes of the placement and their counts.
@@ -623,15 +613,13 @@ class ChipMonteCarlo:
         return pos, working, shorting
 
     def _row_failing_devices(
-        self,
-        windows: Sequence[_DeviceWindow],
-        rng: np.random.Generator,
+        self, windows: np.ndarray, rng: np.random.Generator
     ) -> int:
         """Number of failing devices in one row for one trial.
 
-        A device fails open (fewer than ``min_working_tubes`` working
-        tubes) or short (at least one surviving metallic tube in its
-        window).
+        ``windows`` holds one ``(y_low, y_high)`` row per device.  A device
+        fails open (fewer than ``min_working_tubes`` working tubes) or short
+        (at least one surviving metallic tube in its window).
         """
         positions, working, shorting = self._sample_tracks(rng)
         if positions.size == 0:
@@ -645,9 +633,9 @@ class ChipMonteCarlo:
         )
         n_min = self.min_working_tubes
         failing = 0
-        for window in windows:
-            lo = np.searchsorted(positions, window.y_low_nm, side="left")
-            hi = np.searchsorted(positions, window.y_high_nm, side="right")
+        for y_low, y_high in windows:
+            lo = np.searchsorted(positions, y_low, side="left")
+            hi = np.searchsorted(positions, y_high, side="right")
             good = prefix[hi] - prefix[lo]
             fails = good == 0 if n_min <= 1 else good < n_min
             if not fails and joint:
@@ -672,8 +660,6 @@ class ChipMonteCarlo:
             total_failing = 0
             rows_failing = 0
             for windows in self._row_windows:
-                if not windows:
-                    continue
                 row_failures = self._row_failing_devices(windows, rng)
                 total_failing += row_failures
                 if row_failures > 0:
@@ -802,8 +788,9 @@ class ChipMonteCarlo:
         """Open the chunk-level campaign checkpoint, or ``None`` without one.
 
         The fingerprint binds the checkpoint to the placement geometry,
-        the sampling configuration and the root generator (stream state
-        plus spawn counter), so resuming with *anything* different is a
+        the sampling configuration, the resolved backend and dtypes, and
+        the root generator (stream state plus spawn counter), so resuming
+        with *anything* different is a
         :class:`~repro.resilience.checkpoint.CheckpointError` instead of
         silently mixed results.
         """
@@ -827,6 +814,7 @@ class ChipMonteCarlo:
             geometry.window_weight,
             geometry.window_row,
             repr(self.pitch),
+            backend_signature(geometry.backend),
             rng.bit_generator.state,
             int(rng.bit_generator.seed_seq.n_children_spawned),
         )

@@ -100,6 +100,7 @@ class TrackBatch:
 
     @property
     def n_trials(self) -> int:
+        """Number of renewal trials (rows of :attr:`positions`)."""
         return self.positions.shape[0]
 
     @property

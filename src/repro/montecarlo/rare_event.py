@@ -511,19 +511,23 @@ class SplittingModel:
     """
 
     def component_shapes(self, n_particles: int) -> Dict[str, Tuple[int, ...]]:
+        """Name and array shape of every coordinate block of ``n_particles``."""
         raise NotImplementedError
 
     def sample_component(
         self, name: str, shape: Tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:
+        """Prior draw of coordinate block ``name`` at ``shape``."""
         raise NotImplementedError
 
     def severity(self, state: Dict[str, np.ndarray]) -> np.ndarray:
+        """Per-particle severity; a particle has failed where it is ``<= 0``."""
         raise NotImplementedError
 
     # -- generic machinery ------------------------------------------------
 
     def sample(self, n_particles: int, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+        """Prior draw of ``n_particles`` whole states, block by block."""
         return {
             name: self.sample_component(name, shape, rng)
             for name, shape in self.component_shapes(n_particles).items()
@@ -598,6 +602,7 @@ class AlignedRowModel(_RowModelBase):
         )
 
     def component_shapes(self, n: int) -> Dict[str, Tuple[int, ...]]:
+        """One shared gap sequence, offset and per-tube uniforms per particle."""
         return {
             "gaps": (n, self.n_slots),
             "offset_u": (n,),
@@ -605,6 +610,7 @@ class AlignedRowModel(_RowModelBase):
         }
 
     def severity(self, state: Dict[str, np.ndarray]) -> np.ndarray:
+        """Working tubes inside the shared device window."""
         _, valid = self._positions(state["gaps"], state["offset_u"])
         working = (state["tube_u"] >= self.per_cnt_failure) & valid
         return working.sum(axis=1)
@@ -633,6 +639,10 @@ class UncorrelatedRowModel(_RowModelBase):
         )
 
     def component_shapes(self, n: int) -> Dict[str, Tuple[int, ...]]:
+        """Independent gaps, offset and tube uniforms per device per particle.
+
+        Raises ``ValueError`` when the state would exceed the memory budget.
+        """
         d = self.devices_per_segment
         if n * d * self.n_slots > 8 * DEFAULT_BATCH_ELEMENTS:
             raise ValueError(
@@ -648,6 +658,7 @@ class UncorrelatedRowModel(_RowModelBase):
         }
 
     def severity(self, state: Dict[str, np.ndarray]) -> np.ndarray:
+        """Fewest working tubes over the segment's independent devices."""
         _, valid = self._positions(state["gaps"], state["offset_u"])
         working = (state["tube_u"] >= self.per_cnt_failure) & valid
         return working.sum(axis=2).min(axis=1)
@@ -680,6 +691,7 @@ class NonAlignedRowModel(_RowModelBase):
         self.cell_height_window_nm = float(cell_height_window_nm)
 
     def component_shapes(self, n: int) -> Dict[str, Tuple[int, ...]]:
+        """Shared tracks per particle plus one window-offset uniform per device."""
         return {
             "gaps": (n, self.n_slots),
             "offset_u": (n,),
@@ -688,6 +700,7 @@ class NonAlignedRowModel(_RowModelBase):
         }
 
     def severity(self, state: Dict[str, np.ndarray]) -> np.ndarray:
+        """Fewest working tubes over the devices' offset windows."""
         positions, valid = self._positions(state["gaps"], state["offset_u"])
         working = (state["tube_u"] >= self.per_cnt_failure) & valid
         batch = TrackBatch(
@@ -718,12 +731,14 @@ class SplittingResult:
 
     @property
     def standard_error(self) -> float:
+        """Absolute standard error (``inf`` when the relative error is)."""
         if not math.isfinite(self.relative_error):
             return float("inf")
         return self.probability * self.relative_error
 
     @property
     def n_levels(self) -> int:
+        """Number of intermediate levels the run went through."""
         return len(self.level_probabilities)
 
 

@@ -79,7 +79,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.mispositioned import MisalignmentImpactModel
-from repro.backend import ArrayBackend, default_backend
+from repro.backend import ArrayBackend, backend_signature, default_backend
 from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _ChipGeometry,
@@ -824,7 +824,7 @@ def simulate_wafer(
                     payload.device_counts,
                     payload.n_trials,
                     payload.seed_key,
-                    repr(payload.backend),
+                    backend_signature(payload.backend),
                     repr(payload.misalignment),
                     float(payload.short_probability),
                     int(group),
@@ -1305,7 +1305,7 @@ def run_chip_wafer(
                 payload.seed_key,
                 payload.trial_chunk,
                 repr(payload.misalignment),
-                repr(geometry.backend),
+                backend_signature(geometry.backend),
                 float(geometry.per_cnt_failure),
                 float(geometry.short_probability),
                 int(geometry.min_working_tubes),

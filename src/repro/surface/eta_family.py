@@ -188,9 +188,11 @@ class EtaSurfaceFamily:
         )
 
     def _fallback(self, eta: float) -> ExactEvaluator:
-        key = round(float(eta), 12)
+        # Keyed by the exact eta: the evaluator's short probability depends
+        # on every bit of it, so a rounded key would serve a neighbour's.
+        key = float(eta)
         if key not in self._fallbacks:
-            self._fallbacks[key] = self._evaluator_for(self.spec, float(eta))
+            self._fallbacks[key] = self._evaluator_for(self.spec, key)
         return self._fallbacks[key]
 
     # ------------------------------------------------------------------

@@ -236,3 +236,81 @@ class TestSweepResume:
             self._spec(), checkpoint_dir=str(tmp_path), resume=False
         ).build_report()
         assert fresh.evaluations == first.evaluations > 0
+
+
+class TestBackendFingerprint:
+    """Campaign fingerprints carry the *resolved* backend and dtypes.
+
+    A run that leaves ``backend=None`` resolves ``REPRO_BACKEND`` /
+    ``REPRO_DTYPE`` at execution time, so a float32 run must not resume a
+    float64 campaign's units even though neither names its backend.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _float64_default(self, monkeypatch):
+        for var in ("REPRO_BACKEND", "REPRO_DTYPE", "REPRO_ACCUM_DTYPE"):
+            monkeypatch.delenv(var, raising=False)
+
+    def _chip(self, chip, tmp_path, **kwargs):
+        return chip.run(
+            32, np.random.default_rng(42), trial_chunk=8,
+            checkpoint_dir=str(tmp_path), **kwargs
+        )
+
+    def _wafer(self, wafer, pitch, type_model, tmp_path, **kwargs):
+        return simulate_wafer(
+            wafer, pitch, type_model, widths_nm=[200.0],
+            device_counts=[1.0e6], n_trials=32, seed_key=(5,),
+            checkpoint_dir=str(tmp_path), **kwargs
+        )
+
+    def _chip_wafer(self, wafer, chip, tmp_path, **kwargs):
+        return run_chip_wafer(
+            wafer, chip, n_trials=8, seed_key=(5,),
+            checkpoint_dir=str(tmp_path), **kwargs
+        )
+
+    def test_chip_float32_cannot_resume_float64(
+        self, chip, tmp_path, monkeypatch
+    ):
+        self._chip(chip, tmp_path)
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            self._chip(chip, tmp_path)
+
+    def test_wafer_float32_cannot_resume_float64(
+        self, wafer, pitch, type_model, tmp_path, monkeypatch
+    ):
+        self._wafer(wafer, pitch, type_model, tmp_path)
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            self._wafer(wafer, pitch, type_model, tmp_path)
+
+    def test_chip_wafer_float32_cannot_resume_float64(
+        self, wafer, chip, tmp_path, monkeypatch
+    ):
+        self._chip_wafer(wafer, chip, tmp_path)
+        monkeypatch.setenv("REPRO_DTYPE", "float32")
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            self._chip_wafer(wafer, chip, tmp_path)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_same_backend_resume_is_bitwise_identical(
+        self, chip, wafer, pitch, type_model, tmp_path, monkeypatch, dtype
+    ):
+        monkeypatch.setenv("REPRO_DTYPE", dtype)
+        kill = dict(
+            policy=RetryPolicy(max_retries=0, backoff_s=0.0),
+            faults=FaultPlan(kill_units=(1,), kill_attempts=1),
+        )
+        chip_plain = chip.run(32, np.random.default_rng(42), trial_chunk=8)
+        with pytest.raises(SupervisorError):
+            self._chip(chip, tmp_path / "chip", **kill)
+        resumed = self._chip(chip, tmp_path / "chip")
+        assert _chip_fields(resumed) == _chip_fields(chip_plain)
+
+        wafer_plain = self._wafer(wafer, pitch, type_model, tmp_path / "plain")
+        with pytest.raises(SupervisorError):
+            self._wafer(wafer, pitch, type_model, tmp_path / "wafer", **kill)
+        resumed = self._wafer(wafer, pitch, type_model, tmp_path / "wafer")
+        assert resumed.dice == wafer_plain.dice

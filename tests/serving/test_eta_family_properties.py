@@ -90,6 +90,17 @@ class TestEtaBoundContract:
         exact = exact_log(family, w, d, eta)
         assert float(result.log_failure[0]) == pytest.approx(exact, abs=1e-12)
 
+    def test_off_grid_fallback_not_shared_between_close_etas(self, family):
+        # eta = 1 - 1e-16 still has a (tiny) short term that dominates the
+        # opens-only value; a cached eta = 1 evaluator must not answer it.
+        w, d = W_HIGH * 2.0, 200.0
+        family.query(np.array([w]), np.array([d]), 1.0)
+        eta = float(np.nextafter(1.0, 0.0))
+        result = family.query(np.array([w]), np.array([d]), eta)
+        assert float(result.log_failure[0]) == pytest.approx(
+            exact_log(family, w, d, eta), abs=1e-12
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(w=widths, d=densities, e1=etas_in_range, e2=etas_in_range)
     def test_served_failure_nonincreasing_in_eta(self, family, w, d, e1, e2):

@@ -18,13 +18,15 @@ REPO = Path(__file__).resolve().parent.parent
 AUDITED_PATHS = (
     REPO / "src" / "repro" / "growth",
     REPO / "src" / "repro" / "backend",
-    REPO / "src" / "repro" / "montecarlo" / "wafer_sim.py",
+    REPO / "src" / "repro" / "montecarlo",
     REPO / "src" / "repro" / "resilience",
     REPO / "src" / "repro" / "service",
     REPO / "src" / "repro" / "timing",
     REPO / "src" / "repro" / "analysis",
     REPO / "src" / "repro" / "core",
     REPO / "src" / "repro" / "device",
+    REPO / "src" / "repro" / "netlist",
+    REPO / "src" / "repro" / "cells",
 )
 
 
