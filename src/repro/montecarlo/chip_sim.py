@@ -202,35 +202,28 @@ def _chip_window_counts_joint(
     u = xp.uniform(rng, batch.positions.shape)
     working = (u >= geometry.per_cnt_failure) & batch.valid
 
+    if geometry.short_probability > 0.0:
+        # Both modes share one banding and search pass, one prefix each.
+        shorting = (u < geometry.short_probability) & batch.valid
+        weights = xp.concatenate([working[None], shorting[None]], axis=0)
+    else:
+        weights = working
+
     n_windows = geometry.window_lo.size
     trial_index = (
         np.repeat(np.arange(n_chunk) * n_rows, n_windows)
         + np.tile(geometry.window_row, n_chunk)
     )
-    lo = np.tile(geometry.window_lo, n_chunk)
-    hi = np.tile(geometry.window_hi, n_chunk)
-    good = xp.to_numpy(count_in_windows_flat(
+    counts = xp.to_numpy(count_in_windows_flat(
         batch.positions,
-        working,
+        weights,
         geometry.row_height_nm,
-        lo,
-        hi,
+        np.tile(geometry.window_lo, n_chunk),
+        np.tile(geometry.window_hi, n_chunk),
         trial_index,
         backend=xp,
-    )).reshape(n_chunk, n_windows)
-    if geometry.short_probability <= 0.0:
-        return good, None
-    shorting = (u < geometry.short_probability) & batch.valid
-    shorts = xp.to_numpy(count_in_windows_flat(
-        batch.positions,
-        shorting,
-        geometry.row_height_nm,
-        lo,
-        hi,
-        trial_index,
-        backend=xp,
-    )).reshape(n_chunk, n_windows)
-    return good, shorts
+    )).reshape(-1, n_chunk, n_windows)
+    return counts[0], (counts[1] if len(counts) > 1 else None)
 
 
 def _chip_window_counts(

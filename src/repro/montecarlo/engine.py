@@ -7,11 +7,13 @@ module provides the batched primitives that replace those loops with NumPy
 array programs over a leading ``(n_trials, ...)`` batch axis:
 
 * :func:`sample_track_batch` — grow the CNT tracks of *all* trials at once:
-  one 2D gap draw per batch, a single ``cumsum`` along the gap axis, and a
-  validity mask marking the tracks that landed inside the span.  The
-  renewal convention matches the scalar samplers exactly (the first track
-  sits one uniformly-offset pitch below the span origin), so the batched
-  and scalar engines draw from the same distribution.
+  one 2D gap draw per batch sized by the tight budget of
+  :func:`tight_gap_budget`, a single ``cumsum`` along the gap axis, exact
+  per-trial top-ups for the few trials that budget leaves short of the
+  span, and a validity mask marking the tracks that landed inside the
+  span.  The renewal convention matches the scalar samplers exactly (the
+  first track sits one uniformly-offset pitch below the span origin), so
+  the batched and scalar engines draw from the same distribution.
 * :func:`count_in_windows` / :func:`count_in_windows_flat` — answer "how
   many (working) tracks does window ``[lo, hi]`` of trial ``t`` capture?"
   for every window of every trial in one pass.  Each trial's track row is
@@ -60,8 +62,10 @@ from repro.growth.pitch import PitchDistribution
 from repro.units import ensure_positive
 
 __all__ = [
+    "BLOCK",
     "TrackBatch",
     "estimate_gap_count",
+    "tight_gap_budget",
     "sample_track_batch",
     "sample_track_counts",
     "count_in_windows",
@@ -78,6 +82,12 @@ __all__ = [
 #: (≈32 MB of float64 per matrix), keeping peak memory flat regardless of
 #: the requested trial count.
 DEFAULT_BATCH_ELEMENTS: int = 1 << 22
+
+#: Gap draws per top-up round and the granule :func:`tight_gap_budget`
+#: rounds up to.  It is also the block of the wafer tier's two-level count
+#: scan, where 8 keeps the inner refine cumsum tiny while cutting the
+#: prefix work 8x versus a dense cumsum.
+BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -114,18 +124,35 @@ class TrackBatch:
 
 
 def estimate_gap_count(pitch: PitchDistribution, span_nm: float) -> int:
-    """Gap draws per trial so the cumulative sum almost surely clears the span.
+    """Upper estimate of the gap slots one trial of ``span_nm`` occupies.
 
     The renewal count over ``span + mean`` fluctuates with standard
     deviation ≈ ``cv * sqrt(n)``; an 8-sigma margin plus a constant floor
-    makes the top-up loop in :func:`sample_track_batch` a rare event rather
-    than the common path.  Callers use this as the per-trial element
-    estimate when sizing memory-bounded chunks.
+    bounds it for all but a vanishing fraction of trials.  It sizes
+    memory-bounded trial chunks (:func:`default_trial_chunk`) and the
+    fixed state length of samplers that cannot top up (the splitting
+    sampler of :mod:`repro.montecarlo.rare_event`).  The draw itself uses
+    the tighter :func:`tight_gap_budget`.
     """
     mean = pitch.mean_nm
     n_mean = (span_nm + mean) / mean
     cv = pitch.std_nm / mean if mean > 0 else 0.0
     return int(n_mean + 8.0 * cv * math.sqrt(n_mean + 1.0)) + 16
+
+
+def tight_gap_budget(pitch: PitchDistribution, span_nm: float) -> int:
+    """Initial gaps per trial: 2-sigma renewal margin, rounded to blocks.
+
+    The single budget rule of the track kernels (:func:`sample_track_batch`
+    and the wafer tier's stacked pass).  Both top up the few trials it
+    leaves short of the span exactly, so the budget only has to make
+    top-ups *uncommon*, not negligible.
+    """
+    mean = pitch.mean_nm
+    n_mean = (span_nm + mean) / mean
+    cv = pitch.std_nm / mean if mean > 0 else 0.0
+    n0 = int(n_mean + 2.0 * cv * math.sqrt(n_mean + 1.0)) + 4
+    return BLOCK * (-(-n0 // BLOCK))
 
 
 def sample_track_batch(
@@ -142,6 +169,15 @@ def sample_track_batch(
     process at ``-u`` with ``u ~ U(0, mean_pitch)`` and keeps the track
     positions that land inside ``[0, span_nm]``.
 
+    The first draw is :func:`tight_gap_budget` gaps per trial.  While some
+    trial's last track still lies at or below ``span_nm``, those trials
+    alone draw one more block of :data:`BLOCK` gaps from ``rng`` and
+    append it; trials that had already cleared the span are padded with
+    their own last position repeated (finite, sorted, beyond the span,
+    hence never valid).  Every row therefore ends with a track beyond the
+    span, which the stopping-time weights of
+    :mod:`repro.montecarlo.rare_event` rely on.
+
     ``offset_mean_nm`` overrides the mean used for the uniform start offset
     ``u``.  The rare-event importance sampler passes the *nominal* pitch mean
     here while ``pitch`` itself is the tilted distribution, so the offset law
@@ -155,18 +191,26 @@ def sample_track_batch(
         offset_mean_nm = pitch.mean_nm
     ensure_positive(offset_mean_nm, "offset_mean_nm")
     start_offsets = xp.uniform(rng, n_trials) * offset_mean_nm
-    n_gaps = estimate_gap_count(pitch, span_nm)
-    gaps = xp.sample_gaps(pitch, (n_trials, n_gaps), rng)
+    shape = (n_trials, tight_gap_budget(pitch, span_nm))
+    gaps = xp.sample_gaps(pitch, shape, rng, out=xp.empty(shape))
     positions = xp.cumsum(gaps, axis=1)
     positions -= start_offsets[:, None]
-    # Top up the rare trials whose gap budget did not clear the span.  The
-    # extra draws are appended for every trial (keeping the array
-    # rectangular); out-of-span tracks are masked below either way.
-    while xp.any(positions[:, -1] <= span_nm):
-        block = max(16, n_gaps // 4)
-        extra = xp.sample_gaps(pitch, (n_trials, block), rng)
-        tail = positions[:, -1][:, None] + xp.cumsum(extra, axis=1)
+    last = positions[:, -1]
+    short = last <= span_nm
+    block = xp.arange(BLOCK)[None, :]
+    while xp.any(short):
+        # Row r of the draw belongs to the r-th uncleared trial; cleared
+        # trials gather an arbitrary row and mask it to a zero step.
+        rank = xp.cumsum(short, axis=0) - 1
+        n_short = int(rank[-1]) + 1
+        steps = xp.cumsum(xp.sample_gaps(pitch, (n_short, BLOCK), rng), axis=1)
+        rows = xp.clip(rank, 0, n_short - 1)[:, None]
+        tail = last[:, None] + xp.where(
+            short[:, None], xp.take_pairs(steps, rows, block), 0.0
+        )
         positions = xp.concatenate([positions, tail], axis=1)
+        last = tail[:, -1]
+        short = last <= span_nm
     valid = (positions >= 0.0) & (positions <= span_nm)
     return TrackBatch(
         positions=positions,
@@ -234,8 +278,9 @@ def _banded_positions(
             band_dtype = np.dtype(np.float64)
             positions = xp.asarray(positions, dtype=band_dtype)
     offsets = xp.arange(positions.shape[0], dtype=band_dtype) * stride
-    flat = xp.ravel(xp.clip(positions, -pad, span_nm + pad) + offsets[:, None])
-    return flat, offsets
+    banded = xp.clip(positions, -pad, span_nm + pad)
+    banded += offsets[:, None]
+    return xp.ravel(banded), offsets
 
 
 def window_stop_indices(
@@ -279,7 +324,10 @@ def count_in_windows_flat(
         (as produced by :func:`sample_track_batch`).
     weights:
         Per-slot weights, same shape; must already be zero on slots that
-        should not count (out-of-span tracks, failed tubes).
+        should not count (out-of-span tracks, failed tubes).  A stack of
+        ``k`` such weight arrays, shape ``(k, n_trials, n_slots)``, is
+        answered from one banding and search pass, with one prefix sum
+        per weight row.
     span_nm:
         Span of the trials; queries must lie inside ``[0, span_nm]``.
     lo, hi:
@@ -293,17 +341,25 @@ def count_in_windows_flat(
         but sharing this pass's searchsorted work — the rare-event chip
         sampler needs both).
 
-    Returns the weighted count per query, shape ``(n_queries,)`` (plus the
-    stop indices when requested).  Counts accumulate in the backend's
-    ``accum_dtype`` (float64 by default, even under a float32 policy).
+    Returns the weighted count per query, shape ``(n_queries,)``, or
+    ``(k, n_queries)`` for stacked weights (plus the stop indices when
+    requested).  Counts accumulate in the backend's ``accum_dtype``
+    (float64 by default, even under a float32 policy).
     """
     xp = backend if backend is not None else default_backend()
     flat, offsets = _banded_positions(positions, span_nm, xp)
-    prefix = xp.prefix_sum(xp.ravel(weights))
     shift = xp.take(offsets, trial_index)
     left = xp.searchsorted(flat, xp.cast_like(lo, flat) + shift, side="left")
     right = xp.searchsorted(flat, xp.cast_like(hi, flat) + shift, side="right")
-    counts = xp.take(prefix, right) - xp.take(prefix, left)
+
+    def weighted(w):
+        prefix = xp.prefix_sum(xp.ravel(w))
+        return xp.take(prefix, right) - xp.take(prefix, left)
+
+    if weights.ndim == positions.ndim:
+        counts = weighted(weights)
+    else:
+        counts = xp.concatenate([weighted(w)[None, :] for w in weights], axis=0)
     if return_stop_index:
         return counts, right - trial_index * positions.shape[1]
     return counts

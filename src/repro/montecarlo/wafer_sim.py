@@ -5,17 +5,17 @@ a :class:`~repro.growth.wafer.WaferMap` carries its own mean CNT pitch —
 which makes every die a *distinct* simulation: a different gap law, hence
 a different renewal process, hence a separate Monte Carlo run.  Looping
 the single-die estimator over a wafer wastes most of its time on per-die
-overheads and on the engine's conservative 8-sigma gap budget.  This
-module simulates the whole wafer as one stacked 3D array program
-(die × trial × track):
+overheads and on per-width re-sampling.  This module simulates the
+whole wafer as one stacked 3D array program (die × trial × track):
 
 * every die's trials are drawn from a *spawn-keyed stream* derived from
   the die's grid coordinates (:func:`die_stream`) — never from the die's
   position in a loop — so per-die results are bitwise independent of die
   ordering, of how dies are grouped into batches, and of ``n_workers``;
-* per-die gap budgets carry a tight 2-sigma margin instead of the
-  engine's 8-sigma one; the rare trials whose budget does not clear the
-  widest window are *topped up exactly* from the same die stream;
+* per-die gap budgets follow the engine's single budget rule
+  (:func:`~repro.montecarlo.engine.tight_gap_budget`, a 2-sigma margin);
+  the rare trials whose budget does not clear the widest window are
+  *topped up exactly* from the same die stream;
 * window counts are answered by a two-level blocked scan
   (:func:`_blocked_count_leq`): block sums + a block-prefix ``cumsum``
   locate each trial's crossing block, and a gather + short inner
@@ -90,10 +90,12 @@ from repro.growth.pitch import PitchDistribution
 from repro.growth.types import CNTTypeModel
 from repro.growth.wafer import DieSite, WaferMap
 from repro.montecarlo.engine import (
+    BLOCK,
     DEFAULT_BATCH_ELEMENTS,
     default_trial_chunk,
     estimate_gap_count,
     run_chunked,
+    tight_gap_budget,
 )
 from repro.resilience.guards import check_finite
 from repro.units import ensure_positive
@@ -121,11 +123,6 @@ DIE_STREAM_TAG = 0x57A6ED
 #: :data:`DIE_STREAM_TAG` so a width-class wafer run and a chip-wafer run
 #: sharing one root seed key never consume the same streams.
 CHIP_STREAM_TAG = 0xC417
-
-#: Tracks per block of the two-level count scan.  8 keeps the inner refine
-#: cumsum tiny while cutting the prefix work 8x versus a dense cumsum.
-BLOCK = 8
-
 
 def die_stream(seed_key: Sequence[int], site: DieSite) -> np.random.Generator:
     """The RNG stream owned by one die under a wafer-run seed key.
@@ -245,21 +242,6 @@ class WaferYieldResult:
 # ----------------------------------------------------------------------
 
 
-def _tight_gap_budget(pitch: PitchDistribution, span_nm: float) -> int:
-    """Initial gaps per trial: 2-sigma renewal margin, rounded to blocks.
-
-    Deliberately tighter than the engine's 8-sigma
-    :func:`~repro.montecarlo.engine.estimate_gap_count`: the stacked pass
-    tops up the few uncleared trials exactly, so the budget only has to
-    make top-ups *uncommon*, not negligible.
-    """
-    mean = pitch.mean_nm
-    n_mean = (span_nm + mean) / mean
-    cv = pitch.std_nm / mean if mean > 0 else 0.0
-    n0 = int(n_mean + 2.0 * cv * math.sqrt(n_mean + 1.0)) + 4
-    return BLOCK * (-(-n0 // BLOCK))
-
-
 def _blocked_count_leq(g3, prefix, bounds, xp: ArrayBackend):
     """Per-row count of renewal positions ``<= bound`` via a two-level scan.
 
@@ -343,7 +325,7 @@ def _simulate_die_group(
     n_dies = len(sites)
 
     pitches = [payload.pitch.with_mean(site.mean_pitch_nm) for site in sites]
-    budgets = [_tight_gap_budget(p, w_max) for p in pitches]
+    budgets = [tight_gap_budget(p, w_max) for p in pitches]
     s_max = max(budgets)
     n_rows = n_dies * n_trials
 
@@ -802,7 +784,7 @@ def simulate_wafer(
     dice: List[DieYieldEstimate] = []
     if sites:
         s_max_hint = max(
-            _tight_gap_budget(pitch.with_mean(s.mean_pitch_nm), max(widths))
+            tight_gap_budget(pitch.with_mean(s.mean_pitch_nm), max(widths))
             for s in sites
         )
         group = _dies_per_group(len(sites), payload, s_max_hint)
