@@ -1,7 +1,7 @@
 """Seeded golden-value regression against the frozen engine fixture.
 
 ``tests/fixtures/golden_engine_values.json`` freezes the exact outputs of
-the pre-backend-dispatch engine (PR 1/2 numerics) for a small chip run, a
+the NumPy float64 engine for a small chip run, a shorts-active chip run, a
 tilted chip-tail run, and a device tail estimate, all under pinned seeds.
 Any change to the engine's numerics — a reordered reduction, a dtype
 promotion, a different RNG consumption pattern — shifts these values and
