@@ -5,6 +5,8 @@ import pytest
 
 from repro.cells.aligned_active import enforce_aligned_active
 from repro.cells.nangate45 import build_nangate45_library
+from repro.core.count_model import PoissonCountModel
+from repro.core.failure import CNFETFailureModel
 from repro.growth.pitch import ExponentialPitch
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.chip_sim import ChipMonteCarlo, compare_libraries
@@ -59,15 +61,27 @@ class TestChipMonteCarlo:
         assert result.mean_failing_devices == simulator.device_count
 
     def test_failure_rate_matches_analytic_scale(self, placement, rng):
-        # Sparse growth (20 nm pitch) makes per-device failures measurable:
-        # an 80 nm device then sees ~4 tubes, pf = 0.533, so pF ≈ e^{-1.87} ≈ 0.15.
+        # Sparse growth (20 nm pitch) makes per-device failures measurable
+        # (a long-run device failure rate of ~0.045 on this block).  The
+        # mean failing-device count must match Σ counts · pF(W) (Eq. 2.2)
+        # in units of its standard error.
+        type_model = CNTTypeModel(1.0 / 3.0, 1.0, 0.3)
         simulator = ChipMonteCarlo(
-            placement,
-            pitch=ExponentialPitch(20.0),
-            type_model=CNTTypeModel(1.0 / 3.0, 1.0, 0.3),
+            placement, pitch=ExponentialPitch(20.0), type_model=type_model
         )
-        result = simulator.run(20, rng)
-        assert 0.02 < result.device_failure_rate < 0.4
+        result = simulator.run(400, rng)
+        model = CNFETFailureModel.from_type_model(
+            PoissonCountModel(20.0), type_model
+        )
+        widths, counts = simulator.width_class_histogram()
+        # A zero-width window captures no tube, so its device always fails.
+        expected = sum(
+            c * (model.failure_probability(w) if w > 0 else 1.0)
+            for w, c in zip(widths, counts)
+        )
+        se = result.std_failing_devices / np.sqrt(result.n_trials)
+        assert se > 0
+        assert abs(result.mean_failing_devices - expected) / se < 5.0
 
     def test_failures_cluster_on_shared_tracks(self, placement, rng):
         # Devices in the same row share tubes, so the failing-device count
