@@ -25,7 +25,7 @@ actually captured (see :mod:`repro.timing.parametric`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -189,16 +189,21 @@ def nominal_node_delays(
 
     Each node's delay is its table evaluated at the shared input slew and
     the node's own output load; declared sinks contribute 0 (they only
-    capture).  This vector is the trial-independent baseline the Monte
-    Carlo scales by each trial's drive-current ratio.
+    capture).  Each distinct table is read once, on the loads of all its
+    nodes (elementwise, so equal to one lookup per node).  This vector is
+    the trial-independent baseline the Monte Carlo scales by each trial's
+    drive-current ratio.
     """
     ensure_positive(input_slew_ps, "input_slew_ps")
     if tables is None:
         tables = characterize_graph(graph, delay_model)
-    delays = np.zeros(graph.n_nodes, dtype=float)
+    nodes_of: Dict[Tuple[str, float], List[int]] = {}
     for i, node in enumerate(graph.nodes):
-        if node.is_sink:
-            continue
-        table = tables[(node.cell_name, float(node.drive_width_nm))]
-        delays[i] = float(table.lookup(input_slew_ps, node.load_af))
+        if not node.is_sink:
+            key = (node.cell_name, float(node.drive_width_nm))
+            nodes_of.setdefault(key, []).append(i)
+    loads = graph.loads_af()
+    delays = np.zeros(graph.n_nodes, dtype=float)
+    for key, index in nodes_of.items():
+        delays[index] = tables[key].lookup(input_slew_ps, loads[index])
     return delays

@@ -266,9 +266,10 @@ class TimingMonteCarlo:
         per_tube = delay_model.current_model.semiconducting_on_current_ua(
             delay_model.diameter_mean_nm
         )
+        distinct, inverse = np.unique(widths, return_inverse=True)
         mean_working = np.array(
-            [delay_model.count_model.mean_count(float(w)) for w in widths]
-        ) * delay_model.type_model.per_cnt_success_probability
+            [delay_model.count_model.mean_count(float(w)) for w in distinct]
+        )[inverse] * delay_model.type_model.per_cnt_success_probability
         nominal_current = mean_working * per_tube
         return nominal_ps, nominal_ps * nominal_current
 

@@ -116,3 +116,32 @@ def test_nominal_node_delays_zero_for_sinks(delay_model):
     delays = nominal_node_delays(graph, delay_model)
     assert delays[graph.index_of("src")] > 0
     assert delays[graph.index_of("d")] == 0.0
+
+
+def test_per_table_lookup_equals_per_node_loop(derived_timing, delay_model):
+    # One lookup per distinct table on all its nodes' loads must read the
+    # same bits as one scalar lookup per node.
+    from repro.timing.parametric import TimingMonteCarlo
+
+    graph = derived_timing.graph
+    tables = characterize_graph(graph, delay_model)
+    per_node = np.zeros(graph.n_nodes)
+    for i, node in enumerate(graph.nodes):
+        if not node.is_sink:
+            table = tables[(node.cell_name, float(node.drive_width_nm))]
+            per_node[i] = float(table.lookup(8.0, node.load_af))
+    assert len(tables) < graph.n_nodes
+    np.testing.assert_array_equal(
+        nominal_node_delays(graph, delay_model, 8.0, tables=tables), per_node
+    )
+
+    nominal_ps, scale = TimingMonteCarlo._nominal_scale(graph, delay_model, 8.0)
+    per_tube = delay_model.current_model.semiconducting_on_current_ua(
+        delay_model.diameter_mean_nm
+    )
+    mean_working = np.array([
+        delay_model.count_model.mean_count(float(node.drive_width_nm))
+        for node in graph.nodes
+    ]) * delay_model.type_model.per_cnt_success_probability
+    np.testing.assert_array_equal(nominal_ps, per_node)
+    np.testing.assert_array_equal(scale, per_node * (mean_working * per_tube))
