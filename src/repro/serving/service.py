@@ -75,10 +75,12 @@ class QueryResult:
 
     @property
     def n_queries(self) -> int:
+        """Number of query points answered."""
         return int(self.failure_probability.size)
 
     @property
     def n_fallback(self) -> int:
+        """Number of query points answered by the fallback path."""
         return int(np.size(self.interpolated) - np.count_nonzero(self.interpolated))
 
     def bounds_contain(self, exact_failure_probability: np.ndarray) -> np.ndarray:

@@ -395,6 +395,7 @@ class SurfaceBuilder:
         self.resume = resume
 
     def build(self) -> YieldSurface:
+        """Run the sweep and return only its :class:`YieldSurface`."""
         return self.build_report().surface
 
     def _open_checkpoint(self):
@@ -456,6 +457,14 @@ class SurfaceBuilder:
         )
 
     def build_report(self) -> BuildReport:
+        """Run the sweep with adaptive refinement; report what it did.
+
+        Sweeps the grid, refines every axis interval whose cell error
+        exceeds the tolerance plus the statistical noise allowance, and
+        repeats until no cell is flagged or ``max_refinement_rounds`` is
+        reached.  The :class:`BuildReport` carries the surface, the
+        rounds, the exact evaluations made and whether it converged.
+        """
         spec = self.spec
         evaluator = ExactEvaluator(
             scenario=spec.scenario,

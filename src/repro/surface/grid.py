@@ -63,10 +63,12 @@ class GridAxis:
 
     @property
     def n_points(self) -> int:
+        """Number of grid points on the axis."""
         return int(self.values.size)
 
     @property
     def n_cells(self) -> int:
+        """Number of intervals between consecutive grid points."""
         return self.n_points - 1
 
     def midpoints(self) -> np.ndarray:

@@ -166,10 +166,12 @@ class YieldSurface:
 
     @property
     def max_interp_error_log(self) -> float:
+        """Largest per-cell bilinear-residual bound of ``log_failure``."""
         return float(np.max(self.interp_error_log))
 
     @property
     def max_stat_se_log(self) -> float:
+        """Largest per-node standard error of ``log_failure``."""
         return float(np.max(self.stat_se_log))
 
     def describe(self) -> Dict[str, object]:

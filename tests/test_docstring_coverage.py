@@ -27,6 +27,8 @@ AUDITED_PATHS = (
     REPO / "src" / "repro" / "device",
     REPO / "src" / "repro" / "netlist",
     REPO / "src" / "repro" / "cells",
+    REPO / "src" / "repro" / "surface",
+    REPO / "src" / "repro" / "serving",
 )
 
 
