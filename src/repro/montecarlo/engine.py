@@ -192,12 +192,14 @@ def sample_track_batch(
     ensure_positive(offset_mean_nm, "offset_mean_nm")
     start_offsets = xp.uniform(rng, n_trials) * offset_mean_nm
     shape = (n_trials, tight_gap_budget(pitch, span_nm))
+    # ``out`` lets the backend draw in place; the values are the same.
     gaps = xp.sample_gaps(pitch, shape, rng, out=xp.empty(shape))
     positions = xp.cumsum(gaps, axis=1)
     positions -= start_offsets[:, None]
     last = positions[:, -1]
     short = last <= span_nm
     block = xp.arange(BLOCK)[None, :]
+    tails = []
     while xp.any(short):
         # Row r of the draw belongs to the r-th uncleared trial; cleared
         # trials gather an arbitrary row and mask it to a zero step.
@@ -205,12 +207,14 @@ def sample_track_batch(
         n_short = int(rank[-1]) + 1
         steps = xp.cumsum(xp.sample_gaps(pitch, (n_short, BLOCK), rng), axis=1)
         rows = xp.clip(rank, 0, n_short - 1)[:, None]
-        tail = last[:, None] + xp.where(
+        tails.append(last[:, None] + xp.where(
             short[:, None], xp.take_pairs(steps, rows, block), 0.0
-        )
-        positions = xp.concatenate([positions, tail], axis=1)
-        last = tail[:, -1]
+        ))
+        last = tails[-1][:, -1]
         short = last <= span_nm
+    if tails:
+        # One copy of the batch however many rounds the top-up took.
+        positions = xp.concatenate([positions] + tails, axis=1)
     valid = (positions >= 0.0) & (positions <= span_nm)
     return TrackBatch(
         positions=positions,
