@@ -25,9 +25,9 @@ against ``numpy`` directly.
 
 Bit-identity contract
 ---------------------
-The NumPy backend at float64 must be *bit-identical* to the pre-dispatch
-engine: every method maps to exactly the NumPy call the engine used to
-make, in the same order, and the RNG adapter passes the caller's
+The NumPy backend at float64 must be *bit-identical* to the same engine
+written in plain NumPy: every method maps to exactly one NumPy call, in
+the same order, and the RNG adapter passes the caller's
 generator straight through (draws always happen in the generator's native
 float64 and are cast to the policy dtype afterwards, so the float32 and
 float64 policies consume identical streams).  The conformance suite under

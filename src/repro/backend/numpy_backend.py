@@ -1,8 +1,8 @@
 """NumPy reference backend — the bit-identity anchor of the dispatch layer.
 
-Every method maps to exactly the NumPy call the pre-dispatch engine made,
-so the float64 policy reproduces the PR-1/PR-2 engine bit for bit (the
-golden-regression test pins this).  The float32 policy consumes the same
+Every method maps to exactly one plain NumPy call, so the float64 policy
+reproduces a plain-NumPy engine bit for bit (the golden-regression and
+conformance tests pin this).  The float32 policy consumes the same
 RNG stream — draws happen in the generator's native float64 and are cast
 afterwards — which keeps float32-vs-float64 comparisons purely about
 arithmetic rounding, not about different random numbers.

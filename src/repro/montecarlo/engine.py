@@ -34,10 +34,10 @@ Backend dispatch
 Every array kernel takes an optional ``backend``
 (:class:`repro.backend.ArrayBackend`); ``None`` resolves the
 environment-selected default (``REPRO_BACKEND`` / ``REPRO_DTYPE``, NumPy
-float64 out of the box).  The NumPy float64 path maps one-to-one onto the
-pre-dispatch implementation and is bit-identical to it; float32 and GPU
-policies are held to tolerance by the conformance suite under
-``tests/backend/``.  Search operands are explicitly cast to the positions
+float64 out of the box).  The NumPy float64 path is bit-identical to a
+plain-NumPy re-implementation of the same sampler kept in the
+conformance suite under ``tests/backend/``; float32 and GPU policies are
+held to tolerance there.  Search operands are explicitly cast to the positions
 dtype (:meth:`~repro.backend.ArrayBackend.cast_like`) — NumPy would
 silently promote a float32 haystack to float64 on every query batch, and
 torch refuses mixed-dtype searches outright — and band offsets are built

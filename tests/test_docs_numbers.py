@@ -55,6 +55,8 @@ def _checks():
     cw_shared = sig(chip_wafer["shared_geometry"]["seconds"], 2)
     cw_speedup = f"{sig(chip_wafer['speedup'], 2)}X"
 
+    shorts = _record("BENCH_shorts.json")
+
     front = coopt["front_quality"]
     evals = sig(coopt["throughput"]["evaluations_per_sec"], 2)
 
@@ -98,6 +100,12 @@ def _checks():
           f"~{sig(field['speedup'], 2)}X"]),
         ("docs/benchmarks.md", "| whole placement (chip wafer) |",
          [f"~{cw_loop} s", f"~{cw_shared} s", f"~{cw_speedup}"]),
+        ("docs/benchmarks.md", "trials, single core: joint mode costs",
+         [f"{shorts['configuration']['device_count']:,} devices",
+          f"{shorts['configuration']['n_trials']} trials",
+          f"~{sig(shorts['throughput']['slowdown'], 3)}X"]),
+        ("docs/benchmarks.md", "from the thinned closed form",
+         [f"z = {sig(shorts['accuracy']['z_score'], 2)}"]),
         ("docs/architecture.md", "spawn-keyed RNG streams (",
          [f"(~{speedup} single-core over the scalar loop)"]),
         ("docs/paper-map.md", "| Batched Monte Carlo engine (",
