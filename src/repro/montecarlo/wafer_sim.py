@@ -124,6 +124,7 @@ DIE_STREAM_TAG = 0x57A6ED
 #: sharing one root seed key never consume the same streams.
 CHIP_STREAM_TAG = 0xC417
 
+
 def die_stream(seed_key: Sequence[int], site: DieSite) -> np.random.Generator:
     """The RNG stream owned by one die under a wafer-run seed key.
 
