@@ -192,6 +192,13 @@ class RenewalCountModel(CountModel):
         # safety stop) are unchanged.
         upper = guess_max + 2 if max_count is None else max_count + 2
         survival_block = self.pitch.sum_cdf_array(np.arange(1, upper), width_nm)
+        # Below the count median P{N >= n} rounds towards one and the
+        # difference of two such values loses the pmf's low-count tail to
+        # cancellation (relative noise ~1e-8 where pF ~ 1e-26).  There the
+        # pmf is taken from the complementary P{N < n} = P{S_n > W}
+        # instead, which the pitch family evaluates without that loss.
+        n_upper_half = int(np.count_nonzero(survival_block > 0.5))
+        below_block = self.pitch.sum_sf_array(np.arange(0, n_upper_half + 1), width_nm)
 
         survival_prev = 1.0  # P{N >= 0} = 1
         probs = []
@@ -201,7 +208,10 @@ class RenewalCountModel(CountModel):
                 float(survival_block[n]) if n < survival_block.size
                 else self.pitch.sum_cdf(n + 1, width_nm)
             )
-            probs.append(max(survival_prev - survival_next, 0.0))
+            if n < n_upper_half:
+                probs.append(max(float(below_block[n + 1] - below_block[n]), 0.0))
+            else:
+                probs.append(max(survival_prev - survival_next, 0.0))
             survival_prev = survival_next
             n += 1
             if max_count is not None and n > max_count:

@@ -83,6 +83,16 @@ class TestRenewalCountModel:
         second = model.pmf(100.0)
         assert np.array_equal(first, second)
 
+    def test_low_count_tail_is_smooth_in_width(self):
+        # pF ~ 1e-26 lives in the pmf's low-count tail, where P{N >= n}
+        # rounds to one; the tail must not carry cancellation noise (it
+        # used to show as ~1e-8 jitter in log pF from one width to the next).
+        model = RenewalCountModel(GammaPitch(1000.0 / 349.5, 0.5))
+        widths = np.linspace(294.0, 295.0, 11)
+        log_pf = np.log([model.pgf(w, 0.533) for w in widths])
+        assert log_pf.max() < -50.0
+        assert np.abs(np.diff(log_pf, 2)).max() < 1e-11
+
     def test_sampling_respects_pmf(self):
         model = RenewalCountModel(GammaPitch(4.0, 0.5))
         rng = np.random.default_rng(1)

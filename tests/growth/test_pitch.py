@@ -162,6 +162,31 @@ class TestSumCdfArray:
         scalar = np.array([pitch.sum_cdf(int(n), w_nm) for n in n_values])
         np.testing.assert_allclose(vectorised, scalar, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("pitch", [
+        DeterministicPitch(5.0),
+        ExponentialPitch(4.0),
+        GammaPitch(4.0, 0.5),
+        GammaPitch(4.0, 1.7),
+        TruncatedNormalPitch(4.0, 2.0),
+    ])
+    @pytest.mark.parametrize("w_nm", [-1.0, 0.0, 3.0, 40.0])
+    def test_sf_complements_cdf(self, pitch, w_nm):
+        n_values = np.arange(0, 12)
+        total = pitch.sum_sf_array(n_values, w_nm) + pitch.sum_cdf_array(n_values, w_nm)
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pitch, w_nm", [
+        (ExponentialPitch(4.0), 400.0),
+        (GammaPitch(4.0, 0.5), 400.0),
+        (TruncatedNormalPitch(4.0, 2.0), 40.0),
+    ])
+    def test_sf_resolves_where_cdf_rounds_to_one(self, pitch, w_nm):
+        n_values = np.array([1, 2, 3])
+        assert np.all(pitch.sum_cdf_array(n_values, w_nm) == 1.0)
+        sf = pitch.sum_sf_array(n_values, w_nm)
+        assert np.all(sf > 0.0)
+        assert np.all(np.diff(sf) > 0.0)
+
     def test_batch_sampling_matches_flat_stream(self):
         pitch = GammaPitch(4.0, 0.5)
         flat = pitch.sample(12, np.random.default_rng(3))
