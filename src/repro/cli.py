@@ -286,8 +286,6 @@ def _cmd_coopt(args: argparse.Namespace) -> int:
         raise CLIUsageError("--validate-trials must be non-negative")
     if args.validate_top < 1:
         raise CLIUsageError("--validate-top must be at least 1")
-    if args.workers < 1:
-        raise CLIUsageError("--workers must be at least 1")
     setup = _build_setup(args)
     try:
         densities = _parse_float_list(args.densities, "--densities")
@@ -879,8 +877,6 @@ def _cmd_timing(args: argparse.Namespace) -> int:
 
     if args.tclk_ps is not None and args.tclk_factor is not None:
         raise CLIUsageError("--tclk-ps and --tclk-factor are mutually exclusive")
-    if args.workers < 1:
-        raise CLIUsageError("--workers must be at least 1")
     if args.graph is not None:
         if args.scale is not None or args.netlist_seed is not None:
             raise CLIUsageError(
@@ -1093,8 +1089,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"surface store {args.store!r} is not a directory"
             )
         store = args.store
-    if args.workers < 1:
-        raise CLIUsageError("--workers must be at least 1")
     if args.workers > 1 and args.port == 0:
         raise CLIUsageError("--workers > 1 needs an explicit --port")
     factory = StoreAppFactory(
@@ -1394,6 +1388,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every subcommand with --workers shares this one check.
+        if getattr(args, "workers", 1) < 1:
+            raise CLIUsageError("--workers must be at least 1")
         return args.handler(args)
     except (KeyboardInterrupt, SystemExit):
         raise

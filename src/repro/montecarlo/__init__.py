@@ -7,8 +7,9 @@ fabrication outcomes directly:
 * :mod:`repro.montecarlo.engine` — the vectorized batched engine: all
   trials' CNT tracks from one 2D gap draw + ``cumsum``, all device windows
   answered by one batched ``searchsorted``/prefix-sum pass, deterministic
-  trial chunking with ``spawn_key``-derived RNG streams and an opt-in
-  process pool.
+  trial chunking with ``spawn_key``-derived RNG streams, executed by the
+  supervised runner of :mod:`repro.resilience.supervise` (in-process or
+  on a process pool).
 * :mod:`repro.montecarlo.device_sim` — per-device failure probability pF(W)
   estimated by sampling CNT counts and per-tube outcomes; validates Eq. 2.2.
 * :mod:`repro.montecarlo.row_sim` — full placement rows under the three
@@ -37,7 +38,6 @@ from repro.montecarlo.engine import (
     count_in_windows_flat,
     sample_track_batch,
     sample_track_counts,
-    spawn_streams,
 )
 from repro.montecarlo.rare_event import (
     SplittingResult,
@@ -83,7 +83,6 @@ __all__ = [
     "count_in_windows_flat",
     "sample_track_batch",
     "sample_track_counts",
-    "spawn_streams",
     "WeightedEstimate",
     "weighted_estimate",
     "default_tilt_factor",

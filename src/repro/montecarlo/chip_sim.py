@@ -43,6 +43,7 @@ from repro.backend import ArrayBackend, backend_signature, default_backend
 from repro.growth.pitch import GapTilt, PitchDistribution, pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.engine import (
+    chunk_sizes,
     count_in_windows_flat,
     default_trial_chunk,
     estimate_gap_count,
@@ -50,6 +51,7 @@ from repro.montecarlo.engine import (
     sample_track_batch,
 )
 from repro.netlist.placement import PlacedInstance, RowPlacement
+from repro.resilience.checkpoint import open_campaign
 from repro.resilience.guards import check_finite
 from repro.units import ensure_positive
 
@@ -690,7 +692,9 @@ class ChipMonteCarlo:
         n_workers:
             Processes to spread the trial chunks over.  ``1`` (default)
             runs in-process; larger values use a process pool and produce
-            bitwise-identical statistics.
+            bitwise-identical statistics.  Either way the chunks run
+            under the supervised executor
+            (:func:`~repro.resilience.supervise.run_supervised`).
         trial_chunk:
             Trials per batch.  The default keeps one batched gap matrix
             near the engine's element budget (~32 MB) while still splitting
@@ -717,9 +721,10 @@ class ChipMonteCarlo:
             Whether an existing checkpoint for this campaign is loaded
             (default) or cleared.
         policy:
-            A :class:`~repro.resilience.supervise.RetryPolicy` enabling
-            supervised execution (per-chunk timeouts, bounded retries on
-            worker death) even without a checkpoint.
+            The :class:`~repro.resilience.supervise.RetryPolicy` bounding
+            per-chunk timeouts and retries on a failing or dying worker;
+            ``None`` uses the default policy (two retries per chunk, no
+            timeout).
         faults:
             A :class:`~repro.resilience.faults.FaultPlan` for chaos
             testing; never set in production runs.
@@ -751,12 +756,52 @@ class ChipMonteCarlo:
             return self._result(zeros, zeros)
         if trial_chunk is None:
             trial_chunk = self._default_trial_chunk(n_trials)
-        checkpoint = self._open_checkpoint(
-            checkpoint_dir, "chip-naive", n_trials, trial_chunk, rng, resume
+        chunks = self._run_chunks(
+            "chip-naive", _simulate_chip_chunk, self._geometry, n_trials, rng,
+            trial_chunk, n_workers, checkpoint_dir, resume, policy, faults,
         )
-        chunks = run_chunked(
-            _simulate_chip_chunk,
-            self._geometry,
+        failing_devices = np.concatenate([c[0] for c in chunks])
+        failing_rows = np.concatenate([c[1] for c in chunks])
+        return self._result(failing_devices, failing_rows)
+
+    def _run_chunks(
+        self,
+        campaign: str,
+        worker,
+        payload,
+        n_trials: int,
+        rng: np.random.Generator,
+        trial_chunk: int,
+        n_workers: int,
+        checkpoint_dir: Optional[str],
+        resume: bool,
+        policy,
+        faults,
+    ) -> list:
+        """Run one chip campaign's trial chunks under its checkpoint.
+
+        The checkpoint fingerprint is the chunk ``payload`` itself plus
+        what it lacks — the resolved backend and dtypes, the root
+        generator (stream state and spawn counter) and the chunk layout —
+        so resuming with *anything* different is a
+        :class:`~repro.resilience.checkpoint.CheckpointError` instead of
+        silently mixed results.
+        """
+        checkpoint = open_campaign(
+            checkpoint_dir,
+            campaign,
+            len(chunk_sizes(n_trials, trial_chunk)),
+            resume,
+            payload,
+            backend_signature(self._geometry.backend),
+            rng.bit_generator.state,
+            int(rng.bit_generator.seed_seq.n_children_spawned),
+            int(n_trials),
+            int(trial_chunk),
+        )
+        return run_chunked(
+            worker,
+            payload,
             n_trials,
             rng,
             trial_chunk=trial_chunk,
@@ -764,58 +809,6 @@ class ChipMonteCarlo:
             policy=policy,
             checkpoint=checkpoint,
             faults=faults,
-        )
-        failing_devices = np.concatenate([c[0] for c in chunks])
-        failing_rows = np.concatenate([c[1] for c in chunks])
-        return self._result(failing_devices, failing_rows)
-
-    def _open_checkpoint(
-        self,
-        checkpoint_dir: Optional[str],
-        campaign: str,
-        n_trials: int,
-        trial_chunk: int,
-        rng: np.random.Generator,
-        resume: bool,
-    ):
-        """Open the chunk-level campaign checkpoint, or ``None`` without one.
-
-        The fingerprint binds the checkpoint to the placement geometry,
-        the sampling configuration, the resolved backend and dtypes, and
-        the root generator (stream state plus spawn counter), so resuming
-        with *anything* different is a
-        :class:`~repro.resilience.checkpoint.CheckpointError` instead of
-        silently mixed results.
-        """
-        if checkpoint_dir is None:
-            return None
-        from repro.montecarlo.engine import chunk_sizes
-        from repro.resilience.checkpoint import CheckpointStore, fingerprint_parts
-
-        geometry = self._geometry
-        fingerprint = fingerprint_parts(
-            campaign,
-            int(n_trials),
-            int(trial_chunk),
-            float(geometry.per_cnt_failure),
-            float(geometry.short_probability),
-            int(geometry.min_working_tubes),
-            float(geometry.row_height_nm),
-            int(geometry.n_rows),
-            geometry.window_lo,
-            geometry.window_hi,
-            geometry.window_weight,
-            geometry.window_row,
-            repr(self.pitch),
-            backend_signature(geometry.backend),
-            rng.bit_generator.state,
-            int(rng.bit_generator.seed_seq.n_children_spawned),
-        )
-        return CheckpointStore(checkpoint_dir).campaign(
-            campaign,
-            fingerprint,
-            len(chunk_sizes(n_trials, trial_chunk)),
-            resume=resume,
         )
 
     def default_chip_tilt_factor(self) -> float:
@@ -870,19 +863,10 @@ class ChipMonteCarlo:
                 n_trials,
                 grain=self.DEFAULT_PARALLEL_GRAIN,
             )
-        checkpoint = self._open_checkpoint(
-            checkpoint_dir, "chip-tilted", n_trials, trial_chunk, rng, resume
-        )
-        chunks = run_chunked(
-            _simulate_chip_chunk_tilted,
-            _TiltedChipPayload(geometry=self._geometry, tilt=tilt),
-            n_trials,
-            rng,
-            trial_chunk=trial_chunk,
-            n_workers=n_workers,
-            policy=policy,
-            checkpoint=checkpoint,
-            faults=faults,
+        chunks = self._run_chunks(
+            "chip-tilted", _simulate_chip_chunk_tilted,
+            _TiltedChipPayload(geometry=self._geometry, tilt=tilt), n_trials,
+            rng, trial_chunk, n_workers, checkpoint_dir, resume, policy, faults,
         )
         row_sums = np.vstack([c[0] for c in chunks])
         # Importance weights may legitimately overflow to inf under extreme

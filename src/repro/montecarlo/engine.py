@@ -23,9 +23,10 @@ array programs over a leading ``(n_trials, ...)`` batch axis:
 * :func:`sample_track_counts` — memory-bounded helper returning only the
   per-trial track counts (used when the positions themselves are not
   needed, e.g. device-level failure estimation).
-* :func:`spawn_streams` / :func:`chunk_sizes` — deterministic RNG
-  sub-streams and trial chunking.  Chunk boundaries depend only on the
-  trial count and chunk size — never on the worker count — so a run with
+* :func:`chunk_sizes` / :func:`run_chunked` — deterministic trial
+  chunking, one spawn-keyed RNG stream per chunk, executed by the
+  supervised runner.  Chunk boundaries depend only on the trial count
+  and chunk size — never on the worker count — so a run with
   ``n_workers=4`` consumes exactly the same per-chunk streams as a serial
   run and produces bitwise-identical statistics.
 
@@ -51,7 +52,6 @@ small dataclasses of NumPy arrays plus the pitch/type models).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -59,6 +59,11 @@ import numpy as np
 
 from repro.backend import ArrayBackend, default_backend
 from repro.growth.pitch import PitchDistribution
+from repro.resilience.supervise import (
+    SeededChunk,
+    run_supervised,
+    seed_sequences_for,
+)
 from repro.units import ensure_positive
 
 __all__ = [
@@ -71,7 +76,6 @@ __all__ = [
     "count_in_windows",
     "count_in_windows_flat",
     "window_stop_indices",
-    "spawn_streams",
     "chunk_sizes",
     "default_trial_chunk",
     "run_chunked",
@@ -408,25 +412,8 @@ def count_in_windows(
 
 
 # ----------------------------------------------------------------------
-# RNG streams and chunked (optionally multi-process) execution
+# Trial chunking and supervised (optionally multi-process) execution
 # ----------------------------------------------------------------------
-
-
-def spawn_streams(rng: np.random.Generator, n: int) -> List[np.random.Generator]:
-    """Derive ``n`` independent child generators from ``rng``.
-
-    Uses ``Generator.spawn`` (NumPy ≥ 1.25) when available and falls back
-    to spawning the underlying ``SeedSequence`` otherwise.  Either way the
-    children are keyed by the parent's ``spawn_key``, so repeated calls on
-    identically-seeded parents yield identical stream families.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if hasattr(rng, "spawn"):
-        return list(rng.spawn(n))
-    seed_seq = rng.bit_generator.seed_seq  # pragma: no cover - old NumPy
-    return [np.random.Generator(type(rng.bit_generator)(s))
-            for s in seed_seq.spawn(n)]
 
 
 def default_trial_chunk(
@@ -475,49 +462,36 @@ def run_chunked(
 ) -> List[Tuple[np.ndarray, ...]]:
     """Run ``worker(payload, n_chunk, stream)`` over deterministic chunks.
 
-    One RNG stream is spawned per chunk up front; with ``n_workers > 1``
-    the chunks are dispatched to a process pool (``worker`` and
-    ``payload`` must be picklable), otherwise they run in-process.  The
-    returned list is ordered by chunk, so results are identical for any
-    worker count.
+    One seed sequence is spawned from ``rng`` per chunk up front (the
+    derivation :meth:`numpy.random.Generator.spawn` uses) and each chunk
+    becomes a :class:`~repro.resilience.supervise.SeededChunk` executed
+    by :func:`~repro.resilience.supervise.run_supervised`: in-process for
+    ``n_workers=1``, otherwise on a process pool (``worker`` and
+    ``payload`` must be picklable).  The returned list is ordered by
+    chunk, so results are identical for any worker count, and a retried
+    or resumed chunk rebuilds its stream from its seed sequence, so
+    results are bitwise identical to an uninterrupted run.
 
-    Passing any of ``policy`` (a
-    :class:`~repro.resilience.supervise.RetryPolicy`), ``checkpoint`` (a
-    :class:`~repro.resilience.checkpoint.CampaignCheckpoint`) or
-    ``faults`` (a :class:`~repro.resilience.faults.FaultPlan`) routes
-    execution through the supervised runner: failed chunks are retried
-    from rebuilt seed sequences, completed chunks persist to the
-    checkpoint, and results stay bitwise identical to the fast path
-    because the chunk streams derive from the same spawn keys.
+    ``policy`` is the :class:`~repro.resilience.supervise.RetryPolicy`
+    (``None`` = the default: a failed chunk is retried twice before
+    :class:`~repro.resilience.supervise.SupervisorError` is raised);
+    ``checkpoint`` is an optional
+    :class:`~repro.resilience.checkpoint.CampaignCheckpoint` that
+    completed chunks persist to and resume from; ``faults`` is a
+    :class:`~repro.resilience.faults.FaultPlan` for chaos tests only.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     sizes = chunk_sizes(n_trials, trial_chunk)
-    if policy is not None or checkpoint is not None or faults is not None:
-        from repro.resilience.supervise import (
-            SeededChunk,
-            run_supervised,
-            seed_sequences_for,
-        )
-
-        seeds, bit_generator = seed_sequences_for(rng, len(sizes))
-        tasks = [
-            SeededChunk(worker, payload, n, seed, bit_generator)
-            for n, seed in zip(sizes, seeds)
-        ]
-        return run_supervised(
-            tasks,
-            n_workers=n_workers,
-            policy=policy,
-            checkpoint=checkpoint,
-            faults=faults,
-        )
-    streams = spawn_streams(rng, len(sizes))
-    if n_workers == 1 or len(sizes) == 1:
-        return [worker(payload, n, stream) for n, stream in zip(sizes, streams)]
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(sizes))) as pool:
-        futures = [
-            pool.submit(worker, payload, n, stream)
-            for n, stream in zip(sizes, streams)
-        ]
-        return [f.result() for f in futures]
+    seeds, bit_generator = seed_sequences_for(rng, len(sizes))
+    tasks = [
+        SeededChunk(worker, payload, n, seed, bit_generator)
+        for n, seed in zip(sizes, seeds)
+    ]
+    return run_supervised(
+        tasks,
+        n_workers=n_workers,
+        policy=policy,
+        checkpoint=checkpoint,
+        faults=faults,
+    )

@@ -72,7 +72,6 @@ bitwise oracle for the equivalence tests and the baseline
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -97,7 +96,9 @@ from repro.montecarlo.engine import (
     run_chunked,
     tight_gap_budget,
 )
+from repro.resilience.checkpoint import open_campaign
 from repro.resilience.guards import check_finite
+from repro.resilience.supervise import run_supervised
 from repro.units import ensure_positive
 
 __all__ = [
@@ -562,13 +563,13 @@ def _dies_per_group(n_dies: int, payload: _WaferPayload, s_max_hint: int) -> int
 
 
 # ----------------------------------------------------------------------
-# Resilient-campaign plumbing (checkpointed / supervised wafer runs)
+# Campaign units: every wafer run executes these under the supervisor
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _DieGroupTask:
-    """Picklable zero-arg task simulating one die group (supervised runs).
+    """Picklable zero-arg task simulating one die group.
 
     Die streams are derived inside the kernel from stateless spawn keys,
     so re-executing the task after a worker death reproduces its results
@@ -626,14 +627,6 @@ def _chip_die_decode(arrays, meta):
     """Inverse of :func:`_chip_die_encode`."""
     del arrays
     return _estimate_from_json(ChipDieYield, meta)
-
-
-def _site_signature(sites: Sequence[DieSite]) -> List[Tuple]:
-    """Canonical per-site tuple list entering campaign fingerprints."""
-    return [
-        (s.column, s.row, s.x_mm, s.y_mm, s.mean_pitch_nm, s.misalignment_deg)
-        for s in sites
-    ]
 
 
 def simulate_die(
@@ -729,6 +722,8 @@ def simulate_wafer(
     n_workers:
         Processes to spread die groups over (groups are element-budget
         bounded either way; results are bitwise identical for any value).
+        Either way the groups run under the supervised executor
+        (:func:`~repro.resilience.supervise.run_supervised`).
     backend:
         Array backend for the stacked passes (``None`` = environment
         default).
@@ -749,9 +744,10 @@ def simulate_wafer(
         Whether an existing checkpoint for this campaign is loaded
         (default) or discarded first.
     policy:
-        A :class:`~repro.resilience.supervise.RetryPolicy` routing the
-        run through the supervised executor (bounded retries on worker
-        death, per-group timeouts) even without a checkpoint.
+        The :class:`~repro.resilience.supervise.RetryPolicy` bounding
+        per-group timeouts and retries on a failing or dying worker;
+        ``None`` uses the default policy (two retries per group, no
+        timeout).
     faults:
         A :class:`~repro.resilience.faults.FaultPlan` for chaos tests;
         never set in production runs.
@@ -790,55 +786,21 @@ def simulate_wafer(
         )
         group = _dies_per_group(len(sites), payload, s_max_hint)
         groups = [sites[i:i + group] for i in range(0, len(sites), group)]
-        if checkpoint_dir is not None or policy is not None or faults is not None:
-            from repro.resilience.checkpoint import (
-                CheckpointStore,
-                fingerprint_parts,
-            )
-            from repro.resilience.supervise import run_supervised
-
-            checkpoint = None
-            if checkpoint_dir is not None:
-                fingerprint = fingerprint_parts(
-                    "wafer-sim",
-                    repr(payload.pitch),
-                    payload.per_cnt_failure,
-                    payload.widths_nm,
-                    payload.device_counts,
-                    payload.n_trials,
-                    payload.seed_key,
-                    backend_signature(payload.backend),
-                    repr(payload.misalignment),
-                    float(payload.short_probability),
-                    int(group),
-                    _site_signature(sites),
-                )
-                checkpoint = CheckpointStore(checkpoint_dir).campaign(
-                    "wafer", fingerprint, len(groups), resume=resume
-                )
-            group_results = run_supervised(
-                [_DieGroupTask(payload, tuple(g)) for g in groups],
-                n_workers=n_workers,
-                policy=policy,
-                checkpoint=checkpoint,
-                faults=faults,
-                encode=_die_group_encode,
-                decode=_die_group_decode,
-            )
-            for result in group_results:
-                dice.extend(result)
-        elif n_workers == 1 or len(groups) == 1:
-            for g in groups:
-                dice.extend(_simulate_die_group(payload, g))
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(groups))
-            ) as pool:
-                futures = [
-                    pool.submit(_simulate_die_group, payload, g) for g in groups
-                ]
-                for future in futures:
-                    dice.extend(future.result())
+        checkpoint = open_campaign(
+            checkpoint_dir, "wafer", len(groups), resume,
+            payload, backend_signature(payload.backend), int(group), sites,
+        )
+        group_results = run_supervised(
+            [_DieGroupTask(payload, tuple(g)) for g in groups],
+            n_workers=n_workers,
+            policy=policy,
+            checkpoint=checkpoint,
+            faults=faults,
+            encode=_die_group_encode,
+            decode=_die_group_decode,
+        )
+        for result in group_results:
+            dice.extend(result)
     return WaferYieldResult(
         wafer_diameter_mm=wafer.wafer_diameter_mm,
         die_size_mm=wafer.die_size_mm,
@@ -1222,7 +1184,8 @@ def run_chip_wafer(
         Direct yield above which a die counts as good.
     n_workers:
         Processes to spread whole dies over (per-die results identical
-        for any value).
+        for any value), under the supervised executor
+        (:func:`~repro.resilience.supervise.run_supervised`).
     trial_chunk:
         Trials per batched pass; ``None`` applies the per-die simulator's
         chunk policy at each die's local pitch (the bitwise-equivalence
@@ -1240,9 +1203,10 @@ def run_chip_wafer(
         Whether an existing checkpoint for this campaign is loaded
         (default) or discarded first.
     policy:
-        A :class:`~repro.resilience.supervise.RetryPolicy` routing the
-        run through the supervised executor (bounded retries on worker
-        death, per-die timeouts) even without a checkpoint.
+        The :class:`~repro.resilience.supervise.RetryPolicy` bounding
+        per-die timeouts and retries on a failing or dying worker;
+        ``None`` uses the default policy (two retries per die, no
+        timeout).
     faults:
         A :class:`~repro.resilience.faults.FaultPlan` for chaos tests;
         never set in production runs.
@@ -1273,51 +1237,19 @@ def run_chip_wafer(
         misalignment=misalignment,
     )
     sites = _canonical_sites(wafer)
-    if checkpoint_dir is not None or policy is not None or faults is not None:
-        from repro.resilience.checkpoint import CheckpointStore, fingerprint_parts
-        from repro.resilience.supervise import run_supervised
-
-        checkpoint = None
-        if checkpoint_dir is not None and sites:
-            fingerprint = fingerprint_parts(
-                "chip-wafer",
-                repr(payload.pitch),
-                payload.widths_nm,
-                tuple(float(c) for c in class_counts),
-                payload.n_trials,
-                payload.seed_key,
-                payload.trial_chunk,
-                repr(payload.misalignment),
-                backend_signature(geometry.backend),
-                float(geometry.per_cnt_failure),
-                float(geometry.short_probability),
-                int(geometry.min_working_tubes),
-                geometry.window_lo,
-                geometry.window_hi,
-                geometry.window_weight,
-                geometry.window_row,
-                _site_signature(sites),
-            )
-            checkpoint = CheckpointStore(checkpoint_dir).campaign(
-                "chip-wafer", fingerprint, len(sites), resume=resume
-            )
-        dice = run_supervised(
-            [_ChipDieTask(payload, site) for site in sites],
-            n_workers=n_workers,
-            policy=policy,
-            checkpoint=checkpoint,
-            faults=faults,
-            encode=_chip_die_encode,
-            decode=_chip_die_decode,
-        )
-    elif n_workers == 1 or len(sites) <= 1:
-        dice = [_simulate_chip_die(payload, site) for site in sites]
-    else:
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(sites))) as pool:
-            futures = [
-                pool.submit(_simulate_chip_die, payload, site) for site in sites
-            ]
-            dice = [future.result() for future in futures]
+    checkpoint = open_campaign(
+        checkpoint_dir, "chip-wafer", len(sites), resume,
+        payload, backend_signature(geometry.backend), sites,
+    )
+    dice = run_supervised(
+        [_ChipDieTask(payload, site) for site in sites],
+        n_workers=n_workers,
+        policy=policy,
+        checkpoint=checkpoint,
+        faults=faults,
+        encode=_chip_die_encode,
+        decode=_chip_die_decode,
+    )
     return ChipWaferResult(
         wafer_diameter_mm=wafer.wafer_diameter_mm,
         die_size_mm=wafer.die_size_mm,

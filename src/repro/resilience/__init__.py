@@ -13,11 +13,13 @@ property:
 ``checkpoint``
     Content-hashed campaign checkpoints: completed units persist as they
     finish and a resumed campaign re-runs only what is missing or
-    corrupt (corrupt units are quarantined, never trusted).
+    corrupt (corrupt units are quarantined, never trusted).  A
+    campaign's identity is fingerprinted from the payload its workers
+    receive (:func:`~repro.resilience.checkpoint.open_campaign`).
 ``supervise``
-    Supervised execution of picklable tasks over an in-process loop or a
-    ``ProcessPoolExecutor``, with per-chunk timeouts and bounded
-    retry-with-backoff on worker death.
+    The one executor of every Monte Carlo campaign: picklable tasks run
+    in-process or on a process pool, with per-chunk timeouts
+    and bounded retry-with-backoff on worker failure or death.
 ``faults``
     A deterministic, seed-keyed fault-injection harness (kill-worker,
     delay, corrupt-artifact, inject-NaN) driving the chaos test suite.
@@ -43,6 +45,7 @@ from repro.resilience.checkpoint import (
     CheckpointStore,
     CorruptArtifactError,
     fingerprint_parts,
+    open_campaign,
 )
 from repro.resilience.degrade import CircuitBreaker, Deadline
 from repro.resilience.faults import (
@@ -74,6 +77,7 @@ __all__ = [
     "CheckpointStore",
     "CorruptArtifactError",
     "fingerprint_parts",
+    "open_campaign",
     "CircuitBreaker",
     "Deadline",
     "FaultPlan",

@@ -25,6 +25,7 @@ Checkpoint directory layout::
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -43,6 +44,7 @@ __all__ = [
     "CheckpointError",
     "CorruptArtifactError",
     "fingerprint_parts",
+    "open_campaign",
     "CheckpointStore",
     "CampaignCheckpoint",
 ]
@@ -69,23 +71,39 @@ def _fingerprint_encode(part: object) -> object:
         }
     if isinstance(part, np.generic):
         return part.item()
+    if dataclasses.is_dataclass(part) and not isinstance(part, type):
+        return _fingerprint_fields(part, {
+            f.name: getattr(part, f.name) for f in dataclasses.fields(part)
+        })
     if isinstance(part, Mapping):
         return {str(k): _fingerprint_encode(v) for k, v in part.items()}
     if isinstance(part, (list, tuple)):
         return [_fingerprint_encode(v) for v in part]
     if isinstance(part, (str, int, float, bool)) or part is None:
         return part
+    if type(part).__repr__ is object.__repr__ and hasattr(part, "__dict__"):
+        # The default repr embeds a memory address, which would make the
+        # fingerprint differ between processes: use the attributes.
+        return _fingerprint_fields(part, vars(part))
     return repr(part)
+
+
+def _fingerprint_fields(part: object, fields: Mapping[str, object]) -> object:
+    """Encode an object as its type name plus its encoded fields."""
+    return {"__type__": type(part).__name__, **_fingerprint_encode(fields)}
 
 
 def fingerprint_parts(*parts: object) -> str:
     """Hex sha256 identity of a campaign configuration.
 
-    Accepts any mix of scalars, strings, mappings, sequences and numpy
-    arrays (hashed by raw bytes, shape and dtype); everything else falls
-    back to ``repr``.  Two campaigns share a checkpoint only when their
-    fingerprints match, which is what makes resuming into the wrong
-    checkpoint directory an error rather than silent corruption.
+    Accepts any mix of scalars, strings, mappings, sequences, numpy
+    arrays (hashed by raw bytes, shape and dtype) and dataclasses (their
+    type name plus every field, encoded recursively); a plain object
+    without its own ``repr`` is encoded like a dataclass from its
+    attributes, and everything else falls back to ``repr``.  Two
+    campaigns share a checkpoint only when their fingerprints match,
+    which is what makes resuming into the wrong checkpoint directory an
+    error rather than silent corruption.
     """
     payload = json.dumps(
         [_fingerprint_encode(p) for p in parts],
@@ -93,6 +111,28 @@ def fingerprint_parts(*parts: object) -> str:
         separators=(",", ":"),
     )
     return sha256_bytes(payload.encode("utf-8"))
+
+
+def open_campaign(
+    checkpoint_dir: Optional[Union[str, Path]],
+    name: str,
+    total_units: int,
+    resume: bool,
+    *parts: object,
+) -> Optional["CampaignCheckpoint"]:
+    """Open campaign ``name`` under ``checkpoint_dir``, or ``None`` without one.
+
+    The fingerprint is :func:`fingerprint_parts` of ``name`` and
+    ``parts``.  Campaigns pass the frozen payload their workers receive
+    whole, plus only what that payload lacks (the resolved backend
+    signature, the root generator state, the unit layout), so a field
+    added to a payload can never be left out of its identity.
+    """
+    if checkpoint_dir is None:
+        return None
+    return CheckpointStore(checkpoint_dir).campaign(
+        name, fingerprint_parts(name, *parts), total_units, resume=resume
+    )
 
 
 class CheckpointStore:

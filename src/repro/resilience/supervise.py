@@ -1,14 +1,21 @@
 """Supervised execution: bounded retries, timeouts, pool resurrection.
 
-:func:`run_supervised` executes a list of zero-argument picklable tasks —
-one per campaign unit — either in-process or on a
-:class:`~concurrent.futures.ProcessPoolExecutor`.  It layers three
+:func:`run_supervised` is the one executor of every chunked Monte Carlo
+campaign — :func:`~repro.montecarlo.engine.run_chunked` (chip, tilted
+chip, rare-event and timing trial chunks),
+:func:`~repro.montecarlo.wafer_sim.simulate_wafer` (die groups) and
+:func:`~repro.montecarlo.wafer_sim.run_chip_wafer` (whole dies).  It
+executes a list of zero-argument picklable tasks — one per campaign
+unit — either in-process (``n_workers=1``) or on a
+:class:`~concurrent.futures.ProcessPoolExecutor`, and layers three
 guarantees over the bare pool:
 
 * **bounded retry-with-backoff** — a unit that raises (or whose worker
   dies, breaking the pool) is re-executed up to
-  :attr:`RetryPolicy.max_retries` times; the pool is rebuilt after a
-  break and only failed units are resubmitted;
+  :attr:`RetryPolicy.max_retries` times (twice under the default
+  policy, in-process runs included); the pool is rebuilt after a break
+  and only failed units are resubmitted.  A unit that exhausts its
+  budget raises :class:`SupervisorError` chained from its last error;
 * **per-chunk timeouts** — a unit that exceeds
   :attr:`RetryPolicy.timeout_s` counts as failed, the stuck pool is
   abandoned, and the unit is retried on a fresh pool (in-process
@@ -128,7 +135,8 @@ def seed_sequences_for(
     Children come from ``rng.bit_generator.seed_seq.spawn(n)`` — the same
     derivation :meth:`numpy.random.Generator.spawn` performs — so
     generators rebuilt from them are bitwise identical to the streams
-    :func:`repro.montecarlo.engine.spawn_streams` hands out.
+    ``rng.spawn(n)`` hands out, and the parent's spawn counter advances
+    exactly as it would.
     """
     seed_seq = rng.bit_generator.seed_seq
     return list(seed_seq.spawn(n)), type(rng.bit_generator).__name__

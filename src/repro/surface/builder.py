@@ -33,6 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import backend_signature
 from repro.core.correlation import (
     CorrelationParameters,
     LayoutScenario,
@@ -48,6 +49,7 @@ from repro.growth.pitch import (
     PitchDistribution,
     TruncatedNormalPitch,
 )
+from repro.resilience.checkpoint import open_campaign
 from repro.surface.grid import GridAxis, bilinear_interpolate
 from repro.surface.surface import LOG_FLOOR, SCENARIO_DEVICE, YieldSurface
 from repro.units import ensure_positive, ensure_probability, per_um_to_per_nm
@@ -398,36 +400,6 @@ class SurfaceBuilder:
         """Run the sweep and return only its :class:`YieldSurface`."""
         return self.build_report().surface
 
-    def _open_checkpoint(self):
-        """Open this spec's sweep campaign, or ``None`` when not checkpointing."""
-        if self.checkpoint_dir is None:
-            return None
-        from repro.resilience.checkpoint import CheckpointStore, fingerprint_parts
-
-        spec = self.spec
-        fingerprint = fingerprint_parts(
-            "surface-sweep",
-            spec.scenario,
-            spec.width_axis.values,
-            spec.density_axis.values,
-            pitch_descriptor(spec.pitch),
-            float(spec.per_cnt_failure),
-            dataclasses.asdict(spec.correlation),
-            spec.resolved_method,
-            float(spec.short_probability),
-            float(spec.tolerance_log),
-            int(spec.max_refinement_rounds),
-            float(spec.safety_factor),
-            int(spec.mc_samples),
-            int(spec.seed),
-        )
-        return CheckpointStore(self.checkpoint_dir).campaign(
-            f"sweep-{spec.scenario}",
-            fingerprint,
-            spec.max_refinement_rounds + 1,
-            resume=self.resume,
-        )
-
     @staticmethod
     def _restore_cache(evaluator: ExactEvaluator, checkpoint) -> None:
         """Preload the evaluator cache from the latest verified snapshot."""
@@ -476,7 +448,14 @@ class SurfaceBuilder:
             seed=spec.seed,
             short_probability=spec.short_probability,
         )
-        checkpoint = self._open_checkpoint()
+        checkpoint = open_campaign(
+            self.checkpoint_dir,
+            f"sweep-{spec.scenario}",
+            spec.max_refinement_rounds + 1,
+            self.resume,
+            spec,
+            backend_signature(None),
+        )
         if checkpoint is not None:
             self._restore_cache(evaluator, checkpoint)
         w_axis, d_axis = spec.width_axis, spec.density_axis

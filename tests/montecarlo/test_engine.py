@@ -1,6 +1,7 @@
 """Unit tests for the vectorized batched Monte Carlo engine."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from repro.montecarlo.engine import (
     run_chunked,
     sample_track_batch,
     sample_track_counts,
-    spawn_streams,
     tight_gap_budget,
 )
 from repro.netlist.design import Design
 from repro.netlist.placement import RowPlacement
+from repro.resilience import SupervisorError
 
 
 def _brute_force_counts(batch, weights, lo, hi):
@@ -258,18 +259,6 @@ class TestCountInWindows:
 
 
 class TestStreamsAndChunks:
-    def test_spawn_streams_deterministic(self):
-        a = spawn_streams(np.random.default_rng(42), 4)
-        b = spawn_streams(np.random.default_rng(42), 4)
-        for ga, gb in zip(a, b):
-            np.testing.assert_array_equal(ga.random(8), gb.random(8))
-        with pytest.raises(ValueError):
-            spawn_streams(np.random.default_rng(0), 0)
-
-    def test_spawn_streams_independent(self):
-        streams = spawn_streams(np.random.default_rng(42), 2)
-        assert not np.allclose(streams[0].random(8), streams[1].random(8))
-
     def test_chunk_sizes(self):
         assert chunk_sizes(10, 4) == [4, 4, 2]
         assert chunk_sizes(8, 4) == [4, 4]
@@ -283,6 +272,30 @@ class TestStreamsAndChunks:
 def _sum_of_stream(payload, n_chunk, rng):
     """Picklable worker: per-chunk draws scaled by the payload."""
     return (payload * rng.random(n_chunk),)
+
+
+def _claim_first_call(marker):
+    """True for exactly one caller across processes: it creates ``marker``."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
+
+
+def _fail_first_call(payload, n_chunk, rng):
+    """Picklable worker whose first call anywhere raises or kills its process."""
+    marker, mode = payload
+    if _claim_first_call(marker):
+        if mode == "exit":
+            os._exit(1)
+        raise RuntimeError("transient worker failure")
+    return (rng.random(n_chunk),)
+
+
+def _always_fails(payload, n_chunk, rng):
+    """Picklable worker that always raises."""
+    raise ValueError("bad chunk")
 
 
 class TestRunChunked:
@@ -305,3 +318,38 @@ class TestRunChunked:
                 _sum_of_stream, 1.0, 10, np.random.default_rng(0),
                 trial_chunk=5, n_workers=0,
             )
+
+    def _assert_recovers(self, tmp_path, mode, n_workers):
+        # A pre-existing marker means the worker never fails: the reference.
+        (tmp_path / "done").touch()
+        clean = run_chunked(
+            _fail_first_call, (str(tmp_path / "done"), mode), 50,
+            np.random.default_rng(7), trial_chunk=13,
+        )
+        marker = tmp_path / "failed-once"
+        recovered = run_chunked(
+            _fail_first_call, (str(marker), mode), 50,
+            np.random.default_rng(7), trial_chunk=13, n_workers=n_workers,
+        )
+        assert marker.exists()  # the first call really failed
+        assert len(clean) == len(recovered) == 4
+        for (a,), (b,) in zip(clean, recovered):
+            np.testing.assert_array_equal(a, b)
+
+    def test_plain_run_retries_a_failed_chunk(self, tmp_path):
+        # Every run goes through the supervised executor, so a plain
+        # in-process run (no policy, no checkpoint) retries the chunk from
+        # its seed sequence and returns exactly the undisturbed result.
+        self._assert_recovers(tmp_path, "raise", n_workers=1)
+
+    def test_plain_pool_run_survives_worker_death(self, tmp_path):
+        self._assert_recovers(tmp_path, "exit", n_workers=2)
+
+    def test_persistent_failure_exhausts_default_budget(self):
+        with pytest.raises(SupervisorError) as err:
+            run_chunked(
+                _always_fails, None, 10, np.random.default_rng(0),
+                trial_chunk=5,
+            )
+        assert err.value.attempts == 3
+        assert isinstance(err.value.__cause__, ValueError)

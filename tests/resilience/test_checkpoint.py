@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.mispositioned import MisalignmentImpactModel
+from repro.growth.pitch import DeterministicPitch, ExponentialPitch, GammaPitch
 from repro.resilience import (
     CheckpointError,
     CheckpointStore,
     corrupt_file,
     fingerprint_parts,
+    open_campaign,
 )
 
 
@@ -34,6 +37,40 @@ class TestFingerprint:
 
     def test_sensitive_to_scalar_parts(self):
         assert fingerprint_parts("a", 1) != fingerprint_parts("a", 2)
+
+    def test_dataclass_encodes_type_and_every_field(self):
+        assert fingerprint_parts(GammaPitch(4.0, 1.0)) == fingerprint_parts(
+            GammaPitch(4.0, 1.0)
+        )
+        assert fingerprint_parts(GammaPitch(4.0, 1.0)) != fingerprint_parts(
+            GammaPitch(4.0, 1.5)
+        )
+        # Same field values under a different type are a different campaign.
+        assert fingerprint_parts(ExponentialPitch(4.0)) != fingerprint_parts(
+            DeterministicPitch(4.0)
+        )
+
+    def test_plain_object_encodes_by_attributes(self):
+        # The default repr embeds an address; two equal models built
+        # separately (as in two processes) must still fingerprint alike.
+        assert fingerprint_parts(MisalignmentImpactModel()) == (
+            fingerprint_parts(MisalignmentImpactModel())
+        )
+        assert fingerprint_parts(MisalignmentImpactModel()) != (
+            fingerprint_parts(MisalignmentImpactModel(band_width_nm=90.0))
+        )
+
+
+class TestOpenCampaign:
+    def test_no_directory_means_no_checkpoint(self):
+        assert open_campaign(None, "test", 4, True, "part") is None
+
+    def test_fingerprint_covers_name_and_parts(self, tmp_path):
+        opened = open_campaign(tmp_path, "test", 4, True, "part", 1)
+        assert opened.directory == tmp_path / "test"
+        assert opened.fingerprint == fingerprint_parts("test", "part", 1)
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            open_campaign(tmp_path, "test", 4, True, "part", 2)
 
 
 class TestCampaignCheckpoint:

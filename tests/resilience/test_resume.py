@@ -11,12 +11,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.mispositioned import MisalignmentImpactModel
+from repro.backend import get_backend
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
 from repro.growth.wafer import WaferGrowthModel
-from repro.montecarlo.chip_sim import ChipMonteCarlo
-from repro.montecarlo.wafer_sim import run_chip_wafer, simulate_wafer
+from repro.montecarlo.chip_sim import ChipMonteCarlo, _TiltedChipPayload
+from repro.montecarlo.wafer_sim import (
+    _ChipWaferPayload,
+    _WaferPayload,
+    run_chip_wafer,
+    simulate_wafer,
+)
 from repro.netlist.design import Design
 from repro.netlist.placement import RowPlacement
 from repro.resilience import (
@@ -26,6 +33,7 @@ from repro.resilience import (
     RetryPolicy,
     SupervisorError,
     corrupt_file,
+    fingerprint_parts,
 )
 from repro.surface.builder import SurfaceBuilder, SweepSpec
 from repro.surface.grid import GridAxis
@@ -314,3 +322,170 @@ class TestBackendFingerprint:
             self._wafer(wafer, pitch, type_model, tmp_path / "wafer", **kill)
         resumed = self._wafer(wafer, pitch, type_model, tmp_path / "wafer")
         assert resumed.dice == wafer_plain.dice
+
+
+class TestFingerprintDrift:
+    """Resume exactly when the payload is equal.
+
+    The chip-wafer and tilted chip campaigns once hand-listed their
+    fingerprint fields and missed one, so a changed run silently resumed
+    the old units; the wafer campaign fingerprinted its de-rating model
+    by ``repr``, which embeds the object's address, so an equal model in
+    a new process could not resume.
+    """
+
+    def test_chip_wafer_row_height_change_refuses_resume(self, chip, tmp_path):
+        # A sparse centre pitch makes devices fail, so the two row heights
+        # give different dice and a wrong resume would change the answer.
+        wafer = WaferGrowthModel(
+            wafer_diameter_mm=100.0, die_size_mm=25.0, center_pitch_nm=40.0
+        ).generate(np.random.default_rng(5), seed_key=(5,))
+        taller = ChipMonteCarlo(
+            chip.placement, row_height_nm=1.5 * chip.row_height_nm
+        )
+
+        def run(simulator, **kwargs):
+            return run_chip_wafer(
+                wafer, simulator, n_trials=8, seed_key=(5,), **kwargs
+            )
+
+        assert run(taller).dice != run(chip).dice
+        run(chip, checkpoint_dir=str(tmp_path))
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            run(taller, checkpoint_dir=str(tmp_path))
+
+    def test_equal_misalignment_model_resumes(
+        self, wafer, pitch, type_model, tmp_path
+    ):
+        # A resumed process builds its own (equal) de-rating model; the
+        # fingerprint must not depend on the object's identity.
+        def run(**kwargs):
+            return simulate_wafer(
+                wafer, pitch, type_model, widths_nm=[200.0],
+                device_counts=[1.0e6], n_trials=32, seed_key=(5,),
+                misalignment=MisalignmentImpactModel(), **kwargs
+            )
+
+        plain = run()
+        with pytest.raises(SupervisorError):
+            run(
+                checkpoint_dir=str(tmp_path),
+                policy=RetryPolicy(max_retries=0, backoff_s=0.0),
+                faults=FaultPlan(kill_units=(1,), kill_attempts=1),
+            )
+        assert run(checkpoint_dir=str(tmp_path)).dice == plain.dice
+
+    def test_tilted_chip_tilt_factor_change_refuses_resume(
+        self, chip, tmp_path
+    ):
+        def run(tilt_factor):
+            return chip.run(
+                32, np.random.default_rng(42), trial_chunk=8,
+                sampler="tilted", tilt_factor=tilt_factor,
+                checkpoint_dir=str(tmp_path),
+            )
+
+        run(1.5)
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            run(2.5)
+
+
+#: Replacement values for fields a generic change cannot produce: ``None``
+#: defaults and strings restricted to a fixed vocabulary.
+_ALTERNATES = {
+    "backend": get_backend("numpy", "float32"),
+    "misalignment": MisalignmentImpactModel(),
+    "trial_chunk": 7,
+    "scenario": "uncorrelated",
+    "method": "closed_form",
+}
+
+
+def _changed(name, value):
+    """A valid value of field ``name`` that differs from ``value``."""
+    if name in _ALTERNATES:
+        return _ALTERNATES[name]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2.0 if value else 0.5
+    if isinstance(value, np.ndarray):
+        return value + 1
+    if isinstance(value, tuple):
+        return tuple(_changed(None, item) for item in value)
+    if isinstance(value, str):
+        return value + "-changed"
+    if dataclasses.is_dataclass(value):
+        first = dataclasses.fields(value)[0]
+        return dataclasses.replace(
+            value, **{first.name: _changed(first.name, getattr(value, first.name))}
+        )
+    raise TypeError(f"no change rule for {name}={value!r}")
+
+
+def _chip_geometry(chip):
+    return chip.chip_geometry()
+
+
+def _tilted_payload(chip):
+    return _TiltedChipPayload(
+        geometry=chip.chip_geometry(), tilt=chip.pitch.exponential_tilt(1.5)
+    )
+
+
+def _wafer_payload(chip):
+    return _WaferPayload(
+        pitch=chip.pitch,
+        per_cnt_failure=0.5,
+        widths_nm=(100.0, 200.0),
+        device_counts=(10.0, 20.0),
+        n_trials=64,
+        seed_key=(5,),
+    )
+
+
+def _chip_wafer_payload(chip):
+    geometry = chip.chip_geometry()
+    return _ChipWaferPayload(
+        geometry=geometry,
+        pitch=chip.pitch,
+        class_matrix=np.eye(len(geometry.window_lo), 2),
+        class_counts=np.array([3.0, 4.0]),
+        widths_nm=(100.0, 200.0),
+        n_trials=16,
+        seed_key=(5,),
+        trial_chunk=None,
+        misalignment=None,
+    )
+
+
+def _sweep_spec(chip):
+    return SweepSpec()
+
+
+class TestDerivedFingerprints:
+    """Every payload field enters the campaign fingerprint."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [_chip_geometry, _tilted_payload, _wafer_payload,
+         _chip_wafer_payload, _sweep_spec],
+        ids=["chip-geometry", "tilted-chip", "wafer", "chip-wafer", "sweep"],
+    )
+    def test_every_field_changes_the_fingerprint(self, chip, build):
+        payload = build(chip)
+        base = fingerprint_parts(payload)
+        assert fingerprint_parts(build(chip)) == base
+        missed = [
+            field.name
+            for field in dataclasses.fields(payload)
+            if fingerprint_parts(dataclasses.replace(
+                payload,
+                **{field.name: _changed(
+                    field.name, getattr(payload, field.name)
+                )},
+            )) == base
+        ]
+        assert missed == []

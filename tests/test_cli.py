@@ -380,6 +380,17 @@ class TestUsageErrors:
         assert exit_code == 2
         assert "--resume requires --checkpoint-dir" in err
 
+    @pytest.mark.parametrize(
+        "command", ["co-opt", "wafer", "chip-wafer", "timing", "serve"]
+    )
+    def test_workers_must_be_positive(self, capsys, command):
+        # One check in main covers every subcommand with --workers, so all
+        # of them share the usage-error contract (exit 2, one line).
+        exit_code = main([command, "--workers", "0"])
+        err = capsys.readouterr().err
+        assert exit_code == 2
+        assert err == "error: --workers must be at least 1\n"
+
 
 class TestCheckpointedCommands:
     def test_wafer_checkpoint_resume_identical(self, capsys, tmp_path):
@@ -449,11 +460,6 @@ class TestServeCommand:
         exit_code = main(["serve", "--store", str(artifact)])
         assert exit_code == 2
         assert "not a directory" in capsys.readouterr().err
-
-    def test_workers_must_be_positive(self, capsys):
-        exit_code = main(["serve", "--workers", "0"])
-        assert exit_code == 2
-        assert "--workers" in capsys.readouterr().err
 
     def test_multi_worker_needs_explicit_port(self, capsys):
         exit_code = main(["serve", "--workers", "2", "--port", "0"])
@@ -535,11 +541,6 @@ class TestTimingCommand:
         exit_code = main(["timing", "--graph", "/no/such/graph.tg"])
         assert exit_code == 2
         assert "not a readable file" in capsys.readouterr().err
-
-    def test_workers_must_be_positive(self, capsys):
-        exit_code = main(["timing", "--workers", "0"])
-        assert exit_code == 2
-        assert "--workers" in capsys.readouterr().err
 
     def test_malformed_graph_exits_one(self, tmp_path, capsys):
         graph_file = tmp_path / "bad.tg"
