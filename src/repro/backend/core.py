@@ -1,11 +1,10 @@
-"""Array backend protocol, dtype policy, and the backend registry.
+"""Array backend protocol, dtype policy, chunk buffer pool and registry.
 
 The batched Monte Carlo engine is an array program: one 2D gap draw, a
 ``cumsum``, a banded ``searchsorted``, prefix sums, and a handful of
-gathers.  None of those steps is NumPy-specific — they exist verbatim in
-CuPy and (under slightly different names) in PyTorch — so the engine is
-written against the small namespace protocol defined here instead of
-against ``numpy`` directly.
+gathers.  The engine is written against the small namespace protocol
+defined here instead of against ``numpy`` directly, so the dtype policy
+and buffer reuse live in one place.
 
 :class:`ArrayBackend` is that protocol.  A backend bundles three things:
 
@@ -15,10 +14,9 @@ against ``numpy`` directly.
 * the *RNG adapter* — :meth:`ArrayBackend.uniform` and
   :meth:`ArrayBackend.sample_gaps` turn the caller's
   :class:`numpy.random.Generator` (the single source of randomness, keyed
-  by ``spawn_key`` for reproducible chunking) into draws on the backend's
-  device;
+  by ``spawn_key`` for reproducible chunking) into draws;
 * the *dtype policy* — ``dtype`` is the storage/compute dtype of track
-  positions and values (float64 reference, float32 for GPU-friendly
+  positions and values (float64 reference, float32 for half-bandwidth
   runs), ``accum_dtype`` the dtype of the reductions that are sensitive
   to rounding (window prefix sums and likelihood-ratio accumulation),
   float64 by default even under a float32 storage policy.
@@ -33,37 +31,49 @@ float64 and are cast to the policy dtype afterwards, so the float32 and
 float64 policies consume identical streams).  The conformance suite under
 ``tests/backend/`` pins this down.
 
+Buffer pool
+-----------
+Chunked campaigns call the same kernel once per trial chunk with the same
+array shapes.  Inside a :func:`buffer_pool` scope, ``empty``, ``uniform``,
+``cumsum``, ``clip``, ``concatenate`` and ``prefix_sum`` write outputs of
+at least :data:`POOL_MIN_BYTES` into reused byte slabs (through NumPy's
+``out=``) instead of fresh allocations, so a chunk does not pay first-touch
+page faults on memory the previous chunk just returned.  The values are
+those of the allocating call.  A slab is handed out again only once no
+array views it: NumPy collapses a view's ``base`` to the owning slab, so
+a slab whose only references are the pool's own is unreferenced by any
+live array.  Slabs are per thread and persist across scopes until
+:func:`release_buffers`; outside a scope every op allocates as usual.
+
 Selection
 ---------
 ``get_backend()`` resolves a backend by name — explicitly, or from the
 ``REPRO_BACKEND`` environment variable (default ``numpy``); the dtype
-policy likewise from ``REPRO_DTYPE`` (default ``float64``).  GPU backends
-(``cupy``, ``torch``) are resolved lazily: importing this package never
-imports them, and asking for an unavailable one raises
-:class:`BackendUnavailableError` with an install hint.
+policy likewise from ``REPRO_DTYPE`` (default ``float64``).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Optional, Tuple
+import sys
+import threading
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 __all__ = [
     "ArrayBackend",
-    "BackendUnavailableError",
+    "POOL_MIN_BYTES",
     "available_backends",
+    "buffer_pool",
     "default_backend",
     "get_backend",
     "match_dtype",
     "register_backend",
+    "release_buffers",
     "resolve_dtype",
 ]
-
-
-class BackendUnavailableError(RuntimeError):
-    """Raised when a requested backend's runtime cannot be imported."""
 
 
 _DTYPE_NAMES = {
@@ -101,22 +111,110 @@ def match_dtype(values, like: np.ndarray) -> np.ndarray:
 
     This is the explicit-cast helper for ``searchsorted`` operands: NumPy
     silently promotes a float32 haystack + float64 needle to float64,
-    which is a full-array upcast on the hot path (and a hard error on
-    torch, which refuses mixed-dtype searches).  Casting the *queries* to
+    which is a full-array upcast on the hot path.  Casting the *queries* to
     the *positions* dtype keeps the promotion explicit, cheap (queries
     are the small side), and identical in float64 where it is a no-op.
     """
     return np.asarray(values, dtype=like.dtype)
 
 
+#: Smallest output, in bytes, the pool serves; smaller arrays come from
+#: the allocator's heap, which recycles them without page faults.
+POOL_MIN_BYTES = 1 << 16
+
+
+class _Pool(threading.local):
+    """One thread's slabs, scope depth and the slabs the open scope used."""
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.slabs: List[np.ndarray] = []
+        self.used: Set[int] = set()
+
+
+_POOL = _Pool()
+
+
+@contextmanager
+def buffer_pool() -> Iterator[None]:
+    """Serve the calling thread's chunk-sized backend outputs from reused slabs.
+
+    Scopes nest.  When the outermost scope closes, the pool keeps the
+    slabs that scope handed out — exactly what the next chunk of the same
+    shapes needs — and drops the rest, so a slab that a wider chunk
+    outgrew does not linger.  The kept slabs last until
+    :func:`release_buffers`.
+    """
+    _POOL.depth += 1
+    try:
+        yield
+    finally:
+        _POOL.depth -= 1
+        if not _POOL.depth:
+            _POOL.slabs = [s for s in _POOL.slabs if id(s) in _POOL.used]
+            _POOL.used = set()
+
+
+def release_buffers() -> None:
+    """Drop the calling thread's slabs; arrays still viewing one keep it alive."""
+    _POOL.slabs = []
+
+
+def _refcount(slabs: List[np.ndarray], i: int) -> int:
+    """CPython reference count of ``slabs[i]``."""
+    return sys.getrefcount(slabs[i])
+
+
+#: What :func:`_refcount` reads for a slab only the pool's list holds,
+#: measured once because interpreters differ in the temporaries counted.
+#: Every live view adds one through its ``base``, which NumPy collapses
+#: to the owning slab.
+_FREE_REFS = _refcount([np.empty(0, dtype=np.uint8)], 0)
+
+
+def _pooled(shape, dtype) -> Optional[np.ndarray]:
+    """Uninitialised ``shape``/``dtype`` array on a free slab, or ``None``.
+
+    ``None`` (allocate as usual) outside a :func:`buffer_pool` scope and
+    for outputs under :data:`POOL_MIN_BYTES`.  Picks the smallest free
+    slab that fits, else appends a new one with a quarter of headroom, so
+    the batch a few top-up rounds widened still fits (each round adds
+    :data:`~repro.montecarlo.engine.BLOCK` slots to rows of ~100).
+    Headroom a chunk never writes is never touched, so it costs address
+    space, not memory.
+    """
+    if not _POOL.depth:
+        return None
+    shape = tuple(shape) if np.ndim(shape) else (int(shape),)
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    if nbytes < POOL_MIN_BYTES:
+        return None
+    slabs = _POOL.slabs
+    fits = [
+        i for i in range(len(slabs))
+        if slabs[i].size >= nbytes and _refcount(slabs, i) == _FREE_REFS
+    ]
+    if fits:
+        slab = slabs[min(fits, key=lambda i: slabs[i].size)]
+    else:
+        slab = np.empty(nbytes + nbytes // 4, dtype=np.uint8)
+        slabs.append(slab)
+    _POOL.used.add(id(slab))
+    return slab[:nbytes].view(dtype).reshape(shape)
+
+
 class ArrayBackend:
     """Namespace protocol the engine's array programs are written against.
 
     The base class implements the whole protocol in terms of ``self.xp``,
-    an array module with NumPy semantics (NumPy itself, CuPy, or a shim).
-    Methods whose semantics differ between runtimes (``searchsorted``
-    side flags, prefix sums, paired gathers, RNG) are the named methods
-    below; everything elementwise stays on the arrays' operators.
+    an array module with NumPy semantics.  The engine's steps
+    (``searchsorted`` side flags, prefix sums, paired gathers, RNG) are
+    the named methods below; everything elementwise stays on the arrays'
+    operators.  Inside a :func:`buffer_pool` scope the outputs of
+    ``empty`` (and so of the NumPy ``uniform``), ``cumsum``,
+    ``concatenate``, ``clip`` and ``prefix_sum`` come from the pool; the
+    signatures are the same either way.
     """
 
     #: registry name; subclasses override.
@@ -130,7 +228,7 @@ class ArrayBackend:
 
     @property
     def xp(self):  # pragma: no cover - subclasses bind a module
-        """The backing array module (NumPy, CuPy, or a shim)."""
+        """The backing array module."""
         raise NotImplementedError
 
     def asarray(self, a, dtype=None):
@@ -153,7 +251,9 @@ class ArrayBackend:
 
     def empty(self, shape, dtype=None):
         """Uninitialised backend array; ``dtype=None`` uses the policy dtype."""
-        return self.xp.empty(shape, dtype=dtype or self.dtype)
+        dtype = dtype or self.dtype
+        out = _pooled(shape, dtype)
+        return out if out is not None else self.xp.empty(shape, dtype=dtype)
 
     def full(self, shape, fill_value, dtype=None):
         """Constant-filled backend array; ``dtype=None`` uses the policy dtype."""
@@ -171,15 +271,29 @@ class ArrayBackend:
 
     def cumsum(self, a, axis):
         """Inclusive cumulative sum along ``axis``."""
-        return self.xp.cumsum(a, axis=axis)
+        # Only float sums are pooled: NumPy widens bool and small-integer
+        # sums to the platform integer.
+        out = _pooled(a.shape, a.dtype) if a.dtype.kind == "f" else None
+        return self.xp.cumsum(a, axis=axis, out=out)
 
     def concatenate(self, arrays, axis):
         """Concatenate backend arrays along ``axis``."""
-        return self.xp.concatenate(arrays, axis=axis)
+        out = None
+        if _POOL.depth:  # outside a scope, skip working out the shape
+            shape = list(arrays[0].shape)
+            shape[axis] = sum(a.shape[axis] for a in arrays)
+            out = _pooled(shape, np.result_type(*arrays))
+        return self.xp.concatenate(arrays, axis=axis, out=out)
 
     def clip(self, a, lo, hi):
         """Elementwise clamp of ``a`` into ``[lo, hi]``."""
-        return self.xp.clip(a, lo, hi)
+        out = None
+        if _POOL.depth:  # outside a scope, skip working out the shape
+            out = _pooled(
+                np.broadcast_shapes(a.shape, np.shape(lo), np.shape(hi)),
+                np.result_type(a, lo, hi),
+            )
+        return self.xp.clip(a, lo, hi, out=out)
 
     def searchsorted(self, a, v, side):
         """Insertion indices of ``v`` into sorted ``a``.
@@ -206,8 +320,11 @@ class ArrayBackend:
         window-counting reduction is the engine step most sensitive to
         float32 rounding, so it gets its own dtype knob).
         """
-        out = self.xp.zeros((size if size is not None else values.shape[0]) + 1,
-                            dtype=self.accum_dtype)
+        out = self.empty(
+            (size if size is not None else values.shape[0]) + 1,
+            dtype=self.accum_dtype,
+        )
+        out[0] = 0
         self.xp.cumsum(values, out=out[1:])
         return out
 
@@ -238,12 +355,10 @@ class ArrayBackend:
     # -- RNG adapter ---------------------------------------------------------
 
     def uniform(self, rng: np.random.Generator, shape):
-        """U(0, 1) draws of ``shape`` on the backend's device.
+        """U(0, 1) draws of ``shape`` as a backend array.
 
-        Always consumes the caller's generator in its native float64 (so
-        the float32 policy sees the *same* stream, cast) — except on GPU
-        backends, which draw from a device generator deterministically
-        derived from ``rng`` (see :meth:`device_rng`).
+        Always consumes the caller's generator in its native float64, so
+        the float32 policy sees the *same* stream, cast.
         """
         raise NotImplementedError
 
@@ -251,8 +366,9 @@ class ArrayBackend:
         """Inter-CNT gap draws from ``pitch`` of ``shape``, policy dtype.
 
         ``out`` is an optional pre-allocated destination (a view into a
-        stacked batch); backends may ignore it and return a fresh array —
-        callers must use the *returned* array either way.
+        stacked batch, or a pooled :meth:`empty`); backends may ignore it
+        and return a fresh array — callers must use the *returned* array
+        either way.
         """
         raise NotImplementedError
 
@@ -296,7 +412,8 @@ def get_backend(
 
     ``None`` arguments fall back to the ``REPRO_BACKEND`` / ``REPRO_DTYPE``
     environment variables and then to ``numpy`` / ``float64``.  Instances
-    are cached per (name, dtype, accum_dtype) — backends are stateless.
+    are cached per (name, dtype, accum_dtype) — backends are stateless
+    (the buffer pool is per thread, not per backend).
     """
     if name is None:
         name = os.environ.get("REPRO_BACKEND", "numpy")

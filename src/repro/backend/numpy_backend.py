@@ -34,9 +34,17 @@ class NumpyBackend(ArrayBackend):
     # -- RNG adapter ---------------------------------------------------------
 
     def uniform(self, rng: np.random.Generator, shape):
-        """U(0, 1) draws from the caller's generator, cast to the policy dtype."""
-        u = rng.random(shape)
-        return np.asarray(u, dtype=self.dtype)
+        """U(0, 1) draws from the caller's generator, cast to the policy dtype.
+
+        The float64 draw, and under the float32 policy its cast, go into
+        :meth:`empty` buffers, so a buffer pool scope serves both.
+        """
+        u = rng.random(shape, out=self.empty(shape, dtype=np.float64))
+        if u.dtype == self.dtype:
+            return u
+        out = self.empty(shape)
+        out[...] = u
+        return out
 
     def sample_gaps(self, pitch, shape, rng: np.random.Generator, out=None):
         """Gap draws from ``pitch`` on the caller's generator, policy dtype.

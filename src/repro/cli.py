@@ -1218,7 +1218,7 @@ def build_parser() -> argparse.ArgumentParser:
     wafer.add_argument("--trials", type=int, default=2048,
                        help="Monte Carlo trials per die (default 2048)")
     wafer.add_argument("--backend", type=str, default=None,
-                       help="array backend (numpy/cupy/torch; default: "
+                       help="array backend (numpy; default: "
                             "REPRO_BACKEND or numpy)")
     wafer.add_argument("--dtype", type=str, default=None,
                        help="dtype policy float64/float32 (default: "

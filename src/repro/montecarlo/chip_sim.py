@@ -210,6 +210,7 @@ def _chip_window_counts_joint(
         weights = xp.concatenate([working[None], shorting[None]], axis=0)
     else:
         weights = working
+    del u  # frees its pooled buffer for the window pass
 
     n_windows = geometry.window_lo.size
     trial_index = (
@@ -228,35 +229,16 @@ def _chip_window_counts_joint(
     return counts[0], (counts[1] if len(counts) > 1 else None)
 
 
-def _chip_window_counts(
-    geometry: _ChipGeometry, n_chunk: int, rng: np.random.Generator
+def _failing_windows(
+    geometry: _ChipGeometry, good: np.ndarray, shorts: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Per-(trial, distinct window) working-tube counts for one chunk.
-
-    The working-count view of :func:`_chip_window_counts_joint`.  This is
-    the shared sampling kernel of :func:`_simulate_chip_chunk`, the wafer
-    tier's per-die chip runs
-    (:func:`repro.montecarlo.wafer_sim.run_chip_wafer`) and the timing
-    tier (:mod:`repro.timing.parametric`) — all consume the generator
-    identically, which is what keeps functional and parametric yield
-    answerable from the *same* per-trial tracks.
-    """
-    return _chip_window_counts_joint(geometry, n_chunk, rng)[0]
-
-
-def _chip_window_failures(
-    geometry: _ChipGeometry, n_chunk: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Boolean failing matrix ``(n_chunk, n_windows)``.
+    """The functional failure predicate on :func:`_chip_window_counts_joint` counts.
 
     A window fails with fewer than ``min_working_tubes`` working tubes
-    (open) or at least one surviving short.  Thin view over
-    :func:`_chip_window_counts_joint`; retained as the kernel the
-    functional-yield consumers call.  The opens-only predicate is kept as
-    the literal ``== 0`` comparison so the default configuration stays
-    bitwise identical to the pre-shorts engine.
+    (open) or at least one surviving short.  The opens-only predicate is
+    kept as the literal ``== 0`` comparison so the default configuration
+    stays bitwise identical to the pre-shorts engine.
     """
-    good, shorts = _chip_window_counts_joint(geometry, n_chunk, rng)
     if geometry.min_working_tubes <= 1:
         failing = good == 0
     else:
@@ -264,6 +246,23 @@ def _chip_window_failures(
     if shorts is not None:
         failing = failing | (shorts > 0)
     return failing
+
+
+def _chip_window_failures(
+    geometry: _ChipGeometry, n_chunk: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Boolean failing matrix ``(n_chunk, n_windows)`` of one chunk.
+
+    :func:`_failing_windows` over freshly sampled counts: the kernel of
+    :func:`_simulate_chip_chunk` and the wafer tier's per-die chip runs
+    (:func:`repro.montecarlo.wafer_sim.run_chip_wafer`).  The timing tier
+    (:mod:`repro.timing.parametric`) applies the same predicate to the
+    same counts, so functional and parametric yield come from the *same*
+    per-trial tracks.
+    """
+    return _failing_windows(
+        geometry, *_chip_window_counts_joint(geometry, n_chunk, rng)
+    )
 
 
 def _simulate_chip_chunk(
@@ -524,7 +523,7 @@ class ChipMonteCarlo:
 
         Read from the device-to-window map built with the geometry, so the
         returned indices address columns of the count matrices the chunk
-        kernels produce (:func:`_chip_window_counts`).  Instances are
+        kernels produce (:func:`_chip_window_counts_joint`).  Instances are
         returned in placement order, each transistor in cell order; an
         instance without transistors (filler cells) gets an empty index
         list.  This is the bridge the timing tier uses to read each gate's

@@ -37,12 +37,11 @@ Every array kernel takes an optional ``backend``
 environment-selected default (``REPRO_BACKEND`` / ``REPRO_DTYPE``, NumPy
 float64 out of the box).  The NumPy float64 path is bit-identical to a
 plain-NumPy re-implementation of the same sampler kept in the
-conformance suite under ``tests/backend/``; float32 and GPU policies are
-held to tolerance there.  Search operands are explicitly cast to the positions
+conformance suite under ``tests/backend/``; the float32 policy is held
+to tolerance there.  Search operands are explicitly cast to the positions
 dtype (:meth:`~repro.backend.ArrayBackend.cast_like`) — NumPy would
-silently promote a float32 haystack to float64 on every query batch, and
-torch refuses mixed-dtype searches outright — and band offsets are built
-in the positions dtype for the same reason.
+silently promote a float32 haystack to float64 on every query batch —
+and band offsets are built in the positions dtype for the same reason.
 
 Workers receive ``(payload, n_chunk, stream)`` tuples through
 :func:`run_chunked`; the payload must be picklable (the simulators pass
@@ -57,7 +56,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, default_backend
+from repro.backend import ArrayBackend, default_backend, release_buffers
 from repro.growth.pitch import PitchDistribution
 from repro.resilience.supervise import (
     SeededChunk,
@@ -197,8 +196,10 @@ def sample_track_batch(
     start_offsets = xp.uniform(rng, n_trials) * offset_mean_nm
     shape = (n_trials, tight_gap_budget(pitch, span_nm))
     # ``out`` lets the backend draw in place; the values are the same.
-    gaps = xp.sample_gaps(pitch, shape, rng, out=xp.empty(shape))
-    positions = xp.cumsum(gaps, axis=1)
+    # The gaps are not kept, so their buffer is free once summed.
+    positions = xp.cumsum(
+        xp.sample_gaps(pitch, shape, rng, out=xp.empty(shape)), axis=1
+    )
     positions -= start_offsets[:, None]
     last = positions[:, -1]
     short = last <= span_nm
@@ -470,7 +471,10 @@ def run_chunked(
     ``payload`` must be picklable).  The returned list is ordered by
     chunk, so results are identical for any worker count, and a retried
     or resumed chunk rebuilds its stream from its seed sequence, so
-    results are bitwise identical to an uninterrupted run.
+    results are bitwise identical to an uninterrupted run.  Each chunk
+    runs in a buffer pool scope (see :mod:`repro.backend.core`); the
+    calling thread's slabs are released when this returns, and pool
+    workers' slabs when their process exits.
 
     ``policy`` is the :class:`~repro.resilience.supervise.RetryPolicy`
     (``None`` = the default: a failed chunk is retried twice before
@@ -488,10 +492,13 @@ def run_chunked(
         SeededChunk(worker, payload, n, seed, bit_generator)
         for n, seed in zip(sizes, seeds)
     ]
-    return run_supervised(
-        tasks,
-        n_workers=n_workers,
-        policy=policy,
-        checkpoint=checkpoint,
-        faults=faults,
-    )
+    try:
+        return run_supervised(
+            tasks,
+            n_workers=n_workers,
+            policy=policy,
+            checkpoint=checkpoint,
+            faults=faults,
+        )
+    finally:
+        release_buffers()

@@ -42,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend import buffer_pool
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.faults import FaultPlan, FaultyTask
 
@@ -112,7 +113,9 @@ class SeededChunk:
     :class:`~numpy.random.SeedSequence` and invokes
     ``worker(payload, n_trials, rng)`` — the engine's chunk-worker
     contract.  Because the generator is rebuilt per call, retries and
-    resumed runs are bitwise identical to a first-attempt execution.
+    resumed runs are bitwise identical to a first-attempt execution.  The
+    worker runs inside a :func:`~repro.backend.buffer_pool` scope, so
+    chunk after chunk reuses the executing thread's array buffers.
     """
 
     worker: Callable[..., Any]
@@ -124,7 +127,8 @@ class SeededChunk:
     def __call__(self) -> Any:
         bitgen_cls = getattr(np.random, self.bit_generator)
         rng = np.random.Generator(bitgen_cls(self.seed))
-        return self.worker(self.payload, self.n_trials, rng)
+        with buffer_pool():
+            return self.worker(self.payload, self.n_trials, rng)
 
 
 def seed_sequences_for(

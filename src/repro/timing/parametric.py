@@ -5,7 +5,8 @@ worker samples the chip's track windows exactly once per trial — through
 the *same* kernel and generator consumption as
 :meth:`~repro.montecarlo.chip_sim.ChipMonteCarlo.run` — and answers both
 
-* **functional yield**: does any device window capture zero working tubes,
+* **functional yield**: does any device window open (too few working
+  tubes) or short (a surviving metallic tube),
 * **parametric yield**: does the critical path meet the clock period, with
   every gate's delay scaled by the drive current its captured tubes carry
   (σ(Ion)/µ(Ion) ∝ 1/√N made concrete per trial).
@@ -31,7 +32,12 @@ from repro.analysis.delay import GateDelayModel
 from repro.core.count_model import CountModel, PoissonCountModel
 from repro.device.capacitance import GateCapacitanceModel
 from repro.device.current import CNTCurrentModel
-from repro.montecarlo.chip_sim import ChipMonteCarlo, _ChipGeometry, _chip_window_counts
+from repro.montecarlo.chip_sim import (
+    ChipMonteCarlo,
+    _ChipGeometry,
+    _chip_window_counts_joint,
+    _failing_windows,
+)
 from repro.montecarlo.engine import (
     default_trial_chunk,
     estimate_gap_count,
@@ -133,13 +139,14 @@ def _simulate_timing_chunk(
 
     The window counts are sampled **first**, through the same kernel and
     generator consumption as the functional chip simulation
-    (:func:`~repro.montecarlo.chip_sim._chip_window_counts`); the diameter
-    draw only happens afterwards, so the counts — and hence the functional
-    verdicts — are bitwise identical to a pure functional run with the
-    same root generator and chunking.
+    (:func:`~repro.montecarlo.chip_sim._chip_window_counts_joint`), and
+    judged by the same predicate (shorts and ``min_working_tubes``
+    included); the diameter draw only happens afterwards, so the
+    functional verdicts are bitwise identical to a pure functional run
+    with the same root generator and chunking.
     """
-    counts = _chip_window_counts(payload.geometry, n_chunk, rng)
-    functional_fail = (counts == 0).any(axis=1)
+    counts, shorts = _chip_window_counts_joint(payload.geometry, n_chunk, rng)
+    functional_fail = _failing_windows(payload.geometry, counts, shorts).any(axis=1)
     gate_counts = np.round(counts[:, payload.node_window]).astype(np.int64)
     currents = payload.current_model.on_currents_from_counts(
         gate_counts, rng, payload.diameter_mean_nm, payload.diameter_std_nm

@@ -1,36 +1,26 @@
-"""Fixtures for the cross-backend conformance suite.
+"""Fixtures for the backend conformance suite.
 
-``backend_spec`` parametrises every conformance test over the available
-backends and both dtype policies.  NumPy variants always run; CuPy and
-torch variants carry the ``gpu`` marker and skip themselves when the
-runtime is not importable — so the suite passes cleanly on CPU-only boxes
-and automatically widens on machines with the GPU stacks installed.
+``backend`` parametrises every conformance test over both dtype policies
+of the NumPy backend.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backend import BackendUnavailableError, get_backend
+from repro.backend import get_backend
 
 BACKEND_PARAMS = [
     pytest.param(("numpy", "float64"), id="numpy-f64"),
     pytest.param(("numpy", "float32"), id="numpy-f32"),
-    pytest.param(("cupy", "float64"), id="cupy-f64", marks=pytest.mark.gpu),
-    pytest.param(("cupy", "float32"), id="cupy-f32", marks=pytest.mark.gpu),
-    pytest.param(("torch", "float64"), id="torch-f64", marks=pytest.mark.gpu),
-    pytest.param(("torch", "float32"), id="torch-f32", marks=pytest.mark.gpu),
 ]
 
 
 @pytest.fixture(params=BACKEND_PARAMS)
 def backend(request):
-    """One (backend, dtype) combination; GPU ones skip when unavailable."""
+    """One (backend, dtype) combination."""
     name, dtype = request.param
-    try:
-        return get_backend(name, dtype=dtype)
-    except BackendUnavailableError as exc:
-        pytest.skip(str(exc))
+    return get_backend(name, dtype=dtype)
 
 
 @pytest.fixture

@@ -2,8 +2,7 @@
 
 NumPy silently promotes mixed-dtype ``searchsorted`` operands: a float32
 haystack with float64 needles upcasts the *haystack* on every query
-batch, which defeats the float32 policy's bandwidth saving and is a hard
-error on torch.  These tests audit the engine's hot path for that
+batch, which defeats the float32 policy's bandwidth saving.  These tests audit the engine's hot path for that
 promotion (every intermediate must stay in the policy dtype) and pin the
 explicit-cast helper that prevents it.
 """
@@ -17,7 +16,6 @@ import pytest
 
 from repro.backend import (
     ArrayBackend,
-    BackendUnavailableError,
     available_backends,
     default_backend,
     get_backend,
@@ -117,7 +115,9 @@ class TestFloat32PipelineStaysFloat32:
 
 class TestRegistry:
     def test_known_backends(self):
-        assert {"numpy", "cupy", "torch"} <= set(available_backends())
+        names = set(available_backends())
+        assert "numpy" in names
+        assert not {"cupy", "torch"} & names
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -146,15 +146,13 @@ class TestRegistry:
         clone = pickle.loads(pickle.dumps(backend))
         assert clone is backend  # reconstructed through the cache
 
-    def test_unavailable_gpu_backend_raises(self):
+    def test_gpu_backend_names_are_unknown(self, monkeypatch):
         for name in ("cupy", "torch"):
-            try:
-                __import__(name)
-            except ImportError:
-                with pytest.raises(BackendUnavailableError):
-                    get_backend(name)
-            else:  # pragma: no cover - GPU runtime present
-                assert get_backend(name).name == name
+            with pytest.raises(ValueError, match="unknown backend"):
+                get_backend(name)
+            monkeypatch.setenv("REPRO_BACKEND", name)
+            with pytest.raises(ValueError, match="unknown backend"):
+                default_backend()
 
     def test_protocol_base_is_abstract(self):
         backend = ArrayBackend()

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.delay import GateDelayModel
 from repro.core.count_model import PoissonCountModel
 from repro.growth.types import CNTTypeModel
+from repro.montecarlo.chip_sim import ChipMonteCarlo
 from repro.timing import TimingMonteCarlo, parse_timing_graph
 
 N_TRIALS = 64
@@ -49,13 +50,24 @@ def test_bitwise_invariant_to_n_workers(tmc, baseline):
     assert np.array_equal(baseline.functional_fail, parallel.functional_fail)
 
 
-def test_functional_yield_matches_chip_monte_carlo(timing_chip, baseline):
+@pytest.mark.parametrize("variant", ["opens-only", "shorts", "n_min2"])
+def test_functional_yield_matches_chip_monte_carlo(timing_chip, variant):
     # The same root generator and chunk layout must reproduce the functional
-    # chip run bitwise: the timing worker consumes the count kernel first.
-    functional = timing_chip.run(
+    # chip run bitwise: the timing worker consumes the count kernel first and
+    # judges it with the chip's predicate, shorts and N_min included.
+    kwargs = {"pitch": timing_chip.pitch, "type_model": timing_chip.type_model}
+    if variant == "shorts":
+        kwargs["type_model"] = CNTTypeModel(0.30, 0.99, 0.05)
+    elif variant == "n_min2":
+        kwargs["min_working_tubes"] = 2
+    chip = ChipMonteCarlo(timing_chip.placement, **kwargs)
+    timed = TimingMonteCarlo.from_chip(chip, seed=7).run(
         N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
     )
-    assert baseline.functional_yield == functional.chip_yield
+    functional = chip.run(
+        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
+    )
+    assert timed.functional_yield == functional.chip_yield
 
 
 def test_timing_yield_monotone_in_t_clk(tmc, baseline):
