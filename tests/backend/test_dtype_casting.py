@@ -2,9 +2,10 @@
 
 NumPy silently promotes mixed-dtype ``searchsorted`` operands: a float32
 haystack with float64 needles upcasts the *haystack* on every query
-batch, which defeats the float32 policy's bandwidth saving.  These tests audit the engine's hot path for that
-promotion (every intermediate must stay in the policy dtype) and pin the
-explicit-cast helper that prevents it.
+batch, which defeats the float32 policy's bandwidth saving.  These
+tests audit the engine's hot path for that promotion (every
+intermediate must stay in the policy dtype) and pin the explicit-cast
+helper that prevents it.
 """
 
 from __future__ import annotations
