@@ -26,11 +26,11 @@ from repro.resilience.atomic import atomic_write_json
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
-from repro.montecarlo.chip_sim import ChipMonteCarlo, _chip_window_counts_joint
+from repro.montecarlo.chip_sim import ChipMonteCarlo
 from repro.netlist.openrisc import build_openrisc_like_design
 from repro.netlist.placement import RowPlacement
 from repro.timing import TimingMonteCarlo, derive_timing_graph
-from repro.timing.parametric import _delays_from_currents
+from repro.timing.parametric import _delays_from_currents, _sample_node_currents
 from repro.timing.sta import propagate_arrivals, propagate_arrivals_scalar
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_timing.json"
@@ -53,11 +53,8 @@ def _build_delay_matrix(scale: float, n_trials: int):
     timing = derive_timing_graph(chip, seed=7)
     tmc = TimingMonteCarlo.from_chip(chip, timing=timing)
     payload = tmc._payload
-    rng = np.random.default_rng(1)
-    counts = _chip_window_counts_joint(payload.geometry, n_trials, rng)[0]
-    gate_counts = np.round(counts[:, payload.node_window]).astype(np.int64)
-    currents = payload.current_model.on_currents_from_counts(
-        gate_counts, rng, payload.diameter_mean_nm, payload.diameter_std_nm
+    _, currents = _sample_node_currents(
+        payload, n_trials, np.random.default_rng(1)
     )
     delays = _delays_from_currents(payload.scale_ps_ua, currents)
     return timing.graph, delays

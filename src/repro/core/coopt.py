@@ -203,12 +203,13 @@ class CoOptValidation:
     """End-to-end Monte Carlo validation of one front candidate.
 
     A placed OpenRISC-like design is fabricated ``n_trials`` times at the
-    candidate's process point.  ``z_score`` compares the Monte Carlo mean
-    failing-device count against the serving tier's prediction (the sum
-    of per-class pF over the placement's width classes — unbiased under
-    track correlation because expectation is linear).  The timing fields
-    are the joint functional/parametric yields of
-    :class:`repro.timing.TimingMonteCarlo` at the same process point.
+    candidate's process point by one :class:`repro.timing.TimingMonteCarlo`
+    run.  ``z_score`` compares its mean failing-device count against the
+    serving tier's prediction (the sum of per-class pF over the
+    placement's width classes — unbiased under track correlation because
+    expectation is linear).  The timing fields are the joint
+    functional/parametric yields of the same trials, so
+    ``mc_chip_yield == functional_yield``.
     """
 
     candidate: CandidatePoint
@@ -884,17 +885,17 @@ class ParetoCoOptimizer:
     ) -> CoOptValidation:
         """Monte Carlo validation of one candidate's process point.
 
-        Builds the placed OpenRISC-like design, fabricates it
-        ``n_trials`` times with
-        :class:`~repro.montecarlo.chip_sim.ChipMonteCarlo` at the
-        candidate's pitch/density/corner, and cross-checks the mean
-        failing-device count against the serving tier's per-class pF sum
-        (linear expectation makes the comparison unbiased even though
-        devices share tracks).  The same fabricated geometry then drives
-        a :class:`~repro.timing.TimingMonteCarlo` run for the joint
-        functional/timing yield.  RNG streams are spawn-keyed from the
-        optimizer seed and the candidate's front rank, so validations are
-        bitwise reproducible and independent of ``n_workers``.
+        Builds the placed OpenRISC-like design at the candidate's
+        pitch/density/corner and fabricates it ``n_trials`` times in one
+        :class:`~repro.timing.TimingMonteCarlo` run over its
+        :class:`~repro.montecarlo.chip_sim.ChipMonteCarlo` geometry.  The
+        run's per-trial failing devices answer the cross-check against
+        the serving tier's per-class pF sum (linear expectation makes the
+        comparison unbiased even though devices share tracks); its
+        critical paths answer the joint functional/timing yield.  The RNG
+        stream is keyed on the optimizer seed and the candidate's front
+        rank, so validations are bitwise reproducible and independent of
+        ``n_workers``.
         """
         ensure_positive(n_trials, "n_trials")
         from repro.cells.nangate45 import build_nangate45_library
@@ -919,11 +920,13 @@ class ParetoCoOptimizer:
             ),
         )
 
-        chip_seq, timing_seq = np.random.SeedSequence(
-            (self.seed, rank)
-        ).spawn(2)
-        mc = chip.run(
-            n_trials, np.random.default_rng(chip_seq), n_workers=n_workers
+        engine = TimingMonteCarlo.from_chip(chip, seed=self.seed)
+        t_clk = engine.default_t_clk_ps(factor=t_clk_factor)
+        timing = engine.run(
+            n_trials,
+            np.random.default_rng(np.random.SeedSequence((self.seed, rank))),
+            t_clk_ps=t_clk,
+            n_workers=n_workers,
         )
 
         widths, counts = chip.width_class_histogram()
@@ -939,29 +942,20 @@ class ParetoCoOptimizer:
         predicted = float(
             np.sum(np.asarray(counts) * query.failure_probability)
         )
+        failing = timing.failing_devices
+        mean_failing = float(np.mean(failing))
         se = (
-            mc.std_failing_devices / np.sqrt(n_trials)
+            float(np.std(failing, ddof=1)) / np.sqrt(n_trials)
             if n_trials > 1 else 0.0
         )
-        z_score = (
-            (mc.mean_failing_devices - predicted) / se if se > 0 else 0.0
-        )
-
-        engine = TimingMonteCarlo.from_chip(chip, seed=self.seed)
-        t_clk = engine.default_t_clk_ps(factor=t_clk_factor)
-        timing = engine.run(
-            n_trials,
-            np.random.default_rng(timing_seq),
-            t_clk_ps=t_clk,
-            n_workers=n_workers,
-        )
+        z_score = (mean_failing - predicted) / se if se > 0 else 0.0
 
         return CoOptValidation(
             candidate=candidate,
             n_trials=int(n_trials),
             device_count=chip.device_count,
-            mc_chip_yield=mc.chip_yield,
-            mc_mean_failing_devices=mc.mean_failing_devices,
+            mc_chip_yield=timing.functional_yield,
+            mc_mean_failing_devices=mean_failing,
             mc_failing_devices_se=float(se),
             predicted_mean_failing_devices=predicted,
             z_score=float(z_score),

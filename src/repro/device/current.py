@@ -28,6 +28,9 @@ import numpy as np
 from repro.growth.cnt import CNT
 from repro.units import ensure_positive
 
+#: Smallest tube diameter (nm) the sampled diameters are clipped to.
+MIN_TUBE_DIAMETER_NM = 0.5
+
 
 @dataclass(frozen=True)
 class CNTCurrentModel:
@@ -88,6 +91,22 @@ class CNTCurrentModel:
         diameter_factor = (diameter_nm / self.reference_diameter_nm) ** self.diameter_exponent
         return self.nominal_on_current_ua * diameter_factor * self._overdrive_factor
 
+    def tube_on_currents_ua(
+        self, diameters_nm: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Vectorised :meth:`semiconducting_on_current_ua` over an array.
+
+        ``out`` may be ``diameters_nm`` itself (converted in place).  The
+        operations are those of the scalar formula in the same order; only
+        NumPy's ``power`` may round differently from Python's, so elements
+        equal the scalar values bitwise at the default exponent 1.
+        """
+        currents = np.divide(diameters_nm, self.reference_diameter_nm, out=out)
+        currents **= self.diameter_exponent
+        currents *= self.nominal_on_current_ua
+        currents *= self._overdrive_factor
+        return currents
+
     def metallic_leakage_ua(self) -> float:
         """Gate-independent current (µA) of a surviving metallic tube."""
         return self.metallic_current_ua
@@ -130,16 +149,17 @@ class CNTCurrentModel:
     ) -> float:
         """Sample a device on-current from a working-tube count.
 
-        Diameters are drawn independently per tube from a truncated normal
-        distribution (diameters below 0.5 nm are re-drawn to the boundary),
-        which is the mechanism that makes σ(Ion)/µ(Ion) fall off as 1/√N.
+        Diameters are drawn independently per tube from a normal
+        distribution clipped at 0.5 nm (a censored normal: draws below the
+        boundary are set to it), which is the mechanism that makes
+        σ(Ion)/µ(Ion) fall off as 1/√N.
         """
         if working_count < 0:
             raise ValueError(f"working_count must be non-negative, got {working_count}")
         if working_count == 0:
             return 0.0
         diameters = rng.normal(diameter_mean_nm, diameter_std_nm, size=working_count)
-        diameters = np.clip(diameters, 0.5, None)
+        diameters = np.clip(diameters, MIN_TUBE_DIAMETER_NM, None)
         currents = [self.semiconducting_on_current_ua(float(d)) for d in diameters]
         return float(np.sum(currents))
 
@@ -153,7 +173,7 @@ class CNTCurrentModel:
         """Device on-currents (µA) for an externally sampled count vector.
 
         Vectorised batch companion of :meth:`sample_on_current_ua`: one flat
-        truncated-normal diameter draw covers every tube of every device, and
+        clipped-normal diameter draw covers every tube of every device, and
         a ``repeat``/``bincount`` pass sums the per-tube currents back into
         per-device totals — exact, and deterministic given the generator
         state.  Devices with zero working tubes get a current of 0.
@@ -167,8 +187,8 @@ class CNTCurrentModel:
             gives every tube the nominal ``diameter_mean_nm`` (the
             deterministic mean-diameter current).
         diameter_mean_nm, diameter_std_nm:
-            Truncated-normal tube diameter statistics (clipped at 0.5 nm,
-            matching :meth:`sample_on_current_ua`).
+            Tube diameter statistics of the normal draw, clipped at 0.5 nm
+            (censored, matching :meth:`sample_on_current_ua`).
 
         Returns
         -------
@@ -188,12 +208,8 @@ class CNTCurrentModel:
         if total == 0:
             return np.zeros(counts.shape, dtype=float)
         diameters = rng.normal(diameter_mean_nm, diameter_std_nm, size=total)
-        diameters = np.clip(diameters, 0.5, None)
-        per_tube = (
-            self.nominal_on_current_ua
-            * (diameters / self.reference_diameter_nm) ** self.diameter_exponent
-            * self._overdrive_factor
-        )
+        diameters = np.clip(diameters, MIN_TUBE_DIAMETER_NM, None)
+        per_tube = self.tube_on_currents_ua(diameters, out=diameters)
         device_index = np.repeat(np.arange(flat.size), flat)
         sums = np.bincount(device_index, weights=per_tube, minlength=flat.size)
         return sums.reshape(counts.shape)

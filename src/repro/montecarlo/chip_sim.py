@@ -34,7 +34,7 @@ model extrapolates to the 1e8-device, 1e-9-probability regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -181,19 +181,29 @@ def _width_class_matrix(
 
 
 def _chip_window_counts_joint(
-    geometry: _ChipGeometry, n_chunk: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    geometry: _ChipGeometry,
+    n_chunk: int,
+    rng: np.random.Generator,
+    slot_values: Optional[Callable] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Per-(trial, distinct window) working and short tube counts.
 
     Every (trial, row) pair is one renewal trial; flat trial ``t * n_rows + r``
-    carries row ``r`` of chip trial ``t``.  Returns ``(working, shorts)``
-    count matrices of shape ``(n_chunk, n_windows)``; ``shorts`` is ``None``
-    in the opens-only regime (``short_probability = 0``).  Both failure
-    modes are decided by *one* uniform per tube — the three per-tube states
-    partition ``[0, 1)`` as ``[0, q)`` short, ``[q, pf)`` dud and
-    ``[pf, 1)`` working — so the joint mode consumes exactly the RNG stream
-    of the opens-only mode and ``q = 0`` runs are bitwise unchanged, as are
-    the shared-kernel consumers (wafer tier, timing tier).
+    carries row ``r`` of chip trial ``t``.  Returns ``(working, shorts,
+    summed)`` matrices of shape ``(n_chunk, n_windows)``; ``shorts`` is
+    ``None`` in the opens-only regime (``short_probability = 0``).  Both
+    failure modes are decided by *one* uniform per tube — the three
+    per-tube states partition ``[0, 1)`` as ``[0, q)`` short, ``[q, pf)``
+    dud and ``[pf, 1)`` working — so the joint mode consumes exactly the
+    RNG stream of the opens-only mode and ``q = 0`` runs are bitwise
+    unchanged, as are the shared-kernel consumers (wafer tier, timing
+    tier).
+
+    ``slot_values(rng, shape, xp)``, when given, draws one value per track
+    slot (the timing tier's per-tube on-current); ``summed`` is then each
+    window's sum of it over its working tubes, else ``None``.  The draw
+    comes after the uniforms and gets its own weight row of the same
+    search pass, so the counts are bitwise those of a run without it.
     """
     xp = geometry.backend if geometry.backend is not None else default_backend()
     n_rows = geometry.n_rows
@@ -203,14 +213,16 @@ def _chip_window_counts_joint(
     )
     u = xp.uniform(rng, batch.positions.shape)
     working = (u >= geometry.per_cnt_failure) & batch.valid
-
+    # Opens, shorts and slot values share one banding and search pass,
+    # one prefix sum per row.
+    rows = [working]
     if geometry.short_probability > 0.0:
-        # Both modes share one banding and search pass, one prefix each.
-        shorting = (u < geometry.short_probability) & batch.valid
-        weights = xp.concatenate([working[None], shorting[None]], axis=0)
-    else:
-        weights = working
-    del u  # frees its pooled buffer for the window pass
+        rows.append((u < geometry.short_probability) & batch.valid)
+    del u  # frees its pooled buffer for the slot values or the window pass
+    if slot_values is not None:
+        values = slot_values(rng, batch.positions.shape, xp)
+        values *= working
+        rows.append(values)
 
     n_windows = geometry.window_lo.size
     trial_index = (
@@ -219,14 +231,16 @@ def _chip_window_counts_joint(
     )
     counts = xp.to_numpy(count_in_windows_flat(
         batch.positions,
-        weights,
+        rows if len(rows) > 1 else working,
         geometry.row_height_nm,
         np.tile(geometry.window_lo, n_chunk),
         np.tile(geometry.window_hi, n_chunk),
         trial_index,
         backend=xp,
     )).reshape(-1, n_chunk, n_windows)
-    return counts[0], (counts[1] if len(counts) > 1 else None)
+    shorts = counts[1] if geometry.short_probability > 0.0 else None
+    summed = counts[-1] if slot_values is not None else None
+    return counts[0], shorts, summed
 
 
 def _failing_windows(
@@ -260,9 +274,18 @@ def _chip_window_failures(
     same counts, so functional and parametric yield come from the *same*
     per-trial tracks.
     """
-    return _failing_windows(
-        geometry, *_chip_window_counts_joint(geometry, n_chunk, rng)
-    )
+    working, shorts, _ = _chip_window_counts_joint(geometry, n_chunk, rng)
+    return _failing_windows(geometry, working, shorts)
+
+
+def _failing_devices(geometry: _ChipGeometry, failing: np.ndarray) -> np.ndarray:
+    """Per-trial failing-device count of a failing-window matrix.
+
+    Each failing window counts once per device sharing it.  The chip
+    chunk and the timing tier both reduce through here, so their failing
+    devices are bitwise equal for the same counts.
+    """
+    return (failing * geometry.window_weight).sum(axis=1).astype(float)
 
 
 def _simulate_chip_chunk(
@@ -275,7 +298,7 @@ def _simulate_chip_chunk(
     per-window results of :func:`_chip_window_failures`.
     """
     failing = _chip_window_failures(geometry, n_chunk, rng)
-    failing_devices = (failing * geometry.window_weight).sum(axis=1).astype(float)
+    failing_devices = _failing_devices(geometry, failing)
     per_row = np.add.reduceat(failing, geometry.row_starts, axis=1)
     failing_rows = (per_row > 0).sum(axis=1).astype(float)
     return failing_devices, failing_rows

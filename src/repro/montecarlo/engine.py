@@ -334,7 +334,8 @@ def count_in_windows_flat(
     weights:
         Per-slot weights, same shape; must already be zero on slots that
         should not count (out-of-span tracks, failed tubes).  A stack of
-        ``k`` such weight arrays, shape ``(k, n_trials, n_slots)``, is
+        ``k`` such weight arrays, shape ``(k, n_trials, n_slots)``, or a
+        list of them (rows of different dtypes, no stacking copy), is
         answered from one banding and search pass, with one prefix sum
         per weight row.
     span_nm:
@@ -351,7 +352,7 @@ def count_in_windows_flat(
         sampler needs both).
 
     Returns the weighted count per query, shape ``(n_queries,)``, or
-    ``(k, n_queries)`` for stacked weights (plus the stop indices when
+    ``(k, n_queries)`` for stacked or listed weights (plus the stop indices when
     requested).  Counts accumulate in the backend's ``accum_dtype``
     (float64 by default, even under a float32 policy).
     """
@@ -365,10 +366,10 @@ def count_in_windows_flat(
         prefix = xp.prefix_sum(xp.ravel(w))
         return xp.take(prefix, right) - xp.take(prefix, left)
 
-    if weights.ndim == positions.ndim:
-        counts = weighted(weights)
-    else:
+    if isinstance(weights, list) or weights.ndim > positions.ndim:
         counts = xp.concatenate([weighted(w)[None, :] for w in weights], axis=0)
+    else:
+        counts = weighted(weights)
     if return_stop_index:
         return counts, right - trial_index * positions.shape[1]
     return counts

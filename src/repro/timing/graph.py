@@ -72,6 +72,12 @@ class TimingNode:
             )
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` with writing disabled, for index vectors the graph shares."""
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class _LevelEdges:
     """Flattened fanin edges of one level, grouped by receiver.
@@ -144,6 +150,22 @@ class TimingGraph:
         self._fanout_count = fanout_count
         self._levels = self._levelize()
         self._plan: Optional[Tuple[_LevelEdges, ...]] = None
+        self._sources = _read_only(np.array(
+            [
+                i
+                for i, node in enumerate(self.nodes)
+                if node.is_source or not self._fanins[i]
+            ],
+            dtype=np.int64,
+        ))
+        self._sinks = _read_only(np.array(
+            [
+                i
+                for i, node in enumerate(self.nodes)
+                if node.is_sink or fanout_count[i] == 0
+            ],
+            dtype=np.int64,
+        ))
 
     # ------------------------------------------------------------------
     # Structure
@@ -216,28 +238,14 @@ class TimingGraph:
     @property
     def source_indices(self) -> np.ndarray:
         """Indices of path-launching nodes: declared sources plus any
-        fanin-free node."""
-        return np.array(
-            [
-                i
-                for i, node in enumerate(self.nodes)
-                if node.is_source or not self._fanins[i]
-            ],
-            dtype=np.int64,
-        )
+        fanin-free node (read-only, computed once)."""
+        return self._sources
 
     @property
     def sink_indices(self) -> np.ndarray:
         """Indices of path-terminating nodes: declared sinks plus any
-        fanout-free node."""
-        return np.array(
-            [
-                i
-                for i, node in enumerate(self.nodes)
-                if node.is_sink or self._fanout_count[i] == 0
-            ],
-            dtype=np.int64,
-        )
+        fanout-free node (read-only, computed once)."""
+        return self._sinks
 
     # ------------------------------------------------------------------
     # Node attribute views

@@ -256,6 +256,9 @@ def derive_timing_graph(
     specs: List[_NodeSpec] = []
     arcs_idx: List[Tuple[int, int]] = []
     drivers: List[int] = []
+    # Drive device (narrowest transistor, first on ties) per cell master,
+    # told apart by identity as the chip geometry does.
+    drives: Dict[int, Tuple[int, float]] = {}
 
     def _pick_fanins(k: int) -> List[int]:
         """Locality-weighted distinct picks from the emitted drivers."""
@@ -277,9 +280,12 @@ def derive_timing_graph(
         cell = placed.cell
         if not windows:
             continue  # physical cells carry no timing arc
-        widths = cell.transistor_widths_nm()
-        drive_pos = int(np.argmin(widths))
-        drive_width = float(widths[drive_pos])
+        drive = drives.get(id(cell))
+        if drive is None:
+            widths = cell.transistor_widths_nm()
+            drive_pos = int(np.argmin(widths))
+            drive = drives[id(cell)] = (drive_pos, float(widths[drive_pos]))
+        drive_pos, drive_width = drive
         drive_window = int(windows[drive_pos])
         name = placed.instance.name
         if cell.family is CellFamily.SEQUENTIAL:

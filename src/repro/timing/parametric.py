@@ -11,9 +11,11 @@ the *same* kernel and generator consumption as
   every gate's delay scaled by the drive current its captured tubes carry
   (σ(Ion)/µ(Ion) ∝ 1/√N made concrete per trial).
 
-Because devices along a row share tracks, the counts along a path are
-correlated, and so are the delays — the correlation shows up as a heavier
-dependence structure than independent per-gate sampling would predict.
+Each track slot draws one tube diameter, so devices that share tubes share
+their diameters too: gates on one window see identical currents, and
+overlapping windows covary through the tubes they have in common.  The
+delays along a path inherit that correlation, a heavier dependence
+structure than independent per-gate sampling would predict.
 Trials are processed in fixed-size chunks through
 :func:`~repro.montecarlo.engine.run_chunked`; each chunk consumes its own
 ``spawn_key``-derived stream, so results are bitwise invariant to
@@ -31,11 +33,12 @@ import numpy as np
 from repro.analysis.delay import GateDelayModel
 from repro.core.count_model import CountModel, PoissonCountModel
 from repro.device.capacitance import GateCapacitanceModel
-from repro.device.current import CNTCurrentModel
+from repro.device.current import MIN_TUBE_DIAMETER_NM, CNTCurrentModel
 from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _ChipGeometry,
     _chip_window_counts_joint,
+    _failing_devices,
     _failing_windows,
 )
 from repro.montecarlo.engine import (
@@ -57,20 +60,31 @@ from repro.timing.sta import (
 class TimingYieldResult:
     """Joint functional/parametric outcome of one timing Monte Carlo run.
 
-    ``critical_path_ps`` and ``functional_fail`` are per-trial arrays (the
+    ``critical_path_ps`` and ``failing_devices`` are per-trial arrays (the
     full distribution, not just its mean), so callers can re-evaluate the
-    yields at any clock period without re-sampling.
+    yields at any clock period without re-sampling.  ``failing_devices``
+    counts the devices that fail functionally in each trial; in the
+    from-chip mode it is bitwise the per-trial count
+    :meth:`~repro.montecarlo.chip_sim.ChipMonteCarlo.run` reduces, for the
+    same root generator and chunking.
     """
 
     n_trials: int
     t_clk_ps: float
     nominal_critical_path_ps: float
     critical_path_ps: np.ndarray
-    functional_fail: np.ndarray
+    failing_devices: np.ndarray
+
+    @property
+    def functional_fail(self) -> np.ndarray:
+        """Per-trial functional failure: at least one failing device."""
+        return self.failing_devices > 0
 
     @property
     def functional_yield(self) -> float:
-        """P(no device window captured zero working tubes)."""
+        """P(no device fails): no window opens (fewer than
+        ``min_working_tubes`` working tubes) and, with shorts modelled,
+        none holds a surviving metallic tube."""
         return float(np.mean(~self.functional_fail))
 
     @property
@@ -131,33 +145,65 @@ class _CorrelatedPayload:
     diameter_std_nm: float
     scalar_oracle: bool = False
 
+    def slot_currents(self, rng: np.random.Generator, shape, xp) -> np.ndarray:
+        """One tube diameter per track slot, as that tube's on-current (µA).
+
+        Diameters are normal, clipped at
+        :data:`~repro.device.current.MIN_TUBE_DIAMETER_NM`; the draw fills
+        a pooled buffer and is converted to currents in place.
+        """
+        currents = rng.standard_normal(out=xp.empty(shape, dtype=np.float64))
+        currents *= self.diameter_std_nm
+        currents += self.diameter_mean_nm
+        np.maximum(currents, MIN_TUBE_DIAMETER_NM, out=currents)
+        return self.current_model.tube_on_currents_ua(currents, out=currents)
+
+
+def _critical_paths(payload, currents: np.ndarray) -> np.ndarray:
+    """Per-trial critical-path delay from per-(trial, node) drive currents."""
+    delays = _delays_from_currents(payload.scale_ps_ua, currents)
+    propagate = (
+        propagate_arrivals_scalar if payload.scalar_oracle else propagate_arrivals
+    )
+    return critical_path_delays(payload.graph, propagate(payload.graph, delays))
+
+
+def _sample_node_currents(
+    payload: _CorrelatedPayload, n_chunk: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-trial failing devices and per-(trial, node) drive currents.
+
+    One pass over the shared tracks: the window kernel
+    (:func:`~repro.montecarlo.chip_sim._chip_window_counts_joint`) counts
+    the tubes, and sums one diameter's current per track slot over each
+    window's working tubes, from the same search.  Nodes on one window
+    therefore see the same tubes *and* the same diameters.  The counts
+    consume the generator first, exactly as the functional chip
+    simulation does, and are judged by its predicate (shorts and
+    ``min_working_tubes`` included), so the failing devices are bitwise
+    those of a pure functional run with the same root generator and
+    chunking.
+    """
+    geometry = payload.geometry
+    working, shorts, currents = _chip_window_counts_joint(
+        geometry, n_chunk, rng, slot_values=payload.slot_currents
+    )
+    failing = _failing_windows(geometry, working, shorts)
+    # A window without working tubes carries exactly no current, whatever
+    # rounding the prefix-sum difference left: its gates stay dead (inf).
+    currents[working == 0] = 0.0
+    return _failing_devices(geometry, failing), currents[:, payload.node_window]
+
 
 def _simulate_timing_chunk(
     payload: _CorrelatedPayload, n_chunk: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One chunk of joint functional/timing trials over shared tracks.
 
-    The window counts are sampled **first**, through the same kernel and
-    generator consumption as the functional chip simulation
-    (:func:`~repro.montecarlo.chip_sim._chip_window_counts_joint`), and
-    judged by the same predicate (shorts and ``min_working_tubes``
-    included); the diameter draw only happens afterwards, so the
-    functional verdicts are bitwise identical to a pure functional run
-    with the same root generator and chunking.
+    Returns the per-trial failing devices and critical-path delays.
     """
-    counts, shorts = _chip_window_counts_joint(payload.geometry, n_chunk, rng)
-    functional_fail = _failing_windows(payload.geometry, counts, shorts).any(axis=1)
-    gate_counts = np.round(counts[:, payload.node_window]).astype(np.int64)
-    currents = payload.current_model.on_currents_from_counts(
-        gate_counts, rng, payload.diameter_mean_nm, payload.diameter_std_nm
-    )
-    delays = _delays_from_currents(payload.scale_ps_ua, currents)
-    propagate = (
-        propagate_arrivals_scalar if payload.scalar_oracle else propagate_arrivals
-    )
-    arrivals = propagate(payload.graph, delays)
-    crit = critical_path_delays(payload.graph, arrivals)
-    return functional_fail, crit
+    failing_devices, currents = _sample_node_currents(payload, n_chunk, rng)
+    return failing_devices, _critical_paths(payload, currents)
 
 
 @dataclass(frozen=True)
@@ -182,7 +228,9 @@ def _simulate_independent_chunk(
 
     Without placement geometry there are no shared tracks; every node's
     count is drawn from the count model at its own drive width (unique
-    widths grouped, ascending, for a deterministic draw order).
+    widths grouped, ascending, for a deterministic draw order), and its
+    diameters are drawn per node.  A node without working tubes is one
+    failing device.
     """
     n_nodes = payload.widths_nm.size
     counts = np.empty((n_chunk, n_nodes), dtype=np.int64)
@@ -195,17 +243,11 @@ def _simulate_independent_chunk(
             n_chunk, columns.size
         )
     working = rng.binomial(counts, payload.per_cnt_success)
-    functional_fail = (working == 0).any(axis=1)
+    failing_devices = (working == 0).sum(axis=1).astype(float)
     currents = payload.current_model.on_currents_from_counts(
         working, rng, payload.diameter_mean_nm, payload.diameter_std_nm
     )
-    delays = _delays_from_currents(payload.scale_ps_ua, currents)
-    propagate = (
-        propagate_arrivals_scalar if payload.scalar_oracle else propagate_arrivals
-    )
-    arrivals = propagate(payload.graph, delays)
-    crit = critical_path_delays(payload.graph, arrivals)
-    return functional_fail, crit
+    return failing_devices, _critical_paths(payload, currents)
 
 
 class TimingMonteCarlo:
@@ -341,14 +383,11 @@ class TimingMonteCarlo:
             diameter_mean_nm=diameter_mean_nm,
             diameter_std_nm=diameter_std_nm,
         )
+        # Per trial: the chip's gap matrix plus the slot-current row that
+        # rides through the window pass with it, and the per-node current,
+        # delay and arrival matrices.
         est_slots = estimate_gap_count(geometry.pitch, geometry.row_height_nm)
-        mean_tubes = max(
-            1.0,
-            float(np.mean(timing.graph.drive_widths_nm())) / geometry.pitch.mean_nm,
-        )
-        per_trial = geometry.n_rows * est_slots + int(
-            timing.graph.n_nodes * mean_tubes
-        )
+        per_trial = 2 * geometry.n_rows * est_slots + 3 * timing.graph.n_nodes
         return cls(
             timing.graph, payload, _simulate_timing_chunk, per_trial, nominal_ps
         )
@@ -461,7 +500,7 @@ class TimingMonteCarlo:
             trial_chunk=trial_chunk,
             n_workers=n_workers,
         )
-        functional_fail = np.concatenate([c[0] for c in chunks]).astype(bool)
+        failing_devices = np.concatenate([c[0] for c in chunks])
         crit = np.concatenate([c[1] for c in chunks]).astype(float)
         # Infinite critical paths (dead gates) are legitimate; NaN never is.
         check_finite(crit, "timing_mc.critical_path_ps", allow_inf=True)
@@ -470,5 +509,5 @@ class TimingMonteCarlo:
             t_clk_ps=float(t_clk_ps),
             nominal_critical_path_ps=self.nominal_critical_path_ps(),
             critical_path_ps=crit,
-            functional_fail=functional_fail,
+            failing_devices=failing_devices,
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,23 @@ def commercial65():
 def openrisc_design():
     """Statistical OpenRISC width distribution at the 1e8-transistor scale."""
     return openrisc_width_histogram(1.0e8)
+
+
+def _censored_normal_moments(mean: float, std: float, low: float):
+    """``(E[Y], Var[Y])`` of ``Y = max(X, low)`` with ``X ~ N(mean, std²)``."""
+    a = (low - mean) / std
+    below = 0.5 * (1.0 + math.erf(a / math.sqrt(2.0)))
+    density = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    first = low * below + mean * (1.0 - below) + std * density
+    second = (
+        low * low * below
+        + (mean * mean + std * std) * (1.0 - below)
+        + std * (mean + low) * density
+    )
+    return first, second - first * first
+
+
+@pytest.fixture(scope="session")
+def censored_normal_moments():
+    """Closed-form mean and variance of a normal clipped from below."""
+    return _censored_normal_moments

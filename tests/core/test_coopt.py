@@ -15,6 +15,7 @@ from repro.core.coopt import (
     process_grid,
 )
 from repro.core.failure import FIG2_1_CORNERS
+from repro.montecarlo.chip_sim import ChipMonteCarlo
 from repro.netlist.openrisc import openrisc_width_histogram
 
 DESIGN = openrisc_width_histogram(1.0e8)
@@ -304,6 +305,27 @@ class TestValidation:
         assert a.mc_mean_failing_devices == b.mc_mean_failing_devices
         assert a.functional_yield == b.functional_yield
         assert a.timing_yield == b.timing_yield
+
+    def test_validation_is_one_timing_run(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validation must not run ChipMonteCarlo")
+
+        monkeypatch.setattr(ChipMonteCarlo, "run", forbidden)
+        optimizer = make_optimizer(
+            process_points=process_grid(densities_per_um=(250.0,))
+        )
+        result = optimizer.run(validate_trials=48, validate_top=1)
+        # A sparse process point where devices do fail gives the Eq. 2.2
+        # z-test failing devices to compare.
+        sparse = dataclasses.replace(
+            result.best, process=ProcessPoint(cnt_density_per_um=80.0)
+        )
+        checks = (result.validations[0], optimizer.validate(sparse, n_trials=128))
+        for v in checks:
+            assert v.mc_chip_yield == v.functional_yield
+        assert checks[1].mc_mean_failing_devices > 0.0
+        assert 0.0 < checks[1].functional_yield < 1.0
+        assert abs(checks[1].z_score) < 4.0
 
     def test_seed_changes_validation_not_front(self, validated):
         other = make_optimizer(

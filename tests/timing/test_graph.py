@@ -53,6 +53,24 @@ def test_sources_and_sinks_include_flags_and_topology():
     assert sinks == {"d", "floating"}
 
 
+def test_endpoint_indices_are_computed_once_and_read_only():
+    nodes = [
+        _node("q", is_source=True),
+        _node("u1"),
+        _node("d", is_sink=True),
+        _node("floating"),
+    ]
+    graph = TimingGraph(nodes, [("q", "u1"), ("u1", "d")])
+    assert graph.source_indices is graph.source_indices
+    assert graph.sink_indices is graph.sink_indices
+    assert graph.source_indices.tolist() == [0, 3]
+    assert graph.sink_indices.tolist() == [2, 3]
+    for indices in (graph.source_indices, graph.sink_indices):
+        assert indices.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            indices[0] = 1
+
+
 def test_cycle_detection():
     nodes = [_node("a"), _node("b"), _node("c")]
     with pytest.raises(TimingGraphError, match="cycle"):

@@ -1,5 +1,7 @@
 """Ingestion: text-format parsing/round-trip and design-derived graphs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,25 @@ def test_derive_validates_parameters(timing_chip):
         derive_timing_graph(timing_chip, default_fanout=0)
     with pytest.raises(ValueError, match="locality"):
         derive_timing_graph(timing_chip, locality=0.0)
+
+
+#: SHA-256 of the derived graph of the ``timing_chip`` fixture (seed 7):
+#: every node's name, cell, width, load and flags, the arcs and
+#: ``node_window``.  Pinned from the per-instance drive-device loop; the
+#: per-master lookup must reproduce it exactly.
+DERIVED_GRAPH_SHA256 = (
+    "4e72979cb8a83ff4f45bc0800928d56883fdda25d4c34e91233cdc0c7a213cfc"
+)
+
+
+def test_derived_graph_is_pinned(derived_timing):
+    digest = hashlib.sha256()
+    for node in derived_timing.graph.nodes:
+        digest.update(repr((
+            node.name, node.cell_name, node.drive_width_nm, node.load_af,
+            node.is_source, node.is_sink,
+        )).encode())
+    digest.update(repr(derived_timing.graph.arcs).encode())
+    digest.update(derived_timing.node_window.astype(np.int64).tobytes())
+    assert (derived_timing.graph.n_nodes, derived_timing.graph.n_arcs) == (874, 850)
+    assert digest.hexdigest() == DERIVED_GRAPH_SHA256

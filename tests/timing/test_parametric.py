@@ -48,6 +48,7 @@ def test_bitwise_invariant_to_n_workers(tmc, baseline):
     )
     assert np.array_equal(baseline.critical_path_ps, parallel.critical_path_ps)
     assert np.array_equal(baseline.functional_fail, parallel.functional_fail)
+    assert np.array_equal(baseline.failing_devices, parallel.failing_devices)
 
 
 @pytest.mark.parametrize("variant", ["opens-only", "shorts", "n_min2"])
@@ -68,6 +69,37 @@ def test_functional_yield_matches_chip_monte_carlo(timing_chip, variant):
         N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
     )
     assert timed.functional_yield == functional.chip_yield
+
+
+@pytest.mark.parametrize("variant", ["opens-only", "shorts", "n_min2"])
+def test_failing_devices_match_chip_monte_carlo(timing_chip, variant, monkeypatch):
+    # Per trial, not just the yield: the timing run's failing devices are
+    # bitwise those ChipMonteCarlo.run reduces for the same root generator
+    # and chunk layout.
+    kwargs = {"pitch": timing_chip.pitch, "type_model": timing_chip.type_model}
+    if variant == "shorts":
+        kwargs["type_model"] = CNTTypeModel(0.30, 0.99, 0.05)
+    elif variant == "n_min2":
+        kwargs["min_working_tubes"] = 2
+    chip = ChipMonteCarlo(timing_chip.placement, **kwargs)
+    captured = []
+    reduce_result = ChipMonteCarlo._result
+
+    def capture(self, failing_devices, failing_rows):
+        captured.append(failing_devices)
+        return reduce_result(self, failing_devices, failing_rows)
+
+    monkeypatch.setattr(ChipMonteCarlo, "_result", capture)
+    functional = chip.run(N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK)
+    timed = TimingMonteCarlo.from_chip(chip, seed=7).run(
+        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
+    )
+    np.testing.assert_array_equal(timed.failing_devices, captured[0])
+    assert timed.failing_devices.any()
+    assert timed.failing_devices.mean() == functional.mean_failing_devices
+    np.testing.assert_array_equal(
+        timed.functional_fail, timed.failing_devices > 0
+    )
 
 
 def test_timing_yield_monotone_in_t_clk(tmc, baseline):
