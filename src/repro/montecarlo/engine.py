@@ -352,9 +352,9 @@ def count_in_windows_flat(
         sampler needs both).
 
     Returns the weighted count per query, shape ``(n_queries,)``, or
-    ``(k, n_queries)`` for stacked or listed weights (plus the stop indices when
-    requested).  Counts accumulate in the backend's ``accum_dtype``
-    (float64 by default, even under a float32 policy).
+    ``(k, n_queries)`` for stacked or listed weights (plus the stop
+    indices when requested).  Counts accumulate in the backend's
+    ``accum_dtype`` (float64 by default, even under a float32 policy).
     """
     xp = backend if backend is not None else default_backend()
     flat, offsets = _banded_positions(positions, span_nm, xp)
