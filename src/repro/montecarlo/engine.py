@@ -20,6 +20,10 @@ array programs over a leading ``(n_trials, ...)`` batch axis:
   already sorted (a ``cumsum`` of positive gaps), so shifting trial ``t``
   by ``t * stride`` makes the whole batch globally sorted and two
   ``searchsorted`` calls plus a prefix sum answer every query at once.
+* :func:`count_leq_rows` — how many of a row's sorted positions lie at or
+  below each of that row's bounds, by a per-row binary search whose every
+  step reads only the row itself.  The wafer tier counts with it, since
+  its contract needs a trial's counts independent of the batch around it.
 * :func:`sample_track_counts` — memory-bounded helper returning only the
   per-trial track counts (used when the positions themselves are not
   needed, e.g. device-level failure estimation).
@@ -74,6 +78,7 @@ __all__ = [
     "sample_track_counts",
     "count_in_windows",
     "count_in_windows_flat",
+    "count_leq_rows",
     "window_stop_indices",
     "chunk_sizes",
     "default_trial_chunk",
@@ -87,9 +92,9 @@ __all__ = [
 DEFAULT_BATCH_ELEMENTS: int = 1 << 22
 
 #: Gap draws per top-up round and the granule :func:`tight_gap_budget`
-#: rounds up to.  It is also the block of the wafer tier's two-level count
-#: scan, where 8 keeps the inner refine cumsum tiny while cutting the
-#: prefix work 8x versus a dense cumsum.
+#: rounds up to.  Small, because a top-up round draws it for every
+#: uncleared trial; the wafer tier counts each appended block with
+#: :func:`count_leq_rows`, four gathers at this width.
 BLOCK = 8
 
 
@@ -411,6 +416,42 @@ def count_in_windows(
         backend=xp,
     )
     return xp.reshape(counts, (n_trials, n_windows))
+
+
+def count_leq_rows(positions, bounds, backend: Optional[ArrayBackend] = None):
+    """Per-row count of sorted positions at or below each of the row's bounds.
+
+    ``positions`` is ``(n_rows, n_slots)``, ascending along each row
+    (``+inf`` padding allowed, it never counts); ``bounds`` is
+    ``(n_rows, n_bounds)``, any float dtype.  Returns the ``(n_rows,
+    n_bounds)`` integer counts ``#{j : positions[r, j] <= bounds[r, b]}``,
+    i.e. ``searchsorted(positions[r], bounds[r, b], side="right")`` for
+    every pair at once.
+
+    A branchless binary search: every query halves its own candidate
+    range in lockstep, one flat gather and one compare per step, so
+    ``ceil(log2(n_slots)) + 1`` gathers answer the whole matrix.  Unlike
+    the banded search of :func:`count_in_windows_flat` no row is shifted
+    by an offset that depends on its position in the batch: each compare
+    reads only the row's own positions and bounds (mixed dtypes compare
+    exactly, in the promoted dtype), so a row's counts are the same
+    whatever batch it sits in.
+    """
+    xp = backend if backend is not None else default_backend()
+    n_rows, n_slots = positions.shape
+    flat = xp.ravel(positions)
+    # Flat index of each row's first slot.  Invariant: the count lies in
+    # [idx - start, idx - start + span], and every probe stays in the row.
+    start = (xp.arange(n_rows) * n_slots)[:, None]
+    idx = xp.zeros(bounds.shape, dtype=start.dtype) + start
+    span = n_slots
+    while span > 1:
+        half = span // 2
+        # Gathering from the view that starts ``half`` slots in reads
+        # slot ``idx + half`` without materialising the probe indices.
+        idx += (xp.take(flat[half:], idx) <= bounds) * half
+        span -= half
+    return idx - start + (xp.take(flat, idx) <= bounds)
 
 
 # ----------------------------------------------------------------------

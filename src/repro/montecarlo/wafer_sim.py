@@ -16,11 +16,14 @@ whole wafer as one stacked 3D array program (die × trial × track):
   (:func:`~repro.montecarlo.engine.tight_gap_budget`, a 2-sigma margin);
   the rare trials whose budget does not clear the widest window are
   *topped up exactly* from the same die stream;
-* window counts are answered by a two-level blocked scan
-  (:func:`_blocked_count_leq`): block sums + a block-prefix ``cumsum``
-  locate each trial's crossing block, and a gather + short inner
-  ``cumsum`` refines it — O(tracks / BLOCK) prefix work instead of a
-  dense cumulative sum over every gap, and no banded ``searchsorted``;
+* window counts come from one row-local ``cumsum`` over the stacked gap
+  block and one vectorised per-row binary search
+  (:func:`~repro.montecarlo.engine.count_leq_rows`) that answers the
+  lower edge and every width class's upper edge of every trial at once.
+  The search is row-local rather than the engine's banded
+  ``searchsorted``: banding shifts each trial by an offset that depends
+  on its position in the group, and the rounding of that shift could
+  flip a tie, so a die's counts would depend on the group it ran in;
 * all device-width classes of a die are answered from the *same* sampled
   tracks (they physically share them — the paper's correlation insight),
   where the per-die loop must re-sample per width.
@@ -91,6 +94,7 @@ from repro.growth.wafer import DieSite, WaferMap
 from repro.montecarlo.engine import (
     BLOCK,
     DEFAULT_BATCH_ELEMENTS,
+    count_leq_rows,
     default_trial_chunk,
     estimate_gap_count,
     run_chunked,
@@ -244,35 +248,6 @@ class WaferYieldResult:
 # ----------------------------------------------------------------------
 
 
-def _blocked_count_leq(g3, prefix, bounds, xp: ArrayBackend):
-    """Per-row count of renewal positions ``<= bound`` via a two-level scan.
-
-    ``g3`` is the gap cube reshaped ``(rows, K, BLOCK)``, ``prefix`` the
-    inclusive block-prefix sums ``(rows, K)``, ``bounds`` one bound per
-    row.  The crossing block of each row is located on the block prefix,
-    then refined with a gather and a BLOCK-wide inner cumsum.  The count
-    is exact for the blockwise-evaluated positions (track ``t`` of block
-    ``j`` sits at ``prefix[j-1] + inner_cumsum``), including rows whose
-    whole budget lies below the bound (returns the full slot count) and
-    rows padded with ``inf`` (padding never counts).
-    """
-    n_blocks = prefix.shape[1]
-    if not xp.any(prefix[:, 0] <= bounds):
-        # Every bound sits inside the first block (true for the renewal
-        # convention's lower bounds, which live below one mean pitch):
-        # no crossing-block search, no gather — same result bitwise.
-        inner = xp.cumsum(g3[:, 0], axis=1)
-        return xp.sum(inner <= bounds[:, None], axis=1)
-    below = prefix <= bounds[:, None]
-    m = xp.clip(xp.sum(below, axis=1), 0, n_blocks - 1)
-    rows = xp.arange(prefix.shape[0])
-    start = xp.where(
-        m > 0, xp.take_pairs(prefix, rows, xp.clip(m - 1, 0, n_blocks - 1)), 0.0
-    )
-    inner = xp.cumsum(xp.take_pairs(g3, rows, m), axis=1)
-    return m * BLOCK + xp.sum(inner <= (bounds - start)[:, None], axis=1)
-
-
 @dataclass(frozen=True)
 class _WaferPayload:
     """Picklable spec of a wafer run, shared by every die group.
@@ -310,29 +285,23 @@ def _die_relaxations(
     ])
 
 
-def _simulate_die_group(
-    payload: _WaferPayload, sites: Sequence[DieSite]
-) -> List[DieYieldEstimate]:
-    """Simulate one group of dies as a single stacked (die·trial, track) pass.
+def _draw_die_group(
+    payload: _WaferPayload,
+    sites: Sequence[DieSite],
+    pitches: Sequence[PitchDistribution],
+    budgets: Sequence[int],
+    xp: ArrayBackend,
+):
+    """Draw a die group's window offsets and stacked gap block.
 
-    Per die only the draws (offsets, gaps, rare exact top-ups) touch the
-    Python level; block prefixes and the per-width counts run once over
-    the whole stack.  Every per-die quantity depends only on that die's
-    own stream and budget, so group composition cannot change results.
+    Returns the per-trial lower window edges ``lo``, the ``(trials,
+    max(budgets))`` gap block — each die's rows padded with ``+inf`` past
+    its own budget — and the die streams, left where the top-ups resume.
     """
-    xp = payload.backend if payload.backend is not None else default_backend()
     n_trials = payload.n_trials
-    widths = payload.widths_nm
-    w_max = max(widths)
-    n_dies = len(sites)
-
-    pitches = [payload.pitch.with_mean(site.mean_pitch_nm) for site in sites]
-    budgets = [tight_gap_budget(p, w_max) for p in pitches]
     s_max = max(budgets)
-    n_rows = n_dies * n_trials
-
-    gaps = xp.empty((n_rows, s_max))
-    lo = xp.zeros(n_rows)
+    gaps = xp.empty((len(sites) * n_trials, s_max))
+    lo = xp.zeros(len(sites) * n_trials)
     streams = []
     for i, (site, pitch) in enumerate(zip(sites, pitches)):
         rng = die_stream(payload.seed_key, site)
@@ -352,62 +321,91 @@ def _simulate_die_group(
             # Padding slots never count: +inf sits above every bound.
             gaps[rows, budgets[i]:] = np.inf
         streams.append(rng)
+    return lo, gaps, streams
 
-    g3 = xp.reshape(gaps, (n_rows, s_max // BLOCK, BLOCK))
-    # Block sums as a matvec with ones: same reduction, ~3x faster than a
-    # short-axis ``sum`` (NumPy's reduce is slow on 8-wide inner loops).
-    prefix = xp.cumsum(g3 @ xp.full((BLOCK,), 1.0), axis=1)
 
-    n_lo = xp.to_numpy(_blocked_count_leq(g3, prefix, lo, xp))
-    n_hi = np.empty((len(widths), n_rows), dtype=np.int64)
-    for q, width in enumerate(widths):
-        n_hi[q] = xp.to_numpy(
-            _blocked_count_leq(g3, prefix, lo + width, xp)
-        )
+def _simulate_die_group(
+    payload: _WaferPayload, sites: Sequence[DieSite]
+) -> List[DieYieldEstimate]:
+    """Simulate one group of dies as a single stacked (die·trial, track) pass.
+
+    Per die only the draws (offsets, gaps, rare exact top-ups) touch the
+    Python level; the cumsum and the count of every bound of every trial
+    run once over the whole stack.  Every per-die quantity depends only
+    on that die's own stream, budget and rows, so group composition
+    cannot change results.
+    """
+    xp = payload.backend if payload.backend is not None else default_backend()
+    n_trials = payload.n_trials
+    widths = payload.widths_nm
+    w_max = max(widths)
+    n_dies = len(sites)
+
+    pitches = [payload.pitch.with_mean(site.mean_pitch_nm) for site in sites]
+    budgets = [tight_gap_budget(p, w_max) for p in pitches]
+    lo, gaps, streams = _draw_die_group(payload, sites, pitches, budgets, xp)
+
+    # One row-local cumsum turns each trial's gaps into track positions.
+    # Dropping the summed gaps before the search keeps the group's peak
+    # memory at two gap blocks.
+    positions = xp.cumsum(gaps, axis=1)
+    del gaps
+    # Column 0 of the bound matrix is each trial's lower window edge and
+    # column 1 + q its upper edge for width class q, all on one track set.
+    bounds = lo[:, None] + xp.cast_like((0.0,) + widths, lo)
+    counts = xp.to_numpy(count_leq_rows(positions, bounds, xp))
 
     # Exact top-up: trials whose budget did not clear their widest window
     # continue drawing BLOCK-wide chunks from their own die stream.  Extra
-    # tracks sit strictly above the die's cleared total, so adding
-    # ``#(extra <= hi_q) - #(extra <= lo)`` is a no-op for every window
-    # the main budget already cleared.
-    lo_np = xp.to_numpy(lo).astype(float)
-    for i, site in enumerate(sites):
-        rows = slice(i * n_trials, (i + 1) * n_trials)
-        k_i = budgets[i] // BLOCK
-        total = xp.to_numpy(prefix[rows, k_i - 1]).astype(float)
-        hi_max = lo_np[rows] + w_max
-        alive = np.flatnonzero(total <= hi_max)
-        run = total[alive]
+    # tracks sit strictly above the die's cleared total, so counting them
+    # against every bound is a no-op for the windows the main budget
+    # already cleared.  The draws run die by die; the appended blocks are
+    # counted together afterwards.
+    bounds_np = np.asarray(xp.to_numpy(bounds), dtype=float)
+    hi_max = bounds_np[:, 1 + int(np.argmax(widths))]
+    tails, tail_rows = [], []
+    for i in range(n_dies):
+        first = i * n_trials
+        total = np.asarray(
+            xp.to_numpy(positions[first:first + n_trials, budgets[i] - 1]),
+            dtype=float,
+        )
+        keep = total <= hi_max[first:first + n_trials]
+        alive, run = first + np.flatnonzero(keep), total[keep]
         while alive.size:
+            drawn = xp.sample_gaps(pitches[i], (alive.size, BLOCK), streams[i])
             extra = np.cumsum(
-                xp.to_numpy(
-                    xp.sample_gaps(pitches[i], (alive.size, BLOCK), streams[i])
-                ).astype(float),
-                axis=1,
+                np.asarray(xp.to_numpy(drawn), dtype=float), axis=1
             ) + run[:, None]
-            sel = i * n_trials + alive
-            for q, width in enumerate(widths):
-                n_hi[q, sel] += (
-                    extra <= (lo_np[sel] + width)[:, None]
-                ).sum(axis=1)
-            n_lo[sel] += (extra <= lo_np[sel][:, None]).sum(axis=1)
-            run = extra[:, -1]
-            keep = run <= hi_max[alive]
-            alive = alive[keep]
-            run = run[keep]
+            tails.append(extra)
+            tail_rows.append(alive)
+            keep = extra[:, -1] <= hi_max[alive]
+            alive, run = alive[keep], extra[keep, -1]
+    if tails:
+        tail_rows = np.concatenate(tail_rows)
+        tail_counts = count_leq_rows(
+            xp.asarray(np.concatenate(tails)),
+            xp.asarray(bounds_np[tail_rows]),
+            xp,
+        )
+        np.add.at(counts, tail_rows, xp.to_numpy(tail_counts))
 
-    counts = (n_hi - n_lo[None, :]).reshape(len(widths), n_dies, n_trials)
-    n = counts.astype(float)
+    # The value of a trial depends only on its count, so it is looked up
+    # in a per-count table instead of evaluated per (class, die, trial).
+    n_cnt = (counts[:, 1:] - counts[:, :1]).T
+    k = np.arange(int(n_cnt.max()) + 1, dtype=float)
+    pf = payload.per_cnt_failure
     q = payload.short_probability
     if q > 0.0:
         # Joint opens+shorts conditional of repro.device.shorts:
         # 1 - (1 - q)**N + (pf - q)**N given the sampled counts.
-        values = (
-            1.0 - np.power(1.0 - q, n)
-            + np.power(payload.per_cnt_failure - q, n)
-        )
+        table = 1.0 - np.power(1.0 - q, k) + np.power(pf - q, k)
     else:
-        values = np.power(payload.per_cnt_failure, n)
+        table = np.power(pf, k)
+    # ``take`` writes C order (indexing would keep the transpose's
+    # layout), so each (class, die) trial slice is contiguous and its
+    # reductions sum in the same order as in any other group.
+    values = np.take(table, n_cnt).reshape(len(widths), n_dies, n_trials)
     return _assemble_group(sites, values, payload)
 
 

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.montecarlo.engine as engine
 from repro.cells.nangate45 import build_nangate45_library
@@ -17,6 +19,7 @@ from repro.montecarlo.engine import (
     chunk_sizes,
     count_in_windows,
     count_in_windows_flat,
+    count_leq_rows,
     run_chunked,
     sample_track_batch,
     sample_track_counts,
@@ -255,6 +258,90 @@ class TestCountInWindows:
                 batch.valid,
                 np.zeros((3, 2)),
                 np.ones((3, 2)),
+            )
+
+
+def _searchsorted_oracle(positions, bounds):
+    """Per-row ``searchsorted(side="right")``: the count of slots <= bound."""
+    return np.array([
+        np.searchsorted(row, b, side="right")
+        for row, b in zip(positions, bounds)
+    ])
+
+
+def _padded_rows(rng, n_rows, n_slots, dtype):
+    """Sorted rows of positive-gap cumsums, each ending in random +inf padding.
+
+    Returns the rows and each row's number of finite slots.
+    """
+    positions = np.cumsum(rng.exponential(4.0, (n_rows, n_slots)), axis=1)
+    positions = positions.astype(dtype)
+    filled = rng.integers(1, n_slots + 1, size=n_rows)
+    positions[np.arange(n_slots)[None, :] >= filled[:, None]] = np.inf
+    return positions, filled
+
+
+def _edge_bounds(rng, positions, filled):
+    """Float64 bounds below every slot, above every slot and on a slot.
+
+    Returns the bounds and the counts they must produce.
+    """
+    n_rows = positions.shape[0]
+    above = float(np.max(np.where(np.isinf(positions), 0.0, positions))) + 1.0
+    slot = rng.integers(0, filled)
+    bounds = np.column_stack([
+        np.full(n_rows, -1.0),
+        np.full(n_rows, above),
+        positions[np.arange(n_rows), slot],
+    ])
+    return bounds, np.column_stack([np.zeros(n_rows), filled, slot + 1])
+
+
+class TestCountLeqRows:
+    """The wafer tier's row-local search against a per-row oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 40),
+        n_slots=st.integers(1, 70),
+        n_between=st.integers(0, 5),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_matches_searchsorted(self, seed, n_rows, n_slots, n_between, dtype):
+        rng = np.random.default_rng(seed)
+        positions, filled = _padded_rows(rng, n_rows, n_slots, dtype)
+        edges, _ = _edge_bounds(rng, positions, filled)
+        between = rng.uniform(-1.0, edges[0, 1], (n_rows, n_between))
+        # Bounds stay float64 whatever the rows' dtype.
+        bounds = np.column_stack([edges, between])
+        np.testing.assert_array_equal(
+            count_leq_rows(positions, bounds),
+            _searchsorted_oracle(positions, bounds),
+        )
+
+    @pytest.mark.parametrize("n_slots", [1, 2, 3, 7, 8, 9, 56, 64, 65])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_edges_at_every_width(self, n_slots, dtype):
+        rng = np.random.default_rng(n_slots)
+        positions, filled = _padded_rows(rng, 25, n_slots, dtype)
+        bounds, expected = _edge_bounds(rng, positions, filled)
+        np.testing.assert_array_equal(count_leq_rows(positions, bounds), expected)
+
+    def test_bound_equal_to_float32_slot_is_inclusive(self):
+        positions = np.array([[1.5, 2.25, 7.0, np.inf]], dtype=np.float32)
+        bounds = np.array([[1.5, 2.25, 2.2499999, 7.0, 1e30]])
+        np.testing.assert_array_equal(
+            count_leq_rows(positions, bounds), [[1, 2, 1, 3, 3]]
+        )
+
+    def test_row_counts_independent_of_batch(self, rng):
+        positions, _ = _padded_rows(rng, 30, 24, np.float64)
+        bounds = rng.uniform(-1.0, 120.0, (30, 4))
+        whole = count_leq_rows(positions, bounds)
+        for r in (0, 17, 29):
+            np.testing.assert_array_equal(
+                count_leq_rows(positions[r:r + 1], bounds[r:r + 1]), whole[r:r + 1]
             )
 
 

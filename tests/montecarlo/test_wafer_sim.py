@@ -1,14 +1,17 @@
 """Tests for the stacked wafer-level Monte Carlo runner."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
+import repro.montecarlo.wafer_sim as wafer_sim
+from repro.backend import NumpyBackend, get_backend
 from repro.growth.pitch import ExponentialPitch, GammaPitch
 from repro.growth.types import CNTTypeModel
 from repro.growth.wafer import WaferGrowthModel, WaferMap
+from repro.montecarlo.engine import BLOCK, tight_gap_budget
 from repro.montecarlo.wafer_sim import (
     die_stream,
     per_die_loop,
@@ -351,3 +354,113 @@ class TestCorrelatedFieldWaferRuns:
             COUNTS, n_trials=64, seed_key=(31,),
         )
         assert a.dice == b.dice
+
+
+class TestBitwisePins:
+    """SHA-256 digests of whole wafer runs.
+
+    A counting-kernel change that moves any count of any trial changes a
+    digest.  The backend is pinned to float64, so the pins hold under
+    every ``REPRO_DTYPE``.
+    """
+
+    DIGESTS = {
+        "exponential":
+            "42f98c32f43269187dda217e3d21b4d4e29bf61e44dae9211f66d4c9a97880df",
+        "gamma_cv05":
+            "9a91539181b4617161272e92ac7b75f700081dab6a6d01757c1f9d221afc1b3b",
+        "shorts":
+            "090b94c5b6ceaf466de98e9ae8f042c30a4d82342e994b214574534923e27844",
+        "misaligned":
+            "f29580492b6a5345efd806260a48e55ba6589159b075bcf1d6c74009d57e0658",
+    }
+
+    @pytest.fixture(scope="class")
+    def field_wafer(self):
+        from repro.growth.spatial import SpatialFieldSpec
+
+        return WaferGrowthModel(
+            center_pitch_nm=4.0,
+            die_size_mm=20.0,
+            density_field=SpatialFieldSpec(sigma=0.05,
+                                           correlation_length_mm=25.0),
+            misalignment_field=SpatialFieldSpec(sigma=1.0,
+                                                correlation_length_mm=30.0),
+        ).generate(seed_key=(13,))
+
+    @pytest.fixture(scope="class")
+    def configs(self, sparse_type_model):
+        from repro.analysis.mispositioned import MisalignmentImpactModel
+
+        return {
+            "exponential": dict(pitch=ExponentialPitch(4.0),
+                                type_model=sparse_type_model),
+            # Per-die budgets differ here, so the +inf padding is counted.
+            "gamma_cv05": dict(pitch=GammaPitch(4.0, 0.5),
+                               type_model=sparse_type_model),
+            "shorts": dict(pitch=ExponentialPitch(4.0),
+                           type_model=CNTTypeModel(1.0 / 3.0, 0.9, 0.3)),
+            "misaligned": dict(
+                pitch=ExponentialPitch(4.0), type_model=sparse_type_model,
+                misalignment=MisalignmentImpactModel(
+                    band_width_nm=103.0, cnt_length_um=200.0,
+                    min_cnfet_density_per_um=1.8,
+                ),
+            ),
+        }
+
+    def test_gamma_budgets_differ_between_dies(self, field_wafer):
+        pitch = GammaPitch(4.0, 0.5)
+        budgets = {
+            tight_gap_budget(pitch.with_mean(s.mean_pitch_nm), max(WIDTHS))
+            for s in field_wafer.sites
+        }
+        assert len(budgets) > 1
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_dice_digest(self, field_wafer, configs, name):
+        result = simulate_wafer(
+            field_wafer, widths_nm=WIDTHS, device_counts=COUNTS,
+            n_trials=128, seed_key=(41,),
+            backend=get_backend("numpy", dtype="float64"), **configs[name],
+        )
+        digest = hashlib.sha256(repr(result.dice).encode()).hexdigest()
+        assert digest == self.DIGESTS[name]
+
+
+class _RowCountingBackend(NumpyBackend):
+    """NumPy float64 backend that counts the trial rows it draws gaps for."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows_drawn = 0
+
+    def sample_gaps(self, pitch, shape, rng, out=None):
+        self.rows_drawn += shape[0]
+        return super().sample_gaps(pitch, shape, rng, out)
+
+
+def test_one_block_budget_tops_up_most_trials_and_stays_exact(
+    monkeypatch, wafer, sparse_type_model
+):
+    # With a single-block first draw nearly every trial needs top-up
+    # rounds; the appended blocks are counted exactly, so each class
+    # still matches the Poisson closed form of exponential gaps.
+    monkeypatch.setattr(wafer_sim, "tight_gap_budget", lambda pitch, span: BLOCK)
+    backend = _RowCountingBackend()
+    widths = (30.0, 60.0)
+    n_trials = 2_000
+    result = simulate_wafer(
+        wafer, ExponentialPitch(4.0), sparse_type_model, widths,
+        n_trials=n_trials, seed_key=(43,), backend=backend,
+    )
+    first_draw_rows = result.die_count * n_trials
+    assert backend.rows_drawn - first_draw_rows > first_draw_rows
+    pf = sparse_type_model.per_cnt_failure_probability
+    for q, width in enumerate(widths):
+        lam = np.array([width / d.mean_pitch_nm for d in result.dice])
+        mean = np.exp(-lam * (1.0 - pf))
+        var = np.exp(-lam * (1.0 - pf * pf)) - mean ** 2
+        total = sum(d.failure_probabilities[q] for d in result.dice)
+        z = (total - mean.sum()) / math.sqrt(var.sum() / n_trials)
+        assert abs(z) < 5.0
