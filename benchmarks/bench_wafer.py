@@ -92,7 +92,7 @@ def _width_class_case(wafer, pitch, type_model, n_trials: int,
 
     loop_s = _time(lambda: per_die_loop(*args, **kwargs))
     stacked_s = _time(lambda: simulate_wafer(*args, **kwargs))
-    f32 = get_backend("numpy", dtype="float32")
+    f32 = get_backend(dtype="float32")
     stacked32_s = _time(lambda: simulate_wafer(*args, backend=f32, **kwargs))
 
     stacked = simulate_wafer(*args, **kwargs)

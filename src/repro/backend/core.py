@@ -1,35 +1,32 @@
-"""Array backend protocol, dtype policy, chunk buffer pool and registry.
+"""The NumPy backend: dtype policy, chunk buffer pool and the engine's steps.
 
 The batched Monte Carlo engine is an array program: one 2D gap draw, a
 ``cumsum``, a banded ``searchsorted``, prefix sums, and a handful of
-gathers.  The engine is written against the small namespace protocol
-defined here instead of against ``numpy`` directly, so the dtype policy
-and buffer reuse live in one place.
+gathers.  :class:`NumpyBackend` carries the steps of that program that
+need more than a plain NumPy call — everything else the kernels call on
+NumPy directly.  A method lives here only when it does at least one of:
 
-:class:`ArrayBackend` is that protocol.  A backend bundles three things:
-
-* the *array namespace* — ``cumsum``, ``searchsorted``, ``take``,
-  ``concatenate`` … (elementwise arithmetic and comparisons go through the
-  arrays' own operators and need no dispatch);
-* the *RNG adapter* — :meth:`ArrayBackend.uniform` and
-  :meth:`ArrayBackend.sample_gaps` turn the caller's
-  :class:`numpy.random.Generator` (the single source of randomness, keyed
-  by ``spawn_key`` for reproducible chunking) into draws;
-* the *dtype policy* — ``dtype`` is the storage/compute dtype of track
-  positions and values (float64 reference, float32 for half-bandwidth
-  runs), ``accum_dtype`` the dtype of the reductions that are sensitive
-  to rounding (window prefix sums and likelihood-ratio accumulation),
-  float64 by default even under a float32 storage policy.
+* applies the *dtype policy* — ``dtype`` is the storage/compute dtype of
+  track positions and values (float64 reference, float32 for
+  half-bandwidth runs), ``accum_dtype`` the dtype of the reductions that
+  are sensitive to rounding (window prefix sums and likelihood-ratio
+  accumulation), float64 by default even under a float32 storage policy;
+* is served by the *buffer pool* (below);
+* is one of the steps the repository benchmark's timing subclass
+  (``perfbench/tracing.py``) overrides to time: :meth:`~NumpyBackend.uniform`,
+  :meth:`~NumpyBackend.sample_gaps`, :meth:`~NumpyBackend.cumsum`,
+  :meth:`~NumpyBackend.clip`, :meth:`~NumpyBackend.searchsorted`,
+  :meth:`~NumpyBackend.take_pairs` and :meth:`~NumpyBackend.prefix_sum`.
 
 Bit-identity contract
 ---------------------
-The NumPy backend at float64 must be *bit-identical* to the same engine
-written in plain NumPy: every method maps to exactly one NumPy call, in
-the same order, and the RNG adapter passes the caller's
-generator straight through (draws always happen in the generator's native
-float64 and are cast to the policy dtype afterwards, so the float32 and
-float64 policies consume identical streams).  The conformance suite under
-``tests/backend/`` pins this down.
+At float64 the backend is *bit-identical* to the same engine written in
+plain NumPy: every method is one NumPy call (two for the float32 cast of
+a draw), and the RNG steps pass the caller's
+:class:`numpy.random.Generator` straight through (draws always happen in
+the generator's native float64 and are cast to the policy dtype
+afterwards, so the float32 and float64 policies consume identical
+streams).  The conformance suite under ``tests/backend/`` pins this down.
 
 Buffer pool
 -----------
@@ -47,9 +44,9 @@ live array.  Slabs are per thread and persist across scopes until
 
 Selection
 ---------
-``get_backend()`` resolves a backend by name — explicitly, or from the
-``REPRO_BACKEND`` environment variable (default ``numpy``); the dtype
-policy likewise from ``REPRO_DTYPE`` (default ``float64``).
+``get_backend()`` resolves the dtype policy explicitly or from the
+``REPRO_DTYPE`` environment variable (default ``float64``), and the
+accumulator dtype likewise from ``REPRO_ACCUM_DTYPE``.
 """
 
 from __future__ import annotations
@@ -58,19 +55,18 @@ import os
 import sys
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 __all__ = [
-    "ArrayBackend",
+    "NumpyBackend",
     "POOL_MIN_BYTES",
-    "available_backends",
+    "backend_signature",
     "buffer_pool",
     "default_backend",
     "get_backend",
     "match_dtype",
-    "register_backend",
     "release_buffers",
     "resolve_dtype",
 ]
@@ -204,88 +200,45 @@ def _pooled(shape, dtype) -> Optional[np.ndarray]:
     return slab[:nbytes].view(dtype).reshape(shape)
 
 
-class ArrayBackend:
-    """Namespace protocol the engine's array programs are written against.
+class NumpyBackend:
+    """The engine's array steps on NumPy under one dtype policy.
 
-    The base class implements the whole protocol in terms of ``self.xp``,
-    an array module with NumPy semantics.  The engine's steps
-    (``searchsorted`` side flags, prefix sums, paired gathers, RNG) are
-    the named methods below; everything elementwise stays on the arrays'
-    operators.  Inside a :func:`buffer_pool` scope the outputs of
-    ``empty`` (and so of the NumPy ``uniform``), ``cumsum``,
-    ``concatenate``, ``clip`` and ``prefix_sum`` come from the pool; the
-    signatures are the same either way.
+    Inside a :func:`buffer_pool` scope the outputs of ``empty`` (and so
+    of ``uniform``), ``cumsum``, ``concatenate``, ``clip`` and
+    ``prefix_sum`` come from the pool; the signatures are the same
+    either way.
     """
 
-    #: registry name; subclasses override.
-    name: str = "abstract"
+    #: Backend name recorded in checkpoint fingerprints and run records.
+    name = "numpy"
 
     def __init__(self, dtype=np.float64, accum_dtype=np.float64) -> None:
         self.dtype = resolve_dtype(dtype)
         self.accum_dtype = resolve_dtype(accum_dtype)
 
-    # -- identity / transport ------------------------------------------------
-
-    @property
-    def xp(self):  # pragma: no cover - subclasses bind a module
-        """The backing array module."""
-        raise NotImplementedError
-
-    def asarray(self, a, dtype=None):
-        """Backend array from ``a``; ``dtype=None`` keeps the input dtype."""
-        return self.xp.asarray(a, dtype=dtype)
-
-    def to_numpy(self, a) -> np.ndarray:
-        """NumPy array from a backend array (host transfer when needed)."""
-        return np.asarray(a)
-
-    def cast_like(self, values, like):
-        """Backend counterpart of :func:`match_dtype`."""
-        return self.xp.asarray(values, dtype=like.dtype)
-
-    # -- creation ------------------------------------------------------------
-
-    def zeros(self, shape, dtype=None):
-        """Zero-filled backend array; ``dtype=None`` uses the policy dtype."""
-        return self.xp.zeros(shape, dtype=dtype or self.dtype)
-
-    def empty(self, shape, dtype=None):
-        """Uninitialised backend array; ``dtype=None`` uses the policy dtype."""
+    def empty(self, shape, dtype=None) -> np.ndarray:
+        """Uninitialised array; ``dtype=None`` uses the policy dtype."""
         dtype = dtype or self.dtype
         out = _pooled(shape, dtype)
-        return out if out is not None else self.xp.empty(shape, dtype=dtype)
+        return out if out is not None else np.empty(shape, dtype=dtype)
 
-    def full(self, shape, fill_value, dtype=None):
-        """Constant-filled backend array; ``dtype=None`` uses the policy dtype."""
-        return self.xp.full(shape, fill_value, dtype=dtype or self.dtype)
-
-    def arange(self, n, dtype=None):
-        """``[0, n)`` index vector on the backend."""
-        return self.xp.arange(n, dtype=dtype)
-
-    def where(self, cond, a, b):
-        """Elementwise ``a if cond else b`` on the backend."""
-        return self.xp.where(cond, a, b)
-
-    # -- the engine's array program ------------------------------------------
-
-    def cumsum(self, a, axis):
+    def cumsum(self, a, axis) -> np.ndarray:
         """Inclusive cumulative sum along ``axis``."""
         # Only float sums are pooled: NumPy widens bool and small-integer
         # sums to the platform integer.
         out = _pooled(a.shape, a.dtype) if a.dtype.kind == "f" else None
-        return self.xp.cumsum(a, axis=axis, out=out)
+        return np.cumsum(a, axis=axis, out=out)
 
-    def concatenate(self, arrays, axis):
-        """Concatenate backend arrays along ``axis``."""
+    def concatenate(self, arrays, axis) -> np.ndarray:
+        """Concatenate arrays along ``axis``."""
         out = None
         if _POOL.depth:  # outside a scope, skip working out the shape
             shape = list(arrays[0].shape)
             shape[axis] = sum(a.shape[axis] for a in arrays)
             out = _pooled(shape, np.result_type(*arrays))
-        return self.xp.concatenate(arrays, axis=axis, out=out)
+        return np.concatenate(arrays, axis=axis, out=out)
 
-    def clip(self, a, lo, hi):
+    def clip(self, a, lo, hi) -> np.ndarray:
         """Elementwise clamp of ``a`` into ``[lo, hi]``."""
         out = None
         if _POOL.depth:  # outside a scope, skip working out the shape
@@ -293,26 +246,22 @@ class ArrayBackend:
                 np.broadcast_shapes(a.shape, np.shape(lo), np.shape(hi)),
                 np.result_type(a, lo, hi),
             )
-        return self.xp.clip(a, lo, hi, out=out)
+        return np.clip(a, lo, hi, out=out)
 
-    def searchsorted(self, a, v, side):
+    def searchsorted(self, a, v, side) -> np.ndarray:
         """Insertion indices of ``v`` into sorted ``a``.
 
         ``v`` must already share ``a``'s dtype (see :func:`match_dtype`);
         the conformance suite asserts the engine never relies on implicit
         promotion here.
         """
-        return self.xp.searchsorted(a, v, side=side)
+        return np.searchsorted(a, v, side=side)
 
-    def take(self, a, indices):
-        """Gather ``a[indices]`` (flat take)."""
-        return self.xp.take(a, indices)
-
-    def take_pairs(self, a, rows, cols):
+    def take_pairs(self, a, rows, cols) -> np.ndarray:
         """``a[rows, cols]`` for a 2D array and paired index vectors."""
         return a[rows, cols]
 
-    def prefix_sum(self, values, size=None):
+    def prefix_sum(self, values, size=None) -> np.ndarray:
         """Zero-prefixed inclusive cumulative sum in the accumulator dtype.
 
         Returns an array of length ``len(values) + 1`` whose element ``i``
@@ -325,125 +274,90 @@ class ArrayBackend:
             dtype=self.accum_dtype,
         )
         out[0] = 0
-        self.xp.cumsum(values, out=out[1:])
+        np.cumsum(values, out=out[1:])
         return out
 
-    def sum(self, a, axis=None):
-        """Sum reduction over ``axis`` (all elements when ``None``)."""
-        return self.xp.sum(a, axis=axis)
+    def uniform(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """U(0, 1) draws from the caller's generator, cast to the policy dtype.
 
-    def any(self, a) -> bool:
-        """True when any element of ``a`` is truthy (host bool)."""
-        return bool(self.xp.any(a))
-
-    def exp(self, a):
-        """Elementwise exponential."""
-        return self.xp.exp(a)
-
-    def power(self, base, exponent):
-        """Elementwise ``base ** exponent``."""
-        return self.xp.power(base, exponent)
-
-    def reshape(self, a, shape):
-        """View ``a`` with a new ``shape``."""
-        return self.xp.reshape(a, shape)
-
-    def ravel(self, a):
-        """Flattened view (or copy) of ``a``."""
-        return self.xp.ravel(a)
-
-    # -- RNG adapter ---------------------------------------------------------
-
-    def uniform(self, rng: np.random.Generator, shape):
-        """U(0, 1) draws of ``shape`` as a backend array.
-
-        Always consumes the caller's generator in its native float64, so
-        the float32 policy sees the *same* stream, cast.
+        Always consumes the generator in its native float64, so the
+        float32 policy sees the *same* stream, cast.  The float64 draw,
+        and under the float32 policy its cast, go into :meth:`empty`
+        buffers, so a buffer pool scope serves both.
         """
-        raise NotImplementedError
+        u = rng.random(shape, out=self.empty(shape, dtype=np.float64))
+        if u.dtype == self.dtype:
+            return u
+        out = self.empty(shape)
+        out[...] = u
+        return out
 
     def sample_gaps(self, pitch, shape, rng: np.random.Generator, out=None):
         """Inter-CNT gap draws from ``pitch`` of ``shape``, policy dtype.
 
         ``out`` is an optional pre-allocated destination (a view into a
-        stacked batch, or a pooled :meth:`empty`); backends may ignore it
-        and return a fresh array — callers must use the *returned* array
-        either way.
+        stacked batch, or a pooled :meth:`empty`).  Exponential and gamma
+        families under the float64 policy draw straight into it; any other
+        case returns a fresh array, so callers must use the *returned*
+        array either way.  The drawn values are identical on both paths.
         """
-        raise NotImplementedError
+        if out is not None and self.dtype == np.dtype(np.float64):
+            # ``Generator.exponential(scale)`` / ``gamma(k, scale)`` are
+            # exactly ``standard_* * scale`` on the same stream, so the
+            # values (not just the law) match the generic path.
+            from repro.growth.pitch import ExponentialPitch, GammaPitch
 
-    # -- plumbing ------------------------------------------------------------
+            if isinstance(pitch, ExponentialPitch):
+                rng.standard_exponential(size=shape, out=out)
+                out *= pitch.mean_pitch_nm
+                return out
+            if isinstance(pitch, GammaPitch):
+                rng.standard_gamma(pitch.shape, size=shape, out=out)
+                out *= pitch.scale_nm
+                return out
+        gaps = pitch.sample_batch(shape, rng)
+        return np.asarray(gaps, dtype=self.dtype)
 
     def __reduce__(self):
         # Backends ride inside picklable chunk payloads dispatched to
-        # process pools; reconstruct by name so workers re-resolve the
-        # runtime locally instead of shipping module handles.
-        return (get_backend, backend_signature(self))
+        # process pools; workers rebuild them through the cache.
+        return (get_backend, (self.dtype.name, self.accum_dtype.name))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"{type(self).__name__}(name={self.name!r}, dtype={self.dtype.name}, "
+            f"{type(self).__name__}(dtype={self.dtype.name}, "
             f"accum_dtype={self.accum_dtype.name})"
         )
 
 
-_REGISTRY: Dict[str, Callable[[np.dtype, np.dtype], ArrayBackend]] = {}
-_CACHE: Dict[Tuple[str, str, str], ArrayBackend] = {}
+_CACHE: Dict[Tuple[str, str], NumpyBackend] = {}
 
 
-def register_backend(
-    name: str, factory: Callable[[np.dtype, np.dtype], ArrayBackend]
-) -> None:
-    """Register a backend factory under ``name`` (used by :func:`get_backend`)."""
-    _REGISTRY[name] = factory
+def get_backend(dtype=None, accum_dtype=None) -> NumpyBackend:
+    """The backend of a dtype policy.
 
-
-def available_backends() -> Tuple[str, ...]:
-    """Names accepted by :func:`get_backend` (availability checked lazily)."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_backend(
-    name: Optional[str] = None,
-    dtype=None,
-    accum_dtype=None,
-) -> ArrayBackend:
-    """Resolve a backend by name and dtype policy.
-
-    ``None`` arguments fall back to the ``REPRO_BACKEND`` / ``REPRO_DTYPE``
-    environment variables and then to ``numpy`` / ``float64``.  Instances
-    are cached per (name, dtype, accum_dtype) — backends are stateless
-    (the buffer pool is per thread, not per backend).
+    ``None`` arguments fall back to the ``REPRO_DTYPE`` /
+    ``REPRO_ACCUM_DTYPE`` environment variables and then to ``float64``.
+    Instances are cached per (dtype, accum_dtype) — backends are
+    stateless (the buffer pool is per thread, not per backend).
     """
-    if name is None:
-        name = os.environ.get("REPRO_BACKEND", "numpy")
     if dtype is None:
         dtype = os.environ.get("REPRO_DTYPE", "float64")
-    dt = resolve_dtype(dtype)
     if accum_dtype is None:
         accum_dtype = os.environ.get("REPRO_ACCUM_DTYPE", "float64")
-    accum = resolve_dtype(accum_dtype)
-    key = (name, dt.name, accum.name)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; known backends: {available_backends()}"
-        ) from None
-    backend = factory(dt, accum)
-    _CACHE[key] = backend
+    key = (resolve_dtype(dtype).name, resolve_dtype(accum_dtype).name)
+    backend = _CACHE.get(key)
+    if backend is None:
+        backend = _CACHE[key] = NumpyBackend(*key)
     return backend
 
 
-def default_backend() -> ArrayBackend:
-    """The environment-selected backend (``numpy``/``float64`` by default)."""
+def default_backend() -> NumpyBackend:
+    """The environment-selected backend (float64 by default)."""
     return get_backend()
 
 
-def backend_signature(backend: Optional[ArrayBackend]) -> Tuple[str, str, str]:
+def backend_signature(backend: Optional[NumpyBackend]) -> Tuple[str, str, str]:
     """``(name, dtype, accum_dtype)`` of the backend a run executes on.
 
     ``None`` resolves the environment default, which is what the chunk
@@ -451,5 +365,5 @@ def backend_signature(backend: Optional[ArrayBackend]) -> Tuple[str, str, str]:
     fingerprints include this triple, so a run under ``REPRO_DTYPE=float32``
     cannot resume a float64 campaign's units (and vice versa).
     """
-    xp = backend if backend is not None else default_backend()
-    return (xp.name, xp.dtype.name, xp.accum_dtype.name)
+    backend = backend if backend is not None else default_backend()
+    return (backend.name, backend.dtype.name, backend.accum_dtype.name)

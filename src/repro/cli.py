@@ -668,9 +668,7 @@ def _cmd_wafer(args: argparse.Namespace) -> int:
     pitch = pitch_distribution_from_cv(args.mean_pitch_nm, args.pitch_cv)
     type_model = _shorts_type_model(setup, args)
     misalignment = _build_misalignment_model(args, setup)
-    backend = get_backend(args.backend, dtype=args.dtype) if (
-        args.backend or args.dtype
-    ) else None
+    backend = get_backend(dtype=args.dtype) if args.dtype else None
     checkpoint_kwargs = _checkpoint_kwargs(args)
     runner = per_die_loop if args.per_die_loop else simulate_wafer
     if args.per_die_loop:
@@ -1217,9 +1215,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: Mmin split evenly)")
     wafer.add_argument("--trials", type=int, default=2048,
                        help="Monte Carlo trials per die (default 2048)")
-    wafer.add_argument("--backend", type=str, default=None,
-                       help="array backend (numpy; default: "
-                            "REPRO_BACKEND or numpy)")
     wafer.add_argument("--dtype", type=str, default=None,
                        help="dtype policy float64/float32 (default: "
                             "REPRO_DTYPE or float64)")

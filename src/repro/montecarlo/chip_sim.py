@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 import repro.montecarlo.rare_event as rare_event
-from repro.backend import ArrayBackend, backend_signature, default_backend
+from repro.backend import NumpyBackend, backend_signature, default_backend
 from repro.growth.pitch import GapTilt, PitchDistribution, pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.engine import (
@@ -150,7 +150,7 @@ class _ChipGeometry:
     window_weight: np.ndarray
     window_row: np.ndarray
     row_starts: np.ndarray
-    backend: Optional[ArrayBackend] = None
+    backend: Optional[NumpyBackend] = None
     short_probability: float = 0.0
     min_working_tubes: int = 1
 
@@ -199,19 +199,19 @@ def _chip_window_counts_joint(
     unchanged, as are the shared-kernel consumers (wafer tier, timing
     tier).
 
-    ``slot_values(rng, shape, xp)``, when given, draws one value per track
+    ``slot_values(rng, shape, backend)``, when given, draws one value per track
     slot (the timing tier's per-tube on-current); ``summed`` is then each
     window's sum of it over its working tubes, else ``None``.  The draw
     comes after the uniforms and gets its own weight row of the same
     search pass, so the counts are bitwise those of a run without it.
     """
-    xp = geometry.backend if geometry.backend is not None else default_backend()
+    backend = geometry.backend if geometry.backend is not None else default_backend()
     n_rows = geometry.n_rows
     batch = sample_track_batch(
         geometry.pitch, geometry.row_height_nm, n_chunk * n_rows, rng,
-        backend=xp,
+        backend=backend,
     )
-    u = xp.uniform(rng, batch.positions.shape)
+    u = backend.uniform(rng, batch.positions.shape)
     working = (u >= geometry.per_cnt_failure) & batch.valid
     # Opens, shorts and slot values share one banding and search pass,
     # one prefix sum per row.
@@ -220,7 +220,7 @@ def _chip_window_counts_joint(
         rows.append((u < geometry.short_probability) & batch.valid)
     del u  # frees its pooled buffer for the slot values or the window pass
     if slot_values is not None:
-        values = slot_values(rng, batch.positions.shape, xp)
+        values = slot_values(rng, batch.positions.shape, backend)
         values *= working
         rows.append(values)
 
@@ -229,15 +229,15 @@ def _chip_window_counts_joint(
         np.repeat(np.arange(n_chunk) * n_rows, n_windows)
         + np.tile(geometry.window_row, n_chunk)
     )
-    counts = xp.to_numpy(count_in_windows_flat(
+    counts = count_in_windows_flat(
         batch.positions,
         rows if len(rows) > 1 else working,
         geometry.row_height_nm,
         np.tile(geometry.window_lo, n_chunk),
         np.tile(geometry.window_hi, n_chunk),
         trial_index,
-        backend=xp,
-    )).reshape(-1, n_chunk, n_windows)
+        backend=backend,
+    ).reshape(-1, n_chunk, n_windows)
     shorts = counts[1] if geometry.short_probability > 0.0 else None
     summed = counts[-1] if slot_values is not None else None
     return counts[0], shorts, summed
@@ -326,7 +326,7 @@ def _simulate_chip_chunk_tilted(
     probabilities) and per-trial failing-device expectations.
     """
     geometry = payload.geometry
-    xp = geometry.backend if geometry.backend is not None else default_backend()
+    backend = geometry.backend if geometry.backend is not None else default_backend()
     n_rows = geometry.n_rows
     batch = sample_track_batch(
         payload.tilt.tilted,
@@ -334,7 +334,7 @@ def _simulate_chip_chunk_tilted(
         n_chunk * n_rows,
         rng,
         offset_mean_nm=payload.tilt.nominal.mean_nm,
-        backend=xp,
+        backend=backend,
     )
     n_windows = geometry.window_lo.size
     trial_index = (
@@ -344,20 +344,20 @@ def _simulate_chip_chunk_tilted(
     hi = np.tile(geometry.window_hi, n_chunk)
     counts, stop_index = count_in_windows_flat(
         batch.positions,
-        xp.asarray(batch.valid, dtype=xp.dtype),
+        np.asarray(batch.valid, dtype=backend.dtype),
         geometry.row_height_nm,
         np.tile(geometry.window_lo, n_chunk),
         hi,
         trial_index,
         return_stop_index=True,
-        backend=xp,
+        backend=backend,
     )
     log_w = rare_event.window_stopped_log_weights(
         batch, payload.tilt, hi, trial_index, stop_index=stop_index,
-        backend=xp,
+        backend=backend,
     )
-    values = xp.to_numpy(
-        xp.power(geometry.per_cnt_failure, counts) * xp.exp(log_w)
+    values = (
+        np.power(geometry.per_cnt_failure, counts) * np.exp(log_w)
     ).reshape(n_chunk, n_windows)
     row_sums = np.add.reduceat(values, geometry.row_starts, axis=1)
     device_sums = (values * geometry.window_weight).sum(axis=1)
@@ -387,10 +387,10 @@ class ChipMonteCarlo:
         Devices at or below this width are counted as "small" in the
         statistics (mirrors the Mmin bookkeeping of the analytical model).
     backend:
-        Array backend for the batched passes (see :mod:`repro.backend`).
-        ``None`` resolves the environment default at chunk-execution time
-        (``REPRO_BACKEND`` / ``REPRO_DTYPE``); an explicit backend pins the
-        run to it regardless of the environment.
+        Backend (dtype policy) of the batched passes (see
+        :mod:`repro.backend`).  ``None`` resolves the environment default
+        at chunk-execution time (``REPRO_DTYPE``); an explicit backend
+        pins the run to it regardless of the environment.
     min_working_tubes:
         Open threshold ``N_min``: a device fails open with fewer working
         tubes than this.  The short failure mode needs no extra knob here —
@@ -405,7 +405,7 @@ class ChipMonteCarlo:
         type_model: Optional[CNTTypeModel] = None,
         row_height_nm: Optional[float] = None,
         small_width_threshold_nm: float = 160.0,
-        backend: Optional[ArrayBackend] = None,
+        backend: Optional[NumpyBackend] = None,
         min_working_tubes: int = 1,
     ) -> None:
         self.placement = placement

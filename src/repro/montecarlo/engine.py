@@ -34,18 +34,18 @@ array programs over a leading ``(n_trials, ...)`` batch axis:
   ``n_workers=4`` consumes exactly the same per-chunk streams as a serial
   run and produces bitwise-identical statistics.
 
-Backend dispatch
-----------------
+Backend
+-------
 Every array kernel takes an optional ``backend``
-(:class:`repro.backend.ArrayBackend`); ``None`` resolves the
-environment-selected default (``REPRO_BACKEND`` / ``REPRO_DTYPE``, NumPy
-float64 out of the box).  The NumPy float64 path is bit-identical to a
-plain-NumPy re-implementation of the same sampler kept in the
-conformance suite under ``tests/backend/``; the float32 policy is held
-to tolerance there.  Search operands are explicitly cast to the positions
-dtype (:meth:`~repro.backend.ArrayBackend.cast_like`) — NumPy would
-silently promote a float32 haystack to float64 on every query batch —
-and band offsets are built in the positions dtype for the same reason.
+(:class:`repro.backend.NumpyBackend`); ``None`` resolves the
+environment-selected dtype policy (``REPRO_DTYPE``, float64 out of the
+box).  The float64 path is bit-identical to a plain-NumPy
+re-implementation of the same sampler kept in the conformance suite
+under ``tests/backend/``; the float32 policy is held to tolerance there.
+Search operands are explicitly cast to the positions dtype
+(:func:`~repro.backend.match_dtype`) — NumPy would silently promote a
+float32 haystack to float64 on every query batch — and band offsets are
+built in the positions dtype for the same reason.
 
 Workers receive ``(payload, n_chunk, stream)`` tuples through
 :func:`run_chunked`; the payload must be picklable (the simulators pass
@@ -60,7 +60,12 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, default_backend, release_buffers
+from repro.backend import (
+    NumpyBackend,
+    default_backend,
+    match_dtype,
+    release_buffers,
+)
 from repro.growth.pitch import PitchDistribution
 from repro.resilience.supervise import (
     SeededChunk,
@@ -169,7 +174,7 @@ def sample_track_batch(
     n_trials: int,
     rng: np.random.Generator,
     offset_mean_nm: Optional[float] = None,
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ) -> TrackBatch:
     """Sample the CNT tracks of ``n_trials`` independent rows in one pass.
 
@@ -191,40 +196,43 @@ def sample_track_batch(
     here while ``pitch`` itself is the tilted distribution, so the offset law
     is common to both measures and only the gaps enter the likelihood ratio.
     """
-    xp = backend if backend is not None else default_backend()
+    if backend is None:
+        backend = default_backend()
     ensure_positive(span_nm, "span_nm")
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     if offset_mean_nm is None:
         offset_mean_nm = pitch.mean_nm
     ensure_positive(offset_mean_nm, "offset_mean_nm")
-    start_offsets = xp.uniform(rng, n_trials) * offset_mean_nm
+    start_offsets = backend.uniform(rng, n_trials) * offset_mean_nm
     shape = (n_trials, tight_gap_budget(pitch, span_nm))
     # ``out`` lets the backend draw in place; the values are the same.
     # The gaps are not kept, so their buffer is free once summed.
-    positions = xp.cumsum(
-        xp.sample_gaps(pitch, shape, rng, out=xp.empty(shape)), axis=1
+    positions = backend.cumsum(
+        backend.sample_gaps(pitch, shape, rng, out=backend.empty(shape)), axis=1
     )
     positions -= start_offsets[:, None]
     last = positions[:, -1]
     short = last <= span_nm
-    block = xp.arange(BLOCK)[None, :]
+    block = np.arange(BLOCK)[None, :]
     tails = []
-    while xp.any(short):
+    while np.any(short):
         # Row r of the draw belongs to the r-th uncleared trial; cleared
         # trials gather an arbitrary row and mask it to a zero step.
-        rank = xp.cumsum(short, axis=0) - 1
+        rank = backend.cumsum(short, axis=0) - 1
         n_short = int(rank[-1]) + 1
-        steps = xp.cumsum(xp.sample_gaps(pitch, (n_short, BLOCK), rng), axis=1)
-        rows = xp.clip(rank, 0, n_short - 1)[:, None]
-        tails.append(last[:, None] + xp.where(
-            short[:, None], xp.take_pairs(steps, rows, block), 0.0
+        steps = backend.cumsum(
+            backend.sample_gaps(pitch, (n_short, BLOCK), rng), axis=1
+        )
+        rows = backend.clip(rank, 0, n_short - 1)[:, None]
+        tails.append(last[:, None] + np.where(
+            short[:, None], backend.take_pairs(steps, rows, block), 0.0
         ))
         last = tails[-1][:, -1]
         short = last <= span_nm
     if tails:
         # One copy of the batch however many rounds the top-up took.
-        positions = xp.concatenate([positions] + tails, axis=1)
+        positions = backend.concatenate([positions] + tails, axis=1)
     valid = (positions >= 0.0) & (positions <= span_nm)
     return TrackBatch(
         positions=positions,
@@ -240,15 +248,14 @@ def sample_track_counts(
     n_trials: int,
     rng: np.random.Generator,
     batch_elements: int = DEFAULT_BATCH_ELEMENTS,
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ) -> np.ndarray:
     """Per-trial count of tracks captured by a span, shape ``(n_trials,)``.
 
     Internally chunks the trial axis so peak memory stays bounded by
     ``batch_elements`` regardless of ``n_trials``.  Counts are returned on
-    the host (NumPy int64) whatever the backend.
+    NumPy int64 whatever the dtype policy.
     """
-    xp = backend if backend is not None else default_backend()
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     per_trial = max(1, estimate_gap_count(pitch, span_nm))
@@ -257,15 +264,15 @@ def sample_track_counts(
     done = 0
     while done < n_trials:
         n = min(chunk, n_trials - done)
-        counts[done:done + n] = xp.to_numpy(
-            sample_track_batch(pitch, span_nm, n, rng, backend=xp).counts()
-        )
+        counts[done:done + n] = sample_track_batch(
+            pitch, span_nm, n, rng, backend=backend
+        ).counts()
         done += n
     return counts
 
 
 def _banded_positions(
-    positions: np.ndarray, span_nm: float, xp: ArrayBackend
+    positions: np.ndarray, span_nm: float, backend: NumpyBackend
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten sorted trial rows into one globally sorted banded array.
 
@@ -286,15 +293,15 @@ def _banded_positions(
     pad = 1.0
     stride = span_nm + 4.0 * pad
     band_dtype = positions.dtype
-    if xp.dtype == np.dtype(np.float32):
+    if backend.dtype == np.dtype(np.float32):
         top_offset = np.float32((positions.shape[0] - 1) * stride)
         if np.spacing(top_offset) > pad / 8.0:
             band_dtype = np.dtype(np.float64)
-            positions = xp.asarray(positions, dtype=band_dtype)
-    offsets = xp.arange(positions.shape[0], dtype=band_dtype) * stride
-    banded = xp.clip(positions, -pad, span_nm + pad)
+            positions = np.asarray(positions, dtype=band_dtype)
+    offsets = np.arange(positions.shape[0], dtype=band_dtype) * stride
+    banded = backend.clip(positions, -pad, span_nm + pad)
     banded += offsets[:, None]
-    return xp.ravel(banded), offsets
+    return np.ravel(banded), offsets
 
 
 def window_stop_indices(
@@ -302,7 +309,7 @@ def window_stop_indices(
     span_nm: float,
     hi: np.ndarray,
     trial_index: np.ndarray,
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ) -> np.ndarray:
     """Per-query slot index of the first track strictly above ``hi``.
 
@@ -310,10 +317,11 @@ def window_stop_indices(
     slot; :func:`sample_track_batch` guarantees the index exists for any
     bound inside the span (the last slot always clears it).
     """
-    xp = backend if backend is not None else default_backend()
-    flat, offsets = _banded_positions(positions, span_nm, xp)
-    right = xp.searchsorted(
-        flat, xp.cast_like(hi, flat) + xp.take(offsets, trial_index),
+    if backend is None:
+        backend = default_backend()
+    flat, offsets = _banded_positions(positions, span_nm, backend)
+    right = backend.searchsorted(
+        flat, match_dtype(hi, flat) + np.take(offsets, trial_index),
         side="right",
     )
     return right - trial_index * positions.shape[1]
@@ -327,7 +335,7 @@ def count_in_windows_flat(
     hi: np.ndarray,
     trial_index: np.ndarray,
     return_stop_index: bool = False,
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ):
     """Weighted track counts for an arbitrary flat list of window queries.
 
@@ -361,18 +369,23 @@ def count_in_windows_flat(
     indices when requested).  Counts accumulate in the backend's
     ``accum_dtype`` (float64 by default, even under a float32 policy).
     """
-    xp = backend if backend is not None else default_backend()
-    flat, offsets = _banded_positions(positions, span_nm, xp)
-    shift = xp.take(offsets, trial_index)
-    left = xp.searchsorted(flat, xp.cast_like(lo, flat) + shift, side="left")
-    right = xp.searchsorted(flat, xp.cast_like(hi, flat) + shift, side="right")
+    if backend is None:
+        backend = default_backend()
+    flat, offsets = _banded_positions(positions, span_nm, backend)
+    shift = np.take(offsets, trial_index)
+    left = backend.searchsorted(flat, match_dtype(lo, flat) + shift, side="left")
+    right = backend.searchsorted(
+        flat, match_dtype(hi, flat) + shift, side="right"
+    )
 
     def weighted(w):
-        prefix = xp.prefix_sum(xp.ravel(w))
-        return xp.take(prefix, right) - xp.take(prefix, left)
+        prefix = backend.prefix_sum(np.ravel(w))
+        return np.take(prefix, right) - np.take(prefix, left)
 
     if isinstance(weights, list) or weights.ndim > positions.ndim:
-        counts = xp.concatenate([weighted(w)[None, :] for w in weights], axis=0)
+        counts = backend.concatenate(
+            [weighted(w)[None, :] for w in weights], axis=0
+        )
     else:
         counts = weighted(weights)
     if return_stop_index:
@@ -385,7 +398,7 @@ def count_in_windows(
     weights: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ) -> np.ndarray:
     """Weighted track counts on a regular ``(n_trials, n_windows)`` grid.
 
@@ -393,7 +406,6 @@ def count_in_windows(
     trial) or ``(n_trials, n_windows)`` (per-trial windows, e.g. random
     device offsets).  Returns counts of shape ``(n_trials, n_windows)``.
     """
-    xp = backend if backend is not None else default_backend()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim == 1:
@@ -413,12 +425,12 @@ def count_in_windows(
         lo.ravel(),
         hi.ravel(),
         trial_index,
-        backend=xp,
+        backend=backend,
     )
-    return xp.reshape(counts, (n_trials, n_windows))
+    return np.reshape(counts, (n_trials, n_windows))
 
 
-def count_leq_rows(positions, bounds, backend: Optional[ArrayBackend] = None):
+def count_leq_rows(positions, bounds):
     """Per-row count of sorted positions at or below each of the row's bounds.
 
     ``positions`` is ``(n_rows, n_slots)``, ascending along each row
@@ -437,21 +449,20 @@ def count_leq_rows(positions, bounds, backend: Optional[ArrayBackend] = None):
     exactly, in the promoted dtype), so a row's counts are the same
     whatever batch it sits in.
     """
-    xp = backend if backend is not None else default_backend()
     n_rows, n_slots = positions.shape
-    flat = xp.ravel(positions)
+    flat = np.ravel(positions)
     # Flat index of each row's first slot.  Invariant: the count lies in
     # [idx - start, idx - start + span], and every probe stays in the row.
-    start = (xp.arange(n_rows) * n_slots)[:, None]
-    idx = xp.zeros(bounds.shape, dtype=start.dtype) + start
+    start = (np.arange(n_rows) * n_slots)[:, None]
+    idx = np.zeros(bounds.shape, dtype=start.dtype) + start
     span = n_slots
     while span > 1:
         half = span // 2
         # Gathering from the view that starts ``half`` slots in reads
         # slot ``idx + half`` without materialising the probe indices.
-        idx += (xp.take(flat[half:], idx) <= bounds) * half
+        idx += (np.take(flat[half:], idx) <= bounds) * half
         span -= half
-    return idx - start + (xp.take(flat, idx) <= bounds)
+    return idx - start + (np.take(flat, idx) <= bounds)
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayBackend, default_backend
+from repro.backend import NumpyBackend, default_backend
 from repro.growth.pitch import GapTilt, PitchDistribution
 from repro.montecarlo.engine import (
     DEFAULT_BATCH_ELEMENTS,
@@ -255,7 +255,7 @@ def resolve_tilt(
 
 
 def _affine_log_weights(
-    tilt: GapTilt, n_gaps, gap_sum, xp: ArrayBackend
+    tilt: GapTilt, n_gaps, gap_sum, backend: NumpyBackend
 ):
     """``log dP_nominal/dP_tilted`` as the tilt's affine form, on-backend.
 
@@ -265,8 +265,8 @@ def _affine_log_weights(
     it stays in float64 unless explicitly lowered).
     """
     return (
-        xp.asarray(n_gaps, dtype=xp.accum_dtype) * tilt.log_const_per_gap
-        + xp.asarray(gap_sum, dtype=xp.accum_dtype) * tilt.log_slope_per_nm
+        np.asarray(n_gaps, dtype=backend.accum_dtype) * tilt.log_const_per_gap
+        + np.asarray(gap_sum, dtype=backend.accum_dtype) * tilt.log_slope_per_nm
     )
 
 
@@ -275,7 +275,7 @@ def sample_weighted_track_batch(
     span_nm: float,
     n_trials: int,
     rng: np.random.Generator,
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ) -> Tuple[TrackBatch, np.ndarray]:
     """Sample tilted renewal trials and their full-span log weights.
 
@@ -286,23 +286,24 @@ def sample_weighted_track_batch(
     track strictly beyond ``span_nm`` — a stopping time of the gap
     filtration, hence unbiased for any functional of the in-span tracks.
     """
-    xp = backend if backend is not None else default_backend()
+    if backend is None:
+        backend = default_backend()
     batch = sample_track_batch(
         tilt.tilted,
         span_nm,
         n_trials,
         rng,
         offset_mean_nm=tilt.nominal.mean_nm,
-        backend=xp,
+        backend=backend,
     )
     positions = batch.positions
     # First slot strictly beyond the span: rows are sorted and the engine
     # guarantees the last slot cleared the span, so the index always exists.
-    stop_index = xp.sum(positions <= span_nm, axis=1)
-    rows = xp.arange(positions.shape[0])
-    gap_sum = xp.take_pairs(positions, rows, stop_index) + batch.start_offsets
+    stop_index = np.sum(positions <= span_nm, axis=1)
+    rows = np.arange(positions.shape[0])
+    gap_sum = backend.take_pairs(positions, rows, stop_index) + batch.start_offsets
     n_gaps = stop_index + 1
-    log_w = _affine_log_weights(tilt, n_gaps, gap_sum, xp)
+    log_w = _affine_log_weights(tilt, n_gaps, gap_sum, backend)
     return batch, log_w
 
 
@@ -312,7 +313,7 @@ def window_stopped_log_weights(
     hi: np.ndarray,
     trial_index: np.ndarray,
     stop_index: Optional[np.ndarray] = None,
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ) -> np.ndarray:
     """Per-query log weights stopped at each query's own upper bound.
 
@@ -328,7 +329,8 @@ def window_stopped_log_weights(
     counting pass (``count_in_windows_flat(..., return_stop_index=True)``)
     instead of paying a second banded searchsorted.
     """
-    xp = backend if backend is not None else default_backend()
+    if backend is None:
+        backend = default_backend()
     positions = batch.positions
     if batch.start_offsets is None:
         raise ValueError("batch must carry start_offsets (engine-sampled)")
@@ -337,12 +339,12 @@ def window_stopped_log_weights(
         raise ValueError("window upper bounds must lie inside the span")
     if stop_index is None:
         stop_index = window_stop_indices(
-            positions, batch.span_nm, hi, trial_index, backend=xp
+            positions, batch.span_nm, hi, trial_index, backend=backend
         )
-    gap_sum = (xp.take_pairs(positions, trial_index, stop_index)
-               + xp.take(batch.start_offsets, trial_index))
+    gap_sum = (backend.take_pairs(positions, trial_index, stop_index)
+               + np.take(batch.start_offsets, trial_index))
     n_gaps = stop_index + 1
-    return _affine_log_weights(tilt, n_gaps, gap_sum, xp)
+    return _affine_log_weights(tilt, n_gaps, gap_sum, backend)
 
 
 # ----------------------------------------------------------------------
@@ -357,21 +359,22 @@ class _TiltedDevicePayload:
     tilt: GapTilt
     width_nm: float
     per_cnt_failure: float
-    backend: Optional[ArrayBackend] = None
+    backend: Optional[NumpyBackend] = None
 
 
 def _device_tilted_chunk(
     payload: _TiltedDevicePayload, n_chunk: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray]:
     """One chunk of tilted device trials: per-trial contributions."""
-    xp = payload.backend if payload.backend is not None else default_backend()
+    backend = payload.backend if payload.backend is not None else default_backend()
     batch, log_w = sample_weighted_track_batch(
-        payload.tilt, payload.width_nm, n_chunk, rng, backend=xp
+        payload.tilt, payload.width_nm, n_chunk, rng, backend=backend
     )
-    values = xp.power(
-        payload.per_cnt_failure, xp.asarray(batch.counts(), dtype=xp.accum_dtype)
+    values = np.power(
+        payload.per_cnt_failure,
+        np.asarray(batch.counts(), dtype=backend.accum_dtype),
     )
-    return (xp.to_numpy(values * xp.exp(log_w)),)
+    return (values * np.exp(log_w),)
 
 
 def _default_trial_chunk(
@@ -389,7 +392,7 @@ def sample_tilted_contributions(
     per_cnt_failure: float,
     n_samples: int,
     rng: np.random.Generator,
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ) -> np.ndarray:
     """Per-trial contributions ``pf^N · w`` for ``n_samples`` tilted trials.
 
@@ -424,7 +427,7 @@ def estimate_device_failure_tilted(
     tilt_factor: Optional[float] = None,
     trial_chunk: Optional[int] = None,
     n_workers: int = 1,
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
 ) -> WeightedEstimate:
     """Importance-sampled device failure probability pF(W) — the tail path.
 

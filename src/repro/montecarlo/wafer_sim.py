@@ -81,7 +81,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.mispositioned import MisalignmentImpactModel
-from repro.backend import ArrayBackend, backend_signature, default_backend
+from repro.backend import (
+    NumpyBackend,
+    backend_signature,
+    default_backend,
+    match_dtype,
+)
 from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _ChipGeometry,
@@ -263,7 +268,7 @@ class _WaferPayload:
     device_counts: Tuple[float, ...]
     n_trials: int
     seed_key: Tuple[int, ...]
-    backend: Optional[ArrayBackend] = None
+    backend: Optional[NumpyBackend] = None
     misalignment: Optional[MisalignmentImpactModel] = None
     short_probability: float = 0.0
 
@@ -290,7 +295,7 @@ def _draw_die_group(
     sites: Sequence[DieSite],
     pitches: Sequence[PitchDistribution],
     budgets: Sequence[int],
-    xp: ArrayBackend,
+    backend: NumpyBackend,
 ):
     """Draw a die group's window offsets and stacked gap block.
 
@@ -300,22 +305,22 @@ def _draw_die_group(
     """
     n_trials = payload.n_trials
     s_max = max(budgets)
-    gaps = xp.empty((len(sites) * n_trials, s_max))
-    lo = xp.zeros(len(sites) * n_trials)
+    gaps = backend.empty((len(sites) * n_trials, s_max))
+    lo = np.zeros(len(sites) * n_trials, dtype=backend.dtype)
     streams = []
     for i, (site, pitch) in enumerate(zip(sites, pitches)):
         rng = die_stream(payload.seed_key, site)
         rows = slice(i * n_trials, (i + 1) * n_trials)
-        lo[rows] = xp.uniform(rng, n_trials) * pitch.mean_nm
+        lo[rows] = backend.uniform(rng, n_trials) * pitch.mean_nm
         if budgets[i] == s_max:
             # Contiguous destination: the backend may draw straight into
             # the stack without an intermediate allocation.
             view = gaps[rows]
-            drawn = xp.sample_gaps(pitch, (n_trials, s_max), rng, out=view)
+            drawn = backend.sample_gaps(pitch, (n_trials, s_max), rng, out=view)
             if drawn is not view:
                 gaps[rows] = drawn
         else:
-            gaps[rows, : budgets[i]] = xp.sample_gaps(
+            gaps[rows, : budgets[i]] = backend.sample_gaps(
                 pitch, (n_trials, budgets[i]), rng
             )
             # Padding slots never count: +inf sits above every bound.
@@ -335,7 +340,7 @@ def _simulate_die_group(
     on that die's own stream, budget and rows, so group composition
     cannot change results.
     """
-    xp = payload.backend if payload.backend is not None else default_backend()
+    backend = payload.backend if payload.backend is not None else default_backend()
     n_trials = payload.n_trials
     widths = payload.widths_nm
     w_max = max(widths)
@@ -343,17 +348,17 @@ def _simulate_die_group(
 
     pitches = [payload.pitch.with_mean(site.mean_pitch_nm) for site in sites]
     budgets = [tight_gap_budget(p, w_max) for p in pitches]
-    lo, gaps, streams = _draw_die_group(payload, sites, pitches, budgets, xp)
+    lo, gaps, streams = _draw_die_group(payload, sites, pitches, budgets, backend)
 
     # One row-local cumsum turns each trial's gaps into track positions.
     # Dropping the summed gaps before the search keeps the group's peak
     # memory at two gap blocks.
-    positions = xp.cumsum(gaps, axis=1)
+    positions = backend.cumsum(gaps, axis=1)
     del gaps
     # Column 0 of the bound matrix is each trial's lower window edge and
     # column 1 + q its upper edge for width class q, all on one track set.
-    bounds = lo[:, None] + xp.cast_like((0.0,) + widths, lo)
-    counts = xp.to_numpy(count_leq_rows(positions, bounds, xp))
+    bounds = lo[:, None] + match_dtype((0.0,) + widths, lo)
+    counts = count_leq_rows(positions, bounds)
 
     # Exact top-up: trials whose budget did not clear their widest window
     # continue drawing BLOCK-wide chunks from their own die stream.  Extra
@@ -361,34 +366,29 @@ def _simulate_die_group(
     # against every bound is a no-op for the windows the main budget
     # already cleared.  The draws run die by die; the appended blocks are
     # counted together afterwards.
-    bounds_np = np.asarray(xp.to_numpy(bounds), dtype=float)
+    bounds_np = np.asarray(bounds, dtype=float)
     hi_max = bounds_np[:, 1 + int(np.argmax(widths))]
     tails, tail_rows = [], []
     for i in range(n_dies):
         first = i * n_trials
         total = np.asarray(
-            xp.to_numpy(positions[first:first + n_trials, budgets[i] - 1]),
-            dtype=float,
+            positions[first:first + n_trials, budgets[i] - 1], dtype=float
         )
         keep = total <= hi_max[first:first + n_trials]
         alive, run = first + np.flatnonzero(keep), total[keep]
         while alive.size:
-            drawn = xp.sample_gaps(pitches[i], (alive.size, BLOCK), streams[i])
-            extra = np.cumsum(
-                np.asarray(xp.to_numpy(drawn), dtype=float), axis=1
-            ) + run[:, None]
+            drawn = backend.sample_gaps(
+                pitches[i], (alive.size, BLOCK), streams[i]
+            )
+            extra = np.cumsum(np.asarray(drawn, dtype=float), axis=1) + run[:, None]
             tails.append(extra)
             tail_rows.append(alive)
             keep = extra[:, -1] <= hi_max[alive]
             alive, run = alive[keep], extra[keep, -1]
     if tails:
         tail_rows = np.concatenate(tail_rows)
-        tail_counts = count_leq_rows(
-            xp.asarray(np.concatenate(tails)),
-            xp.asarray(bounds_np[tail_rows]),
-            xp,
-        )
-        np.add.at(counts, tail_rows, xp.to_numpy(tail_counts))
+        tail_counts = count_leq_rows(np.concatenate(tails), bounds_np[tail_rows])
+        np.add.at(counts, tail_rows, tail_counts)
 
     # The value of a trial depends only on its count, so it is looked up
     # in a per-count table instead of evaluated per (class, die, trial).
@@ -635,7 +635,7 @@ def simulate_die(
     device_counts=None,
     n_trials: int = 1024,
     seed_key: Sequence[int] = (20100616,),
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
     misalignment: Optional[MisalignmentImpactModel] = None,
 ) -> DieYieldEstimate:
     """Simulate one die independently — the per-die reference of the runner.
@@ -688,7 +688,7 @@ def simulate_wafer(
     seed_key: Sequence[int] = (20100616,),
     good_die_threshold: float = 0.5,
     n_workers: int = 1,
-    backend: Optional[ArrayBackend] = None,
+    backend: Optional[NumpyBackend] = None,
     misalignment: Optional[MisalignmentImpactModel] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = True,

@@ -145,14 +145,14 @@ class _CorrelatedPayload:
     diameter_std_nm: float
     scalar_oracle: bool = False
 
-    def slot_currents(self, rng: np.random.Generator, shape, xp) -> np.ndarray:
+    def slot_currents(self, rng: np.random.Generator, shape, backend) -> np.ndarray:
         """One tube diameter per track slot, as that tube's on-current (µA).
 
         Diameters are normal, clipped at
         :data:`~repro.device.current.MIN_TUBE_DIAMETER_NM`; the draw fills
         a pooled buffer and is converted to currents in place.
         """
-        currents = rng.standard_normal(out=xp.empty(shape, dtype=np.float64))
+        currents = rng.standard_normal(out=backend.empty(shape, dtype=np.float64))
         currents *= self.diameter_std_nm
         currents += self.diameter_mean_nm
         np.maximum(currents, MIN_TUBE_DIAMETER_NM, out=currents)

@@ -11,19 +11,18 @@ import pytest
 from repro.backend import get_backend
 
 BACKEND_PARAMS = [
-    pytest.param(("numpy", "float64"), id="numpy-f64"),
-    pytest.param(("numpy", "float32"), id="numpy-f32"),
+    pytest.param("float64", id="numpy-f64"),
+    pytest.param("float32", id="numpy-f32"),
 ]
 
 
 @pytest.fixture(params=BACKEND_PARAMS)
 def backend(request):
-    """One (backend, dtype) combination."""
-    name, dtype = request.param
-    return get_backend(name, dtype=dtype)
+    """The NumPy backend under one dtype policy."""
+    return get_backend(dtype=request.param)
 
 
 @pytest.fixture
 def reference_backend():
     """The bit-identity anchor: NumPy at float64."""
-    return get_backend("numpy", dtype="float64")
+    return get_backend(dtype="float64")

@@ -76,25 +76,25 @@ def _logging_chip_chunk(geometry, n_chunk, rng):
 
 def _fixed_shape_chunk(width, n_chunk, rng):
     # Every backend op the pool serves, on shapes fixed by ``n_chunk``.
-    xp = default_backend()
-    u = xp.uniform(rng, (n_chunk, width))
-    banded = xp.clip(xp.cumsum(u, axis=1), 0.0, width / 4.0)
-    both = xp.concatenate([banded, u], axis=1)
-    total = float(xp.prefix_sum(xp.ravel(both))[-1])
-    gaps = xp.sample_gaps(ExponentialPitch(4.0), (n_chunk, width), rng,
-                          out=xp.empty((n_chunk, width)))
+    backend = default_backend()
+    u = backend.uniform(rng, (n_chunk, width))
+    banded = backend.clip(backend.cumsum(u, axis=1), 0.0, width / 4.0)
+    both = backend.concatenate([banded, u], axis=1)
+    total = float(backend.prefix_sum(np.ravel(both))[-1])
+    gaps = backend.sample_gaps(ExponentialPitch(4.0), (n_chunk, width), rng,
+                               out=backend.empty((n_chunk, width)))
     _log_slabs(n_chunk)
     return np.array([total, float(gaps.sum())])
 
 
 def test_pool_serves_chunk_sized_outputs_only_inside_a_scope():
-    xp = default_backend()
+    backend = default_backend()
     a = np.random.default_rng(0).random((64, 256))
-    outside = xp.cumsum(a, axis=1)
+    outside = backend.cumsum(a, axis=1)
     assert core._POOL.slabs == []
     with buffer_pool():
-        inside = xp.cumsum(a, axis=1)
-        small = xp.cumsum(a[:2, :8], axis=1)
+        inside = backend.cumsum(a, axis=1)
+        small = backend.cumsum(a[:2, :8], axis=1)
     assert inside.base is core._POOL.slabs[0]
     assert small.base is None
     assert np.array_equal(inside, outside)
@@ -132,13 +132,13 @@ def test_array_kept_from_a_chunk_survives_later_chunks():
     for got, want in zip(kept, expected):
         assert np.array_equal(got, want)
     # The same within one thread's scopes, without the executor.
-    xp = default_backend()
+    backend = default_backend()
     with buffer_pool():
-        first = xp.cumsum(np.random.default_rng(1).random((64, 256)), axis=1)
+        first = backend.cumsum(np.random.default_rng(1).random((64, 256)), axis=1)
     snapshot = first.copy()
     for seed in range(2, 5):
         with buffer_pool():
-            later = xp.cumsum(np.random.default_rng(seed).random((64, 256)), axis=1)
+            later = backend.cumsum(np.random.default_rng(seed).random((64, 256)), axis=1)
         assert not np.shares_memory(first, later)
     assert np.array_equal(first, snapshot)
 
@@ -183,16 +183,16 @@ def test_pool_is_empty_once_run_chunked_returns(chip):
 
 
 def test_slabs_are_per_thread():
-    xp = default_backend()
+    backend = default_backend()
     a = np.random.default_rng(0).random((64, 256))
     with buffer_pool():
-        mine = xp.cumsum(a, axis=1)
+        mine = backend.cumsum(a, axis=1)
     seen = {}
 
     def other():
         seen["before"] = list(core._POOL.slabs)
         with buffer_pool():
-            seen["theirs"] = xp.cumsum(a, axis=1)
+            seen["theirs"] = backend.cumsum(a, axis=1)
         release_buffers()
 
     thread = threading.Thread(target=other)

@@ -102,7 +102,7 @@ class TestSampleTrackBatch:
             ExponentialPitch(4.0), 400.0, 4_000, np.random.default_rng(42),
             backend=backend,
         )
-        counts = backend.to_numpy(batch.counts())
+        counts = batch.counts()
         assert counts.mean() == pytest.approx(100.0, rel=0.05)
         assert counts.var() == pytest.approx(100.0, rel=0.15)
 
@@ -111,18 +111,18 @@ class TestSampleTrackBatch:
             GammaPitch(6.0, 0.8), 300.0, 64, np.random.default_rng(3),
             backend=backend,
         )
-        positions = backend.to_numpy(batch.positions)
+        positions = batch.positions
         assert positions.dtype == backend.dtype
         assert np.all(np.diff(positions, axis=1) >= 0.0)
-        in_span = positions[backend.to_numpy(batch.valid)]
+        in_span = positions[batch.valid]
         assert np.all((in_span >= 0.0) & (in_span <= 300.0))
 
     def test_float32_counts_match_float64_stream(self):
         # The NumPy float32 policy consumes the same draws as float64;
         # integer counts may differ only where a track sits within
         # rounding distance of a window edge (none, at these sizes).
-        b32 = get_backend("numpy", dtype="float32")
-        b64 = get_backend("numpy", dtype="float64")
+        b32 = get_backend(dtype="float32")
+        b64 = get_backend(dtype="float64")
         c32 = sample_track_batch(
             ExponentialPitch(4.0), 200.0, 2_000, np.random.default_rng(11),
             backend=b32,
@@ -140,21 +140,21 @@ class TestWindowCounting:
             ExponentialPitch(6.0), 300.0, 48, np.random.default_rng(5),
             backend=backend,
         )
-        positions = backend.to_numpy(batch.positions)
+        positions = batch.positions
         weights = (
             (np.random.default_rng(6).random(positions.shape) < 0.7)
-            & backend.to_numpy(batch.valid)
+            & batch.valid
         )
         host_rng = np.random.default_rng(7)
         lo = host_rng.random(40) * 250.0
         hi = lo + host_rng.random(40) * 45.0
         trial_index = host_rng.integers(0, 48, size=40)
-        counts = backend.to_numpy(count_in_windows_flat(
-            backend.asarray(positions),
-            backend.asarray(weights, dtype=backend.dtype),
+        counts = count_in_windows_flat(
+            positions,
+            np.asarray(weights, dtype=backend.dtype),
             300.0, lo, hi, trial_index,
             backend=backend,
-        ))
+        )
         expected = _brute_force_counts(
             positions.astype(float), weights, lo, hi, trial_index
         )
@@ -168,17 +168,15 @@ class TestWindowCounting:
             GammaPitch(5.0, 0.5), 200.0, 16, np.random.default_rng(9),
             backend=backend,
         )
-        weights = backend.asarray(batch.valid, dtype=backend.dtype)
+        weights = np.asarray(batch.valid, dtype=backend.dtype)
         lo = np.linspace(0.0, 150.0, 7)
         hi = lo + 40.0
-        grid = backend.to_numpy(
-            count_in_windows(batch, weights, lo, hi, backend=backend)
-        )
-        flat = backend.to_numpy(count_in_windows_flat(
+        grid = count_in_windows(batch, weights, lo, hi, backend=backend)
+        flat = count_in_windows_flat(
             batch.positions, weights, batch.span_nm,
             np.tile(lo, 16), np.tile(hi, 16), np.repeat(np.arange(16), 7),
             backend=backend,
-        )).reshape(16, 7)
+        ).reshape(16, 7)
         np.testing.assert_array_equal(grid, flat)
 
     def test_stop_indices_match_scan(self, backend):
@@ -186,14 +184,14 @@ class TestWindowCounting:
             ExponentialPitch(5.0), 150.0, 32, np.random.default_rng(13),
             backend=backend,
         )
-        positions = backend.to_numpy(batch.positions)
+        positions = batch.positions
         host_rng = np.random.default_rng(14)
         hi = host_rng.random(20) * 150.0
         trial_index = host_rng.integers(0, 32, size=20)
-        got = backend.to_numpy(window_stop_indices(
-            backend.asarray(positions), 150.0, hi, trial_index,
+        got = window_stop_indices(
+            positions, 150.0, hi, trial_index,
             backend=backend,
-        ))
+        )
         expected = np.array([
             np.searchsorted(positions[trial_index[q]], hi[q], side="right")
             for q in range(20)
@@ -221,8 +219,8 @@ class TestStoppedLikelihoodRatios:
         batch, log_w = sample_weighted_track_batch(
             tilt, 120.0, 64, np.random.default_rng(17), backend=backend
         )
-        positions = backend.to_numpy(batch.positions).astype(float)
-        offsets = backend.to_numpy(batch.start_offsets).astype(float)
+        positions = batch.positions.astype(float)
+        offsets = batch.start_offsets.astype(float)
         expected = np.empty(64)
         for t in range(64):
             stop = int(np.sum(positions[t] <= 120.0))
@@ -232,7 +230,7 @@ class TestStoppedLikelihoodRatios:
                 + gap_sum * tilt.log_slope_per_nm
             )
         np.testing.assert_allclose(
-            backend.to_numpy(log_w), expected, rtol=tolerance_for(backend),
+            log_w, expected, rtol=tolerance_for(backend),
             atol=1e-6 if backend.dtype == np.dtype(np.float32) else 1e-12,
         )
 
@@ -244,11 +242,11 @@ class TestStoppedLikelihoodRatios:
         host_rng = np.random.default_rng(20)
         hi = host_rng.random(25) * 200.0
         trial_index = host_rng.integers(0, 32, size=25)
-        log_w = backend.to_numpy(window_stopped_log_weights(
+        log_w = window_stopped_log_weights(
             batch, tilt, hi, trial_index, backend=backend
-        ))
-        positions = backend.to_numpy(batch.positions).astype(float)
-        offsets = backend.to_numpy(batch.start_offsets).astype(float)
+        )
+        positions = batch.positions.astype(float)
+        offsets = batch.start_offsets.astype(float)
         expected = self._scalar_log_weights(
             positions, offsets, tilt, hi, trial_index
         )
@@ -264,7 +262,7 @@ class TestStoppedLikelihoodRatios:
         _, log_w = sample_weighted_track_batch(
             tilt, 80.0, 20_000, np.random.default_rng(23), backend=backend
         )
-        w = np.exp(backend.to_numpy(log_w).astype(float))
+        w = np.exp(log_w.astype(float))
         assert w.mean() == pytest.approx(1.0, abs=4.0 * w.std() / math.sqrt(w.size))
 
 
@@ -287,16 +285,14 @@ class TestTiltedEstimator:
         reference = estimate_device_failure_tilted(
             GammaPitch(4.0, 0.7), 0.55, 120.0, 4096,
             np.random.default_rng(29),
-            backend=get_backend("numpy", dtype="float64"),
+            backend=get_backend(dtype="float64"),
         )
         assert est.estimate == pytest.approx(
             reference.estimate, rel=max(tolerance_for(backend), 1e-15)
         )
 
     def test_casting_helper_round_trip(self, backend):
-        base = backend.asarray(np.linspace(0.0, 1.0, 8), dtype=backend.dtype)
-        cast = backend.cast_like(np.arange(4, dtype=np.float64), base)
-        assert backend.to_numpy(cast).dtype == backend.dtype
-        host = match_dtype(np.arange(4, dtype=np.float64),
-                           np.empty(1, dtype=backend.dtype))
-        assert host.dtype == backend.dtype
+        base = np.asarray(np.linspace(0.0, 1.0, 8), dtype=backend.dtype)
+        cast = match_dtype(np.arange(4, dtype=np.float64), base)
+        assert cast.dtype == backend.dtype
+        np.testing.assert_array_equal(cast, np.arange(4))

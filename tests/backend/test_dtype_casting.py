@@ -1,4 +1,4 @@
-"""Dtype policy, searchsorted promotion audit, and backend registry tests.
+"""Dtype policy, searchsorted promotion audit, and backend selection tests.
 
 NumPy silently promotes mixed-dtype ``searchsorted`` operands: a float32
 haystack with float64 needles upcasts the *haystack* on every query
@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 from repro.backend import (
-    ArrayBackend,
-    available_backends,
     default_backend,
     get_backend,
     match_dtype,
@@ -49,7 +47,7 @@ class TestFloat32PipelineStaysFloat32:
     """Audit: no step of the float32 window-count path promotes to float64."""
 
     def test_banded_positions_keep_policy_dtype(self):
-        b32 = get_backend("numpy", dtype="float32")
+        b32 = get_backend(dtype="float32")
         batch = sample_track_batch(
             ExponentialPitch(4.0), 100.0, 16, np.random.default_rng(1),
             backend=b32,
@@ -60,7 +58,7 @@ class TestFloat32PipelineStaysFloat32:
         assert offsets.dtype == np.float32
 
     def test_float64_queries_are_cast_not_promoted(self):
-        b32 = get_backend("numpy", dtype="float32")
+        b32 = get_backend(dtype="float32")
         batch = sample_track_batch(
             ExponentialPitch(4.0), 100.0, 8, np.random.default_rng(2),
             backend=b32,
@@ -80,14 +78,14 @@ class TestFloat32PipelineStaysFloat32:
         assert counts.dtype == b32.accum_dtype
 
     def test_accumulator_dtype_is_configurable(self):
-        b = get_backend("numpy", dtype="float32", accum_dtype="float32")
+        b = get_backend(dtype="float32", accum_dtype="float32")
         assert b.prefix_sum(np.ones(4, dtype=np.float32)).dtype == np.float32
 
     def test_huge_batches_promote_band_to_float64(self):
         # Band offsets grow with the trial count; once the float32 ulp at
         # the top band could move a track across a window edge, the band
         # must be built in float64 even under the float32 policy.
-        b32 = get_backend("numpy", dtype="float32")
+        b32 = get_backend(dtype="float32")
         small = np.sort(
             np.random.default_rng(0).random((64, 4), dtype=np.float32) * 100.0,
             axis=1,
@@ -105,60 +103,35 @@ class TestFloat32PipelineStaysFloat32:
         monkeypatch.setenv("REPRO_ACCUM_DTYPE", "f32")
         core._CACHE.clear()
         try:
-            assert get_backend("numpy").accum_dtype == np.dtype(np.float32)
+            assert get_backend().accum_dtype == np.dtype(np.float32)
             monkeypatch.setenv("REPRO_ACCUM_DTYPE", "int64")
             core._CACHE.clear()
             with pytest.raises(ValueError, match="dtype policy"):
-                get_backend("numpy")
+                get_backend()
         finally:
             core._CACHE.clear()
 
 
 class TestRegistry:
-    def test_known_backends(self):
-        names = set(available_backends())
-        assert "numpy" in names
-        assert not {"cupy", "torch"} & names
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("tpu")
+    """Selection of the cached backend instance per dtype policy."""
 
     def test_unknown_dtype_rejected(self):
         with pytest.raises(ValueError, match="dtype policy"):
-            get_backend("numpy", dtype="float16")
+            get_backend(dtype="float16")
         with pytest.raises(ValueError, match="unknown dtype"):
             resolve_dtype("bfloat16")
 
     def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
         monkeypatch.setenv("REPRO_DTYPE", "float32")
         backend = default_backend()
         assert backend.name == "numpy"
         assert backend.dtype == np.dtype(np.float32)
 
     def test_instances_cached(self):
-        assert get_backend("numpy", dtype="float64") is get_backend(
-            "numpy", dtype="float64"
-        )
+        assert get_backend(dtype="float64") is get_backend(dtype="float64")
 
     def test_pickle_round_trip(self):
-        backend = get_backend("numpy", dtype="float32")
-        clone = pickle.loads(pickle.dumps(backend))
-        assert clone is backend  # reconstructed through the cache
-
-    def test_gpu_backend_names_are_unknown(self, monkeypatch):
-        for name in ("cupy", "torch"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                get_backend(name)
-            monkeypatch.setenv("REPRO_BACKEND", name)
-            with pytest.raises(ValueError, match="unknown backend"):
-                default_backend()
-
-    def test_protocol_base_is_abstract(self):
-        backend = ArrayBackend()
-        with pytest.raises(NotImplementedError):
-            backend.uniform(np.random.default_rng(0), 4)
-        with pytest.raises(NotImplementedError):
-            backend.sample_gaps(ExponentialPitch(4.0), (2, 2),
-                                np.random.default_rng(0))
+        for dtype in ("float64", "float32"):
+            backend = get_backend(dtype=dtype)
+            clone = pickle.loads(pickle.dumps(backend))
+            assert clone is backend  # reconstructed through the cache

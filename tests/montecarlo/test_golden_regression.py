@@ -7,10 +7,9 @@ Any change to the engine's numerics — a reordered reduction, a dtype
 promotion, a different RNG consumption pattern — shifts these values and
 shows up here as a visible diff instead of silent statistical drift.
 
-The tests pin the backend to NumPy/float64 explicitly, so they stay
-meaningful when the suite runs under ``REPRO_BACKEND``/``REPRO_DTYPE``
-overrides (the CI dtype matrix).  Count-derived statistics are compared
-exactly; smooth functionals allow 1e-9 relative slack for cross-platform
+The tests pin the backend to the float64 policy explicitly, so they stay
+meaningful when the suite runs under ``REPRO_DTYPE`` overrides (the CI
+dtype matrix).  Count-derived statistics are compared exactly; smooth functionals allow 1e-9 relative slack for cross-platform
 libm differences in ``exp``/``log``.
 """
 
@@ -42,7 +41,7 @@ def golden():
 
 @pytest.fixture(scope="module")
 def reference_backend():
-    return get_backend("numpy", dtype="float64")
+    return get_backend(dtype="float64")
 
 
 @pytest.fixture(scope="module")

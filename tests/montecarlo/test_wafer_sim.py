@@ -110,11 +110,11 @@ class TestStackedRunner:
         kwargs = dict(n_trials=512, seed_key=(19,))
         r64 = simulate_wafer(
             wafer, ExponentialPitch(4.0), sparse_type_model, WIDTHS, COUNTS,
-            backend=get_backend("numpy", dtype="float64"), **kwargs,
+            backend=get_backend(dtype="float64"), **kwargs,
         )
         r32 = simulate_wafer(
             wafer, ExponentialPitch(4.0), sparse_type_model, WIDTHS, COUNTS,
-            backend=get_backend("numpy", dtype="float32"), **kwargs,
+            backend=get_backend(dtype="float32"), **kwargs,
         )
         for a, b in zip(r64.dice, r32.dice):
             for p1, s1, p2 in zip(
@@ -422,7 +422,7 @@ class TestBitwisePins:
         result = simulate_wafer(
             field_wafer, widths_nm=WIDTHS, device_counts=COUNTS,
             n_trials=128, seed_key=(41,),
-            backend=get_backend("numpy", dtype="float64"), **configs[name],
+            backend=get_backend(dtype="float64"), **configs[name],
         )
         digest = hashlib.sha256(repr(result.dice).encode()).hexdigest()
         assert digest == self.DIGESTS[name]

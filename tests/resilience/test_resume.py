@@ -249,14 +249,14 @@ class TestSweepResume:
 class TestBackendFingerprint:
     """Campaign fingerprints carry the *resolved* backend and dtypes.
 
-    A run that leaves ``backend=None`` resolves ``REPRO_BACKEND`` /
-    ``REPRO_DTYPE`` at execution time, so a float32 run must not resume a
+    A run that leaves ``backend=None`` resolves ``REPRO_DTYPE`` at
+    execution time, so a float32 run must not resume a
     float64 campaign's units even though neither names its backend.
     """
 
     @pytest.fixture(autouse=True)
     def _float64_default(self, monkeypatch):
-        for var in ("REPRO_BACKEND", "REPRO_DTYPE", "REPRO_ACCUM_DTYPE"):
+        for var in ("REPRO_DTYPE", "REPRO_ACCUM_DTYPE"):
             monkeypatch.delenv(var, raising=False)
 
     def _chip(self, chip, tmp_path, **kwargs):
@@ -393,7 +393,7 @@ class TestFingerprintDrift:
 #: Replacement values for fields a generic change cannot produce: ``None``
 #: defaults and strings restricted to a fixed vocabulary.
 _ALTERNATES = {
-    "backend": get_backend("numpy", "float32"),
+    "backend": get_backend("float32"),
     "misalignment": MisalignmentImpactModel(),
     "trial_chunk": 7,
     "scenario": "uncorrelated",
