@@ -223,15 +223,6 @@ def _json_default(value: object) -> object:
     raise TypeError(f"not JSON-serialisable: {type(value).__name__}")
 
 
-def _nan_to_none(value: float) -> Optional[float]:
-    """``None`` for NaN — strict-JSON payloads must not carry bare ``NaN``.
-
-    ``json.dumps`` would happily emit the (non-RFC-8259) ``NaN`` literal,
-    which breaks ``jq`` and every strict parser downstream.
-    """
-    return None if value != value else value
-
-
 def _emit(args: argparse.Namespace, payload: Dict[str, object],
           lines: Sequence[str]) -> int:
     """Print either the human-readable lines or the JSON payload."""
@@ -640,7 +631,7 @@ def _add_wafer_geometry_options(parser: argparse.ArgumentParser) -> None:
 def _cmd_wafer(args: argparse.Namespace) -> int:
     from repro.backend import get_backend
     from repro.growth.pitch import pitch_distribution_from_cv
-    from repro.montecarlo.wafer_sim import per_die_loop, simulate_wafer
+    from repro.montecarlo.wafer_sim import simulate_wafer
     from repro.reporting.tables import (
         WAFER_SUMMARY_COLUMNS,
         render_table,
@@ -668,25 +659,15 @@ def _cmd_wafer(args: argparse.Namespace) -> int:
     pitch = pitch_distribution_from_cv(args.mean_pitch_nm, args.pitch_cv)
     type_model = _shorts_type_model(setup, args)
     misalignment = _build_misalignment_model(args, setup)
-    backend = get_backend(dtype=args.dtype) if args.dtype else None
-    checkpoint_kwargs = _checkpoint_kwargs(args)
-    runner = per_die_loop if args.per_die_loop else simulate_wafer
-    if args.per_die_loop:
-        if checkpoint_kwargs:
-            print("note: --checkpoint-dir ignored with --per-die-loop "
-                  "(the reference loop is not checkpointed)",
-                  file=sys.stderr)
-        kwargs = {}
-    else:
-        kwargs = {"n_workers": args.workers, "backend": backend,
-                  **checkpoint_kwargs}
-    result = runner(
+    result = simulate_wafer(
         wafer, pitch, type_model, widths, counts,
         n_trials=args.trials,
         seed_key=(args.seed,),
         good_die_threshold=args.good_die_threshold,
+        n_workers=args.workers,
+        backend=get_backend(dtype=args.dtype) if args.dtype else None,
         misalignment=misalignment,
-        **kwargs,
+        **_checkpoint_kwargs(args),
     )
     payload = {
         "die_count": result.die_count,
@@ -744,7 +725,7 @@ def _cmd_chip_wafer(args: argparse.Namespace) -> int:
     from repro.cells.nangate45 import build_nangate45_library
     from repro.growth.pitch import pitch_distribution_from_cv
     from repro.montecarlo.chip_sim import ChipMonteCarlo
-    from repro.montecarlo.wafer_sim import chip_per_die_loop, run_chip_wafer
+    from repro.montecarlo.wafer_sim import run_chip_wafer
     from repro.netlist.openrisc import build_openrisc_like_design
     from repro.netlist.placement import RowPlacement
     from repro.reporting.tables import (
@@ -768,34 +749,13 @@ def _cmd_chip_wafer(args: argparse.Namespace) -> int:
         pitch=pitch_distribution_from_cv(args.mean_pitch_nm, args.pitch_cv),
         type_model=_shorts_type_model(setup, args),
     )
-    misalignment = _build_misalignment_model(args, setup)
-    checkpoint_kwargs = _checkpoint_kwargs(args)
-    if args.per_die_loop:
-        # The reference loop computes only the direct view (no Eq. 2.3
-        # classes to de-rate) and runs serially; say so instead of
-        # silently dropping the flags.
-        if misalignment is not None:
-            print("note: --derate-misalignment ignored with --per-die-loop "
-                  "(the reference loop has no Eq. 2.3 view to de-rate)",
-                  file=sys.stderr)
-        if args.workers != 1:
-            print("note: --workers ignored with --per-die-loop "
-                  "(the reference loop is serial)", file=sys.stderr)
-        if checkpoint_kwargs:
-            print("note: --checkpoint-dir ignored with --per-die-loop "
-                  "(the reference loop is not checkpointed)",
-                  file=sys.stderr)
-        result = chip_per_die_loop(
-            wafer, chip, n_trials=args.trials, seed_key=(args.seed,),
-            good_die_threshold=args.good_die_threshold,
-        )
-    else:
-        result = run_chip_wafer(
-            wafer, chip, n_trials=args.trials, seed_key=(args.seed,),
-            good_die_threshold=args.good_die_threshold,
-            n_workers=args.workers, misalignment=misalignment,
-            **checkpoint_kwargs,
-        )
+    result = run_chip_wafer(
+        wafer, chip, n_trials=args.trials, seed_key=(args.seed,),
+        good_die_threshold=args.good_die_threshold,
+        n_workers=args.workers,
+        misalignment=_build_misalignment_model(args, setup),
+        **_checkpoint_kwargs(args),
+    )
     payload = {
         "die_count": result.die_count,
         "device_count": result.device_count,
@@ -812,8 +772,8 @@ def _cmd_chip_wafer(args: argparse.Namespace) -> int:
                 "mean_pitch_nm": d.mean_pitch_nm,
                 "misalignment_deg": d.misalignment_deg,
                 "chip_yield": d.chip_yield,
-                "eq23_chip_yield": _nan_to_none(d.eq23_chip_yield),
-                "eq23_chip_yield_se": _nan_to_none(d.eq23_chip_yield_se),
+                "eq23_chip_yield": d.eq23_chip_yield,
+                "eq23_chip_yield_se": d.eq23_chip_yield_se,
                 "mean_failing_devices": d.mean_failing_devices,
                 "relaxation_factor": d.relaxation_factor,
             }
@@ -1218,9 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
     wafer.add_argument("--dtype", type=str, default=None,
                        help="dtype policy float64/float32 (default: "
                             "REPRO_DTYPE or float64)")
-    wafer.add_argument("--per-die-loop", action="store_true",
-                       help="use the reference die-by-die loop instead of "
-                            "the stacked engine (cross-check/benchmark)")
     _add_shorts_options(wafer)
     _add_checkpoint_options(wafer)
 
@@ -1236,9 +1193,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="netlist generator seed")
     chip_wafer.add_argument("--trials", type=int, default=128,
                             help="whole-chip trials per die (default 128)")
-    chip_wafer.add_argument("--per-die-loop", action="store_true",
-                            help="use the fresh-simulator-per-die reference "
-                                 "instead of the shared-geometry pass")
     _add_shorts_options(chip_wafer)
     _add_checkpoint_options(chip_wafer)
 

@@ -2,9 +2,30 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro import cli
+from repro.cells.nangate45 import build_nangate45_library
 from repro.cli import build_parser, main
+from repro.growth.pitch import pitch_distribution_from_cv
+from repro.montecarlo.chip_sim import ChipMonteCarlo
+from repro.montecarlo.wafer_sim import chip_per_die_loop, per_die_loop
+from repro.netlist.openrisc import build_openrisc_like_design
+from repro.netlist.placement import RowPlacement
+
+
+def _reference_inputs(argv):
+    """The parsed options, calibrated setup, wafer, pitch and type model a
+    ``wafer``/``chip-wafer`` invocation simulates, rebuilt for a direct
+    call of the library's per-die reference loops."""
+    args = build_parser().parse_args(argv)
+    setup = cli._build_setup(args)
+    wafer = cli._build_wafer_model(args).generate(
+        np.random.default_rng(args.seed), seed_key=(args.seed,)
+    )
+    pitch = pitch_distribution_from_cv(args.mean_pitch_nm, args.pitch_cv)
+    return args, wafer, pitch, cli._shorts_type_model(setup, args)
 
 
 class TestParser:
@@ -230,11 +251,15 @@ class TestJsonOutput:
         ]
         assert main(["wafer"] + common) == 0
         stacked = json.loads(capsys.readouterr().out)
-        assert main(["wafer"] + common + ["--per-die-loop"]) == 0
-        loop = json.loads(capsys.readouterr().out)
-        assert stacked["die_count"] == loop["die_count"] > 0
+        args, wafer, pitch, type_model = _reference_inputs(["wafer"] + common)
+        loop = per_die_loop(
+            wafer, pitch, type_model, [110.0], [150.0],
+            n_trials=args.trials, seed_key=(args.seed,),
+            good_die_threshold=args.good_die_threshold,
+        )
+        assert stacked["die_count"] == loop.die_count > 0
         assert stacked["mean_chip_yield"] == pytest.approx(
-            loop["mean_chip_yield"], abs=0.1
+            loop.mean_chip_yield, abs=0.1
         )
         assert 0.0 <= stacked["good_die_fraction"] <= 1.0
 
@@ -316,12 +341,23 @@ class TestWaferFieldOptions:
         ]
         assert main(["chip-wafer"] + common) == 0
         shared = json.loads(capsys.readouterr().out)
-        assert main(["chip-wafer"] + common + ["--per-die-loop"]) == 0
-        loop = json.loads(capsys.readouterr().out)
-        assert shared["die_count"] == loop["die_count"]
-        for a, b in zip(shared["dice"], loop["dice"]):
-            assert a["chip_yield"] == b["chip_yield"]
-            assert a["mean_failing_devices"] == b["mean_failing_devices"]
+        args, wafer, pitch, type_model = _reference_inputs(
+            ["chip-wafer"] + common
+        )
+        design = build_openrisc_like_design(
+            build_nangate45_library(), scale=args.scale, seed=args.netlist_seed
+        )
+        chip = ChipMonteCarlo(
+            RowPlacement(design), pitch=pitch, type_model=type_model
+        )
+        loop = chip_per_die_loop(
+            wafer, chip, n_trials=args.trials, seed_key=(args.seed,),
+            good_die_threshold=args.good_die_threshold,
+        )
+        assert shared["die_count"] == loop.die_count
+        for a, b in zip(shared["dice"], loop.dice):
+            assert a["chip_yield"] == b.chip_yield
+            assert a["mean_failing_devices"] == b.mean_failing_devices
 
 
 class TestUsageErrors:
