@@ -521,7 +521,22 @@ def _assemble_group(
 # ----------------------------------------------------------------------
 
 
-def _normalise_classes(widths_nm, device_counts) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+def _wafer_payload(
+    pitch: PitchDistribution,
+    type_model: CNTTypeModel,
+    widths_nm,
+    device_counts,
+    n_trials: int,
+    seed_key: Sequence[int],
+    backend: Optional[NumpyBackend] = None,
+    misalignment: Optional[MisalignmentImpactModel] = None,
+) -> _WaferPayload:
+    """Validated payload of a width-class wafer run.
+
+    The single place the public entry points normalise the width classes
+    and device counts, check ``n_trials`` and take the per-tube failure
+    and short probabilities from ``type_model``.
+    """
     widths = np.atleast_1d(np.asarray(widths_nm, dtype=float))
     if widths.size == 0:
         raise ValueError("widths_nm must contain at least one width")
@@ -538,7 +553,37 @@ def _normalise_classes(widths_nm, device_counts) -> Tuple[Tuple[float, ...], Tup
             )
         if np.any(counts < 0):
             raise ValueError("device_counts must be non-negative")
-    return tuple(float(w) for w in widths), tuple(float(c) for c in counts)
+    if n_trials <= 0:
+        raise ValueError("n_trials must be positive")
+    return _WaferPayload(
+        pitch=pitch,
+        per_cnt_failure=type_model.per_cnt_failure_probability,
+        widths_nm=tuple(float(w) for w in widths),
+        device_counts=tuple(float(c) for c in counts),
+        n_trials=int(n_trials),
+        seed_key=tuple(int(part) for part in seed_key),
+        backend=backend,
+        misalignment=misalignment,
+        short_probability=type_model.surviving_metallic_probability,
+    )
+
+
+def _wafer_result(
+    wafer: WaferMap,
+    payload: _WaferPayload,
+    good_die_threshold: float,
+    dice: Sequence[DieYieldEstimate],
+) -> WaferYieldResult:
+    """The :class:`WaferYieldResult` of a run's canonically ordered dice."""
+    return WaferYieldResult(
+        wafer_diameter_mm=wafer.wafer_diameter_mm,
+        die_size_mm=wafer.die_size_mm,
+        widths_nm=payload.widths_nm,
+        device_counts=payload.device_counts,
+        n_trials=payload.n_trials,
+        good_die_threshold=float(good_die_threshold),
+        dice=tuple(dice),
+    )
 
 
 def _canonical_sites(wafer: WaferMap) -> List[DieSite]:
@@ -661,19 +706,9 @@ def simulate_die(
     DieYieldEstimate
         The die's per-width failure probabilities and Eq. 2.3 chip yield.
     """
-    widths, counts = _normalise_classes(widths_nm, device_counts)
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
-    payload = _WaferPayload(
-        pitch=pitch,
-        per_cnt_failure=type_model.per_cnt_failure_probability,
-        widths_nm=widths,
-        device_counts=counts,
-        n_trials=int(n_trials),
-        seed_key=tuple(int(part) for part in seed_key),
-        backend=backend,
-        misalignment=misalignment,
-        short_probability=type_model.surviving_metallic_probability,
+    payload = _wafer_payload(
+        pitch, type_model, widths_nm, device_counts, n_trials, seed_key,
+        backend, misalignment,
     )
     return _simulate_die_group(payload, [site])[0]
 
@@ -757,29 +792,20 @@ def simulate_wafer(
         aggregates; bitwise invariant to die order, grouping and
         ``n_workers``.
     """
-    widths, counts = _normalise_classes(widths_nm, device_counts)
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
+    payload = _wafer_payload(
+        pitch, type_model, widths_nm, device_counts, n_trials, seed_key,
+        backend, misalignment,
+    )
     if n_workers < 1:
         raise ValueError("n_workers must be at least 1")
     if not 0.0 <= good_die_threshold <= 1.0:
         raise ValueError("good_die_threshold must lie in [0, 1]")
-    payload = _WaferPayload(
-        pitch=pitch,
-        per_cnt_failure=type_model.per_cnt_failure_probability,
-        widths_nm=widths,
-        device_counts=counts,
-        n_trials=int(n_trials),
-        seed_key=tuple(int(part) for part in seed_key),
-        backend=backend,
-        misalignment=misalignment,
-        short_probability=type_model.surviving_metallic_probability,
-    )
     sites = _canonical_sites(wafer)
     dice: List[DieYieldEstimate] = []
     if sites:
+        w_max = max(payload.widths_nm)
         s_max_hint = max(
-            tight_gap_budget(pitch.with_mean(s.mean_pitch_nm), max(widths))
+            tight_gap_budget(pitch.with_mean(s.mean_pitch_nm), w_max)
             for s in sites
         )
         group = _dies_per_group(len(sites), payload, s_max_hint)
@@ -799,15 +825,7 @@ def simulate_wafer(
         )
         for result in group_results:
             dice.extend(result)
-    return WaferYieldResult(
-        wafer_diameter_mm=wafer.wafer_diameter_mm,
-        die_size_mm=wafer.die_size_mm,
-        widths_nm=widths,
-        device_counts=counts,
-        n_trials=int(n_trials),
-        good_die_threshold=float(good_die_threshold),
-        dice=tuple(dice),
-    )
+    return _wafer_result(wafer, payload, good_die_threshold, dice)
 
 
 def per_die_loop(
@@ -835,18 +853,11 @@ def per_die_loop(
     """
     from repro.montecarlo.device_sim import DeviceMonteCarlo
 
-    widths, counts = _normalise_classes(widths_nm, device_counts)
-    if n_trials <= 0:
-        raise ValueError("n_trials must be positive")
-    payload = _WaferPayload(
-        pitch=pitch,
-        per_cnt_failure=type_model.per_cnt_failure_probability,
-        widths_nm=widths,
-        device_counts=counts,
-        n_trials=int(n_trials),
-        seed_key=tuple(int(part) for part in seed_key),
-        short_probability=type_model.surviving_metallic_probability,
+    payload = _wafer_payload(
+        pitch, type_model, widths_nm, device_counts, n_trials, seed_key,
+        misalignment=misalignment,
     )
+    widths, counts = payload.widths_nm, payload.device_counts
     dice: List[DieYieldEstimate] = []
     for site in _canonical_sites(wafer):
         die_pitch = pitch.with_mean(site.mean_pitch_nm)
@@ -892,15 +903,7 @@ def per_die_loop(
             misalignment_deg=float(site.misalignment_deg),
             relaxation_factor=float(relaxation),
         ))
-    return WaferYieldResult(
-        wafer_diameter_mm=wafer.wafer_diameter_mm,
-        die_size_mm=wafer.die_size_mm,
-        widths_nm=widths,
-        device_counts=counts,
-        n_trials=int(n_trials),
-        good_die_threshold=float(good_die_threshold),
-        dice=tuple(dice),
-    )
+    return _wafer_result(wafer, payload, good_die_threshold, dice)
 
 
 # ----------------------------------------------------------------------
