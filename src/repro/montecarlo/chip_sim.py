@@ -288,20 +288,76 @@ def _failing_devices(geometry: _ChipGeometry, failing: np.ndarray) -> np.ndarray
     return (failing * geometry.window_weight).sum(axis=1).astype(float)
 
 
+def _failing_devices_and_rows(
+    geometry: _ChipGeometry, failing: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-trial failing device and failing row counts of a failing-window matrix.
+
+    The per-row reduction is a host-side ``reduceat`` over the (small)
+    per-window results.  The chip chunk and the wafer tier's per-die chip
+    chunk both reduce through here.
+    """
+    per_row = np.add.reduceat(failing, geometry.row_starts, axis=1)
+    failing_rows = (per_row > 0).sum(axis=1).astype(float)
+    return _failing_devices(geometry, failing), failing_rows
+
+
 def _simulate_chip_chunk(
     geometry: _ChipGeometry, n_chunk: int, rng: np.random.Generator
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Simulate one chunk of whole-chip trials, fully vectorised.
 
-    Returns the per-trial failing device and failing row counts; the
-    per-row reduction is a host-side ``reduceat`` over the (small)
-    per-window results of :func:`_chip_window_failures`.
+    Returns the per-trial failing device and failing row counts of
+    :func:`_chip_window_failures`.
     """
     failing = _chip_window_failures(geometry, n_chunk, rng)
-    failing_devices = _failing_devices(geometry, failing)
-    per_row = np.add.reduceat(failing, geometry.row_starts, axis=1)
-    failing_rows = (per_row > 0).sum(axis=1).astype(float)
-    return failing_devices, failing_rows
+    return _failing_devices_and_rows(geometry, failing)
+
+
+def _direct_statistics(
+    failing_devices: np.ndarray, failing_rows: np.ndarray, device_count: float
+) -> Dict[str, float]:
+    """The direct chip statistics of per-trial failing devices and rows.
+
+    Keyed by the field names :class:`ChipMCResult` and the wafer tier's
+    :class:`~repro.montecarlo.wafer_sim.ChipDieYield` share, so a
+    per-die chip run reports exactly what a fresh simulator would.
+    """
+    check_finite(failing_devices, "chip_mc.failing_devices")
+    check_finite(failing_rows, "chip_mc.failing_rows")
+    n_trials = failing_devices.size
+    return dict(
+        chip_yield=float(np.mean(failing_devices == 0)),
+        mean_failing_devices=float(np.mean(failing_devices)),
+        std_failing_devices=(
+            float(np.std(failing_devices, ddof=1)) if n_trials > 1 else 0.0
+        ),
+        mean_failing_rows=float(np.mean(failing_rows)),
+        device_failure_rate=(
+            float(np.mean(failing_devices) / device_count)
+            if device_count else float("nan")
+        ),
+    )
+
+
+def _chip_trial_chunk(
+    pitch: PitchDistribution, geometry: _ChipGeometry, n_trials: int
+) -> int:
+    """Trials per batch of a chip campaign that draws its gaps from ``pitch``.
+
+    Bounded by the engine's element budget and small enough that at least
+    :attr:`ChipMonteCarlo.DEFAULT_PARALLEL_GRAIN` chunks exist.  Naive
+    runs size chunks at the nominal pitch, tilted runs at the tilted
+    pitch actually sampled, and the wafer tier's per-die chip runs at the
+    die's pitch — the same layout, hence the same RNG streams, as a fresh
+    per-die simulator.
+    """
+    est_slots = estimate_gap_count(pitch, geometry.row_height_nm)
+    return default_trial_chunk(
+        max(1, geometry.n_rows * est_slots),
+        n_trials,
+        grain=ChipMonteCarlo.DEFAULT_PARALLEL_GRAIN,
+    )
 
 
 @dataclass(frozen=True)
@@ -584,15 +640,6 @@ class ChipMonteCarlo:
     #: and hence the per-chunk RNG streams, independent of ``n_workers``.
     DEFAULT_PARALLEL_GRAIN = 16
 
-    def _default_trial_chunk(self, n_trials: int) -> int:
-        """Trials per batch: bounded by the engine's element budget and small
-        enough that at least :attr:`DEFAULT_PARALLEL_GRAIN` chunks exist."""
-        est_slots = estimate_gap_count(self.pitch, self.row_height_nm)
-        per_trial = max(1, self._geometry.n_rows * est_slots)
-        return default_trial_chunk(
-            per_trial, n_trials, grain=self.DEFAULT_PARALLEL_GRAIN
-        )
-
     # ------------------------------------------------------------------
     # Scalar reference implementation (pre-vectorisation oracle)
     # ------------------------------------------------------------------
@@ -777,7 +824,7 @@ class ChipMonteCarlo:
             zeros = np.zeros(n_trials)
             return self._result(zeros, zeros)
         if trial_chunk is None:
-            trial_chunk = self._default_trial_chunk(n_trials)
+            trial_chunk = _chip_trial_chunk(self.pitch, self._geometry, n_trials)
         chunks = self._run_chunks(
             "chip-naive", _simulate_chip_chunk, self._geometry, n_trials, rng,
             trial_chunk, n_workers, checkpoint_dir, resume, policy, faults,
@@ -879,12 +926,7 @@ class ChipMonteCarlo:
             # stretched mean means ~tilt_factor fewer gaps per row, so the
             # nominal-pitch estimate would leave most of the element budget
             # unused.
-            est_slots = estimate_gap_count(tilt.tilted, self.row_height_nm)
-            trial_chunk = default_trial_chunk(
-                max(1, self._geometry.n_rows * est_slots),
-                n_trials,
-                grain=self.DEFAULT_PARALLEL_GRAIN,
-            )
+            trial_chunk = _chip_trial_chunk(tilt.tilted, self._geometry, n_trials)
         chunks = self._run_chunks(
             "chip-tilted", _simulate_chip_chunk_tilted,
             _TiltedChipPayload(geometry=self._geometry, tilt=tilt), n_trials,
@@ -930,24 +972,11 @@ class ChipMonteCarlo:
     def _result(
         self, failing_devices: np.ndarray, failing_rows: np.ndarray
     ) -> ChipMCResult:
-        check_finite(failing_devices, "chip_mc.failing_devices")
-        check_finite(failing_rows, "chip_mc.failing_rows")
-        n_trials = failing_devices.size
-        device_count = self.device_count
         return ChipMCResult(
-            n_trials=int(n_trials),
-            device_count=device_count,
+            n_trials=int(failing_devices.size),
+            device_count=self.device_count,
             small_device_count=self.small_device_count,
-            chip_yield=float(np.mean(failing_devices == 0)),
-            mean_failing_devices=float(np.mean(failing_devices)),
-            std_failing_devices=(
-                float(np.std(failing_devices, ddof=1)) if n_trials > 1 else 0.0
-            ),
-            mean_failing_rows=float(np.mean(failing_rows)),
-            device_failure_rate=(
-                float(np.mean(failing_devices) / device_count)
-                if device_count else float("nan")
-            ),
+            **_direct_statistics(failing_devices, failing_rows, self.device_count),
         )
 
 

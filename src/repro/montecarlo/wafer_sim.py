@@ -90,7 +90,10 @@ from repro.backend import (
 from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _ChipGeometry,
+    _chip_trial_chunk,
     _chip_window_failures,
+    _direct_statistics,
+    _failing_devices_and_rows,
     _width_class_matrix,
 )
 from repro.growth.pitch import PitchDistribution
@@ -100,8 +103,6 @@ from repro.montecarlo.engine import (
     BLOCK,
     DEFAULT_BATCH_ELEMENTS,
     count_leq_rows,
-    default_trial_chunk,
-    estimate_gap_count,
     run_chunked,
     tight_gap_budget,
 )
@@ -1029,24 +1030,6 @@ class _ChipWaferPayload:
     misalignment: Optional[MisalignmentImpactModel]
 
 
-def _chip_die_trial_chunk(
-    die_pitch: PitchDistribution, geometry: _ChipGeometry, n_trials: int
-) -> int:
-    """Per-die trial chunk, identical to the policy of a per-die simulator.
-
-    Mirrors :meth:`ChipMonteCarlo._default_trial_chunk` evaluated at the
-    die's local pitch, so a shared-geometry die run consumes exactly the
-    chunk layout (hence the RNG streams) a fresh per-die
-    :class:`ChipMonteCarlo` would — the bitwise contract the equivalence
-    tests pin down.
-    """
-    est_slots = estimate_gap_count(die_pitch, geometry.row_height_nm)
-    per_trial = max(1, geometry.n_rows * est_slots)
-    return default_trial_chunk(
-        per_trial, n_trials, grain=ChipMonteCarlo.DEFAULT_PARALLEL_GRAIN
-    )
-
-
 def _chip_die_chunk(
     payload: Tuple[_ChipGeometry, np.ndarray],
     n_chunk: int,
@@ -1054,19 +1037,16 @@ def _chip_die_chunk(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One chunk of whole-placement trials plus per-width-class reductions.
 
-    Draws exactly what :func:`~repro.montecarlo.chip_sim._simulate_chip_chunk`
-    draws (the shared :func:`~repro.montecarlo.chip_sim._chip_window_failures`
-    kernel consumes the generator identically), then reduces the failing
-    mask three ways: failing devices, failing rows, and failing devices
-    per width class (one matmul against the class matrix).
+    Draws and reduces exactly what
+    :func:`~repro.montecarlo.chip_sim._simulate_chip_chunk` does (failing
+    devices and failing rows, from the same kernel consuming the
+    generator identically), plus failing devices per width class (one
+    matmul against the class matrix).
     """
     geometry, class_matrix = payload
     failing = _chip_window_failures(geometry, n_chunk, rng)
-    failing_devices = (failing * geometry.window_weight).sum(axis=1).astype(float)
-    per_row = np.add.reduceat(failing, geometry.row_starts, axis=1)
-    failing_rows = (per_row > 0).sum(axis=1).astype(float)
-    class_failing = failing.astype(float) @ class_matrix
-    return failing_devices, failing_rows, class_failing
+    failing_devices, failing_rows = _failing_devices_and_rows(geometry, failing)
+    return failing_devices, failing_rows, failing.astype(float) @ class_matrix
 
 
 def _simulate_chip_die(payload: _ChipWaferPayload, site: DieSite) -> ChipDieYield:
@@ -1083,7 +1063,7 @@ def _simulate_chip_die(payload: _ChipWaferPayload, site: DieSite) -> ChipDieYiel
     geometry = replace(payload.geometry, pitch=die_pitch)
     trial_chunk = payload.trial_chunk
     if trial_chunk is None:
-        trial_chunk = _chip_die_trial_chunk(die_pitch, geometry, payload.n_trials)
+        trial_chunk = _chip_trial_chunk(die_pitch, geometry, payload.n_trials)
     rng = chip_die_stream(payload.seed_key, site)
     chunks = run_chunked(
         _chip_die_chunk,
@@ -1096,8 +1076,6 @@ def _simulate_chip_die(payload: _ChipWaferPayload, site: DieSite) -> ChipDieYiel
     failing_devices = np.concatenate([c[0] for c in chunks])
     failing_rows = np.concatenate([c[1] for c in chunks])
     class_failing = np.vstack([c[2] for c in chunks])
-    n_trials = failing_devices.size
-    device_count = float(payload.class_counts.sum())
 
     if payload.misalignment is not None:
         relaxation = payload.misalignment.relaxation_for_angle(
@@ -1123,16 +1101,9 @@ def _simulate_chip_die(payload: _ChipWaferPayload, site: DieSite) -> ChipDieYiel
         y_mm=site.y_mm,
         mean_pitch_nm=site.mean_pitch_nm,
         misalignment_deg=float(site.misalignment_deg),
-        n_trials=int(n_trials),
-        chip_yield=float(np.mean(failing_devices == 0)),
-        mean_failing_devices=float(np.mean(failing_devices)),
-        std_failing_devices=(
-            float(np.std(failing_devices, ddof=1)) if n_trials > 1 else 0.0
-        ),
-        mean_failing_rows=float(np.mean(failing_rows)),
-        device_failure_rate=(
-            float(np.mean(failing_devices) / device_count)
-            if device_count else float("nan")
+        n_trials=int(failing_devices.size),
+        **_direct_statistics(
+            failing_devices, failing_rows, float(payload.class_counts.sum())
         ),
         widths_nm=payload.widths_nm,
         device_counts=tuple(float(c) for c in payload.class_counts),
