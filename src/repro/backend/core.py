@@ -323,9 +323,10 @@ class NumpyBackend:
         # process pools; workers rebuild them through the cache.
         return (get_backend, (self.dtype.name, self.accum_dtype.name))
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
+        # Checkpoint fingerprints encode a payload's backend by this repr.
         return (
-            f"{type(self).__name__}(dtype={self.dtype.name}, "
+            f"{type(self).__name__}(name={self.name!r}, dtype={self.dtype.name}, "
             f"accum_dtype={self.accum_dtype.name})"
         )
 

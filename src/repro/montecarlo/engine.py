@@ -253,7 +253,7 @@ def sample_track_counts(
     """Per-trial count of tracks captured by a span, shape ``(n_trials,)``.
 
     Internally chunks the trial axis so peak memory stays bounded by
-    ``batch_elements`` regardless of ``n_trials``.  Counts are returned on
+    ``batch_elements`` regardless of ``n_trials``.  Counts are returned as
     NumPy int64 whatever the dtype policy.
     """
     if n_trials <= 0:

@@ -130,6 +130,13 @@ class TestRegistry:
     def test_instances_cached(self):
         assert get_backend(dtype="float64") is get_backend(dtype="float64")
 
+    def test_repr_keeps_checkpoint_fingerprints(self):
+        # Payload fingerprints encode an explicit backend by its repr, so
+        # the repr is part of every checkpointed campaign's identity.
+        assert repr(get_backend(dtype="float32", accum_dtype="float64")) == (
+            "NumpyBackend(name='numpy', dtype=float32, accum_dtype=float64)"
+        )
+
     def test_pickle_round_trip(self):
         for dtype in ("float64", "float32"):
             backend = get_backend(dtype=dtype)
