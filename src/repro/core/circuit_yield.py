@@ -143,11 +143,11 @@ def yield_from_uniform_failure_probability(
 ) -> float:
     """Yield of ``device_count`` identical devices with the given pF."""
     p = ensure_probability(device_failure_probability, "device_failure_probability")
-    if device_count < 0:
+    if not device_count >= 0:
         raise ValueError("device_count must be non-negative")
     if exact:
-        if p == 1.0 and device_count > 0:
-            return 0.0
+        if p == 1.0:
+            return 0.0 if device_count > 0 else 1.0
         return math.exp(device_count * math.log1p(-p))
     return max(0.0, 1.0 - device_count * p)
 
@@ -160,20 +160,32 @@ def yield_from_uniform_failure_probability_array(
     """Vectorised :func:`yield_from_uniform_failure_probability`.
 
     The batched query-serving layer pushes whole arrays of interpolated
-    failure probabilities through Eq. 2.3 / 3.1 with this hook; the
-    device count may be a scalar or broadcast elementwise.
+    failure probabilities through Eq. 2.3 / 3.1 with this hook — a
+    query's point value and both bounds as the rows of one ``(3, n)``
+    array; the device count may be a scalar or broadcast elementwise.
+    NaN in either input is rejected, as the scalar form rejects it.
+
+    The exact form writes every step into one output array.  The only
+    NaN the product ``m · log1p(-p)`` can then hold is ``0 · log 0``
+    (``m = 0``, ``p = 1``) or ``∞ · 0``, both an empty product, so
+    ``fmin`` maps it to log-yield 0; ``p = 1`` with ``m > 0`` gives
+    ``-∞`` and hence yield 0 on its own.
     """
     p = np.asarray(failure_probabilities, dtype=float)
     m = np.asarray(device_count, dtype=float)
-    if p.size and (np.any(p < 0) | np.any(p > 1)):
+    # min/max propagate NaN, and every comparison with NaN is false.
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("failure probabilities must lie in [0, 1]")
-    if m.size and np.any(m < 0):
+    if m.size and not m.min() >= 0.0:
         raise ValueError("device_count must be non-negative")
     if exact:
+        out = np.empty(np.broadcast(p, m).shape)
+        np.negative(p, out=out)
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_yield = m * np.log1p(-p)
-        log_yield = np.where(np.isnan(log_yield), 0.0, log_yield)
-        return np.where((p >= 1.0) & (m > 0), 0.0, np.exp(log_yield))
+            np.log1p(out, out=out)
+            np.multiply(out, m, out=out)
+        np.fmin(out, 0.0, out=out)
+        return np.exp(out, out=out)
     return np.maximum(0.0, 1.0 - m * p)
 
 

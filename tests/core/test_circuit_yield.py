@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.circuit_yield import (
     chip_yield,
@@ -11,6 +14,7 @@ from repro.core.circuit_yield import (
     expected_failing_devices,
     required_device_failure_probability,
     yield_from_uniform_failure_probability,
+    yield_from_uniform_failure_probability_array,
     yield_loss,
 )
 from repro.core.count_model import PoissonCountModel
@@ -98,3 +102,108 @@ class TestBudgets:
 
     def test_uniform_yield_certain_failure(self):
         assert yield_from_uniform_failure_probability(1.0, 10) == 0.0
+
+    def test_uniform_yield_zero_devices(self):
+        # An empty product: no device can fail, even a certain failure.
+        assert yield_from_uniform_failure_probability(1.0, 0) == 1.0
+        assert yield_from_uniform_failure_probability(0.3, 0.0) == 1.0
+
+
+# p ∈ {0, 1} and m = 0 are drawn often: they are the empty-product and
+# certain-failure corners of Eq. 2.3.
+probabilities = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+)
+device_counts = st.one_of(
+    st.just(0.0), st.floats(min_value=0.0, max_value=1e12)
+)
+
+
+def scalar_oracle(p, m):
+    """Elementwise scalar form over broadcast arrays."""
+    p, m = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(m, dtype=float))
+    return np.vectorize(yield_from_uniform_failure_probability, otypes=[float])(p, m)
+
+
+def assert_matches_oracle(result, p, m):
+    """Equal to the scalar form: exactly at the corners, else to rounding.
+
+    The two forms round differently only through NumPy's vectorised
+    ``exp``/``log1p`` against the C library's; an error of a few ulps in
+    ``m · log1p(-p)`` (|.| ≤ 745 before the yield underflows) moves the
+    yield by at most ~1e-12 relative.
+    """
+    expected = scalar_oracle(p, m)
+    assert result.shape == expected.shape
+    np.testing.assert_allclose(result, expected, rtol=1e-12, atol=1e-300)
+    p_b, m_b = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(m, dtype=float))
+    corners = (p_b == 0.0) | (p_b == 1.0) | (m_b == 0.0)
+    np.testing.assert_array_equal(result[corners], expected[corners])
+
+
+class TestUniformYieldArray:
+    """The array form against the scalar form it vectorises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=probabilities, m=device_counts)
+    def test_zero_d_inputs(self, p, m):
+        result = yield_from_uniform_failure_probability_array(np.float64(p), m)
+        assert isinstance(result, np.ndarray) and result.shape == ()
+        assert_matches_oracle(result, p, m)
+        zero_d = yield_from_uniform_failure_probability_array(
+            np.asarray(p), np.asarray(m)
+        )
+        assert zero_d.tobytes() == result.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stack=arrays(np.float64, st.tuples(st.just(3), st.integers(1, 40)),
+                     elements=probabilities),
+        m=device_counts,
+    )
+    def test_stack_with_scalar_count(self, stack, m):
+        result = yield_from_uniform_failure_probability_array(stack, m)
+        assert_matches_oracle(result, stack, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40))
+    def test_stack_with_per_entry_counts(self, data, n):
+        stack = data.draw(arrays(np.float64, (3, n), elements=probabilities))
+        counts = data.draw(arrays(np.float64, (n,), elements=device_counts))
+        result = yield_from_uniform_failure_probability_array(stack, counts)
+        assert_matches_oracle(result, stack, counts)
+        # Each row of the stack is bitwise the row mapped on its own.
+        for row in range(3):
+            alone = yield_from_uniform_failure_probability_array(stack[row], counts)
+            assert result[row].tobytes() == alone.tobytes()
+
+    def test_corners(self):
+        p = np.array([0.0, 0.0, 1.0, 1.0, 0.5])
+        m = np.array([0.0, 1e9, 0.0, 1e9, 0.0])
+        result = yield_from_uniform_failure_probability_array(p, m)
+        np.testing.assert_array_equal(result, [1.0, 1.0, 1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 4)])
+    def test_nan_probability_rejected(self, where):
+        stack = np.full((3, 5), 0.25)
+        stack[where] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            yield_from_uniform_failure_probability_array(stack, 1e6)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            yield_from_uniform_failure_probability(np.nan, 1e6)
+
+    def test_nan_count_rejected(self):
+        counts = np.array([1e6, np.nan, 1e6])
+        for m in (np.nan, counts):
+            with pytest.raises(ValueError, match="device_count"):
+                yield_from_uniform_failure_probability_array(np.full((3, 3), 0.25), m)
+        with pytest.raises(ValueError, match="device_count"):
+            yield_from_uniform_failure_probability(0.25, math.nan)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            yield_from_uniform_failure_probability_array(np.array([0.5, 1.5]), 1.0)
+        with pytest.raises(ValueError):
+            yield_from_uniform_failure_probability_array(np.array([-0.1]), 1.0)
+        with pytest.raises(ValueError):
+            yield_from_uniform_failure_probability_array(np.array([0.5]), -1.0)
