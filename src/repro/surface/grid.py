@@ -111,19 +111,25 @@ def bilinear_interpolate(
     answer is acceptable or must fall back to an exact evaluation.  One
     ``searchsorted`` per axis plus fused arithmetic: the
     serving layer leans on this running at millions of queries per second.
+
+    The cell of a query is the number of *interior* nodes at or below it,
+    which is already clamped: below the grid it is 0 and at or above the
+    last node it is the last cell.
     """
     xq = np.asarray(x_query, dtype=float)
     yq = np.asarray(y_query, dtype=float)
-    i = np.clip(np.searchsorted(x_grid, xq, side="right") - 1, 0, x_grid.size - 2)
-    j = np.clip(np.searchsorted(y_grid, yq, side="right") - 1, 0, y_grid.size - 2)
+    i = x_grid[1:-1].searchsorted(xq, side="right")
+    j = y_grid[1:-1].searchsorted(yq, side="right")
+    i1 = i + 1
+    j1 = j + 1
     x0 = x_grid[i]
     y0 = y_grid[j]
-    tx = (xq - x0) / (x_grid[i + 1] - x0)
-    ty = (yq - y0) / (y_grid[j + 1] - y0)
+    tx = (xq - x0) / (x_grid[i1] - x0)
+    ty = (yq - y0) / (y_grid[j1] - y0)
     v00 = values[i, j]
-    v10 = values[i + 1, j]
-    v01 = values[i, j + 1]
-    v11 = values[i + 1, j + 1]
+    v10 = values[i1, j]
+    v01 = values[i, j1]
+    v11 = values[i1, j1]
     top = v00 + tx * (v10 - v00)
     bottom = v01 + tx * (v11 - v01)
     return top + ty * (bottom - top), i, j

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.surface.grid import GridAxis, bilinear_interpolate
 
@@ -87,3 +89,40 @@ class TestBilinearInterpolate:
         # Linear extrapolation from the boundary cell: f(2) = 2.
         assert interp[0] == pytest.approx(2.0)
         assert i[0] == 0 and j[0] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        axis=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            min_size=2, max_size=12, unique=True,
+        ).map(sorted),
+        data=st.data(),
+    )
+    def test_interior_search_matches_clipped_search(self, axis, data):
+        """The interior-node search gives the clipped full-axis cell.
+
+        Queries below, inside and above the grid, exactly on nodes, at
+        infinities and at NaN all land in the same cell as
+        ``clip(searchsorted(axis, q, "right") - 1, 0, n - 2)``.
+        """
+        grid = np.array(axis)
+        on_node = st.sampled_from(axis)
+        anywhere = st.floats(allow_nan=True, allow_infinity=True)
+        queries = np.array(data.draw(
+            st.lists(st.one_of(on_node, anywhere), min_size=1, max_size=20)
+        ))
+        expected = np.clip(
+            np.searchsorted(grid, queries, side="right") - 1, 0, grid.size - 2
+        )
+        other = np.array([0.0, 1.0])
+        values = np.zeros((grid.size, other.size))
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            _, i, j = bilinear_interpolate(
+                grid, other, values, queries, np.full(queries.shape, 0.5)
+            )
+            _, i_t, j_t = bilinear_interpolate(
+                other, grid, values.T, np.full(queries.shape, 0.5), queries
+            )
+        np.testing.assert_array_equal(i, expected)
+        np.testing.assert_array_equal(j_t, expected)
+        assert not j.any() and not i_t.any()
