@@ -257,7 +257,7 @@ class YieldApp:
         surf, _ = self.service.resolve(request.surface)
         widths = request.width_nm
         if request.cnt_density_per_um is None:
-            densities = np.full(widths.shape, self.service._reference_density(surf))
+            densities = np.full(widths.shape, surf.reference_density_per_um)
         elif request.cnt_density_per_um.size == 1:
             densities = np.full(widths.shape, request.cnt_density_per_um[0])
         else:

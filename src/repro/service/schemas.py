@@ -32,6 +32,12 @@ MAX_BATCH = 65_536
 
 _FALLBACKS = ("exact", "mc", "none")
 
+#: The arrays of a :class:`QueryResult`, in response-body order.
+_ARRAY_FIELDS = (
+    "failure_probability", "failure_lower", "failure_upper",
+    "chip_yield", "yield_lower", "yield_upper", "interpolated",
+)
+
 
 class SchemaError(ValueError):
     """A malformed or invalid request body (mapped to HTTP 400)."""
@@ -42,15 +48,20 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _float_array(value: object, name: str) -> np.ndarray:
+def _positive_array(value: object, name: str) -> np.ndarray:
+    """A number or list of numbers as a 1-d array of finite positive floats."""
     _require(isinstance(value, (list, tuple, int, float)), f"{name} must be a number or list of numbers")
     try:
-        array = np.atleast_1d(np.asarray(value, dtype=float)).ravel()
+        array = np.asarray(value, dtype=float).ravel()
     except (TypeError, ValueError):
         raise SchemaError(f"{name} must contain only numbers") from None
     _require(array.size >= 1, f"{name} must not be empty")
     _require(array.size <= MAX_BATCH, f"{name} exceeds the {MAX_BATCH}-point batch cap")
-    _require(bool(np.isfinite(array).all()), f"{name} must contain only finite numbers")
+    # One check for both rules: a NaN extreme fails either comparison.
+    _require(
+        bool(array.min() > 0.0 and array.max() < math.inf),
+        f"{name} must contain only finite positive numbers",
+    )
     return array
 
 
@@ -102,16 +113,13 @@ class QueryRequest:
                  "surface must be a non-empty string key")
 
         _require("width_nm" in payload, "width_nm is required")
-        widths = _float_array(payload["width_nm"], "width_nm")
-        _require(bool((widths > 0.0).all()), "width_nm must be positive")
+        widths = _positive_array(payload["width_nm"], "width_nm")
 
         densities: Optional[np.ndarray] = None
         if payload.get("cnt_density_per_um") is not None:
-            densities = _float_array(
+            densities = _positive_array(
                 payload["cnt_density_per_um"], "cnt_density_per_um"
             )
-            _require(bool((densities > 0.0).all()),
-                     "cnt_density_per_um must be positive")
             _require(
                 densities.size in (1, widths.size),
                 "cnt_density_per_um must be a scalar or match width_nm "
@@ -120,8 +128,7 @@ class QueryRequest:
 
         device_count: Union[float, np.ndarray] = 1.0
         if payload.get("device_count") is not None:
-            counts = _float_array(payload["device_count"], "device_count")
-            _require(bool((counts > 0.0).all()), "device_count must be positive")
+            counts = _positive_array(payload["device_count"], "device_count")
             _require(
                 counts.size in (1, widths.size),
                 "device_count must be a scalar or match width_nm",
@@ -209,19 +216,14 @@ def query_response(
     body: Dict[str, object] = {
         "scenario": result.scenario,
         "n_queries": result.n_queries,
-        "failure_probability": result.failure_probability,
-        "failure_lower": result.failure_lower,
-        "failure_upper": result.failure_upper,
-        "chip_yield": result.chip_yield,
-        "yield_lower": result.yield_lower,
-        "yield_upper": result.yield_upper,
-        "interpolated": result.interpolated,
-        "degraded": bool(result.degraded),
-        "degradation": list(result.degradation),
     }
+    for name in _ARRAY_FIELDS:
+        body[name] = json_safe(getattr(result, name))
+    body["degraded"] = bool(result.degraded)
+    body["degradation"] = list(result.degradation)
     if refinement is not None:
-        body["refinement"] = refinement
-    return {key: json_safe(value) for key, value in body.items()}
+        body["refinement"] = json_safe(refinement)
+    return body
 
 
 def surface_entry(

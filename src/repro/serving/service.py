@@ -29,13 +29,12 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.circuit_yield import yield_from_uniform_failure_probability_array
-from repro.core.correlation import CorrelationParameters
 from repro.resilience.checkpoint import CorruptArtifactError
 from repro.resilience.degrade import CircuitBreaker, Deadline
 from repro.resilience.guards import check_finite
 from repro.serving.cache import LRUCache
 from repro.serving.interpolate import interpolate_log_failure
-from repro.surface.builder import ExactEvaluator, pitch_from_descriptor
+from repro.surface.builder import ExactEvaluator
 from repro.surface.surface import SCENARIO_DEVICE, SurfaceStore, YieldSurface
 
 
@@ -330,7 +329,7 @@ class YieldService:
             degradation.append(resolution)
         widths = np.atleast_1d(np.asarray(width_nm, dtype=float)).ravel()
         if cnt_density_per_um is None:
-            densities = np.full(widths.shape, self._reference_density(surf))
+            densities = np.full(widths.shape, surf.reference_density_per_um)
         else:
             densities = np.atleast_1d(
                 np.asarray(cnt_density_per_um, dtype=float)
@@ -368,28 +367,40 @@ class YieldService:
                 log_near, _, _ = interpolate_log_failure(
                     surf, w_clip, d_clip, n_sigma=self.n_sigma
                 )
-                log_p = log_p.copy()
-                err_log = err_log.copy()
                 log_p[outside] = log_near
                 err_log[outside] = np.inf
             else:
                 log_exact, err_exact = self._fallback_values(
                     surf, widths[outside], densities[outside], fallback, mc_samples
                 )
-                log_p = log_p.copy()
-                err_log = err_log.copy()
                 log_p[outside] = log_exact
                 err_log[outside] = err_exact
 
         check_finite(log_p, "serving.query.log_failure", allow_inf=True)
-        p = np.exp(np.minimum(log_p, 0.0))
-        p_lower = np.exp(np.minimum(log_p - err_log, 0.0))
-        p_upper = np.minimum(np.exp(log_p + err_log), 1.0)
+        # Rows p, p_upper, p_lower: Eq. 2.3 / 3.1 is decreasing in p, so
+        # their yields are the point yield, its lower and its upper bound.
+        failure = np.empty((3, widths.size))
+        p, p_upper, p_lower = failure
+        np.minimum(log_p, 0.0, out=p)
+        np.exp(p, out=p)
+        np.add(log_p, err_log, out=p_upper)
+        np.exp(p_upper, out=p_upper)
+        np.minimum(p_upper, 1.0, out=p_upper)
+        np.subtract(log_p, err_log, out=p_lower)
+        np.minimum(p_lower, 0.0, out=p_lower)
+        np.exp(p_lower, out=p_lower)
 
-        counts = self._effective_counts(surf, device_count)
-        chip_yield = yield_from_uniform_failure_probability_array(p, counts)
-        yield_lower = yield_from_uniform_failure_probability_array(p_upper, counts)
-        yield_upper = yield_from_uniform_failure_probability_array(p_lower, counts)
+        # Per-query counts pair with the flattened widths entry by entry.
+        counts = np.asarray(device_count, dtype=float).ravel()
+        if counts.size not in (1, widths.size):
+            raise ValueError(
+                f"device_count has {counts.size} entries for {widths.size} queries"
+            )
+        if surf.scenario != SCENARIO_DEVICE:
+            counts = counts / surf.devices_per_row
+        chip_yield, yield_lower, yield_upper = (
+            yield_from_uniform_failure_probability_array(failure, counts)
+        )
 
         with self._lock:
             # Both counters are per-entry: a degraded batch degrades every
@@ -476,21 +487,6 @@ class YieldService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _reference_density(surface: YieldSurface) -> float:
-        pitch = pitch_from_descriptor(surface.metadata["pitch"])
-        return 1000.0 / pitch.mean_nm
-
-    @staticmethod
-    def _effective_counts(
-        surface: YieldSurface, device_count: Union[float, np.ndarray]
-    ) -> np.ndarray:
-        counts = np.asarray(device_count, dtype=float)
-        if surface.scenario == SCENARIO_DEVICE:
-            return counts
-        params = CorrelationParameters(**surface.metadata["correlation"])
-        return counts / params.devices_per_row
 
     def _evaluator(
         self, surface: YieldSurface, method: str, mc_samples: int

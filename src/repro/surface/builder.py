@@ -42,16 +42,16 @@ from repro.core.correlation import (
 )
 from repro.core.count_model import count_model_from_pitch
 from repro.core.failure import CNFETFailureModel
-from repro.growth.pitch import (
-    DeterministicPitch,
-    ExponentialPitch,
-    GammaPitch,
-    PitchDistribution,
-    TruncatedNormalPitch,
-)
+from repro.growth.pitch import ExponentialPitch, PitchDistribution, TruncatedNormalPitch
 from repro.resilience.checkpoint import open_campaign
 from repro.surface.grid import GridAxis, bilinear_interpolate
-from repro.surface.surface import LOG_FLOOR, SCENARIO_DEVICE, YieldSurface
+from repro.surface.surface import (
+    LOG_FLOOR,
+    SCENARIO_DEVICE,
+    YieldSurface,
+    pitch_descriptor,
+    pitch_from_descriptor,
+)
 from repro.units import ensure_positive, ensure_probability, per_um_to_per_nm
 
 #: Every queryable scenario tag: the device pF surface plus Table 1's three.
@@ -67,33 +67,6 @@ INTERP_ERROR_FLOOR = 1e-9
 #: cells whose residual is statistically indistinguishable from that floor
 #: must not be refined (they would split forever without converging).
 REFINE_NOISE_SIGMA = 4.0
-
-_PITCH_FAMILIES = {
-    cls.__name__: cls
-    for cls in (DeterministicPitch, ExponentialPitch, GammaPitch, TruncatedNormalPitch)
-}
-
-
-def pitch_descriptor(pitch: PitchDistribution) -> Dict[str, object]:
-    """JSON-serialisable identity of a pitch family (for surface metadata)."""
-    try:
-        params = dataclasses.asdict(pitch)
-    except TypeError as exc:
-        raise TypeError(
-            f"{type(pitch).__name__} is not a dataclass pitch family and "
-            "cannot be persisted in surface metadata"
-        ) from exc
-    return {"family": type(pitch).__name__, "params": params}
-
-
-def pitch_from_descriptor(descriptor: Dict[str, object]) -> PitchDistribution:
-    """Rebuild the pitch family recorded by :func:`pitch_descriptor`."""
-    family = descriptor.get("family")
-    cls = _PITCH_FAMILIES.get(str(family))
-    if cls is None:
-        raise ValueError(f"unknown pitch family {family!r}")
-    return cls(**descriptor["params"])
-
 
 def density_to_mean_pitch_nm(cnt_density_per_um: float) -> float:
     """CNT density ρ (tubes/µm) to mean pitch µS (nm): µS = 1 / ρ."""

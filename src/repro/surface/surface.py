@@ -22,15 +22,25 @@ layer's LRU.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Union
 
 import numpy as np
 
+from repro.core.correlation import CorrelationParameters
+from repro.growth.pitch import (
+    DeterministicPitch,
+    ExponentialPitch,
+    GammaPitch,
+    PitchDistribution,
+    TruncatedNormalPitch,
+)
 from repro.resilience.atomic import atomic_write_bytes
 from repro.resilience.checkpoint import CorruptArtifactError
 
@@ -46,6 +56,32 @@ LOG_FLOOR = -690.0
 
 _ARRAY_FIELDS = ("width_nm", "cnt_density_per_um", "log_failure",
                  "stat_se_log", "interp_error_log")
+
+_PITCH_FAMILIES = {
+    cls.__name__: cls
+    for cls in (DeterministicPitch, ExponentialPitch, GammaPitch, TruncatedNormalPitch)
+}
+
+
+def pitch_descriptor(pitch: PitchDistribution) -> Dict[str, object]:
+    """JSON-serialisable identity of a pitch family (for surface metadata)."""
+    try:
+        params = dataclasses.asdict(pitch)
+    except TypeError as exc:
+        raise TypeError(
+            f"{type(pitch).__name__} is not a dataclass pitch family and "
+            "cannot be persisted in surface metadata"
+        ) from exc
+    return {"family": type(pitch).__name__, "params": params}
+
+
+def pitch_from_descriptor(descriptor: Dict[str, object]) -> PitchDistribution:
+    """Rebuild the pitch family recorded by :func:`pitch_descriptor`."""
+    family = descriptor.get("family")
+    cls = _PITCH_FAMILIES.get(str(family))
+    if cls is None:
+        raise ValueError(f"unknown pitch family {family!r}")
+    return cls(**descriptor["params"])
 
 
 @dataclass(frozen=True)
@@ -71,6 +107,11 @@ class YieldSurface:
         Everything needed to rebuild the exact evaluator: pitch family and
         parameters, per-CNT failure, correlation parameters, build method,
         tolerance and refinement history.
+
+    A surface is never modified after construction, so what every query
+    would otherwise recompute — the content hash behind :attr:`key`,
+    :attr:`max_stat_se_log`, :attr:`reference_density_per_um` and
+    :attr:`devices_per_row` — is computed once, on first use.
     """
 
     scenario: str
@@ -118,7 +159,7 @@ class YieldSurface:
     # Identity
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def content_hash(self) -> str:
         """sha256 over canonical metadata JSON and raw array bytes."""
         digest = hashlib.sha256()
@@ -130,7 +171,7 @@ class YieldSurface:
             digest.update(array.tobytes())
         return digest.hexdigest()
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Short identity used in filenames and cache keys."""
         return f"{self.scenario}-{self.content_hash[:12]}"
@@ -169,10 +210,20 @@ class YieldSurface:
         """Largest per-cell bilinear-residual bound of ``log_failure``."""
         return float(np.max(self.interp_error_log))
 
-    @property
+    @cached_property
     def max_stat_se_log(self) -> float:
         """Largest per-node standard error of ``log_failure``."""
         return float(np.max(self.stat_se_log))
+
+    @cached_property
+    def reference_density_per_um(self) -> float:
+        """The pitch family's nominal density 1000 / µS (default query density)."""
+        return 1000.0 / pitch_from_descriptor(self.metadata["pitch"]).mean_nm
+
+    @cached_property
+    def devices_per_row(self) -> float:
+        """Eq. 3.2 MRmin, which turns Mmin into the row count of Eq. 3.1."""
+        return CorrelationParameters(**self.metadata["correlation"]).devices_per_row
 
     def describe(self) -> Dict[str, object]:
         """Flat summary row (reporting / CLI / JSON friendly)."""

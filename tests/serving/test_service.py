@@ -85,6 +85,34 @@ class TestInterpolatedQueries:
         )
         assert result.chip_yield[0] > result.chip_yield[1]
 
+    @pytest.mark.parametrize(
+        "device_count", [math.nan, np.array([1e6, math.nan])]
+    )
+    def test_nan_device_count_rejected(self, device_surface, device_count):
+        # A NaN count must not read as a perfect chip yield.
+        service = YieldService()
+        key = service.register(device_surface)
+        with pytest.raises(ValueError, match="device_count"):
+            service.query(key, np.array([80.0, 120.0]), device_count=device_count)
+
+    def test_device_counts_pair_with_queries(self, device_surface):
+        service = YieldService()
+        key = service.register(device_surface)
+        widths = np.array([80.0, 120.0, 160.0])
+        counts = np.array([1e6, 1e7, 1e8])
+        flat = service.query(key, widths, device_count=counts)
+        column = service.query(key, widths, device_count=counts[:, None])
+        np.testing.assert_array_equal(column.chip_yield, flat.chip_yield)
+        np.testing.assert_array_equal(column.yield_lower, flat.yield_lower)
+        with pytest.raises(ValueError, match="device_count"):
+            service.query(key, widths, device_count=counts[:2])
+
+    def test_surface_constants_match_metadata(self, device_surface, aligned_surface):
+        params = CorrelationParameters(**aligned_surface.metadata["correlation"])
+        assert aligned_surface.devices_per_row == params.devices_per_row
+        assert device_surface.reference_density_per_um == 250.0
+        assert device_surface.key == f"device-{device_surface.content_hash[:12]}"
+
     def test_row_scenario_uses_row_count(self, aligned_surface):
         service = YieldService()
         key = service.register(aligned_surface)
