@@ -13,6 +13,10 @@ the repository root.  Two headline checks:
   interpolated answer must lie within its *reported* error bound of the
   exact Eq. 2.2 / 3.1 closed-form evaluation.
 
+It also records, unfloored, what the same queries cost without a surface:
+the exact evaluator's points per second for the Poisson and gamma pitch
+families (the baseline the README's serving row quotes).
+
 Runs as a pytest test (``pytest benchmarks/bench_serving.py``) or
 standalone (``python benchmarks/bench_serving.py``).  Set
 ``REPRO_BENCH_QUICK=1`` for the CI smoke configuration.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
+from typing import Dict
 
 import numpy as np
 
@@ -35,6 +40,8 @@ from repro.growth.pitch import pitch_distribution_from_cv
 from repro.serving import YieldService
 from repro.surface import (
     ALL_SCENARIOS,
+    SCENARIO_DEVICE,
+    ExactEvaluator,
     GridAxis,
     SurfaceBuilder,
     SweepSpec,
@@ -100,6 +107,37 @@ def measure_throughput(service, key, n_queries: int, batch_size: int) -> dict:
     }
 
 
+def measure_exact_points(setup: CalibratedSetup, n_points: Dict[str, int]) -> dict:
+    """Time the exact evaluator at fresh scattered points, per pitch family.
+
+    This is what a query costs without a surface: the serving layer's
+    off-grid fallback, one closed-form evaluation per (W, ρ) point.  The
+    Poisson family (pitch CV 1) has the Eq. 2.2 closed form; the gamma
+    family (CV 0.5) goes through the renewal count model.
+    """
+    rng = np.random.default_rng(20100614)
+    records = {}
+    for family, cv in (("poisson", 1.0), ("gamma_cv0.5", 0.5)):
+        n = n_points[family]
+        evaluator = ExactEvaluator(
+            SCENARIO_DEVICE,
+            pitch_distribution_from_cv(setup.mean_pitch_nm, cv),
+            setup.corner.per_cnt_failure_probability,
+            setup.correlation,
+        )
+        widths = rng.uniform(W_LOW, W_HIGH, n)
+        densities = rng.uniform(D_LOW, D_HIGH, n)
+        start = time.perf_counter()
+        evaluator.points(widths, densities)
+        seconds = time.perf_counter() - start
+        records[family] = {
+            "n_points": n,
+            "seconds": seconds,
+            "points_per_sec": n / seconds,
+        }
+    return records
+
+
 def table1_crosscheck(setup: CalibratedSetup, surfaces, service) -> list:
     """Interpolated vs exact values at the paper's Table 1 operating points.
 
@@ -151,7 +189,9 @@ def table1_crosscheck(setup: CalibratedSetup, surfaces, service) -> list:
     return records
 
 
-def run_benchmark(n_queries: int, batch_size: int) -> dict:
+def run_benchmark(
+    n_queries: int, batch_size: int, exact_points: Dict[str, int]
+) -> dict:
     setup = CalibratedSetup()
     surfaces, build_seconds = build_surfaces(setup)
     service = YieldService()
@@ -161,6 +201,7 @@ def run_benchmark(n_queries: int, batch_size: int) -> dict:
     measure_throughput(service, device_key, min(n_queries, 100_000), batch_size)
     throughput = measure_throughput(service, device_key, n_queries, batch_size)
     crosscheck = table1_crosscheck(setup, surfaces, service)
+    exact = measure_exact_points(setup, exact_points)
 
     return {
         "benchmark": "yield-surface serving layer, interpolated queries",
@@ -180,6 +221,7 @@ def run_benchmark(n_queries: int, batch_size: int) -> dict:
         },
         "throughput": throughput,
         "throughput_floor": THROUGHPUT_FLOOR,
+        "exact_points": exact,
         "table1_crosscheck": crosscheck,
         "cache": service.cache.stats(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -189,9 +231,15 @@ def run_benchmark(n_queries: int, batch_size: int) -> dict:
 def test_serving_throughput_and_bounds():
     """≥1e6 interpolated queries/sec; Table 1 points within error bounds."""
     if _quick_mode():
-        record = run_benchmark(n_queries=500_000, batch_size=250_000)
+        record = run_benchmark(
+            n_queries=500_000, batch_size=250_000,
+            exact_points={"poisson": 2_000, "gamma_cv0.5": 200},
+        )
     else:
-        record = run_benchmark(n_queries=4_000_000, batch_size=1_000_000)
+        record = run_benchmark(
+            n_queries=4_000_000, batch_size=1_000_000,
+            exact_points={"poisson": 20_000, "gamma_cv0.5": 2_000},
+        )
 
     atomic_write_json(RESULT_PATH, record)
 
@@ -206,6 +254,8 @@ def test_serving_throughput_and_bounds():
               f"built in {info['build_seconds']:.2f}s")
     print(f"throughput           : {rate:.3e} queries/sec "
           f"(floor {record['throughput_floor']:.0e})")
+    for family, info in record["exact_points"].items():
+        print(f"exact, {family:14s}: {info['points_per_sec']:.3e} points/sec")
     n_ok = sum(1 for c in checks if c["within_bounds"])
     print(f"Table 1 cross-check  : {n_ok}/{len(checks)} points within "
           f"reported bounds")

@@ -60,6 +60,12 @@ def _checks():
     front = coopt["front_quality"]
     evals = sig(coopt["throughput"]["evaluations_per_sec"], 2)
 
+    serving = _record("BENCH_serving.json")
+    served = sig(serving["throughput"]["queries_per_sec"], 1)
+    exact = serving["exact_points"]
+    poisson_pps = sig(exact["poisson"]["points_per_sec"], 1)
+    gamma_pps = sig(exact["gamma_cv0.5"]["points_per_sec"], 1)
+
     return [
         ("README.md", "vectorized batched Monte Carlo engine (",
          [f"(~{speedup} single-core)"]),
@@ -106,6 +112,24 @@ def _checks():
           f"~{sig(shorts['throughput']['slowdown'], 3)}X"]),
         ("docs/benchmarks.md", "from the thinned closed form",
          [f"z = {sig(shorts['accuracy']['z_score'], 2)}"]),
+        ("README.md", "error-bounded yield-surface serving tier (",
+         [f"(~{served} queries/s)"]),
+        ("README.md", "| yield queries |",
+         [f"exact gamma-family point evals, ~{gamma_pps}/s", f"| ~{served}/s |"]),
+        ("docs/benchmarks.md", "| exact evaluator per point, Poisson family",
+         [f"~{poisson_pps} points/sec"]),
+        ("docs/benchmarks.md", "| exact evaluator per point, gamma family",
+         [f"~{gamma_pps} points/sec"]),
+        ("docs/benchmarks.md", "| interpolated surface queries, any family |",
+         [f"**~{served} queries/sec**"]),
+        ("docs/benchmarks.md", "queries/sec, plus a Table 1 operating-point bound",
+         [f"Floor: ≥{sig(serving['throughput_floor'], 1)} queries/sec"]),
+        ("docs/architecture.md", "then serves batched queries (",
+         [f"(~{served}/s single"]),
+        ("docs/guides/estimators.md", "| Many (width, density) queries |",
+         [f"serve ~{served} queries/s"]),
+        ("docs/paper-map.md", "| Error-bounded yield surfaces + batched serving (",
+         [f"(~{served} q/s)"]),
         ("docs/architecture.md", "spawn-keyed RNG streams (",
          [f"(~{speedup} single-core over the scalar loop)"]),
         ("docs/paper-map.md", "| Batched Monte Carlo engine (",
