@@ -3,8 +3,11 @@
 Times the scalar (pre-vectorisation oracle) and the vectorized batched
 engine on the Nangate45 OpenRISC-like block, and writes
 ``BENCH_chip_sim.json`` at the repository root with trials/sec and
-device-windows/sec for both, so future PRs can track the performance
-trajectory.  Runs as a pytest test (``pytest benchmarks/bench_chip_sim.py``)
+device-windows/sec for both, so future changes can track the performance
+trajectory.  The record also carries its provenance (git commit, CPU,
+Python and NumPy versions, dtype policy, mode) and the wall time of each
+layer of one batched chunk: gap draw, ``cumsum``, tube uniforms and the
+window count.  Runs as a pytest test (``pytest benchmarks/bench_chip_sim.py``)
 or standalone (``python benchmarks/bench_chip_sim.py``).
 
 Set ``REPRO_BENCH_QUICK=1`` for a smaller design and fewer trials (the CI
@@ -14,16 +17,20 @@ smoke configuration).
 from __future__ import annotations
 
 import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro.backend import buffer_pool, default_backend, release_buffers
 from repro.resilience.atomic import atomic_write_json
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import ExponentialPitch
 from repro.growth.types import CNTTypeModel
-from repro.montecarlo.chip_sim import ChipMonteCarlo
+from repro.montecarlo.chip_sim import ChipMonteCarlo, _chip_trial_chunk
+from repro.montecarlo.engine import count_in_windows_flat, tight_gap_budget
 from repro.netlist.openrisc import build_openrisc_like_design
 from repro.netlist.placement import RowPlacement
 
@@ -58,6 +65,116 @@ def _time_engine(run, n_trials: int, seed: int, repeats: int = 1) -> float:
     return best
 
 
+def _provenance() -> dict:
+    """Commit, machine, library versions, dtype policy and mode of this run."""
+    root = RESULT_PATH.parent
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+        dirty = bool(subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=root, capture_output=True, text=True, check=True,
+        ).stdout.strip())
+    except (OSError, subprocess.CalledProcessError):
+        sha, dirty = "unknown", None
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as info:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in info
+                 if line.startswith("model name")),
+                cpu,
+            )
+    except OSError:
+        pass
+    backend = default_backend()
+    return {
+        "git_sha": sha,
+        "git_dirty": dirty,
+        "cpu_model": cpu,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "dtype": backend.dtype.name,
+        "accum_dtype": backend.accum_dtype.name,
+        "mode": "quick" if _quick_mode() else "full",
+    }
+
+
+def _median_seconds(step, repeats: int) -> float:
+    """Median wall time of ``repeats`` calls of ``step`` after one warm-up."""
+    step()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        step()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times))
+
+
+def chunk_layers(
+    simulator: ChipMonteCarlo, n_trials: int, repeats: int = 30
+) -> dict:
+    """Median seconds of each layer of one default-sized trial chunk.
+
+    The layers of :func:`repro.montecarlo.chip_sim._chip_window_counts_joint`
+    timed one by one on the same chunk, inside a buffer pool scope as the
+    chunk runner executes them: the gap draw of the first (tight-budget)
+    batch, its ``cumsum``, the per-tube uniforms and the window count of
+    every distinct window.  Top-up rounds and the failure reductions are
+    left out, so the layers sum to a little less than one chunk.
+    """
+    geometry = simulator.chip_geometry()
+    backend = default_backend()
+    n_chunk = _chip_trial_chunk(geometry.pitch, geometry, n_trials)
+    shape = (
+        n_chunk * geometry.n_rows,
+        tight_gap_budget(geometry.pitch, geometry.row_height_nm),
+    )
+    n_windows = geometry.window_lo.size
+    trial_index = (
+        np.repeat(np.arange(n_chunk) * geometry.n_rows, n_windows)
+        + np.tile(geometry.window_row, n_chunk)
+    )
+    lo = np.tile(geometry.window_lo, n_chunk)
+    hi = np.tile(geometry.window_hi, n_chunk)
+    rng = np.random.default_rng(3)
+    try:
+        with buffer_pool():
+            gaps = backend.sample_gaps(
+                geometry.pitch, shape, rng, out=backend.empty(shape)
+            )
+            positions = backend.cumsum(gaps, axis=1)
+            working = backend.uniform(rng, shape) >= geometry.per_cnt_failure
+            working &= (positions >= 0.0) & (positions <= geometry.row_height_nm)
+            layers = {
+                "gap_draw": _median_seconds(
+                    lambda: backend.sample_gaps(
+                        geometry.pitch, shape, rng, out=gaps
+                    ), repeats),
+                "cumsum": _median_seconds(
+                    lambda: backend.cumsum(gaps, axis=1), repeats),
+                "uniforms": _median_seconds(
+                    lambda: backend.uniform(rng, shape), repeats),
+                "window_count": _median_seconds(
+                    lambda: count_in_windows_flat(
+                        positions, working, lo, hi, trial_index,
+                        backend=backend,
+                    ), repeats),
+            }
+    finally:
+        release_buffers()
+    return {
+        "trials_per_chunk": n_chunk,
+        "track_rows": shape[0],
+        "gap_slots_per_row": shape[1],
+        "window_queries": int(lo.size),
+        "median_seconds": layers,
+    }
+
+
 def run_benchmark(scale: float, scalar_trials: int, vector_trials: int) -> dict:
     """Measure both engines and return the benchmark record."""
     simulator = _build_simulator(scale)
@@ -71,6 +188,7 @@ def run_benchmark(scale: float, scalar_trials: int, vector_trials: int) -> dict:
     return {
         "benchmark": "ChipMonteCarlo.run on Nangate45 OpenRISC-like block",
         "quick_mode": _quick_mode(),
+        "provenance": _provenance(),
         "design": {
             "scale": scale,
             "device_count": device_count,
@@ -90,6 +208,7 @@ def run_benchmark(scale: float, scalar_trials: int, vector_trials: int) -> dict:
             "device_windows_per_sec": vector_tps * device_count,
         },
         "speedup": vector_tps / scalar_tps,
+        "chunk_layers": chunk_layers(simulator, vector_trials),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 
@@ -110,6 +229,8 @@ def test_vectorized_engine_speedup():
     print(f"scalar trials/sec    : {record['scalar']['trials_per_sec']:.2f}")
     print(f"vectorized trials/sec: {record['vectorized']['trials_per_sec']:.2f}")
     print(f"speedup              : {record['speedup']:.1f}X")
+    for layer, seconds in record["chunk_layers"]["median_seconds"].items():
+        print(f"chunk {layer:15s}: {seconds * 1e3:.3f} ms")
     print(f"written              : {RESULT_PATH}")
 
     assert record["speedup"] >= floor, (

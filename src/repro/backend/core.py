@@ -1,7 +1,7 @@
 """The NumPy backend: dtype policy, chunk buffer pool and the engine's steps.
 
 The batched Monte Carlo engine is an array program: one 2D gap draw, a
-``cumsum``, a banded ``searchsorted``, prefix sums, and a handful of
+``cumsum``, row-local binary searches, prefix sums, and a handful of
 gathers.  :class:`NumpyBackend` carries the steps of that program that
 need more than a plain NumPy call — everything else the kernels call on
 NumPy directly.  A method lives here only when it does at least one of:
@@ -9,14 +9,15 @@ NumPy directly.  A method lives here only when it does at least one of:
 * applies the *dtype policy* — ``dtype`` is the storage/compute dtype of
   track positions and values (float64 reference, float32 for
   half-bandwidth runs), ``accum_dtype`` the dtype of the reductions that
-  are sensitive to rounding (window prefix sums and likelihood-ratio
-  accumulation), float64 by default even under a float32 storage policy;
+  are sensitive to rounding (window sums of float weights and
+  likelihood-ratio accumulation), float64 by default even under a
+  float32 storage policy; bool weights are counted exactly in int64;
 * is served by the *buffer pool* (below);
 * is one of the steps the repository benchmark's timing subclass
   (``perfbench/tracing.py``) overrides to time: :meth:`~NumpyBackend.uniform`,
   :meth:`~NumpyBackend.sample_gaps`, :meth:`~NumpyBackend.cumsum`,
-  :meth:`~NumpyBackend.clip`, :meth:`~NumpyBackend.searchsorted`,
-  :meth:`~NumpyBackend.take_pairs` and :meth:`~NumpyBackend.prefix_sum`.
+  :meth:`~NumpyBackend.clip`, :meth:`~NumpyBackend.take_pairs` and
+  :meth:`~NumpyBackend.prefix_sum`.
 
 Bit-identity contract
 ---------------------
@@ -105,11 +106,11 @@ def resolve_dtype(dtype) -> np.dtype:
 def match_dtype(values, like: np.ndarray) -> np.ndarray:
     """Cast ``values`` to the dtype of ``like`` (no copy when it already matches).
 
-    This is the explicit-cast helper for ``searchsorted`` operands: NumPy
-    silently promotes a float32 haystack + float64 needle to float64,
-    which is a full-array upcast on the hot path.  Casting the *queries* to
-    the *positions* dtype keeps the promotion explicit, cheap (queries
-    are the small side), and identical in float64 where it is a no-op.
+    This is the explicit-cast helper for window bounds: NumPy would
+    compare float32 positions with float64 bounds in float64.  Casting
+    the *bounds* to the *positions* dtype keeps every comparison in the
+    policy dtype — a float32 batch is counted exactly against float32
+    bounds — and is a no-op in float64.
     """
     return np.asarray(values, dtype=like.dtype)
 
@@ -248,30 +249,23 @@ class NumpyBackend:
             )
         return np.clip(a, lo, hi, out=out)
 
-    def searchsorted(self, a, v, side) -> np.ndarray:
-        """Insertion indices of ``v`` into sorted ``a``.
-
-        ``v`` must already share ``a``'s dtype (see :func:`match_dtype`);
-        the conformance suite asserts the engine never relies on implicit
-        promotion here.
-        """
-        return np.searchsorted(a, v, side=side)
-
     def take_pairs(self, a, rows, cols) -> np.ndarray:
         """``a[rows, cols]`` for a 2D array and paired index vectors."""
         return a[rows, cols]
 
     def prefix_sum(self, values, size=None) -> np.ndarray:
-        """Zero-prefixed inclusive cumulative sum in the accumulator dtype.
+        """Zero-prefixed inclusive cumulative sum.
 
         Returns an array of length ``len(values) + 1`` whose element ``i``
-        is the sum of ``values[:i]``, accumulated in ``accum_dtype`` (the
+        is the sum of ``values[:i]``.  Bool values are counted in int64,
+        which is exact; callers cast the differences they take to
+        ``accum_dtype``.  Other values accumulate in ``accum_dtype`` (the
         window-counting reduction is the engine step most sensitive to
         float32 rounding, so it gets its own dtype knob).
         """
         out = self.empty(
             (size if size is not None else values.shape[0]) + 1,
-            dtype=self.accum_dtype,
+            dtype=np.int64 if values.dtype == np.bool_ else self.accum_dtype,
         )
         out[0] = 0
         np.cumsum(values, out=out[1:])

@@ -141,10 +141,16 @@ def required_device_failure_probability(
 def yield_from_uniform_failure_probability(
     device_failure_probability: float, device_count: float, exact: bool = True
 ) -> float:
-    """Yield of ``device_count`` identical devices with the given pF."""
+    """Yield of ``device_count`` identical devices with the given pF.
+
+    ``pF = 0`` is an empty product, yield 1, for any count, infinite
+    included, as in :func:`yield_from_uniform_failure_probability_array`.
+    """
     p = ensure_probability(device_failure_probability, "device_failure_probability")
     if not device_count >= 0:
         raise ValueError("device_count must be non-negative")
+    if p == 0.0:
+        return 1.0
     if exact:
         if p == 1.0:
             return 0.0 if device_count > 0 else 1.0
@@ -186,7 +192,10 @@ def yield_from_uniform_failure_probability_array(
             np.multiply(out, m, out=out)
         np.fmin(out, 0.0, out=out)
         return np.exp(out, out=out)
-    return np.maximum(0.0, 1.0 - m * p)
+    with np.errstate(invalid="ignore"):
+        loss = m * p
+    # ``∞ · 0`` is again the empty product: no loss.
+    return np.maximum(0.0, 1.0 - np.nan_to_num(loss, nan=0.0))
 
 
 @dataclass(frozen=True)

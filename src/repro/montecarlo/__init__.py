@@ -6,7 +6,7 @@ fabrication outcomes directly:
 
 * :mod:`repro.montecarlo.engine` — the vectorized batched engine: all
   trials' CNT tracks from one 2D gap draw + ``cumsum``, all device windows
-  answered by one batched ``searchsorted``/prefix-sum pass, deterministic
+  answered by one pass of row-local searches and prefix sums, deterministic
   trial chunking with ``spawn_key``-derived RNG streams, executed by the
   supervised runner of :mod:`repro.resilience.supervise` (in-process or
   on a process pool).

@@ -17,7 +17,8 @@ Batched engine
 :mod:`repro.montecarlo.engine`: every (trial, row) pair of a chunk becomes
 one renewal trial of a single :func:`~repro.montecarlo.engine.sample_track_batch`
 call (one 2D gap draw + ``cumsum``), and every device window of every trial
-is answered by one batched ``searchsorted``/prefix-sum pass.  Trials are
+is answered by one pass of row-local searches and prefix sums
+(:func:`~repro.montecarlo.engine.count_in_windows_flat`).  Trials are
 processed in fixed-size chunks whose boundaries depend only on the trial
 count, and each chunk consumes its own ``spawn_key``-derived RNG stream —
 so a run is bitwise reproducible for any ``n_workers``, and ``n_workers > 1``
@@ -213,8 +214,8 @@ def _chip_window_counts_joint(
     )
     u = backend.uniform(rng, batch.positions.shape)
     working = (u >= geometry.per_cnt_failure) & batch.valid
-    # Opens, shorts and slot values share one banding and search pass,
-    # one prefix sum per row.
+    # Opens, shorts and slot values share one search pass, one prefix
+    # sum per weight row.
     rows = [working]
     if geometry.short_probability > 0.0:
         rows.append((u < geometry.short_probability) & batch.valid)
@@ -232,7 +233,6 @@ def _chip_window_counts_joint(
     counts = count_in_windows_flat(
         batch.positions,
         rows if len(rows) > 1 else working,
-        geometry.row_height_nm,
         np.tile(geometry.window_lo, n_chunk),
         np.tile(geometry.window_hi, n_chunk),
         trial_index,
@@ -401,7 +401,6 @@ def _simulate_chip_chunk_tilted(
     counts, stop_index = count_in_windows_flat(
         batch.positions,
         np.asarray(batch.valid, dtype=backend.dtype),
-        geometry.row_height_nm,
         np.tile(geometry.window_lo, n_chunk),
         hi,
         trial_index,

@@ -14,16 +14,19 @@ array programs over a leading ``(n_trials, ...)`` batch axis:
   span.  The renewal convention matches the scalar samplers exactly (the
   first track sits one uniformly-offset pitch below the span origin), so
   the batched and scalar engines draw from the same distribution.
+* :func:`count_leq_rows` — how many of a row's sorted positions lie below
+  (or at or below) each bound, by a lockstep binary search whose every
+  step reads only the queried row.  Bounds come either as one matrix row
+  per position row (the wafer tier) or as a flat list naming each
+  query's row (the window counters below).  Each trial's track row is
+  already sorted (a ``cumsum`` of positive gaps), so no global sort or
+  batch-wide offset is needed, and a trial's counts do not depend on the
+  batch around it.
 * :func:`count_in_windows` / :func:`count_in_windows_flat` — answer "how
   many (working) tracks does window ``[lo, hi]`` of trial ``t`` capture?"
-  for every window of every trial in one pass.  Each trial's track row is
-  already sorted (a ``cumsum`` of positive gaps), so shifting trial ``t``
-  by ``t * stride`` makes the whole batch globally sorted and two
-  ``searchsorted`` calls plus a prefix sum answer every query at once.
-* :func:`count_leq_rows` — how many of a row's sorted positions lie at or
-  below each of that row's bounds, by a per-row binary search whose every
-  step reads only the row itself.  The wafer tier counts with it, since
-  its contract needs a trial's counts independent of the batch around it.
+  for every window of every trial in one pass: two row-local searches
+  find each window's first and last slot, which index one prefix sum of
+  the flattened weights.
 * :func:`sample_track_counts` — memory-bounded helper returning only the
   per-trial track counts (used when the positions themselves are not
   needed, e.g. device-level failure estimation).
@@ -42,10 +45,9 @@ environment-selected dtype policy (``REPRO_DTYPE``, float64 out of the
 box).  The float64 path is bit-identical to a plain-NumPy
 re-implementation of the same sampler kept in the conformance suite
 under ``tests/backend/``; the float32 policy is held to tolerance there.
-Search operands are explicitly cast to the positions dtype
-(:func:`~repro.backend.match_dtype`) — NumPy would silently promote a
-float32 haystack to float64 on every query batch — and band offsets are
-built in the positions dtype for the same reason.
+Window bounds are explicitly cast to the positions dtype
+(:func:`~repro.backend.match_dtype`), so a float32 batch is counted
+exactly against float32 bounds, one row at a time.
 
 Workers receive ``(payload, n_chunk, stream)`` tuples through
 :func:`run_chunked`; the payload must be picklable (the simulators pass
@@ -271,66 +273,67 @@ def sample_track_counts(
     return counts
 
 
-def _banded_positions(
-    positions: np.ndarray, span_nm: float, backend: NumpyBackend
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten sorted trial rows into one globally sorted banded array.
+def count_leq_rows(positions, bounds, rows=None, side="right"):
+    """Per-query count of a row's sorted positions at or below a bound.
 
-    Shifting trial ``t`` by ``t * stride`` makes the (clipped) rows
-    disjoint, so one ``searchsorted`` on the flattened array answers every
-    (trial, query) pair at once.  Clipping just outside the query range is
-    monotone, preserves sortedness, and never moves a track across a query
-    boundary (queries live inside ``[0, span]``).  Returns the flattened
-    array and the per-trial band offsets, both in the positions dtype (an
-    implicit float64 band would silently promote every float32 search) —
-    except when a float32 band would be *inaccurate*: offsets grow with
-    the trial count, and once the float32 ulp at the top band exceeds a
-    fraction of the pad, rounding of ``position + offset`` can move
-    tracks across window edges.  Such batches are banded in float64
-    (correctness beats the bandwidth saving; float64 batches never hit
-    this, their ulp at any realistic band is sub-femtometre).
+    ``positions`` is ``(n_rows, n_slots)``, ascending along each row
+    (``+inf`` padding allowed, it never counts).  Without ``rows``,
+    ``bounds`` is ``(n_rows, n_bounds)`` and row ``r`` of it queries
+    position row ``r``.  With ``rows``, an integer array of ``bounds``'
+    shape, each bound queries the row it names (repeats and any order
+    allowed), as in the flat ``(trial_index, lo, hi)`` lists of
+    :func:`count_in_windows_flat`.  ``side="right"`` counts positions
+    ``<=`` the bound, ``side="left"`` positions ``<`` it, so every query
+    gets ``searchsorted(positions[row], bound, side=side)`` at once, as
+    integer counts of ``bounds``' shape.
+
+    A branchless binary search: every query halves its own candidate
+    range in lockstep, one flat gather and one compare per step, so
+    ``ceil(log2(n_slots)) + 1`` gathers answer every query.  Each compare
+    reads only the queried row's own positions (mixed dtypes compare
+    exactly, in the promoted dtype), so a row's counts are the same
+    whatever batch it sits in, and no float32 rounding of a batch-wide
+    offset can move a track across a bound.
     """
-    pad = 1.0
-    stride = span_nm + 4.0 * pad
-    band_dtype = positions.dtype
-    if backend.dtype == np.dtype(np.float32):
-        top_offset = np.float32((positions.shape[0] - 1) * stride)
-        if np.spacing(top_offset) > pad / 8.0:
-            band_dtype = np.dtype(np.float64)
-            positions = np.asarray(positions, dtype=band_dtype)
-    offsets = np.arange(positions.shape[0], dtype=band_dtype) * stride
-    banded = backend.clip(positions, -pad, span_nm + pad)
-    banded += offsets[:, None]
-    return np.ravel(banded), offsets
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    below = np.less_equal if side == "right" else np.less
+    n_rows, n_slots = positions.shape
+    if rows is None:
+        rows = np.arange(n_rows)[:, None]
+    flat = np.ravel(positions)
+    # Flat index of each query's first slot.  Invariant: the count lies in
+    # [idx - start, idx - start + span], and every probe stays in the row.
+    start = rows * n_slots
+    idx = np.array(np.broadcast_to(start, bounds.shape))
+    span = n_slots
+    while span > 1:
+        half = span // 2
+        # Gathering from the view that starts ``half`` slots in reads
+        # slot ``idx + half`` without materialising the probe indices.
+        idx += below(np.take(flat[half:], idx), bounds) * half
+        span -= half
+    return idx - start + below(np.take(flat, idx), bounds)
 
 
 def window_stop_indices(
     positions: np.ndarray,
-    span_nm: float,
     hi: np.ndarray,
     trial_index: np.ndarray,
-    backend: Optional[NumpyBackend] = None,
 ) -> np.ndarray:
     """Per-query slot index of the first track strictly above ``hi``.
 
     The rare-event layer stops each query's likelihood-ratio weight at this
     slot; :func:`sample_track_batch` guarantees the index exists for any
-    bound inside the span (the last slot always clears it).
+    bound inside the span (the last slot always clears it).  Bounds are
+    cast to the positions dtype, as in :func:`count_in_windows_flat`.
     """
-    if backend is None:
-        backend = default_backend()
-    flat, offsets = _banded_positions(positions, span_nm, backend)
-    right = backend.searchsorted(
-        flat, match_dtype(hi, flat) + np.take(offsets, trial_index),
-        side="right",
-    )
-    return right - trial_index * positions.shape[1]
+    return count_leq_rows(positions, match_dtype(hi, positions), trial_index)
 
 
 def count_in_windows_flat(
     positions: np.ndarray,
     weights: np.ndarray,
-    span_nm: float,
     lo: np.ndarray,
     hi: np.ndarray,
     trial_index: np.ndarray,
@@ -349,38 +352,44 @@ def count_in_windows_flat(
         should not count (out-of-span tracks, failed tubes).  A stack of
         ``k`` such weight arrays, shape ``(k, n_trials, n_slots)``, or a
         list of them (rows of different dtypes, no stacking copy), is
-        answered from one banding and search pass, with one prefix sum
-        per weight row.
-    span_nm:
-        Span of the trials; queries must lie inside ``[0, span_nm]``.
+        answered from one search pass, with one prefix sum per weight row.
     lo, hi:
         Query bounds, shape ``(n_queries,)``.  Both ends are inclusive,
-        matching the scalar simulators.
+        matching the scalar simulators.  They are cast to the positions
+        dtype, so a float32 batch is counted exactly against float32
+        bounds.
     trial_index:
         ``(n_queries,)`` index of the trial each query interrogates.
     return_stop_index:
         When True also return each query's per-trial slot index of the
         first track strictly above ``hi`` (as :func:`window_stop_indices`,
-        but sharing this pass's searchsorted work — the rare-event chip
-        sampler needs both).
+        from this pass's search — the rare-event chip sampler needs both).
 
     Returns the weighted count per query, shape ``(n_queries,)``, or
     ``(k, n_queries)`` for stacked or listed weights (plus the stop
-    indices when requested).  Counts accumulate in the backend's
-    ``accum_dtype`` (float64 by default, even under a float32 policy).
+    indices when requested).  Counts come out in the backend's
+    ``accum_dtype`` (float64 by default, even under a float32 policy):
+    bool weights are counted exactly in integers, float weights summed in
+    ``accum_dtype``.
+
+    Each query's row-local :func:`count_leq_rows` search gives the slots
+    of its trial below ``lo`` and at or below ``hi``; offset by the
+    trial's first flat slot, they index one prefix sum of the flattened
+    weights.
     """
     if backend is None:
         backend = default_backend()
-    flat, offsets = _banded_positions(positions, span_nm, backend)
-    shift = np.take(offsets, trial_index)
-    left = backend.searchsorted(flat, match_dtype(lo, flat) + shift, side="left")
-    right = backend.searchsorted(
-        flat, match_dtype(hi, flat) + shift, side="right"
+    stop = count_leq_rows(positions, match_dtype(hi, positions), trial_index)
+    first = trial_index * positions.shape[1]
+    left = first + count_leq_rows(
+        positions, match_dtype(lo, positions), trial_index, side="left"
     )
+    right = first + stop
 
     def weighted(w):
         prefix = backend.prefix_sum(np.ravel(w))
-        return np.take(prefix, right) - np.take(prefix, left)
+        counts = np.take(prefix, right) - np.take(prefix, left)
+        return counts.astype(backend.accum_dtype, copy=False)
 
     if isinstance(weights, list) or weights.ndim > positions.ndim:
         counts = backend.concatenate(
@@ -389,7 +398,7 @@ def count_in_windows_flat(
     else:
         counts = weighted(weights)
     if return_stop_index:
-        return counts, right - trial_index * positions.shape[1]
+        return counts, stop
     return counts
 
 
@@ -421,48 +430,12 @@ def count_in_windows(
     counts = count_in_windows_flat(
         batch.positions,
         weights,
-        batch.span_nm,
         lo.ravel(),
         hi.ravel(),
         trial_index,
         backend=backend,
     )
     return np.reshape(counts, (n_trials, n_windows))
-
-
-def count_leq_rows(positions, bounds):
-    """Per-row count of sorted positions at or below each of the row's bounds.
-
-    ``positions`` is ``(n_rows, n_slots)``, ascending along each row
-    (``+inf`` padding allowed, it never counts); ``bounds`` is
-    ``(n_rows, n_bounds)``, any float dtype.  Returns the ``(n_rows,
-    n_bounds)`` integer counts ``#{j : positions[r, j] <= bounds[r, b]}``,
-    i.e. ``searchsorted(positions[r], bounds[r, b], side="right")`` for
-    every pair at once.
-
-    A branchless binary search: every query halves its own candidate
-    range in lockstep, one flat gather and one compare per step, so
-    ``ceil(log2(n_slots)) + 1`` gathers answer the whole matrix.  Unlike
-    the banded search of :func:`count_in_windows_flat` no row is shifted
-    by an offset that depends on its position in the batch: each compare
-    reads only the row's own positions and bounds (mixed dtypes compare
-    exactly, in the promoted dtype), so a row's counts are the same
-    whatever batch it sits in.
-    """
-    n_rows, n_slots = positions.shape
-    flat = np.ravel(positions)
-    # Flat index of each row's first slot.  Invariant: the count lies in
-    # [idx - start, idx - start + span], and every probe stays in the row.
-    start = (np.arange(n_rows) * n_slots)[:, None]
-    idx = np.zeros(bounds.shape, dtype=start.dtype) + start
-    span = n_slots
-    while span > 1:
-        half = span // 2
-        # Gathering from the view that starts ``half`` slots in reads
-        # slot ``idx + half`` without materialising the probe indices.
-        idx += (np.take(flat[half:], idx) <= bounds) * half
-        span -= half
-    return idx - start + (np.take(flat, idx) <= bounds)
 
 
 # ----------------------------------------------------------------------

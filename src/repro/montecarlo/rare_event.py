@@ -15,7 +15,7 @@ likelihood ratio of its trajectory *stopped at the first track beyond the
 queried span* — a stopping time, so Wald's likelihood-ratio identity keeps
 the weighted estimator unbiased — and the weight is an affine function of
 (number of gaps, gap sum), both of which fall out of the engine's existing
-``cumsum`` + ``searchsorted`` pass for free.
+``cumsum`` and window-search pass for free.
 
 **How to pick a tilt.**  For the Rao-Blackwellised device value
 ``pf ** N(W)`` the near-optimal mean factor is ``1 / pf``: with exponential
@@ -327,7 +327,7 @@ def window_stopped_log_weights(
 
     ``stop_index`` lets callers reuse indices already produced by the
     counting pass (``count_in_windows_flat(..., return_stop_index=True)``)
-    instead of paying a second banded searchsorted.
+    instead of searching a second time.
     """
     if backend is None:
         backend = default_backend()
@@ -338,9 +338,7 @@ def window_stopped_log_weights(
     if np.any(hi > batch.span_nm):
         raise ValueError("window upper bounds must lie inside the span")
     if stop_index is None:
-        stop_index = window_stop_indices(
-            positions, batch.span_nm, hi, trial_index, backend=backend
-        )
+        stop_index = window_stop_indices(positions, hi, trial_index)
     gap_sum = (backend.take_pairs(positions, trial_index, stop_index)
                + np.take(batch.start_offsets, trial_index))
     n_gaps = stop_index + 1

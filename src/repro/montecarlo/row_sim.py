@@ -25,7 +25,8 @@ The default estimators are batched array programs over the sample axis,
 built on :mod:`repro.montecarlo.engine`: all track sets of all samples come
 from one 2D gap draw + ``cumsum`` (:func:`~repro.montecarlo.engine.sample_track_batch`),
 and the non-aligned scenario resolves every (sample, device-offset) window
-with one batched ``searchsorted``/prefix-sum pass.  The original per-sample
+with one pass of row-local searches and prefix sums
+(:func:`~repro.montecarlo.engine.count_in_windows`).  The original per-sample
 scalar samplers are retained (``vectorized=False``) as the oracle for the
 statistical-equivalence tests.
 

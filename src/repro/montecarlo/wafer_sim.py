@@ -20,10 +20,8 @@ whole wafer as one stacked 3D array program (die × trial × track):
   block and one vectorised per-row binary search
   (:func:`~repro.montecarlo.engine.count_leq_rows`) that answers the
   lower edge and every width class's upper edge of every trial at once.
-  The search is row-local rather than the engine's banded
-  ``searchsorted``: banding shifts each trial by an offset that depends
-  on its position in the group, and the rounding of that shift could
-  flip a tie, so a die's counts would depend on the group it ran in;
+  The search is row-local: each compare reads only the trial's own
+  positions, so a die's counts do not depend on the group it ran in;
 * all device-width classes of a die are answered from the *same* sampled
   tracks (they physically share them — the paper's correlation insight),
   where the per-die loop must re-sample per width.

@@ -152,7 +152,7 @@ class TestWindowCounting:
         counts = count_in_windows_flat(
             positions,
             np.asarray(weights, dtype=backend.dtype),
-            300.0, lo, hi, trial_index,
+            lo, hi, trial_index,
             backend=backend,
         )
         expected = _brute_force_counts(
@@ -173,7 +173,7 @@ class TestWindowCounting:
         hi = lo + 40.0
         grid = count_in_windows(batch, weights, lo, hi, backend=backend)
         flat = count_in_windows_flat(
-            batch.positions, weights, batch.span_nm,
+            batch.positions, weights,
             np.tile(lo, 16), np.tile(hi, 16), np.repeat(np.arange(16), 7),
             backend=backend,
         ).reshape(16, 7)
@@ -188,10 +188,7 @@ class TestWindowCounting:
         host_rng = np.random.default_rng(14)
         hi = host_rng.random(20) * 150.0
         trial_index = host_rng.integers(0, 32, size=20)
-        got = window_stop_indices(
-            positions, 150.0, hi, trial_index,
-            backend=backend,
-        )
+        got = window_stop_indices(positions, hi, trial_index)
         expected = np.array([
             np.searchsorted(positions[trial_index[q]], hi[q], side="right")
             for q in range(20)

@@ -1,11 +1,12 @@
-"""Dtype policy, searchsorted promotion audit, and backend selection tests.
+"""Dtype policy, float32 window-count exactness, and backend selection tests.
 
-NumPy silently promotes mixed-dtype ``searchsorted`` operands: a float32
-haystack with float64 needles upcasts the *haystack* on every query
-batch, which defeats the float32 policy's bandwidth saving.  These
-tests audit the engine's hot path for that promotion (every
-intermediate must stay in the policy dtype) and pin the explicit-cast
-helper that prevents it.
+Under the float32 policy the engine casts window bounds to the float32
+positions dtype (:func:`~repro.backend.match_dtype`) instead of letting
+NumPy promote, and counts each window by comparing only its own row's
+float32 positions with those float32 bounds.  These tests pin the cast
+helper and check that a float32 window count is exactly the count of
+the same float32 positions inside the same float32 bounds, however many
+trial rows share the batch.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from repro.backend import (
     match_dtype,
     resolve_dtype,
 )
+from repro.montecarlo.chip_sim import ChipMonteCarlo
 from repro.montecarlo.engine import (
-    _banded_positions,
     count_in_windows_flat,
     sample_track_batch,
 )
 from repro.growth.pitch import ExponentialPitch
+from repro.netlist.openrisc import build_openrisc_like_design
+from repro.netlist.placement import RowPlacement
 
 
 class TestMatchDtype:
@@ -46,17 +49,6 @@ class TestMatchDtype:
 class TestFloat32PipelineStaysFloat32:
     """Audit: no step of the float32 window-count path promotes to float64."""
 
-    def test_banded_positions_keep_policy_dtype(self):
-        b32 = get_backend(dtype="float32")
-        batch = sample_track_batch(
-            ExponentialPitch(4.0), 100.0, 16, np.random.default_rng(1),
-            backend=b32,
-        )
-        assert batch.positions.dtype == np.float32
-        flat, offsets = _banded_positions(batch.positions, 100.0, b32)
-        assert flat.dtype == np.float32
-        assert offsets.dtype == np.float32
-
     def test_float64_queries_are_cast_not_promoted(self):
         b32 = get_backend(dtype="float32")
         batch = sample_track_batch(
@@ -70,7 +62,7 @@ class TestFloat32PipelineStaysFloat32:
         counts = count_in_windows_flat(
             batch.positions,
             batch.valid.astype(np.float32),
-            100.0, lo, hi, np.arange(8),
+            lo, hi, np.arange(8),
             backend=b32,
         )
         np.testing.assert_array_equal(counts, np.asarray(batch.counts()))
@@ -81,21 +73,54 @@ class TestFloat32PipelineStaysFloat32:
         b = get_backend(dtype="float32", accum_dtype="float32")
         assert b.prefix_sum(np.ones(4, dtype=np.float32)).dtype == np.float32
 
-    def test_huge_batches_promote_band_to_float64(self):
-        # Band offsets grow with the trial count; once the float32 ulp at
-        # the top band could move a track across a window edge, the band
-        # must be built in float64 even under the float32 policy.
+    def test_track_just_above_window_in_last_row(self):
+        # A track 1e-4 nm above ``hi`` in the last of 1,000 rows: an offset
+        # of ~1e5 nm per row index would round it onto ``hi`` in float32.
         b32 = get_backend(dtype="float32")
-        small = np.sort(
-            np.random.default_rng(0).random((64, 4), dtype=np.float32) * 100.0,
-            axis=1,
+        positions = np.tile(np.float32([10.0, 150.0, 200.0]), (1000, 1))
+        positions[-1, :2] = [40.0, np.float32(50.0001)]
+        assert positions[-1, 1] > np.float32(50.0)
+        counts = count_in_windows_flat(
+            positions, np.ones(positions.shape, dtype=bool),
+            np.float32([30.0]), np.float32([50.0]), np.array([999]),
+            backend=b32,
         )
-        flat, offsets = _banded_positions(small, 100.0, b32)
-        assert flat.dtype == np.float32
-        big = np.broadcast_to(small[:1], (200_000, 4))
-        flat, offsets = _banded_positions(big, 100.0, b32)
-        assert flat.dtype == np.float64
-        assert offsets.dtype == np.float64
+        np.testing.assert_array_equal(counts, [1.0])
+
+    def test_chip_window_counts_are_exact(self, nangate45):
+        # The chip tier's flat queries over a batch of ~1,000 rows of
+        # ~1,400 nm: every count must equal a direct count of the same
+        # float32 positions within the same float32 bounds.
+        b32 = get_backend(dtype="float32")
+        placement = RowPlacement(
+            build_openrisc_like_design(nangate45, scale=0.01, seed=2010),
+            row_width_nm=40_000.0,
+        )
+        geometry = ChipMonteCarlo(
+            placement, pitch=ExponentialPitch(4.0), backend=b32
+        ).chip_geometry()
+        n_chunk = 32
+        batch = sample_track_batch(
+            geometry.pitch, geometry.row_height_nm, n_chunk * geometry.n_rows,
+            np.random.default_rng(4), backend=b32,
+        )
+        n_windows = geometry.window_lo.size
+        trial_index = (
+            np.repeat(np.arange(n_chunk) * geometry.n_rows, n_windows)
+            + np.tile(geometry.window_row, n_chunk)
+        )
+        lo = np.tile(geometry.window_lo, n_chunk)
+        hi = np.tile(geometry.window_hi, n_chunk)
+        counts = count_in_windows_flat(
+            batch.positions, batch.valid, lo, hi, trial_index, backend=b32
+        )
+        rows = batch.positions[trial_index]
+        inside = (
+            (rows >= lo.astype(np.float32)[:, None])
+            & (rows <= hi.astype(np.float32)[:, None])
+            & batch.valid[trial_index]
+        )
+        np.testing.assert_array_equal(counts, inside.sum(axis=1))
 
     def test_accum_env_variable_uses_alias_resolution(self, monkeypatch):
         import repro.backend.core as core

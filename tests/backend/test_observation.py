@@ -2,10 +2,12 @@
 
 The repository benchmark times the engine from outside by handing a
 ``NumpyBackend`` subclass to the public ``backend=`` argument and
-wrapping seven steps: ``uniform``, ``sample_gaps``, ``cumsum``,
-``clip``, ``searchsorted``, ``take_pairs`` and ``prefix_sum``.  A kernel
-that calls NumPy directly for one of them would leave that step's
-timing at zero while the step still runs.  These tests hand the chip
+wrapping the backend's steps: ``uniform``, ``sample_gaps``, ``cumsum``,
+``clip``, ``take_pairs`` and ``prefix_sum`` (window counting is a
+row-local search of plain gathers, so no backend step is left for the
+benchmark's ``searchsorted`` wrapper to time).  A kernel that calls NumPy
+directly for one of them would leave that step's timing at zero while
+the step still runs.  These tests hand the chip
 and wafer runners a subclass that counts those calls, check that each
 step a run performs is counted, and check that the counting backend
 changes no result.
@@ -28,10 +30,9 @@ from repro.montecarlo.wafer_sim import simulate_wafer
 from repro.netlist.openrisc import build_openrisc_like_design
 from repro.netlist.placement import RowPlacement
 
-#: The steps the benchmark's timing backend overrides.
+#: The backend steps the benchmark's timing backend overrides.
 OBSERVED_STEPS = (
-    "uniform", "sample_gaps", "cumsum", "clip", "searchsorted",
-    "take_pairs", "prefix_sum",
+    "uniform", "sample_gaps", "cumsum", "clip", "take_pairs", "prefix_sum",
 )
 
 TYPE_MODEL = CNTTypeModel(1.0 / 3.0, 1.0, 0.3)
@@ -49,6 +50,8 @@ class CountingBackend(NumpyBackend):
 def _counted(step):
     def method(self, *args, **kwargs):
         self.calls[step] += 1
+        if step == "prefix_sum" and args[0].dtype == np.bool_:
+            self.calls["prefix_sum of bool"] += 1
         return getattr(NumpyBackend, step)(self, *args, **kwargs)
 
     method.__name__ = step
@@ -84,8 +87,9 @@ def test_chip_run_observes_every_window_pass_step(placement, monkeypatch):
     monkeypatch.setattr(engine, "tight_gap_budget", engine.estimate_gap_count)
     backend, (counted, plain) = _chip_runs(placement)
     assert backend.calls["take_pairs"] == 0
-    for step in ("uniform", "sample_gaps", "cumsum", "clip", "searchsorted",
-                 "prefix_sum"):
+    # The working-tube row is bool: its prefix sum is still a backend step.
+    for step in ("uniform", "sample_gaps", "cumsum", "prefix_sum",
+                 "prefix_sum of bool"):
         assert backend.calls[step] > 0, step
     assert counted == plain
 
@@ -96,6 +100,7 @@ def test_top_ups_gather_through_take_pairs(placement, monkeypatch):
     monkeypatch.setattr(engine, "tight_gap_budget", lambda pitch, span: engine.BLOCK)
     backend, (counted, plain) = _chip_runs(placement)
     assert backend.calls["take_pairs"] > 0
+    assert backend.calls["clip"] > 0
     assert backend.calls["sample_gaps"] > backend.calls["uniform"]
     assert counted == plain
 

@@ -103,19 +103,24 @@ class TestBudgets:
     def test_uniform_yield_certain_failure(self):
         assert yield_from_uniform_failure_probability(1.0, 10) == 0.0
 
+    def test_uniform_yield_infinite_devices(self):
+        # No device can fail at pF = 0, however many there are.
+        assert yield_from_uniform_failure_probability(0.0, math.inf) == 1.0
+        assert yield_from_uniform_failure_probability(0.3, math.inf) == 0.0
+
     def test_uniform_yield_zero_devices(self):
         # An empty product: no device can fail, even a certain failure.
         assert yield_from_uniform_failure_probability(1.0, 0) == 1.0
         assert yield_from_uniform_failure_probability(0.3, 0.0) == 1.0
 
 
-# p ∈ {0, 1} and m = 0 are drawn often: they are the empty-product and
-# certain-failure corners of Eq. 2.3.
+# p ∈ {0, 1}, m = 0 and m = ∞ are drawn often: they are the empty-product
+# and certain-failure corners of Eq. 2.3.
 probabilities = st.one_of(
     st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
 )
 device_counts = st.one_of(
-    st.just(0.0), st.floats(min_value=0.0, max_value=1e12)
+    st.sampled_from([0.0, math.inf]), st.floats(min_value=0.0, max_value=1e12)
 )
 
 
@@ -137,7 +142,7 @@ def assert_matches_oracle(result, p, m):
     assert result.shape == expected.shape
     np.testing.assert_allclose(result, expected, rtol=1e-12, atol=1e-300)
     p_b, m_b = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(m, dtype=float))
-    corners = (p_b == 0.0) | (p_b == 1.0) | (m_b == 0.0)
+    corners = (p_b == 0.0) | (p_b == 1.0) | (m_b == 0.0) | np.isinf(m_b)
     np.testing.assert_array_equal(result[corners], expected[corners])
 
 
@@ -178,10 +183,17 @@ class TestUniformYieldArray:
             assert result[row].tobytes() == alone.tobytes()
 
     def test_corners(self):
-        p = np.array([0.0, 0.0, 1.0, 1.0, 0.5])
-        m = np.array([0.0, 1e9, 0.0, 1e9, 0.0])
-        result = yield_from_uniform_failure_probability_array(p, m)
-        np.testing.assert_array_equal(result, [1.0, 1.0, 1.0, 0.0, 1.0])
+        p = np.array([0.0, 0.0, 1.0, 1.0, 0.5, 0.0, 0.5])
+        m = np.array([0.0, 1e9, 0.0, 1e9, 0.0, np.inf, np.inf])
+        expected = [1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0]
+        for exact in (True, False):
+            result = yield_from_uniform_failure_probability_array(p, m, exact)
+            np.testing.assert_array_equal(result, expected)
+            np.testing.assert_array_equal(
+                result,
+                [yield_from_uniform_failure_probability(pi, mi, exact)
+                 for pi, mi in zip(p, m)],
+            )
 
     @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 4)])
     def test_nan_probability_rejected(self, where):

@@ -221,7 +221,7 @@ class TestCountInWindows:
         lo = np.array([0.0, 10.0, 50.0, 0.0])
         hi = np.array([200.0, 60.0, 150.0, 200.0])
         counts = count_in_windows_flat(
-            batch.positions, weights, batch.span_nm, lo, hi, trial_index
+            batch.positions, weights, lo, hi, trial_index
         )
         assert counts[0] == batch.counts()[5]
         assert counts[3] == batch.counts()[2]
@@ -236,7 +236,7 @@ class TestCountInWindows:
         trial_index = rng.integers(0, 24, size=60)
         lo = rng.random(60) * 250.0
         hi = lo + rng.random(60) * 50.0
-        args = (batch.span_nm, lo, hi, trial_index)
+        args = (lo, hi, trial_index)
         stacked, stop = count_in_windows_flat(
             batch.positions, np.stack([working, shorting]), *args,
             return_stop_index=True,
@@ -261,11 +261,20 @@ class TestCountInWindows:
             )
 
 
-def _searchsorted_oracle(positions, bounds):
-    """Per-row ``searchsorted(side="right")``: the count of slots <= bound."""
+def _searchsorted_oracle(positions, bounds, rows=None, side="right"):
+    """Per-query ``searchsorted`` of the bound into its row.
+
+    ``side="right"`` counts the row's slots <= bound, ``"left"`` those
+    < bound.  Without ``rows`` bound row ``r`` queries position row ``r``.
+    """
+    if rows is None:
+        return np.array([
+            np.searchsorted(row, b, side=side)
+            for row, b in zip(positions, bounds)
+        ])
     return np.array([
-        np.searchsorted(row, b, side="right")
-        for row, b in zip(positions, bounds)
+        np.searchsorted(positions[r], b, side=side)
+        for r, b in zip(rows, bounds)
     ])
 
 
@@ -298,17 +307,20 @@ def _edge_bounds(rng, positions, filled):
 
 
 class TestCountLeqRows:
-    """The wafer tier's row-local search against a per-row oracle."""
+    """The row-local search of the wafer and chip tiers against a per-row oracle."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_rows=st.integers(1, 40),
-        n_slots=st.integers(1, 70),
+        n_slots=st.integers(1, 130),
         n_between=st.integers(0, 5),
         dtype=st.sampled_from([np.float64, np.float32]),
+        side=st.sampled_from(["left", "right"]),
     )
-    def test_matches_searchsorted(self, seed, n_rows, n_slots, n_between, dtype):
+    def test_matches_searchsorted(
+        self, seed, n_rows, n_slots, n_between, dtype, side
+    ):
         rng = np.random.default_rng(seed)
         positions, filled = _padded_rows(rng, n_rows, n_slots, dtype)
         edges, _ = _edge_bounds(rng, positions, filled)
@@ -316,11 +328,57 @@ class TestCountLeqRows:
         # Bounds stay float64 whatever the rows' dtype.
         bounds = np.column_stack([edges, between])
         np.testing.assert_array_equal(
-            count_leq_rows(positions, bounds),
-            _searchsorted_oracle(positions, bounds),
+            count_leq_rows(positions, bounds, side=side),
+            _searchsorted_oracle(positions, bounds, side=side),
         )
 
-    @pytest.mark.parametrize("n_slots", [1, 2, 3, 7, 8, 9, 56, 64, 65])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 40),
+        n_slots=st.integers(1, 130),
+        n_queries=st.integers(1, 60),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        bound_dtype=st.sampled_from([np.float64, np.float32]),
+        side=st.sampled_from(["left", "right"]),
+    )
+    def test_per_query_rows_match_searchsorted(
+        self, seed, n_rows, n_slots, n_queries, dtype, bound_dtype, side
+    ):
+        # The flat ``(trial_index, bound)`` form: each query names its own
+        # row, repeated and in any order, as the chip window lists do.
+        rng = np.random.default_rng(seed)
+        positions, filled = _padded_rows(rng, n_rows, n_slots, dtype)
+        rows = rng.integers(0, n_rows, size=n_queries)
+        on_slot = positions[rows, rng.integers(0, filled[rows])]
+        kind = rng.integers(0, 4, size=n_queries)
+        bounds = np.choose(kind, [
+            on_slot,
+            np.full(n_queries, -1.0),
+            np.full(n_queries, np.inf),
+            rng.uniform(-1.0, 4.0 * n_slots + 1.0, n_queries),
+        ]).astype(bound_dtype)
+        np.testing.assert_array_equal(
+            count_leq_rows(positions, bounds, rows, side=side),
+            _searchsorted_oracle(positions, bounds, rows, side=side),
+        )
+
+    def test_side_left_excludes_a_bound_on_a_slot(self):
+        positions = np.array([[1.0, 2.0, 2.0, 5.0], [0.5, 2.0, 3.0, np.inf]])
+        rows = np.array([1, 0, 0, 1])
+        bounds = np.array([2.0, 2.0, 5.0, 9.0])
+        np.testing.assert_array_equal(
+            count_leq_rows(positions, bounds, rows, side="left"), [1, 1, 3, 3]
+        )
+        np.testing.assert_array_equal(
+            count_leq_rows(positions, bounds, rows), [2, 3, 4, 3]
+        )
+        with pytest.raises(ValueError, match="side"):
+            count_leq_rows(positions, bounds, rows, side="middle")
+
+    @pytest.mark.parametrize(
+        "n_slots", [1, 2, 3, 7, 8, 9, 56, 64, 65, 104, 128, 129, 130]
+    )
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_edges_at_every_width(self, n_slots, dtype):
         rng = np.random.default_rng(n_slots)

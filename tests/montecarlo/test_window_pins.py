@@ -1,0 +1,144 @@
+"""SHA-256 pins of the chip window pass under the float64 policy.
+
+The chip, tilted and timing tiers count every device window of a chunk
+with :func:`repro.montecarlo.engine.count_in_windows_flat`, and the
+rare-event layer stops its weights at
+:func:`~repro.montecarlo.engine.window_stop_indices`.  These digests fix
+the exact float64 outputs of that pass — working and short counts, the
+per-window sum of slot values, and the stop indices — so a rewrite of
+the counting kernel has to reproduce them bit for bit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.backend import get_backend
+from repro.growth.pitch import ExponentialPitch
+from repro.growth.types import CNTTypeModel
+from repro.montecarlo.chip_sim import (
+    ChipMonteCarlo,
+    _chip_window_counts_joint,
+    _simulate_chip_chunk_tilted,
+    _TiltedChipPayload,
+)
+from repro.montecarlo.engine import (
+    count_in_windows_flat,
+    sample_track_batch,
+    window_stop_indices,
+)
+from repro.netlist.openrisc import build_openrisc_like_design
+from repro.netlist.placement import RowPlacement
+
+F64 = get_backend(dtype="float64")
+OPENS = CNTTypeModel(1.0 / 3.0, 1.0, 0.3)
+SHORTS = CNTTypeModel(1.0 / 3.0, 0.9, 0.3)
+N_CHUNK = 6
+
+
+def _digest(*arrays) -> str:
+    """SHA-256 over each array's dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def placement(nangate45):
+    design = build_openrisc_like_design(nangate45, scale=0.01, seed=2010)
+    return RowPlacement(design, row_width_nm=40_000.0)
+
+
+def _geometry(placement, type_model):
+    return ChipMonteCarlo(
+        placement, pitch=ExponentialPitch(4.0), type_model=type_model,
+        backend=F64,
+    ).chip_geometry()
+
+
+def _slot_values(rng, shape, backend):
+    """A per-slot float draw standing in for the timing tier's currents."""
+    values = rng.standard_normal(shape)
+    values += 10.0
+    return values
+
+
+def _tilted_pass(geometry):
+    """A tilted chunk's track batch and its flat window queries."""
+    tilt = ExponentialPitch(4.0).exponential_tilt(3.0)
+    batch = sample_track_batch(
+        tilt.tilted, geometry.row_height_nm, N_CHUNK * geometry.n_rows,
+        np.random.default_rng(23), offset_mean_nm=tilt.nominal.mean_nm,
+        backend=F64,
+    )
+    n_windows = geometry.window_lo.size
+    trial_index = (
+        np.repeat(np.arange(N_CHUNK) * geometry.n_rows, n_windows)
+        + np.tile(geometry.window_row, N_CHUNK)
+    )
+    lo = np.tile(geometry.window_lo, N_CHUNK)
+    hi = np.tile(geometry.window_hi, N_CHUNK)
+    return batch, lo, hi, trial_index
+
+
+class TestChipWindowPins:
+    DIGESTS = {
+        "opens": "e6d741dbfece5ca078dc9356166c43d7cabce52359b0406bd92400c6cee63796",
+        "shorts": "a98edc76ef809ba53a6c3678ef34b3ee4a7d986e5bf16a3c4ff8e72187e845ab",
+        "summed": "6e6e3f7991eaf5cd5f7454697e08d6cba70cb7a0802211690af10accfd4bfe29",
+        "tilted": "41b7fe77e7b5a668b17212bb959d6bc50ac57f45fafc0c8bc7ecf15d7171a929",
+        "tilted_chunk": "984e5b2feefbc0c2808ccb37da1d805f5cc18bcd9b2d22ecabf5328471c53e20",
+        "stop_indices": "68247dc3c6a786fd07ceb2257b9cc3256b16a23fd4bc5610c7721fdfccd9c898",
+    }
+
+    def test_opens_working_counts(self, placement):
+        working, shorts, summed = _chip_window_counts_joint(
+            _geometry(placement, OPENS), N_CHUNK, np.random.default_rng(11)
+        )
+        assert shorts is None and summed is None
+        assert _digest(working) == self.DIGESTS["opens"]
+
+    def test_shorts_counts(self, placement):
+        working, shorts, _ = _chip_window_counts_joint(
+            _geometry(placement, SHORTS), N_CHUNK, np.random.default_rng(13)
+        )
+        assert shorts.any()
+        assert _digest(working, shorts) == self.DIGESTS["shorts"]
+
+    def test_summed_slot_values(self, placement):
+        working, shorts, summed = _chip_window_counts_joint(
+            _geometry(placement, SHORTS), N_CHUNK, np.random.default_rng(17),
+            slot_values=_slot_values,
+        )
+        assert summed.dtype == np.float64
+        assert _digest(working, shorts, summed) == self.DIGESTS["summed"]
+
+    def test_tilted_counts_and_stop_index(self, placement):
+        geometry = _geometry(placement, OPENS)
+        batch, lo, hi, trial_index = _tilted_pass(geometry)
+        counts, stop_index = count_in_windows_flat(
+            batch.positions, np.asarray(batch.valid, dtype=F64.dtype),
+            lo, hi, trial_index, return_stop_index=True, backend=F64,
+        )
+        assert _digest(counts, stop_index) == self.DIGESTS["tilted"]
+
+    def test_tilted_chunk(self, placement):
+        geometry = _geometry(placement, OPENS)
+        tilt = ExponentialPitch(4.0).exponential_tilt(3.0)
+        row_sums, device_sums = _simulate_chip_chunk_tilted(
+            _TiltedChipPayload(geometry=geometry, tilt=tilt), N_CHUNK,
+            np.random.default_rng(29),
+        )
+        assert _digest(row_sums, device_sums) == self.DIGESTS["tilted_chunk"]
+
+    def test_window_stop_indices(self, placement):
+        geometry = _geometry(placement, OPENS)
+        batch, _, hi, trial_index = _tilted_pass(geometry)
+        stop = window_stop_indices(batch.positions, hi, trial_index)
+        assert _digest(stop) == self.DIGESTS["stop_indices"]
