@@ -1,28 +1,28 @@
-"""Throughput benchmark of the wafer tier: stacked passes vs per-die loops.
+"""Throughput benchmark of the wafer tier: die-group passes vs per-die loops.
 
 Three cases, all at equal trial counts per estimate, written to
 ``BENCH_wafer.json`` at the repository root:
 
 * **width-class wafer** — :func:`repro.montecarlo.wafer_sim.simulate_wafer`
-  (one stacked die × trial × track pass per die group) against
+  (each die on the shared track kernel, one row-local search per die)
+  against
   :func:`repro.montecarlo.wafer_sim.per_die_loop`
   (:class:`~repro.montecarlo.device_sim.DeviceMonteCarlo` once per die and
   width class) on the same radial-drift wafer;
 * **correlated-field wafer** — the same comparison on a wafer whose
   density and misalignment carry spatially correlated Gaussian-random-field
   structure (:mod:`repro.growth.spatial`) with per-die misalignment
-  de-rating applied inside the stacked pass;
+  de-rating applied inside the die-group pass;
 * **chip wafer** — :func:`repro.montecarlo.wafer_sim.run_chip_wafer`
   (whole-placement per-die chip runs on one shared geometry) against
   :func:`repro.montecarlo.wafer_sim.chip_per_die_loop` (a fresh
   :class:`~repro.montecarlo.chip_sim.ChipMonteCarlo` per die), bitwise
   identical direct statistics by construction.
 
-The stacked width-class pass wins on three structural counts: all width
-classes of a die are answered from one shared track set (the per-die loop
-re-samples tracks per width), its gap budget carries a 2-sigma margin
-with exact top-ups instead of the engine's 8-sigma margin, and the
-per-die Python and allocation overheads amortise over the whole wafer.
+The width-class pass wins on two structural counts: all width classes of
+a die are answered from one shared track set (the per-die loop
+re-samples tracks per width), and the per-die Python overheads amortise
+over a die group.
 The chip-wafer pass wins by materialising the placement geometry once
 instead of once per die.
 
@@ -62,7 +62,7 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_wafer.json"
 #: OpenRISC-flavoured minimum-size width-class histogram: the device
 #: widths a die actually carries between the baseline Wmin region and the
 #: upsized classes, with per-die multiplicities.  All classes physically
-#: share each row's tracks — exactly what the stacked pass exploits.
+#: share each row's tracks — exactly what the die-group pass exploits.
 WIDTH_CLASSES_NM = (90.0, 105.0, 120.0, 150.0, 178.0)
 DEVICE_COUNTS = (400.0, 300.0, 250.0, 200.0, 150.0)
 
@@ -189,7 +189,7 @@ def run_benchmark(die_size_mm: float, n_trials: int, netlist_scale: float,
     )
 
     return {
-        "benchmark": "wafer tier: stacked passes vs per-die loops",
+        "benchmark": "wafer tier: die-group passes vs per-die loops",
         "quick_mode": _quick_mode(),
         "width_class": _width_class_case(
             radial_wafer, pitch, type_model, n_trials
@@ -233,8 +233,8 @@ def test_stacked_wafer_speedup():
 
     for case in ("width_class", "correlated_field"):
         assert record[case]["speedup"] >= floor, (
-            f"{case} stacked pass only {record[case]['speedup']:.2f}X faster "
-            f"than the per-die loop (floor {floor:.1f}X)"
+            f"{case} die-group pass only {record[case]['speedup']:.2f}X "
+            f"faster than the per-die loop (floor {floor:.1f}X)"
         )
         agree = record[case]["agreement"]
         assert abs(

@@ -88,7 +88,7 @@ def monte_carlo_tile_study(wafer, setup, n_trials: int = 2_048,
     sampled tracks of each trial (they physically share them), which is
     what makes whole-wafer Monte Carlo affordable.  When a
     ``misalignment`` model is given, the Sec. 3 analytic relaxation is
-    applied per die inside the stacked pass, de-rated by each die's local
+    applied per die inside the die-group pass, de-rated by each die's local
     misalignment angle.
     """
     pitch = pitch_distribution_from_cv(setup.mean_pitch_nm, setup.pitch_cv)

@@ -289,8 +289,8 @@ class NumpyBackend:
     def sample_gaps(self, pitch, shape, rng: np.random.Generator, out=None):
         """Inter-CNT gap draws from ``pitch`` of ``shape``, policy dtype.
 
-        ``out`` is an optional pre-allocated destination (a view into a
-        stacked batch, or a pooled :meth:`empty`).  Exponential and gamma
+        ``out`` is an optional pre-allocated destination (a pooled
+        :meth:`empty`).  Exponential and gamma
         families under the float64 policy draw straight into it; any other
         case returns a fresh array, so callers must use the *returned*
         array either way.  The drawn values are identical on both paths.

@@ -44,9 +44,9 @@ without writing Python:
 ``python -m repro.cli wafer``
     Wafer-level Monte Carlo: per-die chip yield under die-to-die CNT
     density drift — radial, or spatially correlated via
-    ``--correlation-length-mm`` — simulated by the stacked
-    (die × trial × track) engine with a radial summary table, optional
-    per-die misalignment de-rating, and a text yield map.
+    ``--correlation-length-mm`` — each die simulated on the shared track
+    kernel, one row-local search per die, with a radial summary table,
+    optional per-die misalignment de-rating, and a text yield map.
 
 ``python -m repro.cli chip-wafer``
     Whole-placement per-die chip runs: the synthetic OpenRISC-like block
@@ -1163,7 +1163,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     wafer = add_subparser(
         "wafer", _cmd_wafer,
-        "wafer-level per-die yield under CNT density drift (stacked engine)",
+        "wafer-level per-die yield under CNT density drift "
+        "(shared track kernel)",
     )
     _add_wafer_geometry_options(wafer)
     wafer.add_argument("--widths-nm", type=str, default=None,

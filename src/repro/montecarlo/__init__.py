@@ -23,8 +23,8 @@ fabrication outcomes directly:
   adaptive multilevel-splitting fallback; reaches the paper's 1e8-device,
   1e-9-failure-probability operating point directly.
 * :mod:`repro.montecarlo.wafer_sim` — wafer tier: every die of a
-  :class:`~repro.growth.wafer.WaferMap` simulated in stacked
-  (die × trial × track) passes with spawn-keyed per-die streams,
+  :class:`~repro.growth.wafer.WaferMap` simulated on the shared track
+  kernel, one row-local search per die, with spawn-keyed per-die streams,
   analytic misalignment de-rating, and whole-placement per-die chip runs
   (:func:`~repro.montecarlo.wafer_sim.run_chip_wafer`).
 * :mod:`repro.montecarlo.experiments` — packaged experiments comparing

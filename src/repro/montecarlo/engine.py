@@ -10,10 +10,12 @@ array programs over a leading ``(n_trials, ...)`` batch axis:
   one 2D gap draw per batch sized by the tight budget of
   :func:`tight_gap_budget`, a single ``cumsum`` along the gap axis, exact
   per-trial top-ups for the few trials that budget leaves short of the
-  span, and a validity mask marking the tracks that landed inside the
-  span.  The renewal convention matches the scalar samplers exactly (the
-  first track sits one uniformly-offset pitch below the span origin), so
-  the batched and scalar engines draw from the same distribution.
+  span, and a validity mask (built on first use) marking the tracks that
+  landed inside the span.  Every track path runs on it: chip, row,
+  device, tilted, timing and both wafer tiers.  The renewal convention
+  matches the scalar samplers exactly (the first track sits one
+  uniformly-offset pitch below the span origin), so the batched and
+  scalar engines draw from the same distribution.
 * :func:`count_leq_rows` — how many of a row's sorted positions lie below
   (or at or below) each bound, by a lockstep binary search whose every
   step reads only the queried row.  Bounds come either as one matrix row
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -98,10 +101,9 @@ __all__ = [
 #: the requested trial count.
 DEFAULT_BATCH_ELEMENTS: int = 1 << 22
 
-#: Gap draws per top-up round and the granule :func:`tight_gap_budget`
-#: rounds up to.  Small, because a top-up round draws it for every
-#: uncleared trial; the wafer tier counts each appended block with
-#: :func:`count_leq_rows`, four gathers at this width.
+#: Gap draws per top-up round of :func:`sample_track_batch` and the
+#: granule :func:`tight_gap_budget` rounds up to.  Small, because a
+#: top-up round draws it for every uncleared trial.
 BLOCK = 8
 
 
@@ -112,16 +114,24 @@ class TrackBatch:
     ``positions`` is ``(n_trials, n_slots)`` and sorted ascending along the
     slot axis (it is a cumulative sum of positive gaps).  Slots whose track
     fell outside ``[0, span_nm]`` are retained for shape regularity and
-    masked out by ``valid``.  ``start_offsets`` records each trial's uniform
-    renewal offset ``u`` (position ``j`` sits at ``S_j - u`` with ``S_j`` the
-    cumulative gap sum); the rare-event layer needs it to reconstruct the
-    gap sums that enter the likelihood-ratio weights.
+    masked out by :attr:`valid`.  ``start_offsets`` records each trial's
+    uniform renewal offset ``u`` (position ``j`` sits at ``S_j - u`` with
+    ``S_j`` the cumulative gap sum); the rare-event layer needs it to
+    reconstruct the gap sums that enter the likelihood-ratio weights.
     """
 
     positions: np.ndarray
-    valid: np.ndarray
     span_nm: float
     start_offsets: Optional[np.ndarray] = None
+
+    @cached_property
+    def valid(self) -> np.ndarray:
+        """Mask of the slots whose track lies inside ``[0, span_nm]``.
+
+        Built on first use and kept: callers that count straight from
+        :attr:`positions` (the wafer tier) never pay for it.
+        """
+        return (self.positions >= 0.0) & (self.positions <= self.span_nm)
 
     @property
     def n_trials(self) -> int:
@@ -158,10 +168,10 @@ def estimate_gap_count(pitch: PitchDistribution, span_nm: float) -> int:
 def tight_gap_budget(pitch: PitchDistribution, span_nm: float) -> int:
     """Initial gaps per trial: 2-sigma renewal margin, rounded to blocks.
 
-    The single budget rule of the track kernels (:func:`sample_track_batch`
-    and the wafer tier's stacked pass).  Both top up the few trials it
-    leaves short of the span exactly, so the budget only has to make
-    top-ups *uncommon*, not negligible.
+    The single budget rule of the track kernel :func:`sample_track_batch`,
+    which every track path (the wafer tiers included) runs on.  It tops
+    up the few trials the budget leaves short of the span exactly, so the
+    budget only has to make top-ups *uncommon*, not negligible.
     """
     mean = pitch.mean_nm
     n_mean = (span_nm + mean) / mean
@@ -235,10 +245,8 @@ def sample_track_batch(
     if tails:
         # One copy of the batch however many rounds the top-up took.
         positions = backend.concatenate([positions] + tails, axis=1)
-    valid = (positions >= 0.0) & (positions <= span_nm)
     return TrackBatch(
         positions=positions,
-        valid=valid,
         span_nm=float(span_nm),
         start_offsets=start_offsets,
     )
@@ -249,19 +257,18 @@ def sample_track_counts(
     span_nm: float,
     n_trials: int,
     rng: np.random.Generator,
-    batch_elements: int = DEFAULT_BATCH_ELEMENTS,
     backend: Optional[NumpyBackend] = None,
 ) -> np.ndarray:
     """Per-trial count of tracks captured by a span, shape ``(n_trials,)``.
 
     Internally chunks the trial axis so peak memory stays bounded by
-    ``batch_elements`` regardless of ``n_trials``.  Counts are returned as
-    NumPy int64 whatever the dtype policy.
+    :data:`DEFAULT_BATCH_ELEMENTS` regardless of ``n_trials``.  Counts are
+    returned as NumPy int64 whatever the dtype policy.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     per_trial = max(1, estimate_gap_count(pitch, span_nm))
-    chunk = max(1, batch_elements // per_trial)
+    chunk = max(1, DEFAULT_BATCH_ELEMENTS // per_trial)
     counts = np.empty(n_trials, dtype=np.int64)
     done = 0
     while done < n_trials:

@@ -704,9 +704,7 @@ class NonAlignedRowModel(_RowModelBase):
         """Fewest working tubes over the devices' offset windows."""
         positions, valid = self._positions(state["gaps"], state["offset_u"])
         working = (state["tube_u"] >= self.per_cnt_failure) & valid
-        batch = TrackBatch(
-            positions=positions, valid=valid, span_nm=self.span_nm
-        )
+        batch = TrackBatch(positions=positions, span_nm=self.span_nm)
         lo = state["dev_u"] * self.cell_height_window_nm
         counts = count_in_windows(
             batch, working.astype(float), lo, lo + self.device_width_nm

@@ -1,27 +1,28 @@
-"""Wafer-level batched Monte Carlo: every die of a wafer in one stacked pass.
+"""Wafer-level batched Monte Carlo: each die on the shared track kernel.
 
 :mod:`repro.growth.wafer` models die-to-die growth variation — each die of
 a :class:`~repro.growth.wafer.WaferMap` carries its own mean CNT pitch —
 which makes every die a *distinct* simulation: a different gap law, hence
 a different renewal process, hence a separate Monte Carlo run.  Looping
 the single-die estimator over a wafer wastes most of its time on per-die
-overheads and on per-width re-sampling.  This module simulates the
-whole wafer as one stacked 3D array program (die × trial × track):
+overheads and on per-width re-sampling.  This module runs each die on
+:func:`~repro.montecarlo.engine.sample_track_batch`, the track kernel of
+every other tier, with one row-local search per die:
 
 * every die's trials are drawn from a *spawn-keyed stream* derived from
   the die's grid coordinates (:func:`die_stream`) — never from the die's
   position in a loop — so per-die results are bitwise independent of die
   ordering, of how dies are grouped into batches, and of ``n_workers``;
-* per-die gap budgets follow the engine's single budget rule
-  (:func:`~repro.montecarlo.engine.tight_gap_budget`, a 2-sigma margin);
-  the rare trials whose budget does not clear the widest window are
-  *topped up exactly* from the same die stream;
-* window counts come from one row-local ``cumsum`` over the stacked gap
-  block and one vectorised per-row binary search
-  (:func:`~repro.montecarlo.engine.count_leq_rows`) that answers the
-  lower edge and every width class's upper edge of every trial at once.
-  The search is row-local: each compare reads only the trial's own
-  positions, so a die's counts do not depend on the group it ran in;
+* each die's trials grow tracks over its widest window under the
+  kernel's gap budget (:func:`~repro.montecarlo.engine.tight_gap_budget`,
+  a 2-sigma margin), and the rare trials it leaves short are *topped up
+  exactly* from the same die stream;
+* one vectorised per-row binary search
+  (:func:`~repro.montecarlo.engine.count_leq_rows`) counts, for every
+  trial at once, the tracks at or below 0 and at or below every width
+  class's upper edge.  The search is row-local: each compare reads only
+  the trial's own positions, so a die's counts do not depend on the
+  group it ran in;
 * all device-width classes of a die are answered from the *same* sampled
   tracks (they physically share them — the paper's correlation insight),
   where the per-die loop must re-sample per width.
@@ -45,7 +46,7 @@ Each die of a :class:`~repro.growth.wafer.WaferMap` carries a
 growth-direction misalignment angle.  Passing a
 :class:`~repro.analysis.mispositioned.MisalignmentImpactModel` as
 ``misalignment`` applies the Sec. 3 analytic relaxation *inside* the
-stacked pass: every die's Rao-Blackwellised failure values are divided by
+die-group pass: every die's Rao-Blackwellised failure values are divided by
 the relaxation factor at that die's own angle
 (:meth:`~repro.analysis.mispositioned.MisalignmentImpactModel.relaxation_for_angle`),
 so the per-device failure budget is relaxed exactly as the aligned-active
@@ -79,12 +80,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.mispositioned import MisalignmentImpactModel
-from repro.backend import (
-    NumpyBackend,
-    backend_signature,
-    default_backend,
-    match_dtype,
-)
+from repro.backend import NumpyBackend, backend_signature, default_backend
 from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _ChipGeometry,
@@ -98,11 +94,10 @@ from repro.growth.pitch import PitchDistribution
 from repro.growth.types import CNTTypeModel
 from repro.growth.wafer import DieSite, WaferMap
 from repro.montecarlo.engine import (
-    BLOCK,
     DEFAULT_BATCH_ELEMENTS,
     count_leq_rows,
     run_chunked,
-    tight_gap_budget,
+    sample_track_batch,
 )
 from repro.resilience.checkpoint import open_campaign
 from repro.resilience.guards import check_finite
@@ -248,7 +243,7 @@ class WaferYieldResult:
 
 
 # ----------------------------------------------------------------------
-# The stacked kernel
+# The die-group kernel
 # ----------------------------------------------------------------------
 
 
@@ -289,55 +284,16 @@ def _die_relaxations(
     ])
 
 
-def _draw_die_group(
-    payload: _WaferPayload,
-    sites: Sequence[DieSite],
-    pitches: Sequence[PitchDistribution],
-    budgets: Sequence[int],
-    backend: NumpyBackend,
-):
-    """Draw a die group's window offsets and stacked gap block.
-
-    Returns the per-trial lower window edges ``lo``, the ``(trials,
-    max(budgets))`` gap block — each die's rows padded with ``+inf`` past
-    its own budget — and the die streams, left where the top-ups resume.
-    """
-    n_trials = payload.n_trials
-    s_max = max(budgets)
-    gaps = backend.empty((len(sites) * n_trials, s_max))
-    lo = np.zeros(len(sites) * n_trials, dtype=backend.dtype)
-    streams = []
-    for i, (site, pitch) in enumerate(zip(sites, pitches)):
-        rng = die_stream(payload.seed_key, site)
-        rows = slice(i * n_trials, (i + 1) * n_trials)
-        lo[rows] = backend.uniform(rng, n_trials) * pitch.mean_nm
-        if budgets[i] == s_max:
-            # Contiguous destination: the backend may draw straight into
-            # the stack without an intermediate allocation.
-            view = gaps[rows]
-            drawn = backend.sample_gaps(pitch, (n_trials, s_max), rng, out=view)
-            if drawn is not view:
-                gaps[rows] = drawn
-        else:
-            gaps[rows, : budgets[i]] = backend.sample_gaps(
-                pitch, (n_trials, budgets[i]), rng
-            )
-            # Padding slots never count: +inf sits above every bound.
-            gaps[rows, budgets[i]:] = np.inf
-        streams.append(rng)
-    return lo, gaps, streams
-
-
 def _simulate_die_group(
     payload: _WaferPayload, sites: Sequence[DieSite]
 ) -> List[DieYieldEstimate]:
-    """Simulate one group of dies as a single stacked (die·trial, track) pass.
+    """Simulate one group of dies, each on the shared track kernel.
 
-    Per die only the draws (offsets, gaps, rare exact top-ups) touch the
-    Python level; the cumsum and the count of every bound of every trial
-    run once over the whole stack.  Every per-die quantity depends only
-    on that die's own stream, budget and rows, so group composition
-    cannot change results.
+    Each die grows its trials' tracks with
+    :func:`~repro.montecarlo.engine.sample_track_batch` from its own
+    stream, and one row-local search counts every width class of every
+    trial.  Every per-die quantity depends only on that die's own stream
+    and rows, so group composition cannot change results.
     """
     backend = payload.backend if payload.backend is not None else default_backend()
     n_trials = payload.n_trials
@@ -345,49 +301,21 @@ def _simulate_die_group(
     w_max = max(widths)
     n_dies = len(sites)
 
-    pitches = [payload.pitch.with_mean(site.mean_pitch_nm) for site in sites]
-    budgets = [tight_gap_budget(p, w_max) for p in pitches]
-    lo, gaps, streams = _draw_die_group(payload, sites, pitches, budgets, backend)
-
-    # One row-local cumsum turns each trial's gaps into track positions.
-    # Dropping the summed gaps before the search keeps the group's peak
-    # memory at two gap blocks.
-    positions = backend.cumsum(gaps, axis=1)
-    del gaps
-    # Column 0 of the bound matrix is each trial's lower window edge and
-    # column 1 + q its upper edge for width class q, all on one track set.
-    bounds = lo[:, None] + match_dtype((0.0,) + widths, lo)
-    counts = count_leq_rows(positions, bounds)
-
-    # Exact top-up: trials whose budget did not clear their widest window
-    # continue drawing BLOCK-wide chunks from their own die stream.  Extra
-    # tracks sit strictly above the die's cleared total, so counting them
-    # against every bound is a no-op for the windows the main budget
-    # already cleared.  The draws run die by die; the appended blocks are
-    # counted together afterwards.
-    bounds_np = np.asarray(bounds, dtype=float)
-    hi_max = bounds_np[:, 1 + int(np.argmax(widths))]
-    tails, tail_rows = [], []
-    for i in range(n_dies):
-        first = i * n_trials
-        total = np.asarray(
-            positions[first:first + n_trials, budgets[i] - 1], dtype=float
+    # Column 0 counts each trial's tracks at or below 0 and column 1 + q
+    # those at or below W_q, so class q captures the tracks in (0, W_q],
+    # all on one track set.  Built contiguous once per group: the search
+    # compares against it at every step, and a stride-0 view is slower.
+    edges = np.asarray((0.0,) + widths, dtype=backend.dtype)
+    bounds = np.tile(edges, (n_trials, 1))
+    counts = np.empty((n_dies * n_trials, 1 + len(widths)), dtype=np.intp)
+    for i, site in enumerate(sites):
+        batch = sample_track_batch(
+            payload.pitch.with_mean(site.mean_pitch_nm), w_max, n_trials,
+            die_stream(payload.seed_key, site), backend=backend,
         )
-        keep = total <= hi_max[first:first + n_trials]
-        alive, run = first + np.flatnonzero(keep), total[keep]
-        while alive.size:
-            drawn = backend.sample_gaps(
-                pitches[i], (alive.size, BLOCK), streams[i]
-            )
-            extra = np.cumsum(np.asarray(drawn, dtype=float), axis=1) + run[:, None]
-            tails.append(extra)
-            tail_rows.append(alive)
-            keep = extra[:, -1] <= hi_max[alive]
-            alive, run = alive[keep], extra[keep, -1]
-    if tails:
-        tail_rows = np.concatenate(tail_rows)
-        tail_counts = count_leq_rows(np.concatenate(tails), bounds_np[tail_rows])
-        np.add.at(counts, tail_rows, tail_counts)
+        counts[i * n_trials:(i + 1) * n_trials] = count_leq_rows(
+            batch.positions, bounds
+        )
 
     # The value of a trial depends only on its count, so it is looked up
     # in a per-count table instead of evaluated per (class, die, trial).
@@ -596,9 +524,13 @@ def _canonical_sites(wafer: WaferMap) -> List[DieSite]:
 DEFAULT_PARALLEL_GRAIN = 8
 
 
-def _dies_per_group(n_dies: int, payload: _WaferPayload, s_max_hint: int) -> int:
-    """Dies per stacked pass: element-budget bounded, grain-split."""
-    per_die = max(1, payload.n_trials * s_max_hint)
+def _dies_per_group(n_dies: int, payload: _WaferPayload) -> int:
+    """Dies per group: value-array element budget bounded, grain-split.
+
+    A group holds a ``(classes, dies, trials)`` value array; track
+    batches are drawn and counted one die at a time and not kept.
+    """
+    per_die = max(1, payload.n_trials * len(payload.widths_nm))
     budget = max(1, DEFAULT_BATCH_ELEMENTS // per_die)
     spread = -(-n_dies // DEFAULT_PARALLEL_GRAIN)
     return max(1, min(budget, spread))
@@ -684,10 +616,12 @@ def simulate_die(
 ) -> DieYieldEstimate:
     """Simulate one die independently — the per-die reference of the runner.
 
-    Runs the *same* stacked kernel on a single die with the same
-    spawn-keyed stream, so a die's estimate here is bitwise identical to
-    its estimate inside any :func:`simulate_wafer` run sharing the seed
-    key (the wafer-combination property tests pin this).
+    Runs the *same* die-group kernel on a single die — the die's trials on
+    :func:`~repro.montecarlo.engine.sample_track_batch`, one row-local
+    search per die — with the same spawn-keyed stream, so a die's
+    estimate here is bitwise identical to its estimate inside any
+    :func:`simulate_wafer` run sharing the seed key (the
+    wafer-combination property tests pin this).
 
     Parameters
     ----------
@@ -729,7 +663,12 @@ def simulate_wafer(
     policy=None,
     faults=None,
 ) -> WaferYieldResult:
-    """Simulate every die of ``wafer`` in stacked (die × trial × track) passes.
+    """Simulate every die of ``wafer`` on the shared track kernel.
+
+    Each die draws its trials with
+    :func:`~repro.montecarlo.engine.sample_track_batch` and counts every
+    width class with one row-local search per die; dies run in groups
+    under the supervised executor.
 
     Parameters
     ----------
@@ -757,13 +696,13 @@ def simulate_wafer(
         Either way the groups run under the supervised executor
         (:func:`~repro.resilience.supervise.run_supervised`).
     backend:
-        Array backend for the stacked passes (``None`` = environment
-        default).
+        Array backend for the track draws and counts (``None`` =
+        environment default).
     misalignment:
         Optional :class:`~repro.analysis.mispositioned.MisalignmentImpactModel`.
         When given, every die's failure values are divided by the Sec. 3
         analytic relaxation factor at that die's misalignment angle,
-        inside the stacked pass (see the module notes).  ``None`` (the
+        inside the die-group pass (see the module notes).  ``None`` (the
         default) leaves results bitwise identical to a run without the
         parameter.
     checkpoint_dir:
@@ -802,12 +741,7 @@ def simulate_wafer(
     sites = _canonical_sites(wafer)
     dice: List[DieYieldEstimate] = []
     if sites:
-        w_max = max(payload.widths_nm)
-        s_max_hint = max(
-            tight_gap_budget(pitch.with_mean(s.mean_pitch_nm), w_max)
-            for s in sites
-        )
-        group = _dies_per_group(len(sites), payload, s_max_hint)
+        group = _dies_per_group(len(sites), payload)
         groups = [sites[i:i + group] for i in range(0, len(sites), group)]
         checkpoint = open_campaign(
             checkpoint_dir, "wafer", len(groups), resume,
@@ -838,17 +772,17 @@ def per_die_loop(
     good_die_threshold: float = 0.5,
     misalignment: Optional[MisalignmentImpactModel] = None,
 ) -> WaferYieldResult:
-    """Reference wafer evaluation: the pre-stacked die-by-die loop.
+    """Reference wafer evaluation: the die-by-die, width-by-width loop.
 
     Drives :class:`~repro.montecarlo.device_sim.DeviceMonteCarlo` once per
     (die, width class) — fresh tracks per width, engine gap budget, per-die
     Python overhead.  Statistically equivalent to :func:`simulate_wafer`
     at equal ``n_trials`` (the equivalence tests pin that down) and the
-    baseline that ``benchmarks/bench_wafer.py`` measures the stacked pass
+    baseline that ``benchmarks/bench_wafer.py`` measures the die-group pass
     against.  Per-width streams extend the die spawn key with the class
     index, so this path is deterministic and order-invariant too.
     Misalignment de-rating divides each die's estimates by the same
-    analytic relaxation factor the stacked pass applies.
+    analytic relaxation factor the die-group pass applies.
     """
     from repro.montecarlo.device_sim import DeviceMonteCarlo
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import (
+    BrokenExecutor,
     ProcessPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
@@ -274,14 +275,21 @@ def run_supervised(
         pool = ProcessPoolExecutor(max_workers=min(n_workers, len(pending)))
         failed: List[Tuple[int, BaseException]] = []
         try:
-            futures = {
-                unit: pool.submit(
-                    _call_task,
-                    _wrap(tasks[unit], faults, unit, attempts[unit],
-                          allow_exit=True),
-                )
-                for unit in pending
-            }
+            futures = {}
+            for unit in pending:
+                try:
+                    futures[unit] = pool.submit(
+                        _call_task,
+                        _wrap(tasks[unit], faults, unit, attempts[unit],
+                              allow_exit=True),
+                    )
+                except BrokenExecutor as exc:
+                    # A worker died before every unit was submitted: the
+                    # rest fail like the broken pool's futures would.
+                    failed.extend(
+                        (rest, exc) for rest in pending[len(futures):]
+                    )
+                    break
             for unit, future in futures.items():
                 try:
                     record(unit, future.result(timeout=policy.timeout_s))

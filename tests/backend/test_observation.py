@@ -105,18 +105,35 @@ def test_top_ups_gather_through_take_pairs(placement, monkeypatch):
     assert counted == plain
 
 
-def test_wafer_run_observes_draws_and_cumsum():
+def _wafer_runs():
+    """One small wafer run on a counting backend and one on the default."""
     wafer = WaferGrowthModel(
         center_pitch_nm=4.0, die_size_mm=25.0
     ).generate(np.random.default_rng(1))
     backend = CountingBackend()
-    counted, plain = [
+    runs = [
         simulate_wafer(
             wafer, ExponentialPitch(4.0), TYPE_MODEL, (90.0, 140.0),
             (300.0, 200.0), n_trials=64, seed_key=(11,), backend=chosen,
         )
         for chosen in (backend, None)
     ]
+    return backend, runs
+
+
+def test_wafer_run_observes_draws_and_cumsum():
+    backend, (counted, plain) = _wafer_runs()
     for step in ("uniform", "sample_gaps", "cumsum"):
         assert backend.calls[step] > 0, step
+    assert counted == plain
+
+
+def test_wafer_top_ups_gather_through_take_pairs(monkeypatch):
+    # A one-block first draw leaves every die's trials short of the
+    # widest class, so each die tops up on the shared track kernel.
+    monkeypatch.setattr(engine, "tight_gap_budget", lambda pitch, span: engine.BLOCK)
+    backend, (counted, plain) = _wafer_runs()
+    assert backend.calls["take_pairs"] > 0
+    assert backend.calls["clip"] > 0
+    assert backend.calls["sample_gaps"] > backend.calls["uniform"]
     assert counted == plain

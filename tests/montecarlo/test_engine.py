@@ -180,11 +180,10 @@ class TestSampleTrackCounts:
         assert counts.shape == (5_000,)
         assert counts.mean() == pytest.approx(50.0, rel=0.05)
 
-    def test_chunked_execution_covers_all_trials(self, rng):
+    def test_chunked_execution_covers_all_trials(self, rng, monkeypatch):
         # Force many internal chunks and check every trial is filled.
-        counts = sample_track_counts(
-            GammaPitch(4.0, 0.5), 100.0, 1_000, rng, batch_elements=64
-        )
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_ELEMENTS", 64)
+        counts = sample_track_counts(GammaPitch(4.0, 0.5), 100.0, 1_000, rng)
         assert counts.shape == (1_000,)
         assert np.all(counts >= 0)
         assert counts.mean() == pytest.approx(25.0, rel=0.1)

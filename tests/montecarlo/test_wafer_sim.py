@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import repro.montecarlo.wafer_sim as wafer_sim
+import repro.montecarlo.engine as engine
 from repro.backend import NumpyBackend, get_backend
 from repro.growth.pitch import ExponentialPitch, GammaPitch
 from repro.growth.types import CNTTypeModel
@@ -45,7 +45,7 @@ class TestStackedRunner:
     def test_die_estimates_match_independent_single_die_runs(
         self, wafer, sparse_type_model
     ):
-        # The headline contract: the stacked pass consumes each die's
+        # The headline contract: a die group consumes each die's
         # spawn-keyed stream exactly as an independent run of that die.
         result = simulate_wafer(
             wafer, ExponentialPitch(4.0), sparse_type_model, WIDTHS, COUNTS,
@@ -395,7 +395,8 @@ class TestBitwisePins:
         return {
             "exponential": dict(pitch=ExponentialPitch(4.0),
                                 type_model=sparse_type_model),
-            # Per-die budgets differ here, so the +inf padding is counted.
+            # Per-die budgets differ here, so dies draw batches of
+            # different widths.
             "gamma_cv05": dict(pitch=GammaPitch(4.0, 0.5),
                                type_model=sparse_type_model),
             "shorts": dict(pitch=ExponentialPitch(4.0),
@@ -446,7 +447,7 @@ def test_one_block_budget_tops_up_most_trials_and_stays_exact(
     # With a single-block first draw nearly every trial needs top-up
     # rounds; the appended blocks are counted exactly, so each class
     # still matches the Poisson closed form of exponential gaps.
-    monkeypatch.setattr(wafer_sim, "tight_gap_budget", lambda pitch, span: BLOCK)
+    monkeypatch.setattr(engine, "tight_gap_budget", lambda pitch, span: BLOCK)
     backend = _RowCountingBackend()
     widths = (30.0, 60.0)
     n_trials = 2_000

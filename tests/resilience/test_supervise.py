@@ -1,9 +1,13 @@
 """Chaos tests for the supervised executor: injected worker deaths,
 timeouts, retry budgets, and checkpoint integration."""
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
+import repro.resilience.supervise as supervise
 from repro.resilience import (
     CheckpointStore,
     FaultPlan,
@@ -112,6 +116,41 @@ class TestPoolSupervision:
         expected = run_supervised(_make_tasks())
         got = run_supervised(_make_tasks(), n_workers=2)
         assert got == expected
+
+    def test_pool_breaking_during_submit_retries_the_rest(self, monkeypatch):
+        # The first pool breaks on its second submit, as when a worker
+        # dies before every unit is handed out; the unsubmitted units
+        # must be retried on a fresh pool, not raise out of the run.
+        pools = []
+
+        class BreaksOnSecondSubmit:
+            def __init__(self, max_workers):
+                self.submitted = 0
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                if len(pools) == 1 and self.submitted == 2:
+                    raise BrokenProcessPool("worker died")
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(
+            supervise, "ProcessPoolExecutor", BreaksOnSecondSubmit
+        )
+        expected = [task() for task in _make_tasks()]
+        got = run_supervised(
+            _make_tasks(),
+            n_workers=2,
+            policy=RetryPolicy(max_retries=1, backoff_s=0.0),
+        )
+        assert got == expected
+        assert len(pools) == 2
+        assert pools[1].submitted == 3
 
 
 class TestCheckpointIntegration:
