@@ -19,13 +19,14 @@ library can check the assumption for their own process parameters:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
+from scipy import stats
 
 from repro.core.count_model import CountModel
+from repro.device.shorts import short_only_failure_probability, surviving_short_probability
 from repro.growth.types import CNTTypeModel
 from repro.units import ensure_positive, ensure_probability
 
@@ -74,13 +75,17 @@ class NoiseMarginModel:
 
         ``P{≥1} = 1 - E[(1 - q)^N(W)] = 1 - G_N(1 - q)``
 
-        with ``G_N`` the count PGF.
+        with ``G_N`` the count PGF — the short channel of
+        :func:`repro.device.shorts.short_only_failure_probability`, which
+        keeps full precision at the tiny ``q`` of good removal.
         """
         ensure_positive(width_nm, "width_nm")
-        q = self.per_cnt_surviving_metallic_probability
-        if q <= 0.0:
-            return 0.0
-        return 1.0 - float(self.count_model.pgf(width_nm, 1.0 - q))
+        return self._hazard(width_nm, self.type_model.removal_prob_metallic)
+
+    def _hazard(self, width_nm: float, p_rm: float) -> float:
+        """P{≥ 1 surviving m-CNT} at width W for removal probability pRm."""
+        q = surviving_short_probability(self.type_model.metallic_fraction, p_rm)
+        return short_only_failure_probability(self.count_model, width_nm, q)
 
     def expected_surviving_mcnt(self, width_nm: float) -> float:
         """Expected number of surviving metallic tubes in one device."""
@@ -97,18 +102,8 @@ class NoiseMarginModel:
         if q == 0.0:
             return 0.0
         pmf = self.count_model.pmf(width_nm)
-        total = 0.0
-        for n, p_n in enumerate(pmf):
-            if p_n == 0.0 or n < k:
-                continue
-            # P{Binomial(n, q) >= k}
-            prob_lt_k = 0.0
-            for j in range(k):
-                prob_lt_k += (
-                    math.comb(n, j) * (q ** j) * ((1.0 - q) ** (n - j))
-                )
-            total += p_n * (1.0 - prob_lt_k)
-        return total
+        # P{Binomial(n, q) >= k} per count n.
+        return float(np.sum(pmf * stats.binom.sf(k - 1, np.arange(pmf.size), q)))
 
     # ------------------------------------------------------------------
     # Chip-level summaries
@@ -146,16 +141,7 @@ class NoiseMarginModel:
         ensure_positive(max_hazardous_devices, "max_hazardous_devices")
 
         def hazards(p_rm: float) -> float:
-            model = CNTTypeModel(
-                metallic_fraction=self.type_model.metallic_fraction,
-                removal_prob_metallic=p_rm,
-                removal_prob_semiconducting=self.type_model.removal_prob_semiconducting,
-            )
-            q = model.surviving_metallic_probability
-            if q <= 0.0:
-                return 0.0
-            p_hazard = 1.0 - float(self.count_model.pgf(width_nm, 1.0 - q))
-            return p_hazard * chip_device_count
+            return self._hazard(width_nm, p_rm) * chip_device_count
 
         if hazards(0.0) <= max_hazardous_devices:
             return 0.0
@@ -172,17 +158,7 @@ class NoiseMarginModel:
         self, width_nm: float, removal_probabilities: Iterable[float]
     ) -> np.ndarray:
         """P{device has ≥1 surviving m-CNT} for each pRm in the given sweep."""
-        results = []
-        for p_rm in removal_probabilities:
-            p_rm = ensure_probability(p_rm, "p_rm")
-            model = CNTTypeModel(
-                metallic_fraction=self.type_model.metallic_fraction,
-                removal_prob_metallic=p_rm,
-                removal_prob_semiconducting=self.type_model.removal_prob_semiconducting,
-            )
-            q = model.surviving_metallic_probability
-            if q <= 0.0:
-                results.append(0.0)
-            else:
-                results.append(1.0 - float(self.count_model.pgf(width_nm, 1.0 - q)))
-        return np.asarray(results, dtype=float)
+        return np.array([
+            self._hazard(width_nm, ensure_probability(p_rm, "p_rm"))
+            for p_rm in removal_probabilities
+        ])

@@ -29,13 +29,17 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 from scipy import stats
 
 from repro.growth.pitch import PitchDistribution, ExponentialPitch, pitch_distribution_from_cv
 from repro.units import ensure_positive
+
+#: Widths per (count, width) grid block of the array forms; bounds their
+#: memory at a few MB for the tallest grids the surfaces reach.
+WIDTH_BLOCK = 256
 
 
 class CountModel(abc.ABC):
@@ -92,6 +96,58 @@ class CountModel(abc.ABC):
         # Work in log space per term to avoid underflow for large n.
         return float(np.sum(p * np.exp(n * math.log(z))))
 
+    # ------------------------------------------------------------------
+    # Array forms over a whole width array (the exact array evaluator)
+    # ------------------------------------------------------------------
+
+    def pmf_grid(self, widths_nm: np.ndarray) -> np.ndarray:
+        """Count pmfs of a 1-D width array as columns: ``out[n, k] = P{N(W_k) = n}``.
+
+        Columns shorter than the longest are zero-padded.  This default
+        stacks :meth:`pmf` per width; the analytical models override it
+        with one evaluation over the (count, width) grid.
+        """
+        columns = [self.pmf(float(w)) for w in np.asarray(widths_nm, dtype=float)]
+        out = np.zeros((max((c.size for c in columns), default=1), len(columns)))
+        for k, column in enumerate(columns):
+            out[: column.size, k] = column
+        return out
+
+    def log_mean_array(
+        self, widths_nm: np.ndarray, weights: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """``log E[weights(N(W))]`` over a 1-D width array (``-inf`` on underflow).
+
+        ``weights`` maps the count array ``n = 0, 1, ...`` to per-count
+        values.  Widths are taken in ascending blocks of
+        :data:`WIDTH_BLOCK`, which bounds the (count, width) grid's memory
+        and keeps each block's grid only as tall as its widest column.
+        """
+        widths = np.asarray(widths_nm, dtype=float)
+        order = np.argsort(widths, kind="stable")
+        mean = np.empty(widths.size)
+        for start in range(0, widths.size, WIDTH_BLOCK):
+            block = order[start : start + WIDTH_BLOCK]
+            pmf = self.pmf_grid(widths[block])
+            mean[block] = (weights(np.arange(pmf.shape[0]))[:, None] * pmf).sum(axis=0)
+        with np.errstate(divide="ignore"):
+            return np.log(mean)
+
+    def log_pgf_array(self, widths_nm: np.ndarray, z: float) -> np.ndarray:
+        """``log E[z^N(W)]`` over a 1-D width array."""
+        return self.log_mean_array(widths_nm, lambda n: np.power(z, n))
+
+    def log_any_short_array(self, widths_nm: np.ndarray, b: float) -> np.ndarray:
+        """``log(1 - E[(1 - b)^N(W)])``: at least one of the tubes is a short.
+
+        Summed as the positive terms ``P{N = n} · (1 - (1 - b)^n)``, each
+        formed through ``expm1``/``log1p``, so a tiny ``b`` keeps its full
+        relative precision instead of cancelling against one.
+        """
+        return self.log_mean_array(
+            widths_nm, lambda n: -np.expm1(n * math.log1p(-b))
+        )
+
 
 class PoissonCountModel(CountModel):
     """Poisson CNT counts — exact for exponentially distributed pitch.
@@ -135,6 +191,23 @@ class PoissonCountModel(CountModel):
         lam = self.rate(width_nm)
         return math.exp(-lam * (1.0 - z))
 
+    def pmf_grid(self, widths_nm: np.ndarray) -> np.ndarray:
+        """Poisson pmf columns, as long as :meth:`pmf` makes the widest one."""
+        lam = np.asarray(widths_nm, dtype=float) / self.mean_pitch_nm
+        top = int(np.max(lam + 12.0 * np.sqrt(lam) + 30, initial=0.0))
+        return stats.poisson.pmf(np.arange(top + 1)[:, None], lam)
+
+    def log_pgf_array(self, widths_nm: np.ndarray, z: float) -> np.ndarray:
+        """Closed-form ``log E[z^N] = -λ(W)·(1 - z)`` over a width array."""
+        lam = np.asarray(widths_nm, dtype=float) / self.mean_pitch_nm
+        return -lam * (1.0 - z)
+
+    def log_any_short_array(self, widths_nm: np.ndarray, b: float) -> np.ndarray:
+        """Closed-form ``log(1 - e^{-λ(W)·b})`` over a width array."""
+        lam = np.asarray(widths_nm, dtype=float) / self.mean_pitch_nm
+        with np.errstate(divide="ignore"):
+            return np.log(-np.expm1(-lam * b))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PoissonCountModel(mean_pitch_nm={self.mean_pitch_nm})"
 
@@ -165,6 +238,8 @@ class RenewalCountModel(CountModel):
         if not 0 < tail_tolerance < 1:
             raise ValueError("tail_tolerance must lie in (0, 1)")
         self.tail_tolerance = float(tail_tolerance)
+        # Scalar-path callers re-ask one width (noise-margin bisection,
+        # per-chunk timing samplers); the array forms bypass this cache.
         self._pmf_cache: Dict[float, np.ndarray] = {}
 
     def mean_count(self, width_nm: float) -> float:
@@ -180,9 +255,7 @@ class RenewalCountModel(CountModel):
         if cached is not None and (max_count is None or cached.size >= max_count + 1):
             return cached if max_count is None else cached[: max_count + 1]
 
-        mean = self.mean_count(width_nm)
-        sigma = math.sqrt(max(mean, 1.0)) * max(self.pitch.cv, 0.1)
-        guess_max = int(mean + 12.0 * sigma + 30)
+        guess_max = int(self._count_guess(width_nm))
         if max_count is not None:
             guess_max = max(max_count, 1)
 
@@ -230,6 +303,54 @@ class RenewalCountModel(CountModel):
         if max_count is None:
             self._pmf_cache[key] = pmf
         return pmf
+
+    def _count_guess(self, width_nm):
+        """Count beyond which the pmf tail is searched for its cut-off."""
+        mean = np.asarray(width_nm, dtype=float) / self.pitch.mean_nm
+        sigma = np.sqrt(np.maximum(mean, 1.0)) * max(self.pitch.cv, 0.1)
+        return mean + 12.0 * sigma + 30
+
+    def pmf_grid(self, widths_nm: np.ndarray) -> np.ndarray:
+        """Renewal pmf columns from one sum-CDF/SF evaluation over the (n, W) grid.
+
+        The two-sided construction of :meth:`pmf`, evaluated for every
+        width at once: below a column's mean count the pmf is differenced
+        from ``P{N < n} = P{S_n > W}``, above it from ``P{N >= n}``, each
+        evaluated only where it is used (splitting at the mean rather than
+        the median keeps both tails exact).  Rows run until every column's
+        remaining tail mass is below ``tail_tolerance``; each column is cut
+        where :meth:`pmf` stops and normalised, so a width's pmf does not
+        depend on which other widths share its grid.
+        """
+        widths = np.asarray(widths_nm, dtype=float)
+        split = (widths / self.pitch.mean_nm).astype(int)
+        guess = self._count_guess(widths).astype(int)
+        first = top = int(np.max(guess, initial=0))
+        while True:
+            n = np.arange(top + 2)[:, None]
+            at_least = self._on_grid(self.pitch.sum_cdf_array, n > split, n, widths)
+            stop = (n >= guess) & (at_least < self.tail_tolerance)
+            if stop.any(axis=0).all() or top > 4 * first + 1000:
+                break
+            top *= 2
+        fewer = self._on_grid(self.pitch.sum_sf_array, n <= split + 1, n, widths)
+        pmf = np.maximum(
+            np.where(n[:-1] <= split, fewer[1:] - fewer[:-1], at_least[:-1] - at_least[1:]),
+            0.0,
+        )
+        cut = np.where(stop.any(axis=0), stop.argmax(axis=0), top + 1)
+        pmf[n[:-1] >= cut] = 0.0
+        return pmf / pmf.sum(axis=0)
+
+    @staticmethod
+    def _on_grid(function, where: np.ndarray, n: np.ndarray, widths: np.ndarray):
+        """``function(n, W)`` on the ``where`` cells of the (n, W) grid, else 0."""
+        out = np.zeros(where.shape)
+        out[where] = function(
+            np.broadcast_to(n, where.shape)[where],
+            np.broadcast_to(widths, where.shape)[where],
+        )
+        return out
 
     def sample(
         self, width_nm: float, n_samples: int, rng: np.random.Generator

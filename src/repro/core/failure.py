@@ -10,6 +10,15 @@ i.e. the probability generating function of the count evaluated at ``pf``.
 This module wraps that computation, provides the three processing corners of
 Fig. 2.1 and exposes the inverse problem (what width achieves a required
 pF), which the Wmin solver builds on.
+
+:func:`log_failure_probabilities` is the one exact array evaluator: log pF
+over a width array for opens-only, joint opens+shorts
+(:mod:`repro.device.shorts`) and ``min_working_tubes > 1`` alike, from one
+(count, width) grid per block or the Poisson closed form.  Every pitch
+family is a scale family, so pF depends on (W, µS) only through the mean
+count x = W / µS; callers that sweep densities (the surface builder, the
+serving fallback) evaluate one unit-mean count model at x.  The scalar
+:meth:`CNFETFailureModel.failure_probability` stays as its oracle.
 """
 
 from __future__ import annotations
@@ -19,8 +28,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy import stats
 
-from repro.core.count_model import CountModel, PoissonCountModel
+from repro.core.count_model import CountModel
 from repro.growth.types import CNTTypeModel, per_cnt_failure_probability
 from repro.units import ensure_positive, ensure_probability
 
@@ -67,6 +77,67 @@ class ProcessingCorner:
         )
 
 
+def check_failure_arguments(
+    per_cnt_failure: float, short_probability: float, min_working_tubes: int
+) -> None:
+    """Validate ``(pf, b, N_min)``: probabilities, ``b <= pf``, ``N_min >= 1``."""
+    ensure_probability(per_cnt_failure, "per_cnt_failure")
+    ensure_probability(short_probability, "short_probability")
+    if short_probability > per_cnt_failure:
+        raise ValueError(
+            "short_probability must not exceed per_cnt_failure "
+            f"(a surviving short is a failed tube); got "
+            f"{short_probability} > {per_cnt_failure}"
+        )
+    if int(min_working_tubes) < 1 or min_working_tubes != int(min_working_tubes):
+        raise ValueError(
+            f"min_working_tubes must be a positive integer, got {min_working_tubes!r}"
+        )
+
+
+def log_failure_probabilities(
+    count_model: CountModel,
+    widths_nm,
+    per_cnt_failure: float,
+    short_probability: float = 0.0,
+    min_working_tubes: int = 1,
+) -> np.ndarray:
+    """Natural-log device failure probability over a 1-D width array.
+
+    * Opens-only (``short_probability = 0``, one working tube needed):
+      ``log PGF(pf)``, the Eq. 2.2 value.
+    * Joint opens+shorts: ``logaddexp(log(1 - PGF(1 - b)), log PGF(pf - b))``
+      — at least one surviving short, or no short and no conducting tube —
+      with the short term summed through ``expm1``/``log1p`` so a tiny
+      ``b`` does not cancel.  At ``b = 0`` this is the opens-only path.
+    * ``min_working_tubes > 1``: ``log E[f(N)]`` with the positive per-count
+      failure terms ``f(n) = (1 - (1 - b)^n) + (1 - b)^n · P{Binom(n,
+      (1 - pf)/(1 - b)) < min_working_tubes}``.
+
+    The count model supplies each term over the whole array (the Poisson
+    model in closed form); values that underflow come back as ``-inf``.
+    """
+    check_failure_arguments(per_cnt_failure, short_probability, min_working_tubes)
+    widths = np.asarray(widths_nm, dtype=float)
+    pf, b = float(per_cnt_failure), float(short_probability)
+    n_min = int(min_working_tubes)
+    if pf >= 1.0:
+        return np.zeros(widths.shape)
+    if n_min == 1:
+        log_open = count_model.log_pgf_array(widths, pf - b)
+        if b == 0.0:
+            return log_open
+        log_short = count_model.log_any_short_array(widths, b)
+        return np.minimum(np.logaddexp(log_short, log_open), 0.0)
+
+    def failing(n: np.ndarray) -> np.ndarray:
+        log_no_short = n * math.log1p(-b)
+        too_few = stats.binom.cdf(n_min - 1, n, (1.0 - pf) / (1.0 - b))
+        return -np.expm1(log_no_short) + np.exp(log_no_short) * too_few
+
+    return np.minimum(count_model.log_mean_array(widths, failing), 0.0)
+
+
 #: The three processing corners of Fig. 2.1, worst first.
 FIG2_1_CORNERS: Sequence[ProcessingCorner] = (
     ProcessingCorner("pm=33%, pRs=30%", 1.0 / 3.0, 0.30),
@@ -103,18 +174,10 @@ class CNFETFailureModel:
         short_probability: float = 0.0,
         min_working_tubes: int = 1,
     ) -> None:
+        check_failure_arguments(per_cnt_failure, short_probability, min_working_tubes)
         self.count_model = count_model
-        self.per_cnt_failure = ensure_probability(per_cnt_failure, "per_cnt_failure")
-        self.short_probability = ensure_probability(
-            short_probability, "short_probability"
-        )
-        if self.short_probability > self.per_cnt_failure:
-            raise ValueError(
-                "short_probability must not exceed per_cnt_failure "
-                "(a surviving short is a failed tube)"
-            )
-        if int(min_working_tubes) < 1:
-            raise ValueError("min_working_tubes must be a positive integer")
+        self.per_cnt_failure = float(per_cnt_failure)
+        self.short_probability = float(short_probability)
         self.min_working_tubes = int(min_working_tubes)
 
     @property
@@ -190,55 +253,33 @@ class CNFETFailureModel:
         return float(self.count_model.pgf(width_nm, self.per_cnt_failure))
 
     def failure_probabilities(self, widths_nm: Iterable[float]) -> np.ndarray:
-        """Vectorised :meth:`failure_probability`."""
-        return np.array([self.failure_probability(float(w)) for w in widths_nm])
+        """pF(W) over a width array: exp of :meth:`log_failure_probabilities`."""
+        return np.exp(self.log_failure_probabilities(widths_nm))
 
     def log_failure_probabilities(self, widths_nm: Iterable[float]) -> np.ndarray:
         """Natural-log pF(W) over a width array — the sweep-grid fast path.
 
         The yield-surface builder tabulates log pF, where the interesting
         values (1e-9 and below) underflow a plain probability array's
-        relative precision.  Poisson count models evaluate the closed form
-        ``log pF = -(W/µS)·(1 - pf)`` in one vectorised expression; other
-        count models fall back to per-width PGF evaluations with
-        underflowed probabilities mapped to ``-inf``.
+        relative precision.  One call of the module's array evaluator
+        :func:`log_failure_probabilities` covers the whole array.
         """
         widths = np.asarray(list(widths_nm), dtype=float)
         if widths.size and np.any(widths <= 0):
             raise ValueError("widths_nm must be positive")
-        if self._joint:
-            from repro.device.shorts import log_joint_failure_probabilities
-
-            return log_joint_failure_probabilities(
-                self.count_model,
-                widths,
-                self.per_cnt_failure,
-                self.short_probability,
-                min_working_tubes=self.min_working_tubes,
-            )
-        if isinstance(self.count_model, PoissonCountModel):
-            lam = widths / self.count_model.mean_pitch_nm
-            return -lam * (1.0 - self.per_cnt_failure)
-        out = np.empty(widths.size, dtype=float)
-        for i, w in enumerate(widths):
-            p = self.failure_probability(float(w))
-            out[i] = math.log(p) if p > 0.0 else -math.inf
-        return out
+        return log_failure_probabilities(
+            self.count_model,
+            widths,
+            self.per_cnt_failure,
+            self.short_probability,
+            self.min_working_tubes,
+        )
 
     def log10_failure_probability(self, width_nm: float) -> float:
-        """log10 pF(W); uses the Poisson closed form when available to avoid
-        underflow at very large widths."""
-        if (
-            isinstance(self.count_model, PoissonCountModel)
-            and self.per_cnt_failure < 1.0
-            and not self._joint
-        ):
-            lam = self.count_model.rate(width_nm)
-            return -lam * (1.0 - self.per_cnt_failure) / math.log(10.0)
-        p = self.failure_probability(width_nm)
-        if p <= 0.0:
-            return -math.inf
-        return math.log10(p)
+        """log10 pF(W), from the log-space array evaluator (no underflow at
+        very large widths for the Poisson closed form)."""
+        ensure_positive(width_nm, "width_nm")
+        return float(self.log_failure_probabilities([width_nm])[0]) / math.log(10.0)
 
     def survival_probability(self, width_nm: float) -> float:
         """1 - pF(W) — probability the device has at least one working tube."""

@@ -24,9 +24,7 @@ from repro.device.variation import DriveCurrentVariationModel, VariationSummary
 from repro.device.capacitance import GateCapacitanceModel
 from repro.device.shorts import (
     ShortsModel,
-    joint_failure_probabilities,
     joint_failure_probability,
-    log_joint_failure_probabilities,
     short_only_failure_probability,
     surviving_short_probability,
 )
@@ -44,7 +42,5 @@ __all__ = [
     "ShortsModel",
     "surviving_short_probability",
     "joint_failure_probability",
-    "joint_failure_probabilities",
-    "log_joint_failure_probabilities",
     "short_only_failure_probability",
 ]

@@ -40,30 +40,38 @@ is then binomial in ``n``).  For the default ``N_min = 1``::
                      = 1 - PGF(1 - b) + PGF(pf - b)
 
 two extra PGF evaluations on the same count model Eq. 2.2 already uses.
+The short term ``1 - PGF(1 - b)`` is summed as the positive terms
+``P{N = n} · (1 - (1 - b)^n)``, each formed through ``expm1``/``log1p``:
+as a difference from one it would lose all relative precision for the
+near-perfect removal (``b`` ~ 1e-12) the shorts mode is meant to study.
 At ``b = 0`` this reduces *exactly* (bitwise, not just in the limit) to
 the opens-only ``PGF(pf)`` path.  For ``N_min > 1`` the no-short term is
 weighted by the binomial survival of the conducting-class count::
 
     P{survive | N=n} = (1 - b)^n · P{Binom(n, a / (1 - b)) >= N_min}
 
-For the Poisson calibration (exponential pitch) both PGFs are
-``exp(-λ(1 - z))`` and the log-space form
+and the failure is again summed from positive per-count terms.
 
-``log P_fail = logaddexp(log(-expm1(-λ b)), -λ (a + b))``
-
-stays accurate down to the ``1e-300`` floor of the yield surfaces.
+The functions here are the scalar oracles.  Arrays of widths go through
+the one exact array evaluator,
+:func:`repro.core.failure.log_failure_probabilities`, which forms the same
+terms in log space (``logaddexp`` of the short and open terms; for the
+Poisson calibration ``log(-expm1(-λ b))`` and ``-λ (a + b)``) over a
+whole width array, accurate down to the ``1e-300`` floor of the yield
+surfaces.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import stats
 
 from repro.constants import DEFAULT_METALLIC_FRACTION, DEFAULT_REMOVAL_PROB_METALLIC
-from repro.core.count_model import CountModel, PoissonCountModel
+from repro.core.count_model import CountModel
+from repro.core.failure import check_failure_arguments
 from repro.growth.types import CNTTypeModel
 from repro.units import ensure_probability
 
@@ -71,8 +79,6 @@ __all__ = [
     "ShortsModel",
     "surviving_short_probability",
     "joint_failure_probability",
-    "joint_failure_probabilities",
-    "log_joint_failure_probabilities",
     "short_only_failure_probability",
 ]
 
@@ -131,22 +137,6 @@ class ShortsModel:
         )
 
 
-def _validate(per_cnt_failure: float, short_probability: float, min_working_tubes: int) -> None:
-    """Shared argument validation of the joint closed forms."""
-    ensure_probability(per_cnt_failure, "per_cnt_failure")
-    ensure_probability(short_probability, "short_probability")
-    if short_probability > per_cnt_failure:
-        raise ValueError(
-            "short_probability must not exceed per_cnt_failure "
-            f"(a surviving short is a failed tube); got "
-            f"{short_probability} > {per_cnt_failure}"
-        )
-    if int(min_working_tubes) < 1 or min_working_tubes != int(min_working_tubes):
-        raise ValueError(
-            f"min_working_tubes must be a positive integer, got {min_working_tubes!r}"
-        )
-
-
 def joint_failure_probability(
     count_model: CountModel,
     width_nm: float,
@@ -162,7 +152,7 @@ def joint_failure_probability(
     computed through the identical code path the pre-shorts model used
     (bitwise reduction, pinned by the property suite).
     """
-    _validate(per_cnt_failure, short_probability, min_working_tubes)
+    check_failure_arguments(per_cnt_failure, short_probability, min_working_tubes)
     pf = float(per_cnt_failure)
     b = float(short_probability)
     n_min = int(min_working_tubes)
@@ -178,88 +168,17 @@ def joint_failure_probability(
     if n_min == 1:
         return min(
             1.0,
-            max(
-                0.0,
-                1.0
-                - count_model.pgf(width_nm, 1.0 - b)
-                + count_model.pgf(width_nm, pf - b),
-            ),
+            short_only_failure_probability(count_model, width_nm, b)
+            + count_model.pgf(width_nm, pf - b),
         )
-    # General N_min: weight the no-short factor by the binomial survival
-    # of the conducting-class count among the non-short tubes.
+    # General N_min: a short, or no short and too few conducting tubes
+    # among the non-short ones (binomial in the count), as positive terms.
     pmf = count_model.pmf(width_nm)
     n = np.arange(pmf.size)
-    one_minus_b = 1.0 - b
-    ratio = (1.0 - pf) / one_minus_b if one_minus_b > 0.0 else 0.0
-    survive_given_n = np.power(one_minus_b, n) * stats.binom.sf(n_min - 1, n, ratio)
-    survive = float(np.sum(pmf * survive_given_n))
-    return min(1.0, max(0.0, 1.0 - survive))
-
-
-def joint_failure_probabilities(
-    count_model: CountModel,
-    widths_nm,
-    per_cnt_failure: float,
-    short_probability: float,
-    min_working_tubes: int = 1,
-) -> np.ndarray:
-    """Vectorised :func:`joint_failure_probability` over a width array."""
-    widths = np.atleast_1d(np.asarray(widths_nm, dtype=float))
-    return np.array([
-        joint_failure_probability(
-            count_model, float(w), per_cnt_failure, short_probability,
-            min_working_tubes=min_working_tubes,
-        )
-        for w in widths
-    ])
-
-
-def log_joint_failure_probabilities(
-    count_model: CountModel,
-    widths_nm,
-    per_cnt_failure: float,
-    short_probability: float,
-    min_working_tubes: int = 1,
-    log_floor: Optional[float] = None,
-) -> np.ndarray:
-    """Natural log of the joint failure probability over a width array.
-
-    The exponential-pitch calibration takes a fully log-space route
-    (``logaddexp`` of the short and open terms), so surfaces built on the
-    Poisson closed form stay exact far below float underflow; other count
-    models take per-width logs with an optional ``log_floor`` clamp.
-    ``short_probability = 0`` raises — callers own that regime and must
-    route it through their existing (bitwise-pinned) opens-only path.
-    """
-    _validate(per_cnt_failure, short_probability, min_working_tubes)
-    if short_probability <= 0.0 and int(min_working_tubes) == 1:
-        raise ValueError(
-            "log_joint_failure_probabilities requires an active joint mode; "
-            "the opens-only regime belongs to the existing Eq. 2.2 path"
-        )
-    widths = np.atleast_1d(np.asarray(widths_nm, dtype=float))
-    pf = float(per_cnt_failure)
-    b = float(short_probability)
-    if (
-        isinstance(count_model, PoissonCountModel)
-        and int(min_working_tubes) == 1
-        and pf < 1.0
-    ):
-        lam = widths / count_model.mean_pitch_nm
-        with np.errstate(divide="ignore"):
-            # log(1 - e^{-λb}) + nothing  vs  -λ(a + b): the two disjoint
-            # failure routes (>=1 short; no short and no conducting tube).
-            log_short = np.log(-np.expm1(-lam * b))
-            log_open = -lam * ((1.0 - pf) + b)
-        values = np.minimum(np.logaddexp(log_short, log_open), 0.0)
-    else:
-        with np.errstate(divide="ignore"):
-            values = np.log(joint_failure_probabilities(
-                count_model, widths, pf, b, min_working_tubes=min_working_tubes,
-            ))
-    if log_floor is not None:
-        values = np.maximum(values, float(log_floor))
-    return values
+    log_no_short = n * math.log1p(-b)
+    too_few = stats.binom.cdf(n_min - 1, n, (1.0 - pf) / (1.0 - b))
+    failing = -np.expm1(log_no_short) + np.exp(log_no_short) * too_few
+    return min(1.0, float(np.sum(pmf * failing)))
 
 
 def short_only_failure_probability(
@@ -270,10 +189,14 @@ def short_only_failure_probability(
     The marginal short-failure channel — useful for composing row-level
     short terms and for pinning the anticorrelation sign in tests (the
     joint failure probability is *below* the independent combination of
-    this term with the opens-only Eq. 2.2 value).
+    this term with the opens-only Eq. 2.2 value).  Summed as the positive
+    terms ``P{N = n} · (1 - (1 - b)^n)`` through ``expm1``/``log1p``, so it
+    keeps full relative precision at tiny ``b``.
     """
     ensure_probability(short_probability, "short_probability")
     b = float(short_probability)
     if b == 0.0:
         return 0.0
-    return min(1.0, max(0.0, 1.0 - count_model.pgf(width_nm, 1.0 - b)))
+    pmf = count_model.pmf(width_nm)
+    shorted = -np.expm1(np.arange(pmf.size) * math.log1p(-b))
+    return min(1.0, float(np.sum(pmf * shorted)))

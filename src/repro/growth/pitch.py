@@ -16,9 +16,10 @@ exposes:
 
 * ``mean_nm`` / ``std_nm`` — first two moments,
 * ``sample(size, rng)`` — Monte Carlo samples,
-* ``sum_cdf(n, w_nm)`` — the CDF of the n-fold sum evaluated at ``w_nm``
+* ``sum_cdf_array(n, w_nm)`` / ``sum_sf_array(n, w_nm)`` — the CDF and
+  survival function of the n-fold sum, broadcast over counts and widths
   (exact when the family is closed under summation, otherwise a central
-  limit approximation is used).
+  limit approximation is used); ``sum_cdf(n, w_nm)`` is one value of it.
 
 The paper keeps the ratio σS/µS from [Zhang 09a] and sets µS to the
 optimised 4 nm of [Deng 07]; the exact σS/µS value is a calibration knob
@@ -117,24 +118,23 @@ class PitchDistribution(abc.ABC):
         size = int(np.prod(shape))
         return self.sample(size, rng).reshape(shape)
 
-    @abc.abstractmethod
     def sum_cdf(self, n: int, w_nm: float) -> float:
         """Return ``P{s_1 + ... + s_n <= w_nm}``.
 
         ``n = 0`` returns 1.0 for any non-negative ``w_nm`` (an empty sum is
         zero).
         """
+        return float(self.sum_cdf_array(n, w_nm))
 
-    def sum_cdf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
-        """Vectorised :meth:`sum_cdf` over an array of integer ``n``.
+    @abc.abstractmethod
+    def sum_cdf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
+        """:meth:`sum_cdf` over integer ``n`` and widths ``w_nm``, broadcast.
 
-        Subclasses whose family is closed under summation override this
-        with a single vectorised CDF evaluation; the base implementation
-        falls back to a per-element loop.
+        An ``(n, 1)`` count column against a width row gives the whole
+        (count, width) grid the exact array evaluator needs.
         """
-        return np.array([self.sum_cdf(int(n), w_nm) for n in np.asarray(n_values)])
 
-    def sum_sf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
+    def sum_sf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
         """Vectorised ``P{s_1 + ... + s_n > w_nm}``, one minus :meth:`sum_cdf_array`.
 
         Families with a closed-form survival function override this so
@@ -204,45 +204,37 @@ class DeterministicPitch(PitchDistribution):
         """Draw ``size`` identical gaps of ``pitch_nm`` nm."""
         return np.full(size, self.pitch_nm, dtype=float)
 
-    def sum_cdf(self, n: int, w_nm: float) -> float:
+    def sum_cdf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
         """Degenerate n-fold sum CDF: a unit step at ``n * pitch_nm``."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if n == 0:
-            return 1.0 if w_nm >= 0 else 0.0
-        return 1.0 if n * self.pitch_nm <= w_nm else 0.0
-
-    def sum_cdf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
-        """Vectorised :meth:`sum_cdf` (a step function per ``n``)."""
         n = np.asarray(n_values)
         if np.any(n < 0):
             raise ValueError("n must be non-negative")
-        return np.where(
-            n == 0,
-            1.0 if w_nm >= 0 else 0.0,
-            (n * self.pitch_nm <= w_nm).astype(float),
-        )
+        w = np.asarray(w_nm, dtype=float)
+        return np.where(n == 0, w >= 0, n * self.pitch_nm <= w).astype(float)
 
     def with_mean(self, mean_nm: float) -> "DeterministicPitch":
         """Deterministic pitch rescaled to a new value (CV stays 0)."""
         return DeterministicPitch(pitch_nm=mean_nm)
 
 
-def _gamma_sum_sf(
-    n_values: np.ndarray, w_nm: float, shape: float, scale_nm: float
+def _gamma_sum(
+    n_values: np.ndarray, w_nm, shape: float, scale_nm: float, upper: bool
 ) -> np.ndarray:
-    """``P{S_n > w_nm}`` for a sum of n Gamma(shape, scale) gaps, per ``n``.
+    """``P{S_n <= w_nm}``, or ``P{S_n > w_nm}`` when ``upper``, for sums of
+    n Gamma(shape, scale) gaps; ``n`` and ``w_nm`` broadcast.
 
-    The regularised upper incomplete gamma is that survival function
-    without the per-call overhead of the ``scipy.stats`` wrapper.
+    The regularised incomplete gammas are these functions without the
+    per-call overhead of the ``scipy.stats`` wrapper; both are exact at a
+    zero argument, so non-positive widths need no branch of their own.
     """
     n = np.asarray(n_values)
     if np.any(n < 0):
         raise ValueError("n must be non-negative")
-    if w_nm <= 0:
-        return np.where(n == 0, 0.0 if w_nm >= 0 else 1.0, 1.0)
-    sf = special.gammaincc(np.maximum(n, 1) * shape, w_nm / scale_nm)
-    return np.where(n == 0, 0.0, sf)
+    w = np.asarray(w_nm, dtype=float)
+    gammainc = special.gammaincc if upper else special.gammainc
+    value = gammainc(np.maximum(n, 1) * shape, np.maximum(w, 0.0) / scale_nm)
+    # The empty sum S_0 = 0 sits at or below every non-negative width.
+    return np.where(n == 0, (w < 0) if upper else (w >= 0), value).astype(float)
 
 
 @dataclass(frozen=True, repr=False)
@@ -273,31 +265,13 @@ class ExponentialPitch(PitchDistribution):
         """Draw ``size`` independent exponential gaps (nm)."""
         return rng.exponential(scale=self.mean_pitch_nm, size=size)
 
-    def sum_cdf(self, n: int, w_nm: float) -> float:
-        """Exact n-fold sum CDF ``P{S_n <= w_nm}`` (Erlang distribution)."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if n == 0:
-            return 1.0 if w_nm >= 0 else 0.0
-        if w_nm <= 0:
-            return 0.0
-        # Sum of n exponentials is Erlang(n, rate = 1/mean).
-        return float(stats.gamma.cdf(w_nm, a=n, scale=self.mean_pitch_nm))
+    def sum_cdf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
+        """Exact n-fold sum CDF: Erlang(n, rate 1/mean), one call over ``(n, w)``."""
+        return _gamma_sum(n_values, w_nm, 1.0, self.mean_pitch_nm, upper=False)
 
-    def sum_cdf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
-        """Vectorised :meth:`sum_cdf` via one gamma-CDF call over ``n``."""
-        n = np.asarray(n_values)
-        if np.any(n < 0):
-            raise ValueError("n must be non-negative")
-        # gamma.cdf vectorises over the shape parameter; n = 0 needs the
-        # empty-sum convention patched in afterwards.
-        with np.errstate(invalid="ignore"):
-            cdf = stats.gamma.cdf(w_nm, a=n, scale=self.mean_pitch_nm)
-        return np.where(n == 0, 1.0 if w_nm >= 0 else 0.0, cdf)
-
-    def sum_sf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
+    def sum_sf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
         """Vectorised Erlang survival function, exact near zero."""
-        return _gamma_sum_sf(n_values, w_nm, 1.0, self.mean_pitch_nm)
+        return _gamma_sum(n_values, w_nm, 1.0, self.mean_pitch_nm, upper=True)
 
     def exponential_tilt(self, mean_factor: float) -> GapTilt:
         # Tilting Exp(mean) by exp(θs) stays exponential with mean
@@ -351,28 +325,13 @@ class GammaPitch(PitchDistribution):
         """Draw ``size`` independent gamma gaps (nm)."""
         return rng.gamma(shape=self.shape, scale=self.scale_nm, size=size)
 
-    def sum_cdf(self, n: int, w_nm: float) -> float:
+    def sum_cdf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
         """Exact n-fold sum CDF: Gamma(n·k, θ) closure under summation."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if n == 0:
-            return 1.0 if w_nm >= 0 else 0.0
-        if w_nm <= 0:
-            return 0.0
-        return float(stats.gamma.cdf(w_nm, a=n * self.shape, scale=self.scale_nm))
+        return _gamma_sum(n_values, w_nm, self.shape, self.scale_nm, upper=False)
 
-    def sum_cdf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
-        """Vectorised :meth:`sum_cdf` via one gamma-CDF call over ``n``."""
-        n = np.asarray(n_values)
-        if np.any(n < 0):
-            raise ValueError("n must be non-negative")
-        with np.errstate(invalid="ignore"):
-            cdf = stats.gamma.cdf(w_nm, a=n * self.shape, scale=self.scale_nm)
-        return np.where(n == 0, 1.0 if w_nm >= 0 else 0.0, cdf)
-
-    def sum_sf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
+    def sum_sf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
         """Vectorised Gamma(n·k, θ) survival function, exact near zero."""
-        return _gamma_sum_sf(n_values, w_nm, self.shape, self.scale_nm)
+        return _gamma_sum(n_values, w_nm, self.shape, self.scale_nm, upper=True)
 
     def exponential_tilt(self, mean_factor: float) -> GapTilt:
         # Tilting Gamma(k, c) by exp(θs) stays Gamma(k, c / (1 - θc)): the
@@ -428,50 +387,31 @@ class TruncatedNormalPitch(PitchDistribution):
         """Draw ``size`` independent truncated-normal gaps (nm)."""
         return self._dist.rvs(size=size, random_state=rng)
 
-    def sum_cdf(self, n: int, w_nm: float) -> float:
+    def sum_cdf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
         """n-fold sum CDF: exact for n <= 1, CLT approximation beyond."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if n == 0:
-            return 1.0 if w_nm >= 0 else 0.0
-        if w_nm <= 0:
-            return 0.0
-        # The truncated-normal family is not closed under convolution; use a
-        # central-limit approximation on the truncated moments.  For n = 1
-        # the exact single-sample CDF is available.
-        if n == 1:
-            return float(self._dist.cdf(w_nm))
-        mean = n * self.mean_nm
-        std = math.sqrt(n) * self.std_nm
-        return float(stats.norm.cdf(w_nm, loc=mean, scale=std))
+        return self._sum_array(n_values, w_nm, upper=False)
 
-    def sum_cdf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
-        """Vectorised :meth:`sum_cdf` (exact at n = 1, CLT beyond)."""
-        n = np.asarray(n_values)
-        if np.any(n < 0):
-            raise ValueError("n must be non-negative")
-        if w_nm <= 0:
-            return np.where(n == 0, 1.0 if w_nm >= 0 else 0.0, 0.0)
-        safe_n = np.maximum(n, 1)
-        cdf = stats.norm.cdf(
-            w_nm, loc=safe_n * self.mean_nm, scale=np.sqrt(safe_n) * self.std_nm
-        )
-        cdf = np.where(n == 1, float(self._dist.cdf(w_nm)), cdf)
-        return np.where(n == 0, 1.0, cdf)
-
-    def sum_sf_array(self, n_values: np.ndarray, w_nm: float) -> np.ndarray:
+    def sum_sf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
         """Vectorised survival function (exact at n = 1, CLT beyond)."""
+        return self._sum_array(n_values, w_nm, upper=True)
+
+    def _sum_array(self, n_values: np.ndarray, w_nm, upper: bool) -> np.ndarray:
+        """``P{S_n <= w}`` (or ``> w`` when ``upper``); ``n``, ``w`` broadcast.
+
+        The family is not closed under convolution: a central-limit
+        approximation on the truncated moments, exact for a single gap.
+        """
         n = np.asarray(n_values)
         if np.any(n < 0):
             raise ValueError("n must be non-negative")
-        if w_nm <= 0:
-            return np.where(n == 0, 0.0 if w_nm >= 0 else 1.0, 1.0)
+        w = np.asarray(w_nm, dtype=float)
         safe_n = np.maximum(n, 1)
-        sf = stats.norm.sf(
-            w_nm, loc=safe_n * self.mean_nm, scale=np.sqrt(safe_n) * self.std_nm
-        )
-        sf = np.where(n == 1, float(self._dist.sf(w_nm)), sf)
-        return np.where(n == 0, 0.0, sf)
+        tail = stats.norm.sf if upper else stats.norm.cdf
+        value = tail(w, loc=safe_n * self.mean_nm, scale=np.sqrt(safe_n) * self.std_nm)
+        value = np.where(n == 1, (self._dist.sf if upper else self._dist.cdf)(w), value)
+        # No positive gap sum lies at or below a non-positive width.
+        value = np.where(w <= 0, float(upper), value)
+        return np.where(n == 0, (w < 0) if upper else (w >= 0), value).astype(float)
 
     def exponential_tilt(self, mean_factor: float) -> GapTilt:
         # Tilting N(m, σ²)·1{s>0} by exp(θs) shifts the location to

@@ -3,12 +3,13 @@
 The builder walks a (width, CNT density) mesh and tabulates the log
 failure probability of one scenario:
 
-* **Closed-form path** — per density column, rescale the pitch family
-  (:meth:`~repro.growth.pitch.PitchDistribution.with_mean`), build the
-  count model and evaluate ``log pF`` vectorised
-  (:meth:`~repro.core.failure.CNFETFailureModel.log_failure_probabilities`),
-  then map device pF to the scenario's row failure probability with the
-  vectorised Table 1 closed forms.
+* **Closed-form path** — every pitch family is a scale family
+  (:meth:`~repro.growth.pitch.PitchDistribution.with_mean`), so pF
+  depends on (W, ρ) only through the mean count x = W / µS = W·ρ.  All
+  missing points go through the one exact array evaluator
+  (:func:`~repro.core.failure.log_failure_probabilities`) in a single call
+  on a unit-mean count model at x, then map device pF to the scenario's
+  row failure probability with the vectorised Table 1 closed forms.
 
 * **Tilted Monte Carlo path** — for pitch families whose n-fold sum CDF
   is only approximate (truncated normal), or on request, each column is
@@ -41,7 +42,7 @@ from repro.core.correlation import (
     scenario_row_failure_probabilities,
 )
 from repro.core.count_model import count_model_from_pitch
-from repro.core.failure import CNFETFailureModel
+from repro.core.failure import log_failure_probabilities
 from repro.growth.pitch import ExponentialPitch, PitchDistribution, TruncatedNormalPitch
 from repro.resilience.checkpoint import open_campaign
 from repro.surface.grid import GridAxis, bilinear_interpolate
@@ -52,7 +53,7 @@ from repro.surface.surface import (
     pitch_descriptor,
     pitch_from_descriptor,
 )
-from repro.units import ensure_positive, ensure_probability, per_um_to_per_nm
+from repro.units import NM_PER_UM, ensure_positive, ensure_probability, per_um_to_per_nm
 
 #: Every queryable scenario tag: the device pF surface plus Table 1's three.
 ALL_SCENARIOS = (SCENARIO_DEVICE,) + tuple(s.value for s in LayoutScenario)
@@ -206,47 +207,53 @@ class ExactEvaluator:
         )
 
     # ------------------------------------------------------------------
-    # Device-level column evaluation
+    # Point evaluation
     # ------------------------------------------------------------------
 
-    def _device_column(
-        self, density_per_um: float, widths_nm: np.ndarray
+    def _device_values(
+        self, widths_nm: np.ndarray, densities_per_um: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(log pF, SE of log pF) for one density column."""
-        mean_pitch = density_to_mean_pitch_nm(density_per_um)
-        pitch = self.pitch.with_mean(mean_pitch)
+        """(log pF, SE of log pF) at matched (W, ρ) arrays."""
         if self.method == "closed_form":
-            model = CNFETFailureModel(
-                count_model_from_pitch(pitch),
+            # µS formed by the same operations as density_to_mean_pitch_nm,
+            # so the Poisson values are bitwise those of a per-density model.
+            x = widths_nm / (1.0 / (densities_per_um / NM_PER_UM))
+            log_pf = log_failure_probabilities(
+                count_model_from_pitch(self.pitch.with_mean(1.0)),
+                x,
                 self.per_cnt_failure,
-                short_probability=self.short_probability,
+                self.short_probability,
             )
-            return model.log_failure_probabilities(widths_nm), np.zeros(widths_nm.size)
+            return log_pf, np.zeros(x.size)
         from repro.montecarlo.rare_event import estimate_device_failure_grid
 
-        # The seed key carries the density coordinate and every point adds
-        # its width coordinate inside the grid hook, so a node's estimate
-        # is independent of batching/refinement history — the content hash
-        # of an MC surface depends only on (spec, final grid).
-        estimates = estimate_device_failure_grid(
-            pitch,
-            self.per_cnt_failure,
-            widths_nm,
-            self.mc_samples,
-            seed_key=(self.seed, int(round(density_per_um * 1e6))),
-        )
-        p = np.array([e.estimate for e in estimates])
-        se = np.array([e.standard_error for e in estimates])
-        with np.errstate(divide="ignore"):
-            log_p = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), LOG_FLOOR)
-            se_log = np.where(p > 0.0, se / np.maximum(p, 1e-300), 0.0)
-        return log_p, se_log
+        log_pf = np.empty(widths_nm.size)
+        se_log = np.empty(widths_nm.size)
+        for density in np.unique(densities_per_um):
+            at = densities_per_um == density
+            # The seed key carries the density coordinate and every point
+            # adds its width coordinate inside the grid hook, so a node's
+            # estimate is independent of batching/refinement history — the
+            # content hash of an MC surface depends only on (spec, grid).
+            estimates = estimate_device_failure_grid(
+                self.pitch.with_mean(density_to_mean_pitch_nm(float(density))),
+                self.per_cnt_failure,
+                widths_nm[at],
+                self.mc_samples,
+                seed_key=(self.seed, int(round(float(density) * 1e6))),
+            )
+            p = np.array([e.estimate for e in estimates])
+            se = np.array([e.standard_error for e in estimates])
+            with np.errstate(divide="ignore"):
+                log_pf[at] = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), LOG_FLOOR)
+                se_log[at] = np.where(p > 0.0, se / np.maximum(p, 1e-300), 0.0)
+        return log_pf, se_log
 
-    def _scenario_column(
-        self, density_per_um: float, widths_nm: np.ndarray
+    def _scenario_values(
+        self, widths_nm: np.ndarray, densities_per_um: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(log value, SE of log value) after the scenario map."""
-        log_pf, se_log_pf = self._device_column(density_per_um, widths_nm)
+        log_pf, se_log_pf = self._device_values(widths_nm, densities_per_um)
         log_pf = np.maximum(log_pf, LOG_FLOOR)
         if self.scenario == SCENARIO_DEVICE:
             return log_pf, se_log_pf
@@ -263,69 +270,36 @@ class ExactEvaluator:
             se_log_prf = np.where(prf > 0.0, se_prf / np.maximum(prf, 1e-300), 0.0)
         return np.maximum(log_prf, LOG_FLOOR), se_log_prf
 
-    # ------------------------------------------------------------------
-    # Cached mesh / scattered-point evaluation
-    # ------------------------------------------------------------------
-
     @staticmethod
     def _key(width_nm: float, density_per_um: float) -> Tuple[float, float]:
         return (round(float(width_nm), 9), round(float(density_per_um), 9))
 
-    def mesh(
-        self, widths_nm: np.ndarray, densities_per_um: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate the full outer mesh, reusing every cached point."""
-        widths = np.asarray(widths_nm, dtype=float)
-        densities = np.asarray(densities_per_um, dtype=float)
-        values = np.empty((widths.size, densities.size))
-        errors = np.empty((widths.size, densities.size))
-        for j, density in enumerate(densities):
-            keys = [self._key(w, density) for w in widths]
-            missing = [i for i, k in enumerate(keys) if k not in self._cache]
-            if missing:
-                col_vals, col_errs = self._scenario_column(
-                    float(density), widths[missing]
-                )
-                self.evaluation_count += len(missing)
-                for i, v, e in zip(missing, col_vals, col_errs):
-                    self._cache[keys[i]] = (float(v), float(e))
-            column = [self._cache[k] for k in keys]
-            values[:, j] = [c[0] for c in column]
-            errors[:, j] = [c[1] for c in column]
-        return values, errors
-
     def points(
         self, widths_nm: np.ndarray, densities_per_um: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate scattered (W, ρ) pairs (the serving layer's fallback)."""
+        """Evaluate (W, ρ) pairs of any matching shape, reusing cached points.
+
+        Every point not yet cached is evaluated in one batch (one array
+        call for the closed form); a mesh is the meshgrid of its axes.
+        """
         widths = np.asarray(widths_nm, dtype=float)
         densities = np.asarray(densities_per_um, dtype=float)
         if widths.shape != densities.shape:
             raise ValueError("widths and densities must have matching shapes")
-        values = np.empty(widths.size)
-        errors = np.empty(widths.size)
-        for density in np.unique(densities):
-            mask = densities == density
-            group_vals, group_errs = self._group_points(float(density), widths[mask])
-            values[mask] = group_vals
-            errors[mask] = group_errs
-        return values, errors
-
-    def _group_points(
-        self, density: float, widths: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        keys = [self._key(w, density) for w in widths]
-        missing_idx = [i for i, k in enumerate(keys) if k not in self._cache]
-        if missing_idx:
-            col_vals, col_errs = self._scenario_column(density, widths[missing_idx])
-            self.evaluation_count += len(missing_idx)
-            for i, v, e in zip(missing_idx, col_vals, col_errs):
-                self._cache[keys[i]] = (float(v), float(e))
-        pairs = [self._cache[k] for k in keys]
-        return (
-            np.array([p[0] for p in pairs]),
-            np.array([p[1] for p in pairs]),
-        )
+        keys = list(map(self._key, widths.ravel().tolist(), densities.ravel().tolist()))
+        missing: Dict[Tuple[float, float], int] = {}
+        for i, key in enumerate(keys):
+            if key not in self._cache:
+                missing.setdefault(key, i)
+        if missing:
+            at = np.fromiter(missing.values(), dtype=np.intp, count=len(missing))
+            values, errors = self._scenario_values(
+                widths.ravel()[at], densities.ravel()[at]
+            )
+            self.evaluation_count += at.size
+            self._cache.update(zip(missing, zip(values.tolist(), errors.tolist())))
+        pairs = np.array([self._cache[k] for k in keys], dtype=float).reshape(-1, 2)
+        return pairs[:, 0].reshape(widths.shape), pairs[:, 1].reshape(widths.shape)
 
 
 @dataclass(frozen=True)
@@ -494,9 +468,10 @@ class SurfaceBuilder:
     def _sweep_once(
         self, evaluator: ExactEvaluator, w_axis: GridAxis, d_axis: GridAxis
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        w_fine = w_axis.with_midpoints()
-        d_fine = d_axis.with_midpoints()
-        fine_values, fine_se = evaluator.mesh(w_fine, d_fine)
+        w_mesh, d_mesh = np.meshgrid(
+            w_axis.with_midpoints(), d_axis.with_midpoints(), indexing="ij"
+        )
+        fine_values, fine_se = evaluator.points(w_mesh, d_mesh)
         values = fine_values[0::2, 0::2]
         stat_se = fine_se[0::2, 0::2]
 
@@ -505,7 +480,6 @@ class SurfaceBuilder:
         # the block's worst statistical SE is the cell's noise floor, which
         # gates the refinement decision (MC probes cannot distinguish
         # interpolation error below their own noise).
-        w_mesh, d_mesh = np.meshgrid(w_fine, d_fine, indexing="ij")
         interp, _, _ = bilinear_interpolate(
             w_axis.values, d_axis.values, values, w_mesh.ravel(), d_mesh.ravel()
         )

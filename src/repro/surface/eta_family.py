@@ -112,7 +112,6 @@ class EtaSurfaceFamily:
         self.removal_etas = etas
         self.surfaces = list(surfaces)
         self.eta_interp_error_log = [float(e) for e in eta_interp_error_log]
-        self._fallbacks: Dict[float, ExactEvaluator] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -150,9 +149,9 @@ class EtaSurfaceFamily:
             for eta in etas
         ]
 
-        widths = np.asarray(spec.width_axis.values, dtype=float)
-        densities = np.asarray(spec.density_axis.values, dtype=float)
-        w_mesh, d_mesh = np.meshgrid(widths, densities, indexing="ij")
+        w_mesh, d_mesh = np.meshgrid(
+            spec.width_axis.values, spec.density_axis.values, indexing="ij"
+        )
         w_flat, d_flat = w_mesh.ravel(), d_mesh.ravel()
 
         errors: List[float] = []
@@ -163,11 +162,11 @@ class EtaSurfaceFamily:
             for fraction in eta_probe_fractions:
                 t = float(fraction)
                 eta_probe = etas[k] + t * (etas[k + 1] - etas[k])
-                exact, _ = cls._evaluator_for(spec, eta_probe).mesh(
-                    widths, densities
+                exact, _ = cls._evaluator_for(spec, eta_probe).points(
+                    w_flat, d_flat
                 )
                 fused = (1.0 - t) * lo_vals + t * hi_vals
-                residual = np.abs(fused - exact.ravel())
+                residual = np.abs(fused - exact)
                 worst = max(worst, float(np.max(residual)))
             errors.append(spec.safety_factor * worst)
 
@@ -175,7 +174,12 @@ class EtaSurfaceFamily:
 
     @staticmethod
     def _evaluator_for(spec: SweepSpec, eta: float) -> ExactEvaluator:
-        """Exact joint evaluator at one eta (probing and fallback path)."""
+        """Exact joint evaluator at one eta (probing and fallback path).
+
+        Built per query: evaluation is one array call, and the evaluator's
+        short probability depends on every bit of ``eta``, so nothing is
+        worth keeping between queries.
+        """
         return ExactEvaluator(
             scenario=spec.scenario,
             pitch=spec.pitch,
@@ -186,14 +190,6 @@ class EtaSurfaceFamily:
             seed=spec.seed,
             short_probability=spec.metallic_fraction * (1.0 - eta),
         )
-
-    def _fallback(self, eta: float) -> ExactEvaluator:
-        # Keyed by the exact eta: the evaluator's short probability depends
-        # on every bit of it, so a rounded key would serve a neighbour's.
-        key = float(eta)
-        if key not in self._fallbacks:
-            self._fallbacks[key] = self._evaluator_for(self.spec, key)
-        return self._fallbacks[key]
 
     # ------------------------------------------------------------------
     # Queries
@@ -232,7 +228,7 @@ class EtaSurfaceFamily:
     def _query_exact(
         self, w_flat: np.ndarray, d_flat: np.ndarray, eta: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        values, _ = self._fallback(eta).points(w_flat, d_flat)
+        values, _ = self._evaluator_for(self.spec, eta).points(w_flat, d_flat)
         errors = np.full(w_flat.shape, FLOAT_SLACK_LOG)
         return values, errors, np.ones(w_flat.shape, dtype=bool)
 
@@ -266,7 +262,9 @@ class EtaSurfaceFamily:
 
         exact = ~in_grid
         if exact.any():
-            off_vals, _ = self._fallback(eta).points(w_flat[exact], d_flat[exact])
+            off_vals, _ = self._evaluator_for(self.spec, eta).points(
+                w_flat[exact], d_flat[exact]
+            )
             values = values.copy()
             errors = errors.copy()
             values[exact] = off_vals

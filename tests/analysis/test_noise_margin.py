@@ -1,5 +1,7 @@
 """Tests for the surviving-m-CNT noise-margin extension."""
 
+import math
+
 import pytest
 
 from repro.analysis.noise_margin import NoiseMarginModel
@@ -43,6 +45,17 @@ class TestDeviceLevel:
         p2 = model.prob_device_has_at_least(160.0, 2)
         assert p1 >= p2
         assert model.prob_device_has_at_least(160.0, 0) == 1.0
+
+    def test_near_perfect_removal_keeps_full_precision(self):
+        # q = pm (1 - pRm) ~ 3e-13: 1 - PGF(1 - q) taken as a difference
+        # from one keeps only ~3 significant digits; the closed form for
+        # Poisson counts is 1 - exp(-lambda q) = -expm1(-40 q).
+        p_rm = 1.0 - 1e-12
+        model = make_model(p_rm=p_rm)
+        q = (1.0 / 3.0) * (1.0 - p_rm)
+        assert model.prob_device_has_surviving_mcnt(160.0) == pytest.approx(
+            -math.expm1(-40.0 * q), rel=1e-12, abs=0.0
+        )
 
     def test_at_least_one_matches_pgf_route(self):
         model = make_model(p_rm=0.9)

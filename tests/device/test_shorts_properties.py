@@ -17,11 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.count_model import PoissonCountModel, RenewalCountModel
-from repro.core.failure import CNFETFailureModel
+from repro.core.failure import CNFETFailureModel, log_failure_probabilities
 from repro.device.shorts import (
     ShortsModel,
     joint_failure_probability,
-    log_joint_failure_probabilities,
     surviving_short_probability,
 )
 from repro.growth.pitch import GammaPitch
@@ -162,17 +161,17 @@ class TestLogJointConsistency:
         b = surviving_short_probability(pm, eta)
         if b <= 0.0:
             return
-        logs = log_joint_failure_probabilities(counts, [width], pf, b)
+        logs = log_failure_probabilities(counts, [width], pf, b)
         linear = joint_failure_probability(counts, width, pf, b)
         if linear > 0.0:
             assert logs[0] == pytest.approx(math.log(linear), abs=1e-9)
         assert logs[0] <= 0.0
 
-    def test_opens_only_regime_rejected(self):
-        with pytest.raises(ValueError, match="opens-only"):
-            log_joint_failure_probabilities(
-                PoissonCountModel(4.0), [40.0], 0.4, 0.0
-            )
+    def test_opens_only_regime_is_closed_form(self):
+        # b = 0 runs the opens-only Eq. 2.2 path: -λ(1 - pf), bit for bit.
+        widths = np.array([40.0, 120.0])
+        logs = log_failure_probabilities(PoissonCountModel(4.0), widths, 0.4, 0.0)
+        assert np.array_equal(logs, -(widths / 4.0) * (1.0 - 0.4))
 
 
 class TestSharedCountCoupling:

@@ -97,10 +97,13 @@ class TestThreadSafety:
         cache = LRUCache(capacity=4)
         calls = []
         errors = []
+        release = threading.Event()
 
         def loader():
             calls.append(1)
-            time.sleep(0.02)
+            # Hold the load open until the other three callers have joined
+            # it, so none can arrive after it failed and start a second one.
+            release.wait(timeout=10.0)
             raise RuntimeError("disk on fire")
 
         def worker():
@@ -112,6 +115,10 @@ class TestThreadSafety:
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
             t.start()
+        deadline = time.monotonic() + 10.0
+        while cache.coalesced < 3 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
         for t in threads:
             t.join()
         assert len(calls) == 1

@@ -248,9 +248,10 @@ class TestExactEvaluator:
             per_cnt_failure=spec.per_cnt_failure,
             correlation=spec.correlation,
         )
-        evaluator.mesh(W_AXIS.values, D_AXIS.values)
+        w_mesh, d_mesh = np.meshgrid(W_AXIS.values, D_AXIS.values, indexing="ij")
+        evaluator.points(w_mesh, d_mesh)
         count = evaluator.evaluation_count
-        evaluator.mesh(W_AXIS.values, D_AXIS.values)
+        evaluator.points(w_mesh, d_mesh)
         assert evaluator.evaluation_count == count
 
     def test_points_matches_mesh(self):
@@ -261,7 +262,9 @@ class TestExactEvaluator:
             per_cnt_failure=spec.per_cnt_failure,
             correlation=spec.correlation,
         )
-        mesh_vals, _ = evaluator.mesh(W_AXIS.values, D_AXIS.values)
+        mesh_vals, _ = evaluator.points(
+            *np.meshgrid(W_AXIS.values, D_AXIS.values, indexing="ij")
+        )
         w = np.array([W_AXIS.values[2], W_AXIS.values[5]])
         d = np.array([D_AXIS.values[1], D_AXIS.values[3]])
         point_vals, point_errs = evaluator.points(w, d)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Docstring-coverage gate over the audited packages (interrogate-equivalent).
+"""Docstring-coverage gate over a source tree (interrogate-equivalent).
 
 Walks Python sources with :mod:`ast` and checks that every *public*
 definition — modules, classes, functions, and methods whose name does not
@@ -11,11 +11,10 @@ counted in the verbose listing.
 
 Used two ways:
 
-* the CI docs job runs it directly with ``--fail-under 100`` over the
-  audited packages (``repro.growth``, ``repro.montecarlo.wafer_sim``,
-  ``repro.backend``);
-* ``tests/test_docstring_coverage.py`` wraps it as a tier-1 test, so the
-  gate cannot rot between CI config changes.
+* the CI docs job runs it directly with ``--fail-under 100`` over all of
+  ``src/repro``;
+* ``tests/test_docstring_coverage.py`` wraps it as a tier-1 test over the
+  same tree, so the gate cannot rot between CI config changes.
 
 Exit code 0 when coverage meets ``--fail-under``, 1 otherwise (missing
 definitions are listed on stderr).
