@@ -91,8 +91,8 @@ def main() -> None:
     simulator.run(500, np.random.default_rng(42))
     elapsed = time.perf_counter() - start
     print(f"vectorized throughput          : {500 / elapsed:8.0f} trials/sec "
-          f"({simulator.device_count} devices; pass n_workers>1 to run() "
-          "for multi-core scaling)")
+          f"({simulator.device_count} devices; pass "
+          "execution=Execution(n_workers=4) to run() for multi-core scaling)")
 
 
 if __name__ == "__main__":

@@ -95,6 +95,7 @@ from repro.core.calibration import CalibratedSetup
 from repro.core.correlation import CorrelationParameters
 from repro.core.optimizer import CoOptimizationFlow
 from repro.netlist.openrisc import openrisc_width_histogram
+from repro.resilience import Execution
 
 
 class CLIUsageError(Exception):
@@ -108,42 +109,48 @@ class CLIUsageError(Exception):
     """
 
 
-def _add_checkpoint_options(parser: argparse.ArgumentParser) -> None:
-    """Checkpoint/resume options shared by the campaign commands."""
-    parser.add_argument("--checkpoint-dir", type=str, default=None,
-                        help="persist completed work units under this "
-                             "directory so an interrupted campaign can be "
-                             "resumed")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from an existing checkpoint in "
-                             "--checkpoint-dir (bitwise identical to an "
-                             "uninterrupted run)")
+def _add_execution_options(
+    parser: argparse.ArgumentParser, workers: bool = True, checkpoint: bool = True
+) -> None:
+    """``--workers`` and the checkpoint flags of the campaign commands."""
+    if workers:
+        parser.add_argument("--workers", type=int, default=1,
+                            help="worker processes for the Monte Carlo "
+                                 "(results identical)")
+    if checkpoint:
+        parser.add_argument("--checkpoint-dir", type=str, default=None,
+                            help="persist completed work units under this "
+                                 "directory so an interrupted campaign can "
+                                 "be resumed")
+        parser.add_argument("--resume", action="store_true",
+                            help="resume from an existing checkpoint in "
+                                 "--checkpoint-dir (bitwise identical to an "
+                                 "uninterrupted run)")
 
 
-def _validate_checkpoint_args(args: argparse.Namespace) -> None:
-    """Reject unusable checkpoint flag combinations (usage errors)."""
-    if args.resume and args.checkpoint_dir is None:
+def _execution(args: argparse.Namespace) -> Execution:
+    """The campaign's :class:`Execution`; rejects unusable checkpoint flags."""
+    checkpoint_dir = getattr(args, "checkpoint_dir", None)
+    resume = bool(getattr(args, "resume", False))
+    if resume and checkpoint_dir is None:
         raise CLIUsageError("--resume requires --checkpoint-dir")
-    if args.checkpoint_dir is not None:
-        path = Path(args.checkpoint_dir)
+    if checkpoint_dir is not None:
+        path = Path(checkpoint_dir)
         if path.exists() and not path.is_dir():
             raise CLIUsageError(
-                f"--checkpoint-dir {args.checkpoint_dir!r} exists but is "
-                "not a directory"
+                f"--checkpoint-dir {checkpoint_dir!r} exists but is not a "
+                "directory"
             )
-        if args.resume and not path.exists():
+        if resume and not path.exists():
             raise CLIUsageError(
-                f"cannot resume: checkpoint dir {args.checkpoint_dir!r} "
-                "does not exist"
+                f"cannot resume: checkpoint dir {checkpoint_dir!r} does not "
+                "exist"
             )
-
-
-def _checkpoint_kwargs(args: argparse.Namespace) -> Dict[str, object]:
-    """Checkpoint keyword arguments for the campaign runners."""
-    _validate_checkpoint_args(args)
-    if args.checkpoint_dir is None:
-        return {}
-    return {"checkpoint_dir": args.checkpoint_dir, "resume": bool(args.resume)}
+    return Execution(
+        n_workers=getattr(args, "workers", 1),
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+    )
 
 
 def _build_setup(args: argparse.Namespace) -> CalibratedSetup:
@@ -328,8 +335,8 @@ def _cmd_coopt(args: argparse.Namespace) -> int:
     result = optimizer.run(
         validate_trials=args.validate_trials,
         validate_top=args.validate_top,
-        n_workers=args.workers,
         t_clk_factor=args.tclk_factor,
+        execution=_execution(args),
     )
     payload = {
         "yield_target": result.yield_target,
@@ -623,9 +630,8 @@ def _add_wafer_geometry_options(parser: argparse.ArgumentParser) -> None:
                              "de-rated by the local misalignment angle")
     parser.add_argument("--good-die-threshold", type=float, default=0.5,
                         help="yield above which a die counts as good")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="processes for die groups (results identical)")
     parser.add_argument("--seed", type=int, default=20100616, help="RNG seed")
+    _add_execution_options(parser)
 
 
 def _cmd_wafer(args: argparse.Namespace) -> int:
@@ -664,10 +670,9 @@ def _cmd_wafer(args: argparse.Namespace) -> int:
         n_trials=args.trials,
         seed_key=(args.seed,),
         good_die_threshold=args.good_die_threshold,
-        n_workers=args.workers,
         backend=get_backend(dtype=args.dtype) if args.dtype else None,
         misalignment=misalignment,
-        **_checkpoint_kwargs(args),
+        execution=_execution(args),
     )
     payload = {
         "die_count": result.die_count,
@@ -752,9 +757,8 @@ def _cmd_chip_wafer(args: argparse.Namespace) -> int:
     result = run_chip_wafer(
         wafer, chip, n_trials=args.trials, seed_key=(args.seed,),
         good_die_threshold=args.good_die_threshold,
-        n_workers=args.workers,
         misalignment=_build_misalignment_model(args, setup),
-        **_checkpoint_kwargs(args),
+        execution=_execution(args),
     )
     payload = {
         "die_count": result.die_count,
@@ -878,8 +882,8 @@ def _cmd_timing(args: argparse.Namespace) -> int:
         args.trials,
         np.random.default_rng(args.seed),
         t_clk_ps=t_clk,
-        n_workers=args.workers,
         oracle=args.oracle,
+        execution=_execution(args),
     )
     payload = {
         "mode": mode,
@@ -926,7 +930,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     pitch = pitch_distribution_from_cv(args.mean_pitch_nm, args.pitch_cv)
     type_model = _shorts_type_model(setup, args)
     store = SurfaceStore(args.out)
-    checkpoint_kwargs = _checkpoint_kwargs(args)
+    execution = _execution(args)
 
     surfaces = []
     reports = []
@@ -956,7 +960,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # The tilted sampler has no joint opens+shorts path; surface
             # the spec's rejection as the usage error it is.
             raise CLIUsageError(str(exc)) from None
-        report = SurfaceBuilder(spec, **checkpoint_kwargs).build_report()
+        report = SurfaceBuilder(spec, execution).build_report()
         store.save(report.surface)
         surfaces.append(report.surface)
         reports.append(report)
@@ -1123,14 +1127,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 disables end-to-end validation)")
     coopt.add_argument("--validate-top", type=int, default=1,
                        help="how many front members to validate (default 1)")
-    coopt.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the validation Monte "
-                            "Carlo (the front itself is worker-invariant)")
     coopt.add_argument("--tclk-factor", type=float, default=1.2,
                        help="validation clock period as a multiple of the "
                             "nominal critical path (default 1.2)")
     coopt.add_argument("--seed", type=int, default=20100613,
                        help="root seed for the spawn-keyed validation RNG")
+    _add_execution_options(coopt, checkpoint=False)
 
     align = add_subparser(
         "align", _cmd_align, "apply the aligned-active restriction to a library"
@@ -1180,7 +1182,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dtype policy float64/float32 (default: "
                             "REPRO_DTYPE or float64)")
     _add_shorts_options(wafer)
-    _add_checkpoint_options(wafer)
 
     chip_wafer = add_subparser(
         "chip-wafer", _cmd_chip_wafer,
@@ -1195,7 +1196,6 @@ def build_parser() -> argparse.ArgumentParser:
     chip_wafer.add_argument("--trials", type=int, default=128,
                             help="whole-chip trials per die (default 128)")
     _add_shorts_options(chip_wafer)
-    _add_checkpoint_options(chip_wafer)
 
     netlist = add_subparser(
         "netlist", _cmd_netlist, "generate the synthetic OpenRISC-like netlist",
@@ -1230,8 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
     timing.add_argument("--trials", type=int, default=256,
                         help="whole-chip Monte Carlo trials (default 256)")
     timing.add_argument("--seed", type=int, default=2010, help="RNG seed")
-    timing.add_argument("--workers", type=int, default=1,
-                        help="processes for trial chunks (results identical)")
+    _add_execution_options(timing, checkpoint=False)
     timing.add_argument("--tclk-ps", type=float, default=None,
                         help="clock period in ps (exclusive with "
                              "--tclk-factor)")
@@ -1275,7 +1274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", type=str, default="surfaces",
                        help="surface store directory (default ./surfaces)")
     _add_shorts_options(sweep)
-    _add_checkpoint_options(sweep)
+    _add_execution_options(sweep, workers=False)
 
     query = add_subparser(
         "query", _cmd_query,

@@ -46,6 +46,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,6 +56,7 @@ from repro.core.calibration import CalibratedSetup
 from repro.core.count_model import count_model_from_pitch
 from repro.core.failure import CNFETFailureModel, FIG2_1_CORNERS, ProcessingCorner
 from repro.core.optimizer import CoOptimizationFlow
+from repro.resilience.supervise import Execution
 from repro.units import ensure_positive, ensure_probability
 
 #: Nominal CNT density of the paper's calibration (µS = 4 nm → 250 /µm).
@@ -773,9 +775,9 @@ class ParetoCoOptimizer:
         self,
         validate_trials: int = 0,
         validate_top: int = 1,
-        n_workers: int = 1,
         validation_scale: float = 0.05,
         t_clk_factor: float = 1.2,
+        execution: Execution = Execution(),
     ) -> CoOptResult:
         """Search the joint space and return the Pareto front.
 
@@ -786,21 +788,21 @@ class ParetoCoOptimizer:
             validation).
         validate_top:
             How many front members (cheapest first) to validate.
-        n_workers:
-            Worker processes for the validation Monte Carlo only — the
-            returned front is bitwise identical for any value.
         validation_scale:
             Scale factor of the placed OpenRISC-like validation design.
         t_clk_factor:
             Clock period of the timing validation as a multiple of the
             nominal critical path.
+        execution:
+            How the validation Monte Carlo runs
+            (:class:`~repro.resilience.supervise.Execution`); the search
+            itself runs in-process, and the returned front and
+            validations are bitwise identical for any value.
         """
         if validate_trials < 0:
             raise ValueError("validate_trials must be non-negative")
         if validate_top < 1:
             raise ValueError("validate_top must be at least 1")
-        if n_workers < 1:
-            raise ValueError("n_workers must be at least 1")
 
         build_start = time.perf_counter()
         for point in self.process_points:
@@ -841,9 +843,9 @@ class ParetoCoOptimizer:
                         candidate,
                         n_trials=validate_trials,
                         rank=rank,
-                        n_workers=n_workers,
                         scale=validation_scale,
                         t_clk_factor=t_clk_factor,
+                        execution=execution,
                     )
                 )
 
@@ -879,9 +881,9 @@ class ParetoCoOptimizer:
         candidate: CandidatePoint,
         n_trials: int,
         rank: int = 0,
-        n_workers: int = 1,
         scale: float = 0.05,
         t_clk_factor: float = 1.2,
+        execution: Execution = Execution(),
     ) -> CoOptValidation:
         """Monte Carlo validation of one candidate's process point.
 
@@ -895,7 +897,8 @@ class ParetoCoOptimizer:
         critical paths answer the joint functional/timing yield.  The RNG
         stream is keyed on the optimizer seed and the candidate's front
         rank, so validations are bitwise reproducible and independent of
-        ``n_workers``.
+        ``execution``; each rank checkpoints under its own
+        ``validate-<rank>`` subdirectory of the checkpoint directory.
         """
         ensure_positive(n_trials, "n_trials")
         from repro.cells.nangate45 import build_nangate45_library
@@ -920,13 +923,19 @@ class ParetoCoOptimizer:
             ),
         )
 
+        if execution.checkpoint_dir is not None:
+            # Each rank is its own timing campaign (its own stream).
+            execution = replace(
+                execution,
+                checkpoint_dir=Path(execution.checkpoint_dir) / f"validate-{rank}",
+            )
         engine = TimingMonteCarlo.from_chip(chip, seed=self.seed)
         t_clk = engine.default_t_clk_ps(factor=t_clk_factor)
         timing = engine.run(
             n_trials,
             np.random.default_rng(np.random.SeedSequence((self.seed, rank))),
             t_clk_ps=t_clk,
-            n_workers=n_workers,
+            execution=execution,
         )
 
         widths, counts = chip.width_class_histogram()

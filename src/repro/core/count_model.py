@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 from scipy import stats
@@ -114,39 +114,48 @@ class CountModel(abc.ABC):
         return out
 
     def log_mean_array(
-        self, widths_nm: np.ndarray, weights: Callable[[np.ndarray], np.ndarray]
+        self, widths_nm: np.ndarray, *weights: Callable[[np.ndarray], np.ndarray]
     ) -> np.ndarray:
-        """``log E[weights(N(W))]`` over a 1-D width array (``-inf`` on underflow).
+        """``log E[w(N(W))]`` per weight over a 1-D width array (``-inf`` on underflow).
 
-        ``weights`` maps the count array ``n = 0, 1, ...`` to per-count
-        values.  Widths are taken in ascending blocks of
-        :data:`WIDTH_BLOCK`, which bounds the (count, width) grid's memory
-        and keeps each block's grid only as tall as its widest column.
+        Each weight maps the count array ``n = 0, 1, ...`` to per-count
+        values; the result has one row per weight.  Widths are taken in
+        ascending blocks of :data:`WIDTH_BLOCK`, which bounds the (count,
+        width) grid's memory and keeps each block's grid only as tall as
+        its widest column.  Every weight of a block reads the same grid.
         """
         widths = np.asarray(widths_nm, dtype=float)
         order = np.argsort(widths, kind="stable")
-        mean = np.empty(widths.size)
+        mean = np.empty((len(weights), widths.size))
         for start in range(0, widths.size, WIDTH_BLOCK):
             block = order[start : start + WIDTH_BLOCK]
             pmf = self.pmf_grid(widths[block])
-            mean[block] = (weights(np.arange(pmf.shape[0]))[:, None] * pmf).sum(axis=0)
+            n = np.arange(pmf.shape[0])
+            for row, weight in zip(mean, weights):
+                row[block] = (weight(n)[:, None] * pmf).sum(axis=0)
         with np.errstate(divide="ignore"):
             return np.log(mean)
 
     def log_pgf_array(self, widths_nm: np.ndarray, z: float) -> np.ndarray:
         """``log E[z^N(W)]`` over a 1-D width array."""
-        return self.log_mean_array(widths_nm, lambda n: np.power(z, n))
+        return self.log_mean_array(widths_nm, lambda n: np.power(z, n))[0]
 
-    def log_any_short_array(self, widths_nm: np.ndarray, b: float) -> np.ndarray:
-        """``log(1 - E[(1 - b)^N(W)])``: at least one of the tubes is a short.
+    def log_pgf_and_any_short_arrays(
+        self, widths_nm: np.ndarray, z: float, b: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``log E[z^N(W)]`` and ``log(1 - E[(1 - b)^N(W)])`` from one pmf grid.
 
-        Summed as the positive terms ``P{N = n} · (1 - (1 - b)^n)``, each
-        formed through ``expm1``/``log1p``, so a tiny ``b`` keeps its full
-        relative precision instead of cancelling against one.
+        The second is the log probability that at least one tube is a
+        short, summed as the positive terms ``P{N = n} · (1 - (1 - b)^n)``,
+        each formed through ``expm1``/``log1p``, so a tiny ``b`` keeps its
+        full relative precision instead of cancelling against one.
         """
-        return self.log_mean_array(
-            widths_nm, lambda n: -np.expm1(n * math.log1p(-b))
+        log_pgf, log_short = self.log_mean_array(
+            widths_nm,
+            lambda n: np.power(z, n),
+            lambda n: -np.expm1(n * math.log1p(-b)),
         )
+        return log_pgf, log_short
 
 
 class PoissonCountModel(CountModel):
@@ -202,11 +211,13 @@ class PoissonCountModel(CountModel):
         lam = np.asarray(widths_nm, dtype=float) / self.mean_pitch_nm
         return -lam * (1.0 - z)
 
-    def log_any_short_array(self, widths_nm: np.ndarray, b: float) -> np.ndarray:
-        """Closed-form ``log(1 - e^{-λ(W)·b})`` over a width array."""
+    def log_pgf_and_any_short_arrays(
+        self, widths_nm: np.ndarray, z: float, b: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Closed forms ``-λ(W)·(1 - z)`` and ``log(1 - e^{-λ(W)·b})``."""
         lam = np.asarray(widths_nm, dtype=float) / self.mean_pitch_nm
         with np.errstate(divide="ignore"):
-            return np.log(-np.expm1(-lam * b))
+            return self.log_pgf_array(widths_nm, z), np.log(-np.expm1(-lam * b))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PoissonCountModel(mean_pitch_nm={self.mean_pitch_nm})"

@@ -124,10 +124,11 @@ def log_failure_probabilities(
     if pf >= 1.0:
         return np.zeros(widths.shape)
     if n_min == 1:
-        log_open = count_model.log_pgf_array(widths, pf - b)
         if b == 0.0:
-            return log_open
-        log_short = count_model.log_any_short_array(widths, b)
+            return count_model.log_pgf_array(widths, pf)
+        log_open, log_short = count_model.log_pgf_and_any_short_arrays(
+            widths, pf - b, b
+        )
         return np.minimum(np.logaddexp(log_short, log_open), 0.0)
 
     def failing(n: np.ndarray) -> np.ndarray:
@@ -135,7 +136,7 @@ def log_failure_probabilities(
         too_few = stats.binom.cdf(n_min - 1, n, (1.0 - pf) / (1.0 - b))
         return -np.expm1(log_no_short) + np.exp(log_no_short) * too_few
 
-    return np.minimum(count_model.log_mean_array(widths, failing), 0.0)
+    return np.minimum(count_model.log_mean_array(widths, failing)[0], 0.0)
 
 
 #: The three processing corners of Fig. 2.1, worst first.

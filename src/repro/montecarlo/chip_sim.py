@@ -21,7 +21,8 @@ is answered by one pass of row-local searches and prefix sums
 (:func:`~repro.montecarlo.engine.count_in_windows_flat`).  Trials are
 processed in fixed-size chunks whose boundaries depend only on the trial
 count, and each chunk consumes its own ``spawn_key``-derived RNG stream —
-so a run is bitwise reproducible for any ``n_workers``, and ``n_workers > 1``
+so a run is bitwise reproducible for any
+:class:`~repro.resilience.supervise.Execution`, and ``n_workers > 1``
 distributes the same chunks over a process pool for multi-core scaling.
 The pre-vectorisation per-trial loop is retained as
 :meth:`ChipMonteCarlo.run_scalar` as a cross-check oracle for the
@@ -40,11 +41,10 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 import repro.montecarlo.rare_event as rare_event
-from repro.backend import NumpyBackend, backend_signature, default_backend
+from repro.backend import NumpyBackend, default_backend
 from repro.growth.pitch import GapTilt, PitchDistribution, pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.engine import (
-    chunk_sizes,
     count_in_windows_flat,
     default_trial_chunk,
     estimate_gap_count,
@@ -52,8 +52,8 @@ from repro.montecarlo.engine import (
     sample_track_batch,
 )
 from repro.netlist.placement import PlacedInstance, RowPlacement
-from repro.resilience.checkpoint import open_campaign
 from repro.resilience.guards import check_finite
+from repro.resilience.supervise import Execution
 from repro.units import ensure_positive
 
 
@@ -345,19 +345,14 @@ def _chip_trial_chunk(
 ) -> int:
     """Trials per batch of a chip campaign that draws its gaps from ``pitch``.
 
-    Bounded by the engine's element budget and small enough that at least
-    :attr:`ChipMonteCarlo.DEFAULT_PARALLEL_GRAIN` chunks exist.  Naive
-    runs size chunks at the nominal pitch, tilted runs at the tilted
-    pitch actually sampled, and the wafer tier's per-die chip runs at the
-    die's pitch — the same layout, hence the same RNG streams, as a fresh
-    per-die simulator.
+    The engine's one chunk policy (:func:`default_trial_chunk`) with the
+    chip's gap count per trial.  Naive runs size chunks at the nominal
+    pitch, tilted runs at the tilted pitch actually sampled, and the wafer
+    tier's per-die chip runs at the die's pitch — the same layout, hence
+    the same RNG streams, as a fresh per-die simulator.
     """
     est_slots = estimate_gap_count(pitch, geometry.row_height_nm)
-    return default_trial_chunk(
-        max(1, geometry.n_rows * est_slots),
-        n_trials,
-        grain=ChipMonteCarlo.DEFAULT_PARALLEL_GRAIN,
-    )
+    return default_trial_chunk(max(1, geometry.n_rows * est_slots), n_trials)
 
 
 @dataclass(frozen=True)
@@ -633,12 +628,6 @@ class ChipMonteCarlo:
         """Number of transistors at or below the small-width threshold."""
         return self._small_device_count
 
-    #: Minimum number of chunks a default-chunked run is split into (when it
-    #: has that many trials), so process pools up to this size always receive
-    #: work.  A constant — never the worker count — keeps the chunk layout,
-    #: and hence the per-chunk RNG streams, independent of ``n_workers``.
-    DEFAULT_PARALLEL_GRAIN = 16
-
     # ------------------------------------------------------------------
     # Scalar reference implementation (pre-vectorisation oracle)
     # ------------------------------------------------------------------
@@ -739,35 +728,22 @@ class ChipMonteCarlo:
         self,
         n_trials: int,
         rng: np.random.Generator,
-        n_workers: int = 1,
-        trial_chunk: Optional[int] = None,
         sampler: str = "naive",
         tilt_factor: Optional[float] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = True,
-        policy=None,
-        faults=None,
+        execution: Execution = Execution(),
     ) -> Union["ChipMCResult", "ChipTailResult"]:
         """Simulate ``n_trials`` fabrications of the placed design.
 
         Parameters
         ----------
         n_trials:
-            Number of whole-chip fabrication trials.
+            Number of whole-chip fabrication trials, processed in chunks
+            that keep one batched gap matrix near the engine's element
+            budget (~32 MB) and number at least the engine's default
+            grain, so a process pool always has work to distribute.
         rng:
             Root generator; each trial chunk consumes its own child stream
-            spawned from it, so results do not depend on ``n_workers``.
-        n_workers:
-            Processes to spread the trial chunks over.  ``1`` (default)
-            runs in-process; larger values use a process pool and produce
-            bitwise-identical statistics.  Either way the chunks run
-            under the supervised executor
-            (:func:`~repro.resilience.supervise.run_supervised`).
-        trial_chunk:
-            Trials per batch.  The default keeps one batched gap matrix
-            near the engine's element budget (~32 MB) while still splitting
-            the run into at least :attr:`DEFAULT_PARALLEL_GRAIN` chunks so
-            that ``n_workers > 1`` always has work to distribute.
+            spawned from it, so results do not depend on ``execution``.
         sampler:
             ``"naive"`` (default) returns a :class:`ChipMCResult` from
             direct indicator sampling.  ``"tilted"`` importance-samples the
@@ -779,23 +755,9 @@ class ChipMonteCarlo:
             default balances the ``pf``-cancellation rule against the
             stopped-weight stability budget of the row span (see
             :mod:`repro.montecarlo.rare_event`).
-        checkpoint_dir:
-            When given, completed trial chunks persist under this
-            directory (content-hashed, atomically written) and a rerun
-            with the same configuration and root generator resumes from
-            them bitwise-identically.  ``resume=False`` discards any
-            previous units first.
-        resume:
-            Whether an existing checkpoint for this campaign is loaded
-            (default) or cleared.
-        policy:
-            The :class:`~repro.resilience.supervise.RetryPolicy` bounding
-            per-chunk timeouts and retries on a failing or dying worker;
-            ``None`` uses the default policy (two retries per chunk, no
-            timeout).
-        faults:
-            A :class:`~repro.resilience.faults.FaultPlan` for chaos
-            testing; never set in production runs.
+        execution:
+            How the chunks run (:class:`~repro.resilience.supervise.Execution`):
+            workers, checkpoint/resume, retry policy.
         """
         if n_trials <= 0:
             raise ValueError("n_trials must be positive")
@@ -814,70 +776,20 @@ class ChipMonteCarlo:
                     "opens+shorts counterpart (use the naive sampler or the "
                     "closed form of repro.device.shorts)"
                 )
-            return self._run_tilted(n_trials, rng, n_workers, trial_chunk,
-                                    tilt_factor, checkpoint_dir=checkpoint_dir,
-                                    resume=resume, policy=policy, faults=faults)
+            return self._run_tilted(n_trials, rng, tilt_factor, execution)
         if self._geometry.n_rows == 0:
             # No row carries a transistor window: nothing can fail (matches
             # the scalar oracle, which skips empty rows).
             zeros = np.zeros(n_trials)
             return self._result(zeros, zeros)
-        if trial_chunk is None:
-            trial_chunk = _chip_trial_chunk(self.pitch, self._geometry, n_trials)
-        chunks = self._run_chunks(
-            "chip-naive", _simulate_chip_chunk, self._geometry, n_trials, rng,
-            trial_chunk, n_workers, checkpoint_dir, resume, policy, faults,
+        chunks = run_chunked(
+            _simulate_chip_chunk, self._geometry, n_trials, rng,
+            _chip_trial_chunk(self.pitch, self._geometry, n_trials),
+            execution, "chip-naive",
         )
         failing_devices = np.concatenate([c[0] for c in chunks])
         failing_rows = np.concatenate([c[1] for c in chunks])
         return self._result(failing_devices, failing_rows)
-
-    def _run_chunks(
-        self,
-        campaign: str,
-        worker,
-        payload,
-        n_trials: int,
-        rng: np.random.Generator,
-        trial_chunk: int,
-        n_workers: int,
-        checkpoint_dir: Optional[str],
-        resume: bool,
-        policy,
-        faults,
-    ) -> list:
-        """Run one chip campaign's trial chunks under its checkpoint.
-
-        The checkpoint fingerprint is the chunk ``payload`` itself plus
-        what it lacks — the resolved backend and dtypes, the root
-        generator (stream state and spawn counter) and the chunk layout —
-        so resuming with *anything* different is a
-        :class:`~repro.resilience.checkpoint.CheckpointError` instead of
-        silently mixed results.
-        """
-        checkpoint = open_campaign(
-            checkpoint_dir,
-            campaign,
-            len(chunk_sizes(n_trials, trial_chunk)),
-            resume,
-            payload,
-            backend_signature(self._geometry.backend),
-            rng.bit_generator.state,
-            int(rng.bit_generator.seed_seq.n_children_spawned),
-            int(n_trials),
-            int(trial_chunk),
-        )
-        return run_chunked(
-            worker,
-            payload,
-            n_trials,
-            rng,
-            trial_chunk=trial_chunk,
-            n_workers=n_workers,
-            policy=policy,
-            checkpoint=checkpoint,
-            faults=faults,
-        )
 
     def default_chip_tilt_factor(self) -> float:
         """Default tilt for :meth:`run` with ``sampler="tilted"``.
@@ -897,13 +809,8 @@ class ChipMonteCarlo:
         self,
         n_trials: int,
         rng: np.random.Generator,
-        n_workers: int,
-        trial_chunk: Optional[int],
         tilt_factor: Optional[float],
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = True,
-        policy=None,
-        faults=None,
+        execution: Execution,
     ) -> ChipTailResult:
         if self._geometry.n_rows == 0:
             return ChipTailResult(
@@ -920,16 +827,16 @@ class ChipMonteCarlo:
         if tilt_factor is None:
             tilt_factor = self.default_chip_tilt_factor()
         tilt = self.pitch.exponential_tilt(tilt_factor)
-        if trial_chunk is None:
-            # Size chunks from the *tilted* pitch actually sampled: its
-            # stretched mean means ~tilt_factor fewer gaps per row, so the
-            # nominal-pitch estimate would leave most of the element budget
-            # unused.
-            trial_chunk = _chip_trial_chunk(tilt.tilted, self._geometry, n_trials)
-        chunks = self._run_chunks(
-            "chip-tilted", _simulate_chip_chunk_tilted,
-            _TiltedChipPayload(geometry=self._geometry, tilt=tilt), n_trials,
-            rng, trial_chunk, n_workers, checkpoint_dir, resume, policy, faults,
+        # Size chunks from the *tilted* pitch actually sampled: its
+        # stretched mean means ~tilt_factor fewer gaps per row, so the
+        # nominal-pitch estimate would leave most of the element budget
+        # unused.
+        chunks = run_chunked(
+            _simulate_chip_chunk_tilted,
+            _TiltedChipPayload(geometry=self._geometry, tilt=tilt),
+            n_trials, rng,
+            _chip_trial_chunk(tilt.tilted, self._geometry, n_trials),
+            execution, "chip-tilted",
         )
         row_sums = np.vstack([c[0] for c in chunks])
         # Importance weights may legitimately overflow to inf under extreme
@@ -986,7 +893,7 @@ def compare_libraries(
     pitch: Optional[PitchDistribution] = None,
     n_trials: int = 50,
     seed: int = 2010,
-    n_workers: int = 1,
+    execution: Execution = Execution(),
     rng: Optional[np.random.Generator] = None,
 ) -> Dict[str, ChipMCResult]:
     """Simulate the same netlist on the original and aligned-active libraries.
@@ -1012,5 +919,5 @@ def compare_libraries(
         (("original", original_placement), ("aligned", aligned_placement)),
     ):
         simulator = ChipMonteCarlo(placement, pitch=pitch, type_model=type_model)
-        results[label] = simulator.run(n_trials, stream, n_workers=n_workers)
+        results[label] = simulator.run(n_trials, stream, execution=execution)
     return results

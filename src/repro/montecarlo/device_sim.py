@@ -32,6 +32,7 @@ from repro.growth.isotropic import IsotropicGrowthModel
 from repro.growth.pitch import PitchDistribution
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.engine import sample_track_counts
+from repro.resilience.supervise import Execution
 from repro.units import ensure_positive
 
 
@@ -186,7 +187,7 @@ class DeviceMonteCarlo:
         n_samples: int,
         rng: np.random.Generator,
         tilt_factor: Optional[float] = None,
-        n_workers: int = 1,
+        execution: Execution = Execution(),
     ) -> DeviceMCResult:
         """Importance-sampled tail estimator of pF(W).
 
@@ -213,7 +214,7 @@ class DeviceMonteCarlo:
         pf = self.type_model.per_cnt_failure_probability
         summary = rare_event.estimate_device_failure_tilted(
             self.pitch, pf, width_nm, n_samples, rng,
-            tilt_factor=tilt_factor, n_workers=n_workers,
+            tilt_factor=tilt_factor, execution=execution,
         )
         mean_count = width_nm / self.pitch.mean_nm
         return DeviceMCResult(

@@ -32,12 +32,13 @@ array programs over a leading ``(n_trials, ...)`` batch axis:
 * :func:`sample_track_counts` — memory-bounded helper returning only the
   per-trial track counts (used when the positions themselves are not
   needed, e.g. device-level failure estimation).
-* :func:`chunk_sizes` / :func:`run_chunked` — deterministic trial
-  chunking, one spawn-keyed RNG stream per chunk, executed by the
-  supervised runner.  Chunk boundaries depend only on the trial count
-  and chunk size — never on the worker count — so a run with
-  ``n_workers=4`` consumes exactly the same per-chunk streams as a serial
-  run and produces bitwise-identical statistics.
+* :func:`chunk_sizes` / :func:`chunk_tasks` / :func:`run_chunked` —
+  deterministic trial chunking, one spawn-keyed RNG stream per chunk,
+  executed by :class:`~repro.resilience.supervise.Execution`.  Chunk
+  boundaries depend only on the trial count and chunk size — never on
+  the worker count — so a run with ``n_workers=4`` consumes exactly the
+  same per-chunk streams as a serial run and produces bitwise-identical
+  statistics.
 
 Backend
 -------
@@ -65,16 +66,11 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import (
-    NumpyBackend,
-    default_backend,
-    match_dtype,
-    release_buffers,
-)
+from repro.backend import NumpyBackend, default_backend, match_dtype
 from repro.growth.pitch import PitchDistribution
 from repro.resilience.supervise import (
+    Execution,
     SeededChunk,
-    run_supervised,
     seed_sequences_for,
 )
 from repro.units import ensure_positive
@@ -92,6 +88,7 @@ __all__ = [
     "window_stop_indices",
     "chunk_sizes",
     "default_trial_chunk",
+    "chunk_tasks",
     "run_chunked",
 ]
 
@@ -483,55 +480,50 @@ def chunk_sizes(n_trials: int, trial_chunk: int) -> List[int]:
     return [trial_chunk] * full + ([rest] if rest else [])
 
 
+def chunk_tasks(
+    worker: Callable[..., Tuple[np.ndarray, ...]],
+    payload,
+    n_trials: int,
+    rng: np.random.Generator,
+    trial_chunk: int,
+) -> List[SeededChunk]:
+    """One :class:`~repro.resilience.supervise.SeededChunk` per chunk.
+
+    One seed sequence is spawned from ``rng`` per chunk up front (the
+    derivation :meth:`numpy.random.Generator.spawn` uses), so a chunk
+    rebuilds its stream on every call and a retried or resumed chunk is
+    bitwise identical to an uninterrupted one.
+    """
+    sizes = chunk_sizes(n_trials, trial_chunk)
+    seeds, bit_generator = seed_sequences_for(rng, len(sizes))
+    return [
+        SeededChunk(worker, payload, n, seed, bit_generator)
+        for n, seed in zip(sizes, seeds)
+    ]
+
+
 def run_chunked(
     worker: Callable[..., Tuple[np.ndarray, ...]],
     payload,
     n_trials: int,
     rng: np.random.Generator,
     trial_chunk: int,
-    n_workers: int = 1,
-    policy=None,
-    checkpoint=None,
-    faults=None,
+    execution: Execution = Execution(),
+    campaign: str = "chunks",
 ) -> List[Tuple[np.ndarray, ...]]:
     """Run ``worker(payload, n_chunk, stream)`` over deterministic chunks.
 
-    One seed sequence is spawned from ``rng`` per chunk up front (the
-    derivation :meth:`numpy.random.Generator.spawn` uses) and each chunk
-    becomes a :class:`~repro.resilience.supervise.SeededChunk` executed
-    by :func:`~repro.resilience.supervise.run_supervised`: in-process for
-    ``n_workers=1``, otherwise on a process pool (``worker`` and
-    ``payload`` must be picklable).  The returned list is ordered by
-    chunk, so results are identical for any worker count, and a retried
-    or resumed chunk rebuilds its stream from its seed sequence, so
-    results are bitwise identical to an uninterrupted run.  Each chunk
-    runs in a buffer pool scope (see :mod:`repro.backend.core`); the
-    calling thread's slabs are released when this returns, and pool
-    workers' slabs when their process exits.
-
-    ``policy`` is the :class:`~repro.resilience.supervise.RetryPolicy`
-    (``None`` = the default: a failed chunk is retried twice before
-    :class:`~repro.resilience.supervise.SupervisorError` is raised);
-    ``checkpoint`` is an optional
-    :class:`~repro.resilience.checkpoint.CampaignCheckpoint` that
-    completed chunks persist to and resume from; ``faults`` is a
-    :class:`~repro.resilience.faults.FaultPlan` for chaos tests only.
+    The :func:`chunk_tasks` of the run execute as one ``campaign`` under
+    :meth:`~repro.resilience.supervise.Execution.run`: in-process for one
+    worker, otherwise on a process pool (``worker`` and ``payload`` must
+    be picklable).  The returned list is ordered by chunk, so results are
+    identical for any worker count.  ``trial_chunk`` is computed by the
+    calling campaign from its chunk policy (:func:`default_trial_chunk`);
+    it fixes the spawned streams, so it is part of the result, not of the
+    execution.  Each chunk runs in a buffer pool scope (see
+    :mod:`repro.backend.core`); pool workers' slabs are released when
+    their process exits.
     """
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
-    sizes = chunk_sizes(n_trials, trial_chunk)
-    seeds, bit_generator = seed_sequences_for(rng, len(sizes))
-    tasks = [
-        SeededChunk(worker, payload, n, seed, bit_generator)
-        for n, seed in zip(sizes, seeds)
-    ]
-    try:
-        return run_supervised(
-            tasks,
-            n_workers=n_workers,
-            policy=policy,
-            checkpoint=checkpoint,
-            faults=faults,
-        )
-    finally:
-        release_buffers()
+    return execution.run(
+        campaign, chunk_tasks(worker, payload, n_trials, rng, trial_chunk)
+    )

@@ -26,6 +26,7 @@ from repro.montecarlo.chip_sim import ChipMonteCarlo
 from repro.montecarlo.device_sim import DeviceMonteCarlo
 from repro.montecarlo.row_sim import RowMonteCarlo, RowScenarioConfig
 from repro.netlist.placement import RowPlacement
+from repro.resilience.supervise import Execution
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def compare_chip_engines(
     type_model: Optional[CNTTypeModel] = None,
     n_trials: int = 30,
     seed: int = 2010,
-    n_workers: int = 1,
+    execution: Execution = Execution(),
     rng: Optional[np.random.Generator] = None,
 ) -> ComparisonRecord:
     """Compare the scalar and vectorized chip engines on one placed design.
@@ -169,7 +170,7 @@ def compare_chip_engines(
         scalar_rng = np.random.default_rng(seed)
         vector_rng = np.random.default_rng(seed)
     scalar = simulator.run_scalar(n_trials, scalar_rng)
-    vectorized = simulator.run(n_trials, vector_rng, n_workers=n_workers)
+    vectorized = simulator.run(n_trials, vector_rng, execution=execution)
     combined_se = float(np.sqrt(
         (scalar.std_failing_devices ** 2 + vectorized.std_failing_devices ** 2)
         / n_trials

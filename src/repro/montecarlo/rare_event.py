@@ -60,13 +60,14 @@ from repro.growth.pitch import GapTilt, PitchDistribution
 from repro.montecarlo.engine import (
     DEFAULT_BATCH_ELEMENTS,
     TrackBatch,
+    chunk_tasks,
     count_in_windows,
     default_trial_chunk,
     estimate_gap_count,
-    run_chunked,
     sample_track_batch,
     window_stop_indices,
 )
+from repro.resilience.supervise import Execution, SeededChunk
 from repro.units import ensure_positive
 
 __all__ = [
@@ -416,6 +417,43 @@ def sample_tilted_contributions(
     return contributions
 
 
+def _tilted_device_tasks(
+    pitch: PitchDistribution,
+    per_cnt_failure: float,
+    width_nm: float,
+    n_samples: int,
+    rng: np.random.Generator,
+    tilt_factor: Optional[float],
+    backend: Optional[NumpyBackend] = None,
+) -> List[SeededChunk]:
+    """The chunk tasks of one tilted device estimate (engine chunk policy)."""
+    ensure_positive(width_nm, "width_nm")
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
+    tilt = resolve_tilt(pitch, width_nm, per_cnt_failure, tilt_factor)
+    payload = _TiltedDevicePayload(
+        tilt=tilt, width_nm=float(width_nm),
+        per_cnt_failure=float(per_cnt_failure), backend=backend,
+    )
+    return chunk_tasks(
+        _device_tilted_chunk, payload, n_samples, rng,
+        _default_trial_chunk(tilt.tilted, width_nm, n_samples),
+    )
+
+
+def _weighted_estimates(
+    campaign: str, task_lists: List[List[SeededChunk]], execution: Execution
+) -> List[WeightedEstimate]:
+    """Run every estimate's chunks as one campaign; one summary per list."""
+    chunks = execution.run(campaign, [t for tasks in task_lists for t in tasks])
+    estimates, start = [], 0
+    for tasks in task_lists:
+        mine = chunks[start:start + len(tasks)]
+        estimates.append(weighted_estimate(np.concatenate([c[0] for c in mine])))
+        start += len(tasks)
+    return estimates
+
+
 def estimate_device_failure_tilted(
     pitch: PitchDistribution,
     per_cnt_failure: float,
@@ -423,37 +461,20 @@ def estimate_device_failure_tilted(
     n_samples: int,
     rng: np.random.Generator,
     tilt_factor: Optional[float] = None,
-    trial_chunk: Optional[int] = None,
-    n_workers: int = 1,
     backend: Optional[NumpyBackend] = None,
+    execution: Execution = Execution(),
 ) -> WeightedEstimate:
     """Importance-sampled device failure probability pF(W) — the tail path.
 
     Samples renewal trials under the exponentially tilted gap law and
     averages ``pf^N · w`` with the stopped likelihood-ratio weight ``w``.
     Runs through the engine's deterministic chunking, so results are
-    bitwise independent of ``n_workers`` exactly like the naive engine.
+    bitwise independent of ``execution`` exactly like the naive engine.
     """
-    ensure_positive(width_nm, "width_nm")
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    tilt = resolve_tilt(pitch, width_nm, per_cnt_failure, tilt_factor)
-    if trial_chunk is None:
-        trial_chunk = _default_trial_chunk(tilt.tilted, width_nm, n_samples)
-    payload = _TiltedDevicePayload(
-        tilt=tilt, width_nm=float(width_nm),
-        per_cnt_failure=float(per_cnt_failure), backend=backend,
+    tasks = _tilted_device_tasks(
+        pitch, per_cnt_failure, width_nm, n_samples, rng, tilt_factor, backend
     )
-    chunks = run_chunked(
-        _device_tilted_chunk,
-        payload,
-        n_samples,
-        rng,
-        trial_chunk=trial_chunk,
-        n_workers=n_workers,
-    )
-    contributions = np.concatenate([c[0] for c in chunks])
-    return weighted_estimate(contributions)
+    return _weighted_estimates("device-tilted", [tasks], execution)[0]
 
 
 def estimate_device_failure_grid(
@@ -463,7 +484,7 @@ def estimate_device_failure_grid(
     n_samples: int,
     seed_key: Sequence[int],
     tilt_factor: Optional[float] = None,
-    n_workers: int = 1,
+    execution: Execution = Execution(),
 ) -> List[WeightedEstimate]:
     """Tilted tail estimates over a width grid — the yield-surface MC path.
 
@@ -473,24 +494,23 @@ def estimate_device_failure_grid(
     the sweep was batched — evaluating ``[a, b]`` and later ``[b]`` alone
     under the same ``seed_key`` yields bitwise-identical results for
     ``b``, which is what lets the surface builder's refinement cache mix
-    batches freely.  Within a point the estimate stays bitwise
-    independent of ``n_workers``, exactly like the single-point
-    estimator.
+    batches freely.  The chunks of every point run as one campaign, so
+    the estimates stay bitwise independent of ``execution``, exactly
+    like the single-point estimator.
     """
-    widths = np.asarray(widths_nm, dtype=float)
     base_key = [int(part) for part in seed_key]
-    return [
-        estimate_device_failure_tilted(
+    task_lists = [
+        _tilted_device_tasks(
             pitch,
             per_cnt_failure,
             float(width),
             n_samples,
             np.random.default_rng(base_key + [int(round(width * 1e6))]),
-            tilt_factor=tilt_factor,
-            n_workers=n_workers,
+            tilt_factor,
         )
-        for width in widths
+        for width in np.asarray(widths_nm, dtype=float)
     ]
+    return _weighted_estimates("device-tilted-grid", task_lists, execution)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ every other tier, with one row-local search per die:
 * every die's trials are drawn from a *spawn-keyed stream* derived from
   the die's grid coordinates (:func:`die_stream`) — never from the die's
   position in a loop — so per-die results are bitwise independent of die
-  ordering, of how dies are grouped into batches, and of ``n_workers``;
+  ordering, of how dies are grouped into batches, and of the
+  :class:`~repro.resilience.supervise.Execution`;
 * each die's trials grow tracks over its widest window under the
   kernel's gap budget (:func:`~repro.montecarlo.engine.tight_gap_budget`,
   a 2-sigma margin), and the rare trials it leaves short are *topped up
@@ -80,7 +81,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.mispositioned import MisalignmentImpactModel
-from repro.backend import NumpyBackend, backend_signature, default_backend
+from repro.backend import NumpyBackend, default_backend
 from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _ChipGeometry,
@@ -99,9 +100,8 @@ from repro.montecarlo.engine import (
     run_chunked,
     sample_track_batch,
 )
-from repro.resilience.checkpoint import open_campaign
 from repro.resilience.guards import check_finite
-from repro.resilience.supervise import run_supervised
+from repro.resilience.supervise import Execution
 from repro.units import ensure_positive
 
 __all__ = [
@@ -655,13 +655,9 @@ def simulate_wafer(
     n_trials: int = 1024,
     seed_key: Sequence[int] = (20100616,),
     good_die_threshold: float = 0.5,
-    n_workers: int = 1,
     backend: Optional[NumpyBackend] = None,
     misalignment: Optional[MisalignmentImpactModel] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = True,
-    policy=None,
-    faults=None,
+    execution: Execution = Execution(),
 ) -> WaferYieldResult:
     """Simulate every die of ``wafer`` on the shared track kernel.
 
@@ -689,12 +685,7 @@ def simulate_wafer(
     seed_key:
         Root spawn key; die streams derive from it and the die's grid
         coordinates, so per-die results are reproducible and independent
-        of ordering, grouping and ``n_workers``.
-    n_workers:
-        Processes to spread die groups over (groups are element-budget
-        bounded either way; results are bitwise identical for any value).
-        Either way the groups run under the supervised executor
-        (:func:`~repro.resilience.supervise.run_supervised`).
+        of ordering, grouping and ``execution``.
     backend:
         Array backend for the track draws and counts (``None`` =
         environment default).
@@ -705,54 +696,33 @@ def simulate_wafer(
         inside the die-group pass (see the module notes).  ``None`` (the
         default) leaves results bitwise identical to a run without the
         parameter.
-    checkpoint_dir:
-        When given, each completed die group persists under this
-        directory (content-hashed, atomically written); a rerun with the
-        same configuration resumes from the verified units and is
-        bitwise identical to an uninterrupted run.  Corrupt units are
-        quarantined and recomputed.
-    resume:
-        Whether an existing checkpoint for this campaign is loaded
-        (default) or discarded first.
-    policy:
-        The :class:`~repro.resilience.supervise.RetryPolicy` bounding
-        per-group timeouts and retries on a failing or dying worker;
-        ``None`` uses the default policy (two retries per group, no
-        timeout).
-    faults:
-        A :class:`~repro.resilience.faults.FaultPlan` for chaos tests;
-        never set in production runs.
+    execution:
+        How the die groups run (:class:`~repro.resilience.supervise.Execution`;
+        one checkpoint unit per group).
 
     Returns
     -------
     WaferYieldResult
         Per-die estimates in canonical (column, row) order plus wafer
         aggregates; bitwise invariant to die order, grouping and
-        ``n_workers``.
+        ``execution``.
     """
     payload = _wafer_payload(
         pitch, type_model, widths_nm, device_counts, n_trials, seed_key,
         backend, misalignment,
     )
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
     if not 0.0 <= good_die_threshold <= 1.0:
         raise ValueError("good_die_threshold must lie in [0, 1]")
     sites = _canonical_sites(wafer)
     dice: List[DieYieldEstimate] = []
     if sites:
         group = _dies_per_group(len(sites), payload)
-        groups = [sites[i:i + group] for i in range(0, len(sites), group)]
-        checkpoint = open_campaign(
-            checkpoint_dir, "wafer", len(groups), resume,
-            payload, backend_signature(payload.backend), int(group), sites,
-        )
-        group_results = run_supervised(
-            [_DieGroupTask(payload, tuple(g)) for g in groups],
-            n_workers=n_workers,
-            policy=policy,
-            checkpoint=checkpoint,
-            faults=faults,
+        group_results = execution.run(
+            "wafer",
+            [
+                _DieGroupTask(payload, tuple(sites[i:i + group]))
+                for i in range(0, len(sites), group)
+            ],
             encode=_die_group_encode,
             decode=_die_group_decode,
         )
@@ -958,7 +928,6 @@ class _ChipWaferPayload:
     widths_nm: Tuple[float, ...]
     n_trials: int
     seed_key: Tuple[int, ...]
-    trial_chunk: Optional[int]
     misalignment: Optional[MisalignmentImpactModel]
 
 
@@ -993,17 +962,12 @@ def _simulate_chip_die(payload: _ChipWaferPayload, site: DieSite) -> ChipDieYiel
     """
     die_pitch = payload.pitch.with_mean(site.mean_pitch_nm)
     geometry = replace(payload.geometry, pitch=die_pitch)
-    trial_chunk = payload.trial_chunk
-    if trial_chunk is None:
-        trial_chunk = _chip_trial_chunk(die_pitch, geometry, payload.n_trials)
-    rng = chip_die_stream(payload.seed_key, site)
     chunks = run_chunked(
         _chip_die_chunk,
         (geometry, payload.class_matrix),
         payload.n_trials,
-        rng,
-        trial_chunk=trial_chunk,
-        n_workers=1,
+        chip_die_stream(payload.seed_key, site),
+        _chip_trial_chunk(die_pitch, geometry, payload.n_trials),
     )
     failing_devices = np.concatenate([c[0] for c in chunks])
     failing_rows = np.concatenate([c[1] for c in chunks])
@@ -1053,13 +1017,8 @@ def run_chip_wafer(
     n_trials: int = 256,
     seed_key: Sequence[int] = (20100616,),
     good_die_threshold: float = 0.5,
-    n_workers: int = 1,
-    trial_chunk: Optional[int] = None,
     misalignment: Optional[MisalignmentImpactModel] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = True,
-    policy=None,
-    faults=None,
+    execution: Execution = Execution(),
 ) -> ChipWaferResult:
     """Yield-map a placed design across every die of a wafer in one run.
 
@@ -1083,37 +1042,18 @@ def run_chip_wafer(
     seed_key:
         Root spawn key; die streams derive from it and the die's grid
         coordinates (under :data:`CHIP_STREAM_TAG`), so per-die results
-        are bitwise invariant to die order, grouping and ``n_workers``.
+        are bitwise invariant to die order and ``execution``.  Each die
+        chunks its trials by the per-die simulator's policy at its local
+        pitch (the bitwise-equivalence contract with
+        :func:`chip_per_die_loop`).
     good_die_threshold:
         Direct yield above which a die counts as good.
-    n_workers:
-        Processes to spread whole dies over (per-die results identical
-        for any value), under the supervised executor
-        (:func:`~repro.resilience.supervise.run_supervised`).
-    trial_chunk:
-        Trials per batched pass; ``None`` applies the per-die simulator's
-        chunk policy at each die's local pitch (the bitwise-equivalence
-        contract with :func:`chip_per_die_loop`).
     misalignment:
         Optional analytic de-rating of the Eq. 2.3 view (the direct
         indicator yield is a realised count and is never de-rated).
-    checkpoint_dir:
-        When given, every completed die persists under this directory
-        (content-hashed, atomically written); a rerun with the same
-        configuration resumes from the verified dies bitwise-identically
-        — the per-die :func:`chip_die_stream` spawn keys make a resumed
-        die indistinguishable from an uninterrupted one.
-    resume:
-        Whether an existing checkpoint for this campaign is loaded
-        (default) or discarded first.
-    policy:
-        The :class:`~repro.resilience.supervise.RetryPolicy` bounding
-        per-die timeouts and retries on a failing or dying worker;
-        ``None`` uses the default policy (two retries per die, no
-        timeout).
-    faults:
-        A :class:`~repro.resilience.faults.FaultPlan` for chaos tests;
-        never set in production runs.
+    execution:
+        How the dies run (:class:`~repro.resilience.supervise.Execution`;
+        one checkpoint unit per die).
 
     Returns
     -------
@@ -1123,8 +1063,6 @@ def run_chip_wafer(
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
-    if n_workers < 1:
-        raise ValueError("n_workers must be at least 1")
     if not 0.0 <= good_die_threshold <= 1.0:
         raise ValueError("good_die_threshold must lie in [0, 1]")
     geometry = chip.chip_geometry()
@@ -1137,20 +1075,11 @@ def run_chip_wafer(
         widths_nm=tuple(float(w) for w in widths),
         n_trials=int(n_trials),
         seed_key=tuple(int(part) for part in seed_key),
-        trial_chunk=trial_chunk,
         misalignment=misalignment,
     )
-    sites = _canonical_sites(wafer)
-    checkpoint = open_campaign(
-        checkpoint_dir, "chip-wafer", len(sites), resume,
-        payload, backend_signature(geometry.backend), sites,
-    )
-    dice = run_supervised(
-        [_ChipDieTask(payload, site) for site in sites],
-        n_workers=n_workers,
-        policy=policy,
-        checkpoint=checkpoint,
-        faults=faults,
+    dice = execution.run(
+        "chip-wafer",
+        [_ChipDieTask(payload, site) for site in _canonical_sites(wafer)],
         encode=_chip_die_encode,
         decode=_chip_die_decode,
     )

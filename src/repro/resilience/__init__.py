@@ -14,12 +14,14 @@ property:
     Content-hashed campaign checkpoints: completed units persist as they
     finish and a resumed campaign re-runs only what is missing or
     corrupt (corrupt units are quarantined, never trusted).  A
-    campaign's identity is fingerprinted from the payload its workers
-    receive (:func:`~repro.resilience.checkpoint.open_campaign`).
+    campaign's identity is fingerprinted from the task list its workers
+    receive (:meth:`~repro.resilience.supervise.Execution.run`).
 ``supervise``
     The one executor of every Monte Carlo campaign: picklable tasks run
     in-process or on a process pool, with per-chunk timeouts
-    and bounded retry-with-backoff on worker failure or death.
+    and bounded retry-with-backoff on worker failure or death.  Every
+    campaign API takes one :class:`~repro.resilience.supervise.Execution`
+    value saying how its units run.
 ``faults``
     A deterministic, seed-keyed fault-injection harness (kill-worker,
     delay, corrupt-artifact, inject-NaN) driving the chaos test suite.
@@ -45,7 +47,6 @@ from repro.resilience.checkpoint import (
     CheckpointStore,
     CorruptArtifactError,
     fingerprint_parts,
-    open_campaign,
 )
 from repro.resilience.degrade import CircuitBreaker, Deadline
 from repro.resilience.faults import (
@@ -60,6 +61,7 @@ from repro.resilience.guards import (
     check_probabilities,
 )
 from repro.resilience.supervise import (
+    Execution,
     RetryPolicy,
     SeededChunk,
     SupervisorError,
@@ -77,7 +79,6 @@ __all__ = [
     "CheckpointStore",
     "CorruptArtifactError",
     "fingerprint_parts",
-    "open_campaign",
     "CircuitBreaker",
     "Deadline",
     "FaultPlan",
@@ -87,6 +88,7 @@ __all__ = [
     "NumericalGuardError",
     "check_finite",
     "check_probabilities",
+    "Execution",
     "RetryPolicy",
     "SeededChunk",
     "SupervisorError",

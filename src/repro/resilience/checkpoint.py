@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import types
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -44,7 +45,6 @@ __all__ = [
     "CheckpointError",
     "CorruptArtifactError",
     "fingerprint_parts",
-    "open_campaign",
     "CheckpointStore",
     "CampaignCheckpoint",
 ]
@@ -61,78 +61,71 @@ class CorruptArtifactError(CheckpointError):
     """A persisted artifact failed content-hash verification on load."""
 
 
-def _fingerprint_encode(part: object) -> object:
-    """Convert one fingerprint part into a canonically-JSONable value."""
+def _fingerprint_encode(part: object, memo: Dict[int, object]) -> object:
+    """Convert one fingerprint part into a canonically-JSONable value.
+
+    ``memo`` holds, by ``id``, the encoding of every array and dataclass
+    already met in this fingerprint, so a payload shared by many tasks
+    is hashed once.
+    """
+    if id(part) in memo:
+        return memo[id(part)]
     if isinstance(part, np.ndarray):
-        return {
+        memo[id(part)] = {
             "__ndarray__": sha256_bytes(part.tobytes()),
             "shape": list(part.shape),
             "dtype": str(part.dtype),
         }
+        return memo[id(part)]
+    if dataclasses.is_dataclass(part) and not isinstance(part, type):
+        memo[id(part)] = _fingerprint_fields(part, {
+            f.name: getattr(part, f.name) for f in dataclasses.fields(part)
+        }, memo)
+        return memo[id(part)]
     if isinstance(part, np.generic):
         return part.item()
-    if dataclasses.is_dataclass(part) and not isinstance(part, type):
-        return _fingerprint_fields(part, {
-            f.name: getattr(part, f.name) for f in dataclasses.fields(part)
-        })
     if isinstance(part, Mapping):
-        return {str(k): _fingerprint_encode(v) for k, v in part.items()}
+        return {str(k): _fingerprint_encode(v, memo) for k, v in part.items()}
     if isinstance(part, (list, tuple)):
-        return [_fingerprint_encode(v) for v in part]
+        return [_fingerprint_encode(v, memo) for v in part]
     if isinstance(part, (str, int, float, bool)) or part is None:
         return part
+    if isinstance(part, (type, types.FunctionType, types.BuiltinFunctionType)):
+        # A function's repr embeds its address: name it instead.
+        return {"__callable__": f"{part.__module__}:{part.__qualname__}"}
     if type(part).__repr__ is object.__repr__ and hasattr(part, "__dict__"):
         # The default repr embeds a memory address, which would make the
         # fingerprint differ between processes: use the attributes.
-        return _fingerprint_fields(part, vars(part))
+        return _fingerprint_fields(part, vars(part), memo)
     return repr(part)
 
 
-def _fingerprint_fields(part: object, fields: Mapping[str, object]) -> object:
+def _fingerprint_fields(
+    part: object, fields: Mapping[str, object], memo: Dict[int, object]
+) -> object:
     """Encode an object as its type name plus its encoded fields."""
-    return {"__type__": type(part).__name__, **_fingerprint_encode(fields)}
+    return {"__type__": type(part).__name__, **_fingerprint_encode(fields, memo)}
 
 
 def fingerprint_parts(*parts: object) -> str:
     """Hex sha256 identity of a campaign configuration.
 
     Accepts any mix of scalars, strings, mappings, sequences, numpy
-    arrays (hashed by raw bytes, shape and dtype) and dataclasses (their
-    type name plus every field, encoded recursively); a plain object
-    without its own ``repr`` is encoded like a dataclass from its
-    attributes, and everything else falls back to ``repr``.  Two
+    arrays (hashed by raw bytes, shape and dtype), dataclasses (their
+    type name plus every field, encoded recursively) and functions or
+    classes (their ``module:qualname``); a plain object without its own
+    ``repr`` is encoded like a dataclass from its attributes, and
+    everything else falls back to ``repr``.  Two
     campaigns share a checkpoint only when their fingerprints match,
     which is what makes resuming into the wrong checkpoint directory an
     error rather than silent corruption.
     """
     payload = json.dumps(
-        [_fingerprint_encode(p) for p in parts],
+        _fingerprint_encode(list(parts), {}),
         sort_keys=True,
         separators=(",", ":"),
     )
     return sha256_bytes(payload.encode("utf-8"))
-
-
-def open_campaign(
-    checkpoint_dir: Optional[Union[str, Path]],
-    name: str,
-    total_units: int,
-    resume: bool,
-    *parts: object,
-) -> Optional["CampaignCheckpoint"]:
-    """Open campaign ``name`` under ``checkpoint_dir``, or ``None`` without one.
-
-    The fingerprint is :func:`fingerprint_parts` of ``name`` and
-    ``parts``.  Campaigns pass the frozen payload their workers receive
-    whole, plus only what that payload lacks (the resolved backend
-    signature, the root generator state, the unit layout), so a field
-    added to a payload can never be left out of its identity.
-    """
-    if checkpoint_dir is None:
-        return None
-    return CheckpointStore(checkpoint_dir).campaign(
-        name, fingerprint_parts(name, *parts), total_units, resume=resume
-    )
 
 
 class CheckpointStore:

@@ -24,6 +24,10 @@ guarantees over the bare pool:
   verified :class:`~repro.resilience.checkpoint.CampaignCheckpoint` and
   fresh completions persist as they finish.
 
+Campaigns reach it only through :meth:`Execution.run`: one value holding
+every setting that decides *how* units run and none that decides *what*
+they compute, with the checkpoint identity derived from the task list.
+
 Determinism under retry comes from task construction, not from the
 supervisor: a :class:`SeededChunk` rebuilds its generator from a spawned
 :class:`numpy.random.SeedSequence` on every call, so attempt *k* of a
@@ -39,15 +43,21 @@ from concurrent.futures import (
     TimeoutError as FutureTimeoutError,
 )
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backend import buffer_pool
-from repro.resilience.checkpoint import CampaignCheckpoint
+from repro.backend import backend_signature, buffer_pool, release_buffers
+from repro.resilience.checkpoint import (
+    CampaignCheckpoint,
+    CheckpointStore,
+    fingerprint_parts,
+)
 from repro.resilience.faults import FaultPlan, FaultyTask
 
 __all__ = [
+    "Execution",
     "RetryPolicy",
     "SupervisorError",
     "SeededChunk",
@@ -81,6 +91,85 @@ class RetryPolicy:
     def backoff_for(self, attempt: int) -> float:
         """Seconds to sleep before re-running attempt ``attempt + 1``."""
         return self.backoff_s * self.backoff_factor ** max(attempt - 1, 0)
+
+
+@dataclass(frozen=True)
+class Execution:
+    """How a Monte Carlo campaign runs — never what it computes.
+
+    Every campaign API takes one ``execution`` value; no field changes a
+    result bit.
+
+    Attributes
+    ----------
+    n_workers:
+        ``1`` runs the units in-process; more spreads them over a process
+        pool (tasks must pickle).
+    checkpoint_dir:
+        When set, completed units persist under ``<checkpoint_dir>/<campaign>``
+        (content-hashed, written atomically) and a rerun of the same
+        campaign resumes from the verified units bitwise identically;
+        corrupt units are quarantined and recomputed.
+    resume:
+        Whether an existing checkpoint is loaded (default) or discarded.
+    policy:
+        Per-unit retry and timeout budget (:class:`RetryPolicy`).
+    faults:
+        A :class:`~repro.resilience.faults.FaultPlan`; chaos tests only.
+    """
+
+    n_workers: int = 1
+    checkpoint_dir: Optional[Union[str, Path]] = None
+    resume: bool = True
+    policy: RetryPolicy = RetryPolicy()
+    faults: Optional[FaultPlan] = None
+
+    def __post_init__(self) -> None:
+        if self.n_workers < 1:
+            raise ValueError("n_workers must be at least 1")
+
+    def checkpoint(
+        self, campaign: str, total_units: int, *identity: object
+    ) -> Optional[CampaignCheckpoint]:
+        """The checkpoint of ``campaign``, or ``None`` without a directory.
+
+        Fingerprinted by the campaign name, the environment's backend
+        signature (a float32 run cannot resume float64 units) and
+        ``identity``; resuming a different fingerprint raises
+        :class:`~repro.resilience.checkpoint.CheckpointError`.
+        """
+        if self.checkpoint_dir is None:
+            return None
+        fingerprint = fingerprint_parts(
+            campaign, backend_signature(None), *identity
+        )
+        return CheckpointStore(self.checkpoint_dir).campaign(
+            campaign, fingerprint, total_units, resume=self.resume
+        )
+
+    def run(
+        self,
+        campaign: str,
+        tasks: Sequence[Callable[[], Any]],
+        encode: Optional[Callable[[Any], Tuple[Dict[str, np.ndarray], object]]] = None,
+        decode: Optional[Callable[[Dict[str, np.ndarray], object], Any]] = None,
+    ) -> List[Any]:
+        """Run one campaign's ``tasks`` under :func:`run_supervised`.
+
+        The campaign's identity is the task list itself — payloads, unit
+        layout, each :class:`SeededChunk`'s seed sequence, each die's
+        site — fingerprinted only when :attr:`checkpoint_dir` is set.
+        ``encode`` / ``decode`` are the checkpoint codec of one unit's
+        result.  The calling thread's buffer-pool slabs are released
+        when the run returns.
+        """
+        try:
+            return run_supervised(
+                tasks, self, self.checkpoint(campaign, len(tasks), tasks),
+                encode, decode,
+            )
+        finally:
+            release_buffers()
 
 
 class SupervisorError(RuntimeError):
@@ -195,10 +284,8 @@ def _call_task(task: Callable[[], Any]) -> Any:
 
 def run_supervised(
     tasks: Sequence[Callable[[], Any]],
-    n_workers: int = 1,
-    policy: Optional[RetryPolicy] = None,
+    execution: Execution = Execution(),
     checkpoint: Optional[CampaignCheckpoint] = None,
-    faults: Optional[FaultPlan] = None,
     encode: Optional[Callable[[Any], Tuple[Dict[str, np.ndarray], object]]] = None,
     decode: Optional[Callable[[Dict[str, np.ndarray], object], Any]] = None,
 ) -> List[Any]:
@@ -209,16 +296,13 @@ def run_supervised(
     tasks:
         One picklable zero-argument callable per unit; results are
         returned in unit order.
-    n_workers:
-        ``1`` runs in-process; more uses a process pool that is rebuilt
-        whenever a worker death breaks it.
-    policy:
-        Retry/timeout budget (defaults to :class:`RetryPolicy`).
+    execution:
+        Its ``n_workers`` (a process pool, rebuilt whenever a worker
+        death breaks it, for more than one), ``policy`` and ``faults``;
+        :meth:`Execution.run` opens the checkpoint from its other fields.
     checkpoint:
         When given, verified units load instead of running, and fresh
         completions persist as they finish.
-    faults:
-        Optional fault-injection plan (chaos testing only).
     encode / decode:
         Unit-result codec for checkpoint persistence; the default
         handles tuples of arrays, bare arrays and JSON-serialisable
@@ -229,7 +313,9 @@ def run_supervised(
     SupervisorError
         When any unit exhausts its retry budget.
     """
-    policy = policy or RetryPolicy()
+    n_workers, policy, faults = (
+        execution.n_workers, execution.policy, execution.faults
+    )
     encode = encode or _default_encode
     decode = decode or _default_decode
     n_units = len(tasks)
@@ -313,3 +399,4 @@ def run_supervised(
                 max(policy.backoff_for(attempts[unit]) for unit in pending)
             )
     return results
+

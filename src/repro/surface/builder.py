@@ -34,7 +34,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import backend_signature
 from repro.core.correlation import (
     CorrelationParameters,
     LayoutScenario,
@@ -44,7 +43,7 @@ from repro.core.correlation import (
 from repro.core.count_model import count_model_from_pitch
 from repro.core.failure import log_failure_probabilities
 from repro.growth.pitch import ExponentialPitch, PitchDistribution, TruncatedNormalPitch
-from repro.resilience.checkpoint import open_campaign
+from repro.resilience.supervise import Execution
 from repro.surface.grid import GridAxis, bilinear_interpolate
 from repro.surface.surface import (
     LOG_FLOOR,
@@ -320,28 +319,22 @@ class SurfaceBuilder:
     ----------
     spec:
         The sweep to run (defaults to :class:`SweepSpec`).
-    checkpoint_dir:
-        When given, the evaluator's point cache persists under this
-        directory after every refinement round (content-hashed, written
-        atomically).  A rerun of the same spec resumes from the last
-        verified snapshot: every cached grid point replays instead of
-        re-evaluating, and because refinement decisions are deterministic
-        functions of the point values, the resumed surface is bitwise
-        identical (same content hash) to an uninterrupted build.
-    resume:
-        Whether an existing checkpoint for this spec is loaded (default)
-        or discarded first.
+    execution:
+        Its :meth:`~repro.resilience.supervise.Execution.checkpoint`
+        persists the evaluator's point cache after every refinement round
+        when a checkpoint directory is set.  A rerun of the same spec
+        resumes from the last verified snapshot: every cached grid point
+        replays instead of re-evaluating, and because refinement
+        decisions are deterministic functions of the point values, the
+        resumed surface is bitwise identical (same content hash) to an
+        uninterrupted build.  The sweep itself runs in-process.
     """
 
     def __init__(
-        self,
-        spec: Optional[SweepSpec] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = True,
+        self, spec: Optional[SweepSpec] = None, execution: Execution = Execution()
     ) -> None:
         self.spec = spec or SweepSpec()
-        self.checkpoint_dir = checkpoint_dir
-        self.resume = resume
+        self.execution = execution
 
     def build(self) -> YieldSurface:
         """Run the sweep and return only its :class:`YieldSurface`."""
@@ -395,13 +388,8 @@ class SurfaceBuilder:
             seed=spec.seed,
             short_probability=spec.short_probability,
         )
-        checkpoint = open_campaign(
-            self.checkpoint_dir,
-            f"sweep-{spec.scenario}",
-            spec.max_refinement_rounds + 1,
-            self.resume,
-            spec,
-            backend_signature(None),
+        checkpoint = self.execution.checkpoint(
+            f"sweep-{spec.scenario}", spec.max_refinement_rounds + 1, spec
         )
         if checkpoint is not None:
             self._restore_cache(evaluator, checkpoint)

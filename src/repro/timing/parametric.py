@@ -18,9 +18,10 @@ delays along a path inherit that correlation, a heavier dependence
 structure than independent per-gate sampling would predict.
 Trials are processed in fixed-size chunks through
 :func:`~repro.montecarlo.engine.run_chunked`; each chunk consumes its own
-``spawn_key``-derived stream, so results are bitwise invariant to
-``n_workers``.  ``oracle=True`` swaps the batched levelized STA for the
-per-trial scalar walk — same sampled delays, bitwise-equal critical paths.
+``spawn_key``-derived stream, so results are bitwise invariant to the
+:class:`~repro.resilience.supervise.Execution` (workers, checkpoints).
+``oracle=True`` swaps the batched levelized STA for the per-trial scalar
+walk — same sampled delays, bitwise-equal critical paths.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.montecarlo.engine import (
     run_chunked,
 )
 from repro.resilience.guards import check_finite
+from repro.resilience.supervise import Execution
 from repro.timing.graph import TimingGraph
 from repro.timing.liberty import DEFAULT_INPUT_SLEW_PS, nominal_node_delays
 from repro.timing.sta import (
@@ -261,10 +263,6 @@ class TimingMonteCarlo:
     oracle.
     """
 
-    #: Minimum number of chunks a default-chunked run is split into, so
-    #: process pools always receive work (mirrors the chip simulator).
-    DEFAULT_PARALLEL_GRAIN = 16
-
     def __init__(
         self,
         graph: TimingGraph,
@@ -440,12 +438,6 @@ class TimingMonteCarlo:
             raise ValueError("factor must be positive")
         return factor * self.nominal_critical_path_ps()
 
-    def _default_trial_chunk(self, n_trials: int) -> int:
-        """Trials per batch, bounded by the engine's element budget."""
-        return default_trial_chunk(
-            self._per_trial_elements, n_trials, grain=self.DEFAULT_PARALLEL_GRAIN
-        )
-
     # ------------------------------------------------------------------
     # Monte Carlo
     # ------------------------------------------------------------------
@@ -455,33 +447,29 @@ class TimingMonteCarlo:
         n_trials: int,
         rng: np.random.Generator,
         t_clk_ps: Optional[float] = None,
-        n_workers: int = 1,
-        trial_chunk: Optional[int] = None,
         oracle: bool = False,
+        execution: Execution = Execution(),
     ) -> TimingYieldResult:
         """Run ``n_trials`` joint functional/timing fabrications.
 
         Parameters
         ----------
         n_trials:
-            Number of whole-chip trials.
+            Number of whole-chip trials, in chunks bounded by the engine's
+            element budget (:func:`~repro.montecarlo.engine.default_trial_chunk`).
         rng:
             Root generator; each fixed-size trial chunk consumes its own
             spawned stream, so results are bitwise invariant to
-            ``n_workers``.
+            ``execution``.
         t_clk_ps:
             Clock period the parametric yield is judged against; defaults
             to :meth:`default_t_clk_ps` (1.2 × the nominal critical path).
-        n_workers:
-            Processes to spread the chunks over (identical results).
-        trial_chunk:
-            Trials per batch; the default bounds the per-chunk element
-            count while keeping at least
-            :attr:`DEFAULT_PARALLEL_GRAIN` chunks.
         oracle:
             Use the per-trial scalar STA walk instead of the batched
             levelized sweep — same sampled delays, bitwise-equal critical
             paths, for equivalence testing and benchmarking.
+        execution:
+            How the chunks run (:class:`~repro.resilience.supervise.Execution`).
         """
         if n_trials <= 0:
             raise ValueError("n_trials must be positive")
@@ -489,16 +477,14 @@ class TimingMonteCarlo:
             t_clk_ps = self.default_t_clk_ps()
         if t_clk_ps <= 0:
             raise ValueError("t_clk_ps must be positive")
-        if trial_chunk is None:
-            trial_chunk = self._default_trial_chunk(n_trials)
-        payload = replace(self._payload, scalar_oracle=bool(oracle))
         chunks = run_chunked(
             self._worker,
-            payload,
+            replace(self._payload, scalar_oracle=bool(oracle)),
             n_trials,
             rng,
-            trial_chunk=trial_chunk,
-            n_workers=n_workers,
+            default_trial_chunk(self._per_trial_elements, n_trials),
+            execution,
+            "timing",
         )
         failing_devices = np.concatenate([c[0] for c in chunks])
         crit = np.concatenate([c[1] for c in chunks]).astype(float)

@@ -208,15 +208,14 @@ def test_concurrent_threads_match_serial_runs(chip):
     # More threads than cores on the shared default backend, switching
     # often: a slab shared across threads would corrupt some run.
     seeds = (21, 22, 23, 24)
-    serial = [chip.run(N_TRIALS, np.random.default_rng(s), trial_chunk=CHUNK)
-              for s in seeds]
+    serial = [chip.run(N_TRIALS, np.random.default_rng(s)) for s in seeds]
     results = {}
     barrier = threading.Barrier(len(seeds))
 
     def worker(seed):
         barrier.wait(timeout=30)
         results[seed] = [
-            chip.run(N_TRIALS, np.random.default_rng(seed), trial_chunk=CHUNK)
+            chip.run(N_TRIALS, np.random.default_rng(seed))
             for _ in range(3)
         ]
 

@@ -75,7 +75,7 @@ def _chip_runs(placement):
         ChipMonteCarlo(
             placement, pitch=ExponentialPitch(4.0), type_model=TYPE_MODEL,
             backend=chosen,
-        ).run(12, np.random.default_rng(3), trial_chunk=4)
+        ).run(12, np.random.default_rng(3))
         for chosen in (backend, None)
     ]
     return backend, runs

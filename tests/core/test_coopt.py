@@ -17,6 +17,7 @@ from repro.core.coopt import (
 from repro.core.failure import FIG2_1_CORNERS
 from repro.montecarlo.chip_sim import ChipMonteCarlo
 from repro.netlist.openrisc import openrisc_width_histogram
+from repro.resilience import Execution
 
 DESIGN = openrisc_width_histogram(1.0e8)
 
@@ -298,7 +299,10 @@ class TestValidation:
         # validation) is bitwise identical for any worker count.
         again = make_optimizer(
             process_points=process_grid(densities_per_um=(250.0,))
-        ).run(validate_trials=48, validate_top=1, n_workers=2)
+        ).run(
+            validate_trials=48, validate_top=1,
+            execution=Execution(n_workers=2),
+        )
         assert front_fingerprint(again) == front_fingerprint(validated)
         a, b = validated.validations[0], again.validations[0]
         assert a.mc_chip_yield == b.mc_chip_yield
@@ -327,6 +331,26 @@ class TestValidation:
         assert 0.0 < checks[1].functional_yield < 1.0
         assert abs(checks[1].z_score) < 4.0
 
+    def test_checkpointed_validations_resume(self, validated, tmp_path):
+        # Every validated rank is its own campaign, so two ranks share a
+        # checkpoint directory and a rerun resumes both bitwise.
+        optimizer = make_optimizer(
+            process_points=process_grid(densities_per_um=(250.0,))
+        )
+        execution = Execution(checkpoint_dir=tmp_path)
+        first = optimizer.run(
+            validate_trials=48, validate_top=2, execution=execution
+        )
+        resumed = optimizer.run(
+            validate_trials=48, validate_top=2, execution=execution
+        )
+        assert len(first.validations) == 2
+        assert resumed.validations == first.validations
+        assert first.validations[0] == validated.validations[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "validate-0", "validate-1",
+        ]
+
     def test_seed_changes_validation_not_front(self, validated):
         other = make_optimizer(
             process_points=process_grid(densities_per_um=(250.0,)),
@@ -341,7 +365,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             optimizer.run(validate_top=0)
         with pytest.raises(ValueError):
-            optimizer.run(n_workers=0)
+            optimizer.run(execution=Execution(n_workers=0))
 
 
 class TestDifferentCorners:

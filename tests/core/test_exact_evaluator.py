@@ -14,9 +14,11 @@ x = W / µS.  These tests pin:
 * the precision of the short term at tiny ``b``, against the
   positive-terms form of ``1 - PGF(1 - b)``;
 * the bitwise contracts: Poisson values equal the per-density closed form,
-  and ``b = 0`` is the opens-only path.
+  ``b = 0`` is the opens-only path, and the joint path reads one pmf grid
+  per width block without changing a value.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +26,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.correlation import CorrelationParameters
-from repro.core.count_model import PoissonCountModel, count_model_from_pitch
+from repro.core.count_model import (
+    WIDTH_BLOCK,
+    PoissonCountModel,
+    count_model_from_pitch,
+)
 from repro.core.failure import CNFETFailureModel, log_failure_probabilities
 from repro.device.shorts import joint_failure_probability, short_only_failure_probability
 from repro.growth.pitch import ExponentialPitch, GammaPitch, TruncatedNormalPitch
@@ -137,6 +143,37 @@ class TestBitwiseContracts:
         assert np.array_equal(
             log_failure_probabilities(counts, widths, pf, 0.0), opens_only
         )
+
+    @pytest.mark.parametrize("b,digest", [
+        (0.0, "9b99210283fbf9919d748f3a53a2f54479b5628b3b4a7244a318dc82be3d0cef"),
+        (0.01, "3be11eb92da32faa05212a7602ec1f98cbefc8bae98ab43035a11842d358ae3d"),
+        (0.2, "847deea0f62a529fab424bd1c3b32cde8d20a8fb717b0623fa8d0dc58308defa"),
+    ])
+    def test_gamma_values_pinned(self, b, digest):
+        # SHA-256 of the float64 bytes the two-grid evaluator (one pmf
+        # grid per term) gave on this gamma CV 0.5 grid: forming both
+        # joint terms from one grid keeps every value bitwise.
+        counts = count_model_from_pitch(GammaPitch(1.0, 0.5))
+        values = log_failure_probabilities(
+            counts, np.linspace(2.0, 60.0, 600), 0.3, b
+        )
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("b", [0.0, 0.05])
+    def test_one_pmf_grid_per_width_block(self, b, monkeypatch):
+        counts = count_model_from_pitch(GammaPitch(1.0, 0.5))
+        calls = []
+        grid = type(counts).pmf_grid
+
+        def counted(self, widths_nm):
+            calls.append(len(widths_nm))
+            return grid(self, widths_nm)
+
+        monkeypatch.setattr(type(counts), "pmf_grid", counted)
+        widths = np.random.default_rng(0).uniform(5.0, 80.0, 2_000)
+        log_failure_probabilities(counts, widths, 0.3, b)
+        assert len(calls) == -(-widths.size // WIDTH_BLOCK)
+        assert sum(calls) == widths.size
 
 
 class TestSmallShortProbability:

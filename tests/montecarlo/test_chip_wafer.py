@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.montecarlo.engine as engine
 from repro.analysis.mispositioned import MisalignmentImpactModel
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import ExponentialPitch
@@ -31,6 +32,7 @@ from repro.montecarlo.wafer_sim import (
 )
 from repro.netlist.openrisc import build_openrisc_like_design
 from repro.netlist.placement import RowPlacement
+from repro.resilience import Execution
 from repro.reporting.tables import (
     CHIP_WAFER_SUMMARY_COLUMNS,
     chip_wafer_summary_rows,
@@ -97,7 +99,8 @@ class TestSharedGeometryEquivalence:
     def test_n_workers_bitwise_invariant(self, chip, wafer):
         serial = run_chip_wafer(wafer, chip, n_trials=16, seed_key=(9,))
         pooled = run_chip_wafer(
-            wafer, chip, n_trials=16, seed_key=(9,), n_workers=3
+            wafer, chip, n_trials=16, seed_key=(9,),
+            execution=Execution(n_workers=3),
         )
         assert serial.dice == pooled.dice
 
@@ -138,13 +141,14 @@ class TestYieldViews:
         assert result.device_counts == counts
         assert result.device_count == chip.device_count
 
-    def test_trial_chunk_override_preserves_statistics(self, chip, wafer):
+    def test_chunk_layout_change_preserves_statistics(
+        self, chip, wafer, monkeypatch
+    ):
         # Different chunking, same streams-per-chunk layout change: the
         # estimates remain valid (means over the same number of trials).
         a = run_chip_wafer(wafer, chip, n_trials=32, seed_key=(17,))
-        b = run_chip_wafer(
-            wafer, chip, n_trials=32, seed_key=(17,), trial_chunk=8
-        )
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_ELEMENTS", 1)
+        b = run_chip_wafer(wafer, chip, n_trials=32, seed_key=(17,))
         for da, db in zip(a.dice, b.dice):
             assert da.n_trials == db.n_trials == 32
 
@@ -217,7 +221,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_chip_wafer(wafer, chip, n_trials=0)
         with pytest.raises(ValueError):
-            run_chip_wafer(wafer, chip, n_trials=8, n_workers=0)
+            run_chip_wafer(
+                wafer, chip, n_trials=8, execution=Execution(n_workers=0)
+            )
         with pytest.raises(ValueError):
             run_chip_wafer(wafer, chip, n_trials=8, good_die_threshold=2.0)
         with pytest.raises(ValueError):

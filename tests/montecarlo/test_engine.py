@@ -27,7 +27,7 @@ from repro.montecarlo.engine import (
 )
 from repro.netlist.design import Design
 from repro.netlist.placement import RowPlacement
-from repro.resilience import SupervisorError
+from repro.resilience import Execution, SupervisorError
 
 
 def _brute_force_counts(batch, weights, lo, hi):
@@ -446,11 +446,11 @@ class TestRunChunked:
     def test_serial_matches_parallel(self):
         serial = run_chunked(
             _sum_of_stream, 2.0, 50, np.random.default_rng(7),
-            trial_chunk=13, n_workers=1,
+            trial_chunk=13, execution=Execution(n_workers=1),
         )
         parallel = run_chunked(
             _sum_of_stream, 2.0, 50, np.random.default_rng(7),
-            trial_chunk=13, n_workers=2,
+            trial_chunk=13, execution=Execution(n_workers=2),
         )
         assert len(serial) == len(parallel) == 4
         for (a,), (b,) in zip(serial, parallel):
@@ -460,7 +460,7 @@ class TestRunChunked:
         with pytest.raises(ValueError):
             run_chunked(
                 _sum_of_stream, 1.0, 10, np.random.default_rng(0),
-                trial_chunk=5, n_workers=0,
+                trial_chunk=5, execution=Execution(n_workers=0),
             )
 
     def _assert_recovers(self, tmp_path, mode, n_workers):
@@ -473,7 +473,8 @@ class TestRunChunked:
         marker = tmp_path / "failed-once"
         recovered = run_chunked(
             _fail_first_call, (str(marker), mode), 50,
-            np.random.default_rng(7), trial_chunk=13, n_workers=n_workers,
+            np.random.default_rng(7), trial_chunk=13,
+            execution=Execution(n_workers=n_workers),
         )
         assert marker.exists()  # the first call really failed
         assert len(clean) == len(recovered) == 4

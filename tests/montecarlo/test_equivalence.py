@@ -18,6 +18,7 @@ from repro.core.correlation import LayoutScenario
 from repro.core.count_model import PoissonCountModel
 from repro.core.failure import CNFETFailureModel
 from repro.growth.pitch import ExponentialPitch, GammaPitch
+import repro.montecarlo.engine as engine
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.chip_sim import ChipMonteCarlo
 from repro.montecarlo.device_sim import DeviceMonteCarlo
@@ -25,6 +26,7 @@ from repro.montecarlo.experiments import compare_chip_engines
 from repro.montecarlo.row_sim import RowMonteCarlo, RowScenarioConfig
 from repro.netlist.design import Design
 from repro.netlist.placement import RowPlacement
+from repro.resilience import Execution
 
 N_SIGMA = 5.0
 
@@ -151,15 +153,16 @@ class TestChipLevelEquivalence:
             pitch=ExponentialPitch(20.0),
             type_model=measurable_type_model,
         )
-        serial = simulator.run(
-            24, np.random.default_rng(9), n_workers=1, trial_chunk=7
-        )
+        # The default grain splits 24 trials into 12 chunks.
+        serial = simulator.run(24, np.random.default_rng(9))
         parallel = simulator.run(
-            24, np.random.default_rng(9), n_workers=2, trial_chunk=7
+            24, np.random.default_rng(9), execution=Execution(n_workers=2)
         )
         assert serial == parallel
 
-    def test_chunking_invariant(self, block_placement, measurable_type_model):
+    def test_chunking_invariant(
+        self, block_placement, measurable_type_model, monkeypatch
+    ):
         # The same seed with different chunk sizes must stay within the
         # Monte Carlo error (chunking changes stream layout, not the law).
         simulator = ChipMonteCarlo(
@@ -167,8 +170,9 @@ class TestChipLevelEquivalence:
             pitch=ExponentialPitch(20.0),
             type_model=measurable_type_model,
         )
-        a = simulator.run(40, np.random.default_rng(5), trial_chunk=5)
-        b = simulator.run(40, np.random.default_rng(5), trial_chunk=40)
+        a = simulator.run(40, np.random.default_rng(5))  # 14 chunks of <= 3
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_ELEMENTS", 1)
+        b = simulator.run(40, np.random.default_rng(5))  # 40 chunks of 1
         se = math.hypot(a.std_failing_devices, b.std_failing_devices) / math.sqrt(40)
         _assert_within_sigma(a.mean_failing_devices, b.mean_failing_devices, se)
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.montecarlo.engine as engine
 from repro.growth.pitch import (
     ExponentialPitch,
     GammaPitch,
@@ -25,6 +26,7 @@ from repro.montecarlo.rare_event import (
     sample_weighted_track_batch,
     window_stopped_log_weights,
 )
+from repro.resilience import Execution
 
 PF = 1.0 / 3.0 + (2.0 / 3.0) * 0.3
 
@@ -135,35 +137,30 @@ class TestWeightProperties:
 class TestEstimatorInvariance:
     """Mirrors PR 1's bitwise-invariance tests for the weighted estimator."""
 
-    @pytest.mark.parametrize("n_samples,trial_chunk", [
-        (1_000, 137),
-        (2_048, 256),
-        (777, 50),
-    ])
-    def test_bitwise_invariant_to_n_workers(self, n_samples, trial_chunk):
+    @pytest.mark.parametrize("n_samples", [1_000, 2_048, 777])
+    def test_bitwise_invariant_to_n_workers(self, n_samples):
         pitch = ExponentialPitch(4.0)
         results = [
             estimate_device_failure_tilted(
                 pitch, PF, 120.0, n_samples, np.random.default_rng(7),
-                trial_chunk=trial_chunk, n_workers=n_workers,
+                execution=Execution(n_workers=n_workers),
             )
             for n_workers in (1, 2, 3)
         ]
         assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_statistically_invariant_to_chunk_size(self, seed):
+    def test_statistically_invariant_to_chunk_size(self, seed, monkeypatch):
         # Different chunk sizes consume different spawn-key streams, so the
         # invariance is statistical (same law), exactly as for the naive
         # engine's chunking test.
         pitch = ExponentialPitch(4.0)
         a = estimate_device_failure_tilted(
             pitch, PF, 120.0, 8_000, np.random.default_rng(seed),
-            trial_chunk=97,
         )
+        monkeypatch.setattr(engine, "DEFAULT_BATCH_ELEMENTS", 2_000)
         b = estimate_device_failure_tilted(
             pitch, PF, 120.0, 8_000, np.random.default_rng(seed),
-            trial_chunk=8_000,
         )
         se = math.hypot(a.standard_error, b.standard_error)
         assert abs(a.estimate - b.estimate) <= 5.0 * se

@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.montecarlo.engine as engine
 from repro.cells.nangate45 import build_nangate45_library
 from repro.core.correlation import LayoutScenario
 from repro.core.count_model import PoissonCountModel
@@ -30,6 +31,7 @@ from repro.growth.wafer import WaferGrowthModel
 from repro.montecarlo.wafer_sim import simulate_wafer
 from repro.netlist.design import Design
 from repro.netlist.placement import RowPlacement
+from repro.resilience import Execution
 
 N_SIGMA = 6.0
 
@@ -163,25 +165,27 @@ class TestChipLevelShorts:
         assert record.standard_error > 0.0
         assert record.agrees(n_sigma=N_SIGMA, rtol=0.1)
 
-    @pytest.mark.parametrize("n_workers,trial_chunk", [
-        (2, 7), (3, 7), (2, 24), (3, 5),
+    @pytest.mark.parametrize("n_workers,batch_elements", [
+        (2, None), (3, None), (2, 1), (3, 1),
     ])
     def test_multi_worker_bitwise_identical(
-        self, block_placement, shorts_type_model, n_workers, trial_chunk
+        self, block_placement, shorts_type_model, n_workers, batch_elements,
+        monkeypatch,
     ):
         # Acceptance criterion: joint chip yield from the batched engine
-        # is bitwise equal at equal seed across the worker/chunking grid.
+        # is bitwise equal at equal seed across the worker/chunking grid
+        # (the default grain's 12 chunks of 2, or 24 chunks of 1).
+        if batch_elements is not None:
+            monkeypatch.setattr(engine, "DEFAULT_BATCH_ELEMENTS", batch_elements)
         simulator = ChipMonteCarlo(
             block_placement,
             pitch=ExponentialPitch(20.0),
             type_model=shorts_type_model,
         )
-        serial = simulator.run(
-            24, np.random.default_rng(9), n_workers=1, trial_chunk=trial_chunk
-        )
+        serial = simulator.run(24, np.random.default_rng(9))
         parallel = simulator.run(
             24, np.random.default_rng(9),
-            n_workers=n_workers, trial_chunk=trial_chunk,
+            execution=Execution(n_workers=n_workers),
         )
         assert serial == parallel
 
@@ -236,8 +240,8 @@ class TestChipLevelShorts:
             pitch=ExponentialPitch(20.0),
             type_model=CNTTypeModel(0.0, 0.5, 0.4),
         )
-        a = opens.run(16, np.random.default_rng(3), trial_chunk=6)
-        b = gated.run(16, np.random.default_rng(3), trial_chunk=6)
+        a = opens.run(16, np.random.default_rng(3))
+        b = gated.run(16, np.random.default_rng(3))
         assert a == b
 
 
@@ -254,12 +258,11 @@ class TestWaferLevelShorts:
             n_trials=64, seed_key=(5,),
         )
         serial = simulate_wafer(
-            wafer, ExponentialPitch(4.0), shorts_type_model,
-            n_workers=1, **kwargs,
+            wafer, ExponentialPitch(4.0), shorts_type_model, **kwargs,
         )
         parallel = simulate_wafer(
             wafer, ExponentialPitch(4.0), shorts_type_model,
-            n_workers=3, **kwargs,
+            execution=Execution(n_workers=3), **kwargs,
         )
         assert serial.dice == parallel.dice
 

@@ -26,6 +26,7 @@ from repro.growth.pitch import (
 from repro.growth.types import CNTTypeModel
 from repro.growth.wafer import WaferMap
 from repro.montecarlo.wafer_sim import per_die_loop, simulate_die, simulate_wafer
+from repro.resilience import Execution
 
 TYPE_MODEL = CNTTypeModel(1.0 / 3.0, 1.0, 0.3)
 
@@ -117,7 +118,8 @@ class TestWaferCombinationProperties:
         serial = simulate_wafer(wafer, GammaPitch(4.0, 0.7), TYPE_MODEL,
                                 [90.0], **kwargs)
         pooled = simulate_wafer(wafer, GammaPitch(4.0, 0.7), TYPE_MODEL,
-                                [90.0], n_workers=n_workers, **kwargs)
+                                [90.0], execution=Execution(n_workers=n_workers),
+                                **kwargs)
         assert serial == pooled
 
     @SETTINGS

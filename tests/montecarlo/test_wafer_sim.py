@@ -12,6 +12,7 @@ from repro.growth.pitch import ExponentialPitch, GammaPitch
 from repro.growth.types import CNTTypeModel
 from repro.growth.wafer import WaferGrowthModel, WaferMap
 from repro.montecarlo.engine import BLOCK, tight_gap_budget
+from repro.resilience import Execution
 from repro.montecarlo.wafer_sim import (
     die_stream,
     per_die_loop,
@@ -102,7 +103,7 @@ class TestStackedRunner:
         )
         pooled = simulate_wafer(
             wafer, ExponentialPitch(4.0), sparse_type_model, WIDTHS, COUNTS,
-            n_trials=64, seed_key=(17,), n_workers=3,
+            n_trials=64, seed_key=(17,), execution=Execution(n_workers=3),
         )
         assert serial.dice == pooled.dice
 
@@ -163,7 +164,7 @@ class TestStackedRunner:
                            [-1.0], n_trials=8)
         with pytest.raises(ValueError):
             simulate_wafer(wafer, pitch, sparse_type_model, [100.0],
-                           n_trials=8, n_workers=0)
+                           n_trials=8, execution=Execution(n_workers=0))
         with pytest.raises(ValueError):
             simulate_wafer(wafer, pitch, sparse_type_model, [100.0],
                            n_trials=8, good_die_threshold=1.5)
@@ -326,7 +327,8 @@ class TestCorrelatedFieldWaferRuns:
         )
         pooled = simulate_wafer(
             field_wafer, ExponentialPitch(4.0), sparse_type_model,
-            WIDTHS, COUNTS, n_trials=64, seed_key=(29,), n_workers=3,
+            WIDTHS, COUNTS, n_trials=64, seed_key=(29,),
+            execution=Execution(n_workers=3),
         )
         assert reordered.dice == reference.dice
         assert pooled.dice == reference.dice

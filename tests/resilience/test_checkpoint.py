@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.mispositioned import MisalignmentImpactModel
+from repro.backend import backend_signature
 from repro.growth.pitch import DeterministicPitch, ExponentialPitch, GammaPitch
 from repro.resilience import (
     CheckpointError,
     CheckpointStore,
+    Execution,
     corrupt_file,
     fingerprint_parts,
-    open_campaign,
 )
 
 
@@ -61,16 +62,20 @@ class TestFingerprint:
         )
 
 
-class TestOpenCampaign:
+class TestExecutionCheckpoint:
     def test_no_directory_means_no_checkpoint(self):
-        assert open_campaign(None, "test", 4, True, "part") is None
+        assert Execution().checkpoint("test", 4, "part") is None
 
     def test_fingerprint_covers_name_and_parts(self, tmp_path):
-        opened = open_campaign(tmp_path, "test", 4, True, "part", 1)
+        opened = Execution(checkpoint_dir=tmp_path).checkpoint(
+            "test", 4, "part", 1
+        )
         assert opened.directory == tmp_path / "test"
-        assert opened.fingerprint == fingerprint_parts("test", "part", 1)
+        assert opened.fingerprint == fingerprint_parts(
+            "test", backend_signature(None), "part", 1
+        )
         with pytest.raises(CheckpointError, match="fingerprint"):
-            open_campaign(tmp_path, "test", 4, True, "part", 2)
+            Execution(checkpoint_dir=tmp_path).checkpoint("test", 4, "part", 2)
 
 
 class TestCampaignCheckpoint:

@@ -28,6 +28,7 @@ from repro.netlist.design import Design
 from repro.netlist.placement import RowPlacement
 from repro.resilience import (
     CheckpointError,
+    Execution,
     FaultPlan,
     NumericalGuardError,
     RetryPolicy,
@@ -74,14 +75,11 @@ def _chip_fields(result):
 
 
 class TestChipResume:
-    N_TRIALS = 96
-    CHUNK = 16  # six units per campaign
+    N_TRIALS = 96  # sixteen units per campaign
 
     def _run(self, chip, **kwargs):
         rng = np.random.default_rng(42)
-        return chip.run(
-            self.N_TRIALS, rng, trial_chunk=self.CHUNK, **kwargs
-        )
+        return chip.run(self.N_TRIALS, rng, execution=Execution(**kwargs))
 
     def test_checkpointed_run_matches_plain(self, chip, tmp_path):
         plain = self._run(chip)
@@ -117,8 +115,7 @@ class TestChipResume:
             chip.run(
                 self.N_TRIALS,
                 rng,
-                trial_chunk=self.CHUNK,
-                checkpoint_dir=str(tmp_path),
+                execution=Execution(checkpoint_dir=str(tmp_path)),
             )
 
     def test_nan_injection_trips_numerical_guard(self, chip, tmp_path):
@@ -141,7 +138,7 @@ class TestWaferResume:
             device_counts=[1.0e6],
             n_trials=64,
             seed_key=(5,),
-            **kwargs,
+            execution=Execution(**kwargs),
         )
 
     def test_kill_then_resume_is_bitwise_identical(
@@ -175,7 +172,8 @@ class TestWaferResume:
 class TestChipWaferResume:
     def _run(self, wafer, chip, **kwargs):
         return run_chip_wafer(
-            wafer, chip, n_trials=16, seed_key=(5,), **kwargs
+            wafer, chip, n_trials=16, seed_key=(5,),
+            execution=Execution(**kwargs),
         )
 
     def test_kill_then_resume_is_bitwise_identical(
@@ -212,10 +210,10 @@ class TestSweepResume:
     def test_resume_replays_without_evaluations(self, tmp_path):
         plain = SurfaceBuilder(self._spec()).build_report()
         first = SurfaceBuilder(
-            self._spec(), checkpoint_dir=str(tmp_path)
+            self._spec(), Execution(checkpoint_dir=str(tmp_path))
         ).build_report()
         resumed = SurfaceBuilder(
-            self._spec(), checkpoint_dir=str(tmp_path)
+            self._spec(), Execution(checkpoint_dir=str(tmp_path))
         ).build_report()
         assert first.surface.content_hash == plain.surface.content_hash
         assert resumed.surface.content_hash == plain.surface.content_hash
@@ -224,24 +222,25 @@ class TestSweepResume:
     def test_corrupt_snapshot_quarantined_and_rebuilt(self, tmp_path):
         plain = SurfaceBuilder(self._spec()).build_report()
         SurfaceBuilder(
-            self._spec(), checkpoint_dir=str(tmp_path)
+            self._spec(), Execution(checkpoint_dir=str(tmp_path))
         ).build_report()
         campaign_dir = tmp_path / "sweep-uncorrelated"
         units = sorted((campaign_dir / "units").glob("*.npz"))
         assert units
         corrupt_file(units[-1], seed=3)
         rebuilt = SurfaceBuilder(
-            self._spec(), checkpoint_dir=str(tmp_path)
+            self._spec(), Execution(checkpoint_dir=str(tmp_path))
         ).build_report()
         assert rebuilt.surface.content_hash == plain.surface.content_hash
         assert list((campaign_dir / "quarantine").glob("*.npz"))
 
     def test_resume_false_recomputes(self, tmp_path):
         first = SurfaceBuilder(
-            self._spec(), checkpoint_dir=str(tmp_path)
+            self._spec(), Execution(checkpoint_dir=str(tmp_path))
         ).build_report()
         fresh = SurfaceBuilder(
-            self._spec(), checkpoint_dir=str(tmp_path), resume=False
+            self._spec(),
+            Execution(checkpoint_dir=str(tmp_path), resume=False),
         ).build_report()
         assert fresh.evaluations == first.evaluations > 0
 
@@ -261,21 +260,21 @@ class TestBackendFingerprint:
 
     def _chip(self, chip, tmp_path, **kwargs):
         return chip.run(
-            32, np.random.default_rng(42), trial_chunk=8,
-            checkpoint_dir=str(tmp_path), **kwargs
+            32, np.random.default_rng(42),
+            execution=Execution(checkpoint_dir=str(tmp_path), **kwargs),
         )
 
     def _wafer(self, wafer, pitch, type_model, tmp_path, **kwargs):
         return simulate_wafer(
             wafer, pitch, type_model, widths_nm=[200.0],
             device_counts=[1.0e6], n_trials=32, seed_key=(5,),
-            checkpoint_dir=str(tmp_path), **kwargs
+            execution=Execution(checkpoint_dir=str(tmp_path), **kwargs),
         )
 
     def _chip_wafer(self, wafer, chip, tmp_path, **kwargs):
         return run_chip_wafer(
             wafer, chip, n_trials=8, seed_key=(5,),
-            checkpoint_dir=str(tmp_path), **kwargs
+            execution=Execution(checkpoint_dir=str(tmp_path), **kwargs),
         )
 
     def test_chip_float32_cannot_resume_float64(
@@ -311,7 +310,7 @@ class TestBackendFingerprint:
             policy=RetryPolicy(max_retries=0, backoff_s=0.0),
             faults=FaultPlan(kill_units=(1,), kill_attempts=1),
         )
-        chip_plain = chip.run(32, np.random.default_rng(42), trial_chunk=8)
+        chip_plain = chip.run(32, np.random.default_rng(42))
         with pytest.raises(SupervisorError):
             self._chip(chip, tmp_path / "chip", **kill)
         resumed = self._chip(chip, tmp_path / "chip")
@@ -346,7 +345,8 @@ class TestFingerprintDrift:
 
         def run(simulator, **kwargs):
             return run_chip_wafer(
-                wafer, simulator, n_trials=8, seed_key=(5,), **kwargs
+                wafer, simulator, n_trials=8, seed_key=(5,),
+                execution=Execution(**kwargs),
             )
 
         assert run(taller).dice != run(chip).dice
@@ -363,7 +363,8 @@ class TestFingerprintDrift:
             return simulate_wafer(
                 wafer, pitch, type_model, widths_nm=[200.0],
                 device_counts=[1.0e6], n_trials=32, seed_key=(5,),
-                misalignment=MisalignmentImpactModel(), **kwargs
+                misalignment=MisalignmentImpactModel(),
+                execution=Execution(**kwargs),
             )
 
         plain = run()
@@ -380,9 +381,9 @@ class TestFingerprintDrift:
     ):
         def run(tilt_factor):
             return chip.run(
-                32, np.random.default_rng(42), trial_chunk=8,
+                32, np.random.default_rng(42),
                 sampler="tilted", tilt_factor=tilt_factor,
-                checkpoint_dir=str(tmp_path),
+                execution=Execution(checkpoint_dir=str(tmp_path)),
             )
 
         run(1.5)
@@ -395,7 +396,6 @@ class TestFingerprintDrift:
 _ALTERNATES = {
     "backend": get_backend("float32"),
     "misalignment": MisalignmentImpactModel(),
-    "trial_chunk": 7,
     "scenario": "uncorrelated",
     "method": "closed_form",
 }
@@ -456,7 +456,6 @@ def _chip_wafer_payload(chip):
         widths_nm=(100.0, 200.0),
         n_trials=16,
         seed_key=(5,),
-        trial_chunk=None,
         misalignment=None,
     )
 

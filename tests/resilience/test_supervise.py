@@ -10,6 +10,7 @@ import pytest
 import repro.resilience.supervise as supervise
 from repro.resilience import (
     CheckpointStore,
+    Execution,
     FaultPlan,
     RetryPolicy,
     SeededChunk,
@@ -46,20 +47,18 @@ class TestInProcessSupervision:
 
     def test_killed_unit_retries_bitwise_identical(self):
         expected = [task() for task in _make_tasks()]
-        got = run_supervised(
-            _make_tasks(),
+        got = run_supervised(_make_tasks(), Execution(
             policy=RetryPolicy(max_retries=2, backoff_s=0.0),
             faults=FaultPlan(kill_units=(1,), kill_attempts=1),
-        )
+        ))
         assert got == expected
 
     def test_retry_budget_exhaustion_raises_structured_error(self):
         with pytest.raises(SupervisorError) as err:
-            run_supervised(
-                _make_tasks(),
+            run_supervised(_make_tasks(), Execution(
                 policy=RetryPolicy(max_retries=1, backoff_s=0.0),
                 faults=FaultPlan(kill_units=(2,), kill_attempts=5),
-            )
+            ))
         assert err.value.unit == 2
         assert err.value.attempts == 2
         assert "retry budget exhausted" in str(err.value)
@@ -68,11 +67,10 @@ class TestInProcessSupervision:
         # kill_mode="exit" would take the test runner down with it; the
         # in-process path must downgrade it to a raised WorkerCrash.
         expected = [task() for task in _make_tasks()]
-        got = run_supervised(
-            _make_tasks(),
+        got = run_supervised(_make_tasks(), Execution(
             policy=RetryPolicy(max_retries=1, backoff_s=0.0),
             faults=FaultPlan(kill_units=(0,), kill_attempts=1, kill_mode="exit"),
-        )
+        ))
         assert got == expected
 
     def test_nan_injection_poisons_result(self):
@@ -84,7 +82,9 @@ class TestInProcessSupervision:
         tasks = [
             SeededChunk(array_worker, None, 16, seq, bg) for seq in seqs
         ]
-        results = run_supervised(tasks, faults=FaultPlan(nan_units=(1,)))
+        results = run_supervised(
+            tasks, Execution(faults=FaultPlan(nan_units=(1,)))
+        )
         assert not np.isnan(results[0]).any()
         assert np.isnan(results[1]).any()
 
@@ -92,29 +92,27 @@ class TestInProcessSupervision:
 class TestPoolSupervision:
     def test_worker_death_rebuilds_pool_and_matches(self):
         expected = [task() for task in _make_tasks()]
-        got = run_supervised(
-            _make_tasks(),
+        got = run_supervised(_make_tasks(), Execution(
             n_workers=2,
             policy=RetryPolicy(max_retries=2, backoff_s=0.0),
             faults=FaultPlan(kill_units=(1,), kill_attempts=1, kill_mode="exit"),
-        )
+        ))
         assert got == expected
 
     def test_timeout_exhausts_retries(self):
         with pytest.raises(SupervisorError) as err:
-            run_supervised(
-                _make_tasks(n_units=2),
+            run_supervised(_make_tasks(n_units=2), Execution(
                 n_workers=2,
                 policy=RetryPolicy(
                     max_retries=0, timeout_s=0.15, backoff_s=0.0
                 ),
                 faults=FaultPlan(delay_units=(1,), delay_s=5.0),
-            )
+            ))
         assert err.value.unit == 1
 
     def test_pool_no_faults_matches_in_process(self):
         expected = run_supervised(_make_tasks())
-        got = run_supervised(_make_tasks(), n_workers=2)
+        got = run_supervised(_make_tasks(), Execution(n_workers=2))
         assert got == expected
 
     def test_pool_breaking_during_submit_retries_the_rest(self, monkeypatch):
@@ -143,11 +141,10 @@ class TestPoolSupervision:
             supervise, "ProcessPoolExecutor", BreaksOnSecondSubmit
         )
         expected = [task() for task in _make_tasks()]
-        got = run_supervised(
-            _make_tasks(),
+        got = run_supervised(_make_tasks(), Execution(
             n_workers=2,
             policy=RetryPolicy(max_retries=1, backoff_s=0.0),
-        )
+        ))
         assert got == expected
         assert len(pools) == 2
         assert pools[1].submitted == 3
@@ -180,8 +177,10 @@ class TestCheckpointIntegration:
         with pytest.raises(SupervisorError):
             run_supervised(
                 _make_tasks(),
-                policy=RetryPolicy(max_retries=0, backoff_s=0.0),
-                faults=FaultPlan(kill_units=(2,), kill_attempts=1),
+                Execution(
+                    policy=RetryPolicy(max_retries=0, backoff_s=0.0),
+                    faults=FaultPlan(kill_units=(2,), kill_attempts=1),
+                ),
                 checkpoint=store.campaign("camp", fingerprint, 4),
             )
         saved = store.campaign("camp", fingerprint, 4).completed_units()

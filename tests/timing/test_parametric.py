@@ -7,11 +7,11 @@ from repro.analysis.delay import GateDelayModel
 from repro.core.count_model import PoissonCountModel
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.chip_sim import ChipMonteCarlo
+from repro.resilience import Execution
 from repro.timing import TimingMonteCarlo, parse_timing_graph
 
 N_TRIALS = 64
 SEED = 123
-CHUNK = 8
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +22,7 @@ def tmc(derived_timing, timing_chip):
 @pytest.fixture(scope="module")
 def baseline(tmc):
     return tmc.run(
-        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
+        N_TRIALS, np.random.default_rng(SEED)
     )
 
 
@@ -36,7 +36,7 @@ def test_yields_are_non_degenerate(baseline):
 
 def test_batched_sta_bitwise_equals_scalar_oracle(tmc, baseline):
     oracle = tmc.run(
-        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK, oracle=True
+        N_TRIALS, np.random.default_rng(SEED), oracle=True
     )
     assert np.array_equal(baseline.critical_path_ps, oracle.critical_path_ps)
     assert np.array_equal(baseline.functional_fail, oracle.functional_fail)
@@ -44,7 +44,8 @@ def test_batched_sta_bitwise_equals_scalar_oracle(tmc, baseline):
 
 def test_bitwise_invariant_to_n_workers(tmc, baseline):
     parallel = tmc.run(
-        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK, n_workers=2
+        N_TRIALS, np.random.default_rng(SEED),
+        execution=Execution(n_workers=2),
     )
     assert np.array_equal(baseline.critical_path_ps, parallel.critical_path_ps)
     assert np.array_equal(baseline.functional_fail, parallel.functional_fail)
@@ -63,10 +64,10 @@ def test_functional_yield_matches_chip_monte_carlo(timing_chip, variant):
         kwargs["min_working_tubes"] = 2
     chip = ChipMonteCarlo(timing_chip.placement, **kwargs)
     timed = TimingMonteCarlo.from_chip(chip, seed=7).run(
-        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
+        N_TRIALS, np.random.default_rng(SEED)
     )
     functional = chip.run(
-        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
+        N_TRIALS, np.random.default_rng(SEED)
     )
     assert timed.functional_yield == functional.chip_yield
 
@@ -90,9 +91,9 @@ def test_failing_devices_match_chip_monte_carlo(timing_chip, variant, monkeypatc
         return reduce_result(self, failing_devices, failing_rows)
 
     monkeypatch.setattr(ChipMonteCarlo, "_result", capture)
-    functional = chip.run(N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK)
+    functional = chip.run(N_TRIALS, np.random.default_rng(SEED))
     timed = TimingMonteCarlo.from_chip(chip, seed=7).run(
-        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
+        N_TRIALS, np.random.default_rng(SEED)
     )
     np.testing.assert_array_equal(timed.failing_devices, captured[0])
     assert timed.failing_devices.any()
@@ -172,10 +173,10 @@ def graph_tmc():
 
 def test_from_graph_runs_and_matches_oracle(graph_tmc):
     res = graph_tmc.run(
-        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
+        N_TRIALS, np.random.default_rng(SEED)
     )
     oracle = graph_tmc.run(
-        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK, oracle=True
+        N_TRIALS, np.random.default_rng(SEED), oracle=True
     )
     assert np.array_equal(res.critical_path_ps, oracle.critical_path_ps)
     assert res.n_trials == N_TRIALS
@@ -184,10 +185,11 @@ def test_from_graph_runs_and_matches_oracle(graph_tmc):
 
 def test_from_graph_invariant_to_n_workers(graph_tmc):
     serial = graph_tmc.run(
-        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK
+        N_TRIALS, np.random.default_rng(SEED)
     )
     parallel = graph_tmc.run(
-        N_TRIALS, np.random.default_rng(SEED), trial_chunk=CHUNK, n_workers=2
+        N_TRIALS, np.random.default_rng(SEED),
+        execution=Execution(n_workers=2),
     )
     assert np.array_equal(serial.critical_path_ps, parallel.critical_path_ps)
     assert np.array_equal(serial.functional_fail, parallel.functional_fail)
