@@ -1,7 +1,8 @@
 """The NumPy backend of the batched Monte Carlo engine.
 
-The engine's numerics (gap draw + ``cumsum`` + row-local window searches
-+ prefix sums + stopped likelihood-ratio gathers) run on NumPy.  The steps
+The engine's numerics (slot-major gap draw + running sum down the slot
+axis + column-local window searches + running window counts + stopped
+likelihood-ratio gathers) run on NumPy.  The steps
 that apply the dtype policy or the chunk buffer pool go through
 :class:`~repro.backend.core.NumpyBackend`, in float64 (the bit-identical
 reference) or float32.

@@ -1,29 +1,40 @@
 """The NumPy backend: dtype policy, chunk buffer pool and the engine's steps.
 
-The batched Monte Carlo engine is an array program: one 2D gap draw, a
-``cumsum``, row-local binary searches, prefix sums, and a handful of
-gathers.  :class:`NumpyBackend` carries the steps of that program that
-need more than a plain NumPy call — everything else the kernels call on
-NumPy directly.  A method lives here only when it does at least one of:
+The batched Monte Carlo engine is an array program over *slot-major*
+track batches (gap ``j`` of every trial is one contiguous row): one 2D
+gap draw, a running sum down the slot axis, column-local binary
+searches, running window counts and a handful of gathers.
+:class:`NumpyBackend` carries the steps of that program that need more
+than a plain NumPy call — everything else the kernels call on NumPy
+directly.  A method lives here only when it does at least one of:
 
 * applies the *dtype policy* — ``dtype`` is the storage/compute dtype of
   track positions and values (float64 reference, float32 for
   half-bandwidth runs), ``accum_dtype`` the dtype of the reductions that
   are sensitive to rounding (window sums of float weights and
   likelihood-ratio accumulation), float64 by default even under a
-  float32 storage policy; bool weights are counted exactly in int64;
+  float32 storage policy; bool weights are counted exactly in integers;
 * is served by the *buffer pool* (below);
 * is one of the steps the repository benchmark's timing subclass
   (``perfbench/tracing.py``) overrides to time: :meth:`~NumpyBackend.uniform`,
   :meth:`~NumpyBackend.sample_gaps`, :meth:`~NumpyBackend.cumsum`,
-  :meth:`~NumpyBackend.clip`, :meth:`~NumpyBackend.take_pairs` and
-  :meth:`~NumpyBackend.prefix_sum`.
+  :meth:`~NumpyBackend.take_pairs` and :meth:`~NumpyBackend.prefix_sum`.
+
+Accumulation along the slot axis
+--------------------------------
+:meth:`~NumpyBackend.cumsum` and :meth:`~NumpyBackend.prefix_sum` run
+down axis 0 of a slot-major array.  Two loops give the same bits (each
+column is summed strictly in slot order either way), so the choice is a
+speed choice made by shape, not an option: rows of at least
+:data:`ROW_LOOP_MIN` trials are summed as one vector add per row, which
+streams contiguous memory; narrower batches use ``np.cumsum(axis=0)``,
+whose per-call cost is lower than a Python loop over many short rows.
 
 Bit-identity contract
 ---------------------
 At float64 the backend is *bit-identical* to the same engine written in
-plain NumPy: every method is one NumPy call (two for the float32 cast of
-a draw), and the RNG steps pass the caller's
+plain NumPy: every method is a NumPy call or a loop of elementwise NumPy
+adds, and the RNG steps pass the caller's
 :class:`numpy.random.Generator` straight through (draws always happen in
 the generator's native float64 and are cast to the policy dtype
 afterwards, so the float32 and float64 policies consume identical
@@ -32,9 +43,9 @@ streams).  The conformance suite under ``tests/backend/`` pins this down.
 Buffer pool
 -----------
 Chunked campaigns call the same kernel once per trial chunk with the same
-array shapes.  Inside a :func:`buffer_pool` scope, ``empty``, ``uniform``,
-``cumsum``, ``clip``, ``concatenate`` and ``prefix_sum`` write outputs of
-at least :data:`POOL_MIN_BYTES` into reused byte slabs (through NumPy's
+array shapes.  Inside a :func:`buffer_pool` scope, ``empty`` (and so
+``uniform``), ``concatenate`` and ``prefix_sum`` write outputs of at
+least :data:`POOL_MIN_BYTES` into reused byte slabs (through NumPy's
 ``out=``) instead of fresh allocations, so a chunk does not pay first-touch
 page faults on memory the previous chunk just returned.  The values are
 those of the allocating call.  A slab is handed out again only once no
@@ -63,6 +74,7 @@ import numpy as np
 __all__ = [
     "NumpyBackend",
     "POOL_MIN_BYTES",
+    "ROW_LOOP_MIN",
     "backend_signature",
     "buffer_pool",
     "default_backend",
@@ -201,13 +213,39 @@ def _pooled(shape, dtype) -> Optional[np.ndarray]:
     return slab[:nbytes].view(dtype).reshape(shape)
 
 
+#: Narrowest slot-major row (trials per batch) that :func:`_accumulate`
+#: sums with one vector add per row.  A row add costs about 2 µs of call
+#: overhead; from about this width that is cheaper than the strided
+#: column walk of ``np.cumsum(axis=0)`` (measured on shapes of the chip,
+#: wafer and timing chunks).
+ROW_LOOP_MIN = 512
+
+
+def _accumulate(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cast ``values`` into ``out``, then sum ``out`` down axis 0 in place.
+
+    Returns ``out``, whose row ``j`` holds ``values[0] + ... + values[j]``
+    in ``out``'s dtype; ``out`` may be ``values`` itself.  Casting first
+    keeps every add free of casts, and both paths add each column
+    strictly in slot order, so they agree bit for bit; which one runs
+    depends only on the row width.
+    """
+    if out is not values:
+        np.copyto(out, values)
+    if out.ndim == 2 and out.shape[1] >= ROW_LOOP_MIN:
+        rows = list(out)
+        for j in range(1, len(rows)):
+            np.add(rows[j - 1], rows[j], out=rows[j])
+        return out
+    return np.cumsum(out, axis=0, out=out)
+
+
 class NumpyBackend:
     """The engine's array steps on NumPy under one dtype policy.
 
     Inside a :func:`buffer_pool` scope the outputs of ``empty`` (and so
-    of ``uniform``), ``cumsum``, ``concatenate``, ``clip`` and
-    ``prefix_sum`` come from the pool; the signatures are the same
-    either way.
+    of ``uniform``), ``concatenate`` and ``prefix_sum`` come from the
+    pool; the signatures are the same either way.
     """
 
     #: Backend name recorded in checkpoint fingerprints and run records.
@@ -224,11 +262,14 @@ class NumpyBackend:
         return out if out is not None else np.empty(shape, dtype=dtype)
 
     def cumsum(self, a, axis) -> np.ndarray:
-        """Inclusive cumulative sum along ``axis``."""
-        # Only float sums are pooled: NumPy widens bool and small-integer
-        # sums to the platform integer.
-        out = _pooled(a.shape, a.dtype) if a.dtype.kind == "f" else None
-        return np.cumsum(a, axis=axis, out=out)
+        """Inclusive cumulative sum of a float array along ``axis``, in place.
+
+        Returns ``a`` itself, holding the running sums.  Along axis 0 the
+        sum follows the accumulation rule of the module notes.
+        """
+        if axis == 0:
+            return _accumulate(a, a)
+        return np.cumsum(a, axis=axis, out=a)
 
     def concatenate(self, arrays, axis) -> np.ndarray:
         """Concatenate arrays along ``axis``."""
@@ -239,36 +280,29 @@ class NumpyBackend:
             out = _pooled(shape, np.result_type(*arrays))
         return np.concatenate(arrays, axis=axis, out=out)
 
-    def clip(self, a, lo, hi) -> np.ndarray:
-        """Elementwise clamp of ``a`` into ``[lo, hi]``."""
-        out = None
-        if _POOL.depth:  # outside a scope, skip working out the shape
-            out = _pooled(
-                np.broadcast_shapes(a.shape, np.shape(lo), np.shape(hi)),
-                np.result_type(a, lo, hi),
-            )
-        return np.clip(a, lo, hi, out=out)
-
     def take_pairs(self, a, rows, cols) -> np.ndarray:
         """``a[rows, cols]`` for a 2D array and paired index vectors."""
         return a[rows, cols]
 
     def prefix_sum(self, values, size=None) -> np.ndarray:
-        """Zero-prefixed inclusive cumulative sum.
+        """Zero-prefixed running sum down axis 0 of the first ``size`` rows.
 
-        Returns an array of length ``len(values) + 1`` whose element ``i``
-        is the sum of ``values[:i]``.  Bool values are counted in int64,
-        which is exact; callers cast the differences they take to
-        ``accum_dtype``.  Other values accumulate in ``accum_dtype`` (the
-        window-counting reduction is the engine step most sensitive to
-        float32 rounding, so it gets its own dtype knob).
+        Returns an array of ``size + 1`` rows (``size=None``: every row of
+        ``values``) whose row ``i`` is the sum of ``values[:i]``, per
+        column for a 2D slot-major array.  Bool values are counted in
+        int32, which is exact for any slot count; callers cast the
+        differences they take to ``accum_dtype``.  Other values
+        accumulate in ``accum_dtype`` (the window-counting reduction is
+        the engine step most sensitive to float32 rounding, so it gets
+        its own dtype knob).
         """
+        size = len(values) if size is None else size
         out = self.empty(
-            (size if size is not None else values.shape[0]) + 1,
-            dtype=np.int64 if values.dtype == np.bool_ else self.accum_dtype,
+            (size + 1,) + values.shape[1:],
+            dtype=np.int32 if values.dtype == np.bool_ else self.accum_dtype,
         )
         out[0] = 0
-        np.cumsum(values, out=out[1:])
+        _accumulate(values[:size], out[1:])
         return out
 
     def uniform(self, rng: np.random.Generator, shape) -> np.ndarray:
@@ -290,10 +324,11 @@ class NumpyBackend:
         """Inter-CNT gap draws from ``pitch`` of ``shape``, policy dtype.
 
         ``out`` is an optional pre-allocated destination (a pooled
-        :meth:`empty`).  Exponential and gamma
-        families under the float64 policy draw straight into it; any other
-        case returns a fresh array, so callers must use the *returned*
-        array either way.  The drawn values are identical on both paths.
+        :meth:`empty`, or rows of one); when given, the draws land in it
+        and it is returned.  Exponential and gamma families under the
+        float64 policy draw straight into it; any other case draws a
+        float64 array and casts it into ``out``.  The drawn values are
+        identical on both paths.
         """
         if out is not None and self.dtype == np.dtype(np.float64):
             # ``Generator.exponential(scale)`` / ``gamma(k, scale)`` are
@@ -310,7 +345,10 @@ class NumpyBackend:
                 out *= pitch.scale_nm
                 return out
         gaps = pitch.sample_batch(shape, rng)
-        return np.asarray(gaps, dtype=self.dtype)
+        if out is None:
+            return np.asarray(gaps, dtype=self.dtype)
+        out[...] = gaps
+        return out
 
     def __reduce__(self):
         # Backends ride inside picklable chunk payloads dispatched to

@@ -45,7 +45,7 @@ without writing Python:
     Wafer-level Monte Carlo: per-die chip yield under die-to-die CNT
     density drift — radial, or spatially correlated via
     ``--correlation-length-mm`` — each die simulated on the shared track
-    kernel, one row-local search per die, with a radial summary table,
+    kernel, one column-local search per die, with a radial summary table,
     optional per-die misalignment de-rating, and a text yield map.
 
 ``python -m repro.cli chip-wafer``

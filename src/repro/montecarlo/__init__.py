@@ -5,8 +5,9 @@ or semi-numerical expressions.  This package validates them by simulating
 fabrication outcomes directly:
 
 * :mod:`repro.montecarlo.engine` — the vectorized batched engine: all
-  trials' CNT tracks from one 2D gap draw + ``cumsum``, all device windows
-  answered by one pass of row-local searches and prefix sums, deterministic
+  trials' CNT tracks from one slot-major 2D gap draw and running sum, all
+  device windows answered by one pass of column-local searches and
+  running counts, deterministic
   trial chunking with ``spawn_key``-derived RNG streams, executed by the
   supervised runner of :mod:`repro.resilience.supervise` (in-process or
   on a process pool).
@@ -24,7 +25,7 @@ fabrication outcomes directly:
   1e-9-failure-probability operating point directly.
 * :mod:`repro.montecarlo.wafer_sim` — wafer tier: every die of a
   :class:`~repro.growth.wafer.WaferMap` simulated on the shared track
-  kernel, one row-local search per die, with spawn-keyed per-die streams,
+  kernel, one column-local search per die, with spawn-keyed per-die streams,
   analytic misalignment de-rating, and whole-placement per-die chip runs
   (:func:`~repro.montecarlo.wafer_sim.run_chip_wafer`).
 * :mod:`repro.montecarlo.experiments` — packaged experiments comparing

@@ -15,9 +15,10 @@ Batched engine
 --------------
 :meth:`ChipMonteCarlo.run` is an array program built on
 :mod:`repro.montecarlo.engine`: every (trial, row) pair of a chunk becomes
-one renewal trial of a single :func:`~repro.montecarlo.engine.sample_track_batch`
-call (one 2D gap draw + ``cumsum``), and every device window of every trial
-is answered by one pass of row-local searches and prefix sums
+one renewal trial, one column of a single slot-major
+:func:`~repro.montecarlo.engine.sample_track_batch` call (one 2D gap draw
+and a running sum down the slot axis), and every device window of every
+trial is answered by one pass of column-local searches and running counts
 (:func:`~repro.montecarlo.engine.count_in_windows_flat`).  Trials are
 processed in fixed-size chunks whose boundaries depend only on the trial
 count, and each chunk consumes its own ``spawn_key``-derived RNG stream —
@@ -200,11 +201,17 @@ def _chip_window_counts_joint(
     unchanged, as are the shared-kernel consumers (wafer tier, timing
     tier).
 
-    ``slot_values(rng, shape, backend)``, when given, draws one value per track
-    slot (the timing tier's per-tube on-current); ``summed`` is then each
-    window's sum of it over its working tubes, else ``None``.  The draw
-    comes after the uniforms and gets its own weight row of the same
-    search pass, so the counts are bitwise those of a run without it.
+    ``slot_values(rng, tubes, backend)``, when given, draws one value per
+    working in-span tube, the ``True`` slots of the slot-major mask
+    ``tubes`` (the timing tier's per-tube on-current), and returns them
+    in an array of the mask's shape that is zero elsewhere; ``summed`` is
+    then each window's sum of it over its working tubes, else ``None``.
+    The draw comes after the uniforms and gets its own weight array of the
+    same search pass, so the counts are bitwise those of a run without it.
+
+    Device windows lie inside the row span (the geometry clamps them), so
+    they never capture an out-of-span track: the tube states are counted
+    without the batch's validity mask.
     """
     backend = geometry.backend if geometry.backend is not None else default_backend()
     n_rows = geometry.n_rows
@@ -213,17 +220,15 @@ def _chip_window_counts_joint(
         backend=backend,
     )
     u = backend.uniform(rng, batch.positions.shape)
-    working = (u >= geometry.per_cnt_failure) & batch.valid
-    # Opens, shorts and slot values share one search pass, one prefix
-    # sum per weight row.
+    working = u >= geometry.per_cnt_failure
+    # Opens, shorts and slot values share one search pass, one running
+    # count per weight array.
     rows = [working]
     if geometry.short_probability > 0.0:
-        rows.append((u < geometry.short_probability) & batch.valid)
+        rows.append(u < geometry.short_probability)
     del u  # frees its pooled buffer for the slot values or the window pass
     if slot_values is not None:
-        values = slot_values(rng, batch.positions.shape, backend)
-        values *= working
-        rows.append(values)
+        rows.append(slot_values(rng, working & batch.valid, backend))
 
     n_windows = geometry.window_lo.size
     trial_index = (
@@ -393,9 +398,10 @@ def _simulate_chip_chunk_tilted(
         + np.tile(geometry.window_row, n_chunk)
     )
     hi = np.tile(geometry.window_hi, n_chunk)
+    # Windows lie inside the span: every track of a window counts.
     counts, stop_index = count_in_windows_flat(
         batch.positions,
-        np.asarray(batch.valid, dtype=backend.dtype),
+        None,
         np.tile(geometry.window_lo, n_chunk),
         hi,
         trial_index,

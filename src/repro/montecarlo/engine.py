@@ -4,31 +4,38 @@ The scalar simulators in :mod:`repro.montecarlo` build each trial with
 Python loops: sample one gap, advance the cursor, test one device window at
 a time.  That caps validation at tens of trials of small blocks.  This
 module provides the batched primitives that replace those loops with NumPy
-array programs over a leading ``(n_trials, ...)`` batch axis:
+array programs over a batch of trials.
+
+Every batch is stored *slot-major*: positions are ``(n_slots, n_trials)``,
+so gap ``j`` of every trial is one contiguous row, and each trial is one
+column.  Growing, accumulating and counting then run row by row over
+contiguous vectors, and a trial that needs more gaps gets them as new
+rows, not as a wider copy of the batch.
 
 * :func:`sample_track_batch` — grow the CNT tracks of *all* trials at once:
   one 2D gap draw per batch sized by the tight budget of
-  :func:`tight_gap_budget`, a single ``cumsum`` along the gap axis, exact
-  per-trial top-ups for the few trials that budget leaves short of the
-  span, and a validity mask (built on first use) marking the tracks that
-  landed inside the span.  Every track path runs on it: chip, row,
-  device, tilted, timing and both wafer tiers.  The renewal convention
-  matches the scalar samplers exactly (the first track sits one
-  uniformly-offset pitch below the span origin), so the batched and
-  scalar engines draw from the same distribution.
-* :func:`count_leq_rows` — how many of a row's sorted positions lie below
-  (or at or below) each bound, by a lockstep binary search whose every
-  step reads only the queried row.  Bounds come either as one matrix row
-  per position row (the wafer tier) or as a flat list naming each
-  query's row (the window counters below).  Each trial's track row is
-  already sorted (a ``cumsum`` of positive gaps), so no global sort or
+  :func:`tight_gap_budget`, a running sum down the slot axis in place,
+  exact per-trial top-ups written into spare rows for the few trials
+  that budget leaves short of the span, and a validity mask (built on
+  first use) marking the tracks that landed inside the span.  Every
+  track path runs on it: chip, row, device, tilted, timing and both
+  wafer tiers.  The renewal convention matches the scalar samplers
+  exactly (the first track sits one uniformly-offset pitch below the
+  span origin), so the batched and scalar engines draw from the same
+  distribution.
+* :func:`count_leq_rows` — how many of a trial's sorted positions lie
+  below (or at or below) each bound, by a lockstep binary search whose
+  every step reads only the queried trial's column.  Bounds come either
+  as one matrix column per trial (the wafer tier) or as a flat list
+  naming each query's trial (the window counters below).  Each column is
+  already sorted (a running sum of positive gaps), so no global sort or
   batch-wide offset is needed, and a trial's counts do not depend on the
   batch around it.
 * :func:`count_in_windows` / :func:`count_in_windows_flat` — answer "how
   many (working) tracks does window ``[lo, hi]`` of trial ``t`` capture?"
-  for every window of every trial in one pass: two row-local searches
-  find each window's first and last slot, which index one prefix sum of
-  the flattened weights.
+  for every window of every trial in one pass: two column-local searches
+  find each window's first and last slot, which index the per-trial
+  running counts of the weights down the slot axis.
 * :func:`sample_track_counts` — memory-bounded helper returning only the
   per-trial track counts (used when the positions themselves are not
   needed, e.g. device-level failure estimation).
@@ -40,6 +47,16 @@ array programs over a leading ``(n_trials, ...)`` batch axis:
   same per-chunk streams as a serial run and produces bitwise-identical
   statistics.
 
+RNG order
+---------
+Every draw fills its array in C order, so the generator is consumed slot
+by slot: the start offsets of all trials, then gap 0 of every trial, gap
+1 of every trial, and so on; each top-up round draws its block the same
+way for the trials it serves, and per-slot draws of the callers (tube
+uniforms) follow the positions' layout.  This order was fixed when the
+batch became slot-major; results are therefore statistically, not
+bitwise, equal to those of the trial-major engine before it.
+
 Backend
 -------
 Every array kernel takes an optional ``backend``
@@ -50,7 +67,7 @@ re-implementation of the same sampler kept in the conformance suite
 under ``tests/backend/``; the float32 policy is held to tolerance there.
 Window bounds are explicitly cast to the positions dtype
 (:func:`~repro.backend.match_dtype`), so a float32 batch is counted
-exactly against float32 bounds, one row at a time.
+exactly against float32 bounds, one trial at a time.
 
 Workers receive ``(payload, n_chunk, stream)`` tuples through
 :func:`run_chunked`; the payload must be picklable (the simulators pass
@@ -77,6 +94,7 @@ from repro.units import ensure_positive
 
 __all__ = [
     "BLOCK",
+    "TOP_UP_ROWS",
     "TrackBatch",
     "estimate_gap_count",
     "tight_gap_budget",
@@ -103,18 +121,27 @@ DEFAULT_BATCH_ELEMENTS: int = 1 << 22
 #: top-up round draws it for every uncleared trial.
 BLOCK = 8
 
+#: Spare rows :func:`sample_track_batch` allocates after the first draw
+#: for its top-up rounds to write into.  Four rounds reach the shortest
+#: trial of batches of thousands at the 2-sigma budget; a batch that
+#: needs more moves once to a buffer twice the size.  Rows never written
+#: are never touched, so they cost address space, not memory.
+TOP_UP_ROWS = 4 * BLOCK
+
 
 @dataclass(frozen=True)
 class TrackBatch:
     """CNT track positions for a batch of independent row trials.
 
-    ``positions`` is ``(n_trials, n_slots)`` and sorted ascending along the
-    slot axis (it is a cumulative sum of positive gaps).  Slots whose track
-    fell outside ``[0, span_nm]`` are retained for shape regularity and
-    masked out by :attr:`valid`.  ``start_offsets`` records each trial's
-    uniform renewal offset ``u`` (position ``j`` sits at ``S_j - u`` with
-    ``S_j`` the cumulative gap sum); the rare-event layer needs it to
-    reconstruct the gap sums that enter the likelihood-ratio weights.
+    ``positions`` is slot-major, ``(n_slots, n_trials)``: column ``t``
+    holds trial ``t``'s tracks, sorted ascending down the slot axis (a
+    running sum of positive gaps), and row ``j`` holds slot ``j`` of every
+    trial as one contiguous vector.  Slots whose track fell outside
+    ``[0, span_nm]`` are retained for shape regularity and masked out by
+    :attr:`valid`.  ``start_offsets`` records each trial's uniform renewal
+    offset ``u`` (position ``j`` sits at ``S_j - u`` with ``S_j`` the
+    cumulative gap sum); the rare-event layer needs it to reconstruct the
+    gap sums that enter the likelihood-ratio weights.
     """
 
     positions: np.ndarray
@@ -125,15 +152,16 @@ class TrackBatch:
     def valid(self) -> np.ndarray:
         """Mask of the slots whose track lies inside ``[0, span_nm]``.
 
-        Built on first use and kept: callers that count straight from
-        :attr:`positions` (the wafer tier) never pay for it.
+        Built on first use and kept.  Windows inside the span never
+        capture an out-of-span track, so the chip and wafer tiers count
+        straight from :attr:`positions` and never pay for it.
         """
         return (self.positions >= 0.0) & (self.positions <= self.span_nm)
 
     @property
     def n_trials(self) -> int:
-        """Number of renewal trials (rows of :attr:`positions`)."""
-        return self.positions.shape[0]
+        """Number of renewal trials (columns of :attr:`positions`)."""
+        return self.positions.shape[1]
 
     @property
     def dtype(self):
@@ -142,7 +170,7 @@ class TrackBatch:
 
     def counts(self) -> np.ndarray:
         """Number of in-span tracks per trial, shape ``(n_trials,)``."""
-        return self.valid.sum(axis=1)
+        return self.valid.sum(axis=0)
 
 
 def estimate_gap_count(pitch: PitchDistribution, span_nm: float) -> int:
@@ -191,13 +219,16 @@ def sample_track_batch(
     process at ``-u`` with ``u ~ U(0, mean_pitch)`` and keeps the track
     positions that land inside ``[0, span_nm]``.
 
-    The first draw is :func:`tight_gap_budget` gaps per trial.  While some
-    trial's last track still lies at or below ``span_nm``, those trials
-    alone draw one more block of :data:`BLOCK` gaps from ``rng`` and
-    append it; trials that had already cleared the span are padded with
-    their own last position repeated (finite, sorted, beyond the span,
-    hence never valid).  Every row therefore ends with a track beyond the
-    span, which the stopping-time weights of
+    The first draw is :func:`tight_gap_budget` gaps per trial, written
+    slot-major into a buffer with :data:`TOP_UP_ROWS` spare rows and
+    summed down the slot axis in place; ``-u`` is added to slot 0 first,
+    so no separate pass subtracts it.  While some trial's last track
+    still lies at or below ``span_nm``, those trials alone draw one more
+    block of :data:`BLOCK` gaps from ``rng``, whose running sums fill the
+    next spare rows of their columns; trials that had already cleared
+    the span repeat their own last position there (finite, sorted,
+    beyond the span, hence never valid).  Every column therefore ends
+    with a track beyond the span, which the stopping-time weights of
     :mod:`repro.montecarlo.rare_event` rely on.
 
     ``offset_mean_nm`` overrides the mean used for the uniform start offset
@@ -214,36 +245,32 @@ def sample_track_batch(
         offset_mean_nm = pitch.mean_nm
     ensure_positive(offset_mean_nm, "offset_mean_nm")
     start_offsets = backend.uniform(rng, n_trials) * offset_mean_nm
-    shape = (n_trials, tight_gap_budget(pitch, span_nm))
-    # ``out`` lets the backend draw in place; the values are the same.
-    # The gaps are not kept, so their buffer is free once summed.
-    positions = backend.cumsum(
-        backend.sample_gaps(pitch, shape, rng, out=backend.empty(shape)), axis=1
+    n_slots = tight_gap_budget(pitch, span_nm)
+    buffer = backend.empty((n_slots + TOP_UP_ROWS, n_trials))
+    positions = backend.sample_gaps(
+        pitch, (n_slots, n_trials), rng, out=buffer[:n_slots]
     )
-    positions -= start_offsets[:, None]
-    last = positions[:, -1]
-    short = last <= span_nm
-    block = np.arange(BLOCK)[None, :]
-    tails = []
-    while np.any(short):
-        # Row r of the draw belongs to the r-th uncleared trial; cleared
-        # trials gather an arbitrary row and mask it to a zero step.
-        rank = backend.cumsum(short, axis=0) - 1
-        n_short = int(rank[-1]) + 1
-        steps = backend.cumsum(
-            backend.sample_gaps(pitch, (n_short, BLOCK), rng), axis=1
-        )
-        rows = backend.clip(rank, 0, n_short - 1)[:, None]
-        tails.append(last[:, None] + np.where(
-            short[:, None], backend.take_pairs(steps, rows, block), 0.0
-        ))
-        last = tails[-1][:, -1]
-        short = last <= span_nm
-    if tails:
-        # One copy of the batch however many rounds the top-up took.
-        positions = backend.concatenate([positions] + tails, axis=1)
+    positions[0] -= start_offsets
+    last = backend.cumsum(positions, axis=0)[-1]
+    short = np.flatnonzero(last <= span_nm)
+    while short.size:
+        if n_slots + BLOCK > len(buffer):
+            grown = backend.empty((2 * len(buffer), n_trials))
+            grown[:n_slots] = buffer[:n_slots]
+            buffer = grown
+        block = buffer[n_slots:n_slots + BLOCK]
+        block[...] = last
+        steps = backend.sample_gaps(pitch, (BLOCK, short.size), rng)
+        block[:, short] += backend.cumsum(steps, axis=0)
+        n_slots += BLOCK
+        last = block[-1]
+        short = short[last[short] <= span_nm]
+    # Keep one row past the last that still holds an in-span track: the
+    # rows below it only repeat tracks beyond the span in every column.
+    while n_slots > 1 and buffer[n_slots - 2].min() > span_nm:
+        n_slots -= 1
     return TrackBatch(
-        positions=positions,
+        positions=buffer[:n_slots],
         span_nm=float(span_nm),
         start_offsets=start_offsets,
     )
@@ -277,47 +304,62 @@ def sample_track_counts(
     return counts
 
 
-def count_leq_rows(positions, bounds, rows=None, side="right"):
-    """Per-query count of a row's sorted positions at or below a bound.
+def _count_index(positions, bounds, columns, side="right"):
+    """Flat index ``count * n_trials + column`` of each query's count.
 
-    ``positions`` is ``(n_rows, n_slots)``, ascending along each row
-    (``+inf`` padding allowed, it never counts).  Without ``rows``,
-    ``bounds`` is ``(n_rows, n_bounds)`` and row ``r`` of it queries
-    position row ``r``.  With ``rows``, an integer array of ``bounds``'
-    shape, each bound queries the row it names (repeats and any order
-    allowed), as in the flat ``(trial_index, lo, hi)`` lists of
+    The search of :func:`count_leq_rows`, stopped before the flat index
+    is split into slot and column: that index addresses row ``count`` of
+    any slot-major array of the batch's width, such as the running counts
+    of :func:`count_in_windows_flat`.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    below = np.less_equal if side == "right" else np.less
+    n_slots, n_trials = positions.shape
+    flat = np.ravel(positions)
+    # Invariant: idx = slot * n_trials + column with the count in
+    # [slot, slot + span], so every probe stays inside the column.
+    idx = np.array(np.broadcast_to(columns, bounds.shape))
+    span = n_slots
+    while span > 1:
+        half = span // 2
+        stride = half * n_trials
+        # Gathering from the view that starts ``half`` rows down reads
+        # slot ``slot + half`` without materialising the probe indices.
+        idx += below(np.take(flat[stride:], idx), bounds) * stride
+        span -= half
+    idx += below(np.take(flat, idx), bounds) * n_trials
+    return idx
+
+
+def count_leq_rows(positions, bounds, columns=None, side="right"):
+    """Per-query count of a trial's sorted positions at or below a bound.
+
+    ``positions`` is slot-major, ``(n_slots, n_trials)``, ascending down
+    each column (``+inf`` padding allowed, it never counts).  Without
+    ``columns``, ``bounds`` is ``(n_bounds, n_trials)`` and column ``t``
+    of it queries trial ``t``.  With ``columns``, an integer array of
+    ``bounds``' shape, each bound queries the trial it names (repeats and
+    any order allowed), as in the flat ``(trial_index, lo, hi)`` lists of
     :func:`count_in_windows_flat`.  ``side="right"`` counts positions
     ``<=`` the bound, ``side="left"`` positions ``<`` it, so every query
-    gets ``searchsorted(positions[row], bound, side=side)`` at once, as
+    gets ``searchsorted(positions[:, t], bound, side=side)`` at once, as
     integer counts of ``bounds``' shape.
 
     A branchless binary search: every query halves its own candidate
     range in lockstep, one flat gather and one compare per step, so
     ``ceil(log2(n_slots)) + 1`` gathers answer every query.  Each compare
-    reads only the queried row's own positions (mixed dtypes compare
-    exactly, in the promoted dtype), so a row's counts are the same
+    reads only the queried trial's own column (mixed dtypes compare
+    exactly, in the promoted dtype), so a trial's counts are the same
     whatever batch it sits in, and no float32 rounding of a batch-wide
-    offset can move a track across a bound.
+    offset can move a track across a bound.  Queries of neighbouring
+    trials probe neighbouring addresses, because a slot's row is
+    contiguous.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    below = np.less_equal if side == "right" else np.less
-    n_rows, n_slots = positions.shape
-    if rows is None:
-        rows = np.arange(n_rows)[:, None]
-    flat = np.ravel(positions)
-    # Flat index of each query's first slot.  Invariant: the count lies in
-    # [idx - start, idx - start + span], and every probe stays in the row.
-    start = rows * n_slots
-    idx = np.array(np.broadcast_to(start, bounds.shape))
-    span = n_slots
-    while span > 1:
-        half = span // 2
-        # Gathering from the view that starts ``half`` slots in reads
-        # slot ``idx + half`` without materialising the probe indices.
-        idx += below(np.take(flat[half:], idx), bounds) * half
-        span -= half
-    return idx - start + below(np.take(flat, idx), bounds)
+    n_trials = positions.shape[1]
+    if columns is None:
+        columns = np.arange(n_trials)
+    return (_count_index(positions, bounds, columns, side) - columns) // n_trials
 
 
 def window_stop_indices(
@@ -337,7 +379,7 @@ def window_stop_indices(
 
 def count_in_windows_flat(
     positions: np.ndarray,
-    weights: np.ndarray,
+    weights,
     lo: np.ndarray,
     hi: np.ndarray,
     trial_index: np.ndarray,
@@ -349,14 +391,16 @@ def count_in_windows_flat(
     Parameters
     ----------
     positions:
-        ``(n_trials, n_slots)`` track positions, sorted along the slot axis
-        (as produced by :func:`sample_track_batch`).
+        Slot-major ``(n_slots, n_trials)`` track positions, sorted down
+        the slot axis (as produced by :func:`sample_track_batch`).
     weights:
         Per-slot weights, same shape; must already be zero on slots that
-        should not count (out-of-span tracks, failed tubes).  A stack of
-        ``k`` such weight arrays, shape ``(k, n_trials, n_slots)``, or a
-        list of them (rows of different dtypes, no stacking copy), is
-        answered from one search pass, with one prefix sum per weight row.
+        should not count (failed tubes; out-of-span tracks when a window
+        reaches outside the span).  A stack of ``k`` such weight arrays,
+        shape ``(k, n_slots, n_trials)``, or a list of them (rows of
+        different dtypes, no stacking copy), is answered from one search
+        pass, with one running count per weight array.  ``None`` counts
+        every track of the window once, with no running count at all.
     lo, hi:
         Query bounds, shape ``(n_queries,)``.  Both ends are inclusive,
         matching the scalar simulators.  They are cast to the positions
@@ -376,33 +420,38 @@ def count_in_windows_flat(
     bool weights are counted exactly in integers, float weights summed in
     ``accum_dtype``.
 
-    Each query's row-local :func:`count_leq_rows` search gives the slots
-    of its trial below ``lo`` and at or below ``hi``; offset by the
-    trial's first flat slot, they index one prefix sum of the flattened
-    weights.
+    Each query's column-local searches give the slots of its trial below
+    ``lo`` and at or below ``hi``; as flat indices they address the
+    per-trial running counts of each weight array
+    (:meth:`~repro.backend.NumpyBackend.prefix_sum`), which are summed
+    only down to the highest slot any window reaches.
     """
     if backend is None:
         backend = default_backend()
-    stop = count_leq_rows(positions, match_dtype(hi, positions), trial_index)
-    first = trial_index * positions.shape[1]
-    left = first + count_leq_rows(
+    n_trials = positions.shape[1]
+    right = _count_index(positions, match_dtype(hi, positions), trial_index)
+    left = _count_index(
         positions, match_dtype(lo, positions), trial_index, side="left"
     )
-    right = first + stop
 
     def weighted(w):
-        prefix = backend.prefix_sum(np.ravel(w))
-        counts = np.take(prefix, right) - np.take(prefix, left)
+        running = backend.prefix_sum(w, size)
+        counts = np.take(running, right) - np.take(running, left)
         return counts.astype(backend.accum_dtype, copy=False)
 
-    if isinstance(weights, list) or weights.ndim > positions.ndim:
-        counts = backend.concatenate(
-            [weighted(w)[None, :] for w in weights], axis=0
-        )
+    if weights is None:
+        counts = ((right - left) // n_trials).astype(backend.accum_dtype)
     else:
-        counts = weighted(weights)
+        # Rows below the highest stop are all any window reads.
+        size = int(right.max()) // n_trials if right.size else 0
+        if isinstance(weights, list) or weights.ndim > positions.ndim:
+            counts = backend.concatenate(
+                [weighted(w)[None, :] for w in weights], axis=0
+            )
+        else:
+            counts = weighted(weights)
     if return_stop_index:
-        return counts, stop
+        return counts, (right - trial_index) // n_trials
     return counts
 
 
@@ -415,9 +464,10 @@ def count_in_windows(
 ) -> np.ndarray:
     """Weighted track counts on a regular ``(n_trials, n_windows)`` grid.
 
-    ``lo`` / ``hi`` may be ``(n_windows,)`` (the same windows for every
-    trial) or ``(n_trials, n_windows)`` (per-trial windows, e.g. random
-    device offsets).  Returns counts of shape ``(n_trials, n_windows)``.
+    ``weights`` is slot-major like the batch's positions.  ``lo`` / ``hi``
+    may be ``(n_windows,)`` (the same windows for every trial) or
+    ``(n_trials, n_windows)`` (per-trial windows, e.g. random device
+    offsets).  Returns counts of shape ``(n_trials, n_windows)``.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)

@@ -298,11 +298,14 @@ def sample_weighted_track_batch(
         backend=backend,
     )
     positions = batch.positions
-    # First slot strictly beyond the span: rows are sorted and the engine
-    # guarantees the last slot cleared the span, so the index always exists.
-    stop_index = np.sum(positions <= span_nm, axis=1)
-    rows = np.arange(positions.shape[0])
-    gap_sum = backend.take_pairs(positions, rows, stop_index) + batch.start_offsets
+    # First slot strictly beyond the span: columns are sorted and the
+    # engine guarantees the last slot cleared the span, so the index
+    # always exists.
+    stop_index = np.sum(positions <= span_nm, axis=0)
+    columns = np.arange(positions.shape[1])
+    gap_sum = (
+        backend.take_pairs(positions, stop_index, columns) + batch.start_offsets
+    )
     n_gaps = stop_index + 1
     log_w = _affine_log_weights(tilt, n_gaps, gap_sum, backend)
     return batch, log_w
@@ -340,7 +343,7 @@ def window_stopped_log_weights(
         raise ValueError("window upper bounds must lie inside the span")
     if stop_index is None:
         stop_index = window_stop_indices(positions, hi, trial_index)
-    gap_sum = (backend.take_pairs(positions, trial_index, stop_index)
+    gap_sum = (backend.take_pairs(positions, stop_index, trial_index)
                + np.take(batch.start_offsets, trial_index))
     n_gaps = stop_index + 1
     return _affine_log_weights(tilt, n_gaps, gap_sum, backend)
@@ -724,10 +727,12 @@ class NonAlignedRowModel(_RowModelBase):
         """Fewest working tubes over the devices' offset windows."""
         positions, valid = self._positions(state["gaps"], state["offset_u"])
         working = (state["tube_u"] >= self.per_cnt_failure) & valid
-        batch = TrackBatch(positions=positions, span_nm=self.span_nm)
+        # The particle state is trial-major; the engine's batches are
+        # slot-major, so the counter reads the transposes.
+        batch = TrackBatch(positions=positions.T, span_nm=self.span_nm)
         lo = state["dev_u"] * self.cell_height_window_nm
         counts = count_in_windows(
-            batch, working.astype(float), lo, lo + self.device_width_nm
+            batch, working.T.astype(float), lo, lo + self.device_width_nm
         )
         return counts.min(axis=1)
 

@@ -23,9 +23,10 @@ moderate probabilities the plain indicator estimator is available as well.
 
 The default estimators are batched array programs over the sample axis,
 built on :mod:`repro.montecarlo.engine`: all track sets of all samples come
-from one 2D gap draw + ``cumsum`` (:func:`~repro.montecarlo.engine.sample_track_batch`),
-and the non-aligned scenario resolves every (sample, device-offset) window
-with one pass of row-local searches and prefix sums
+from one slot-major 2D gap draw and running sum
+(:func:`~repro.montecarlo.engine.sample_track_batch`), and the non-aligned
+scenario resolves every (sample, device-offset) window with one pass of
+column-local searches and running counts
 (:func:`~repro.montecarlo.engine.count_in_windows`).  The original per-sample
 scalar samplers are retained (``vectorized=False``) as the oracle for the
 statistical-equivalence tests.
@@ -264,8 +265,10 @@ class RowMonteCarlo:
         while done < n_samples:
             n = min(chunk, n_samples - done)
             batch = sample_track_batch(self.pitch, span, n, rng)
+            # Device windows lie inside the span, so the tube states need
+            # no validity mask.
             u = rng.random(batch.positions.shape)
-            working = (u >= pf) & batch.valid
+            working = u >= pf
             offsets = (
                 rng.random((n, config.devices_per_segment))
                 * config.cell_height_window_nm
@@ -275,7 +278,7 @@ class RowMonteCarlo:
             )
             failing = np.any(counts == 0, axis=1)
             if q > 0.0:
-                shorting = (u < q) & batch.valid
+                shorting = u < q
                 short_counts = count_in_windows(
                     batch, shorting, offsets, offsets + config.device_width_nm
                 )

@@ -7,7 +7,7 @@ a different renewal process, hence a separate Monte Carlo run.  Looping
 the single-die estimator over a wafer wastes most of its time on per-die
 overheads and on per-width re-sampling.  This module runs each die on
 :func:`~repro.montecarlo.engine.sample_track_batch`, the track kernel of
-every other tier, with one row-local search per die:
+every other tier, with one column-local search per die:
 
 * every die's trials are drawn from a *spawn-keyed stream* derived from
   the die's grid coordinates (:func:`die_stream`) — never from the die's
@@ -18,10 +18,10 @@ every other tier, with one row-local search per die:
   kernel's gap budget (:func:`~repro.montecarlo.engine.tight_gap_budget`,
   a 2-sigma margin), and the rare trials it leaves short are *topped up
   exactly* from the same die stream;
-* one vectorised per-row binary search
+* one vectorised per-trial binary search
   (:func:`~repro.montecarlo.engine.count_leq_rows`) counts, for every
   trial at once, the tracks at or below 0 and at or below every width
-  class's upper edge.  The search is row-local: each compare reads only
+  class's upper edge.  The search is column-local: each compare reads only
   the trial's own positions, so a die's counts do not depend on the
   group it ran in;
 * all device-width classes of a die are answered from the *same* sampled
@@ -81,7 +81,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.mispositioned import MisalignmentImpactModel
-from repro.backend import NumpyBackend, default_backend
+from repro.backend import NumpyBackend, buffer_pool, default_backend
 from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _ChipGeometry,
@@ -291,7 +291,7 @@ def _simulate_die_group(
 
     Each die grows its trials' tracks with
     :func:`~repro.montecarlo.engine.sample_track_batch` from its own
-    stream, and one row-local search counts every width class of every
+    stream, and one column-local search counts every width class of every
     trial.  Every per-die quantity depends only on that die's own stream
     and rows, so group composition cannot change results.
     """
@@ -301,25 +301,25 @@ def _simulate_die_group(
     w_max = max(widths)
     n_dies = len(sites)
 
-    # Column 0 counts each trial's tracks at or below 0 and column 1 + q
-    # those at or below W_q, so class q captures the tracks in (0, W_q],
-    # all on one track set.  Built contiguous once per group: the search
-    # compares against it at every step, and a stride-0 view is slower.
+    # Row 0 counts each trial's tracks at or below 0 and row 1 + q those
+    # at or below W_q, so class q captures the tracks in (0, W_q], all on
+    # one track set.  Built contiguous once per group: the search compares
+    # against it at every step, and a stride-0 view is slower.
     edges = np.asarray((0.0,) + widths, dtype=backend.dtype)
-    bounds = np.tile(edges, (n_trials, 1))
-    counts = np.empty((n_dies * n_trials, 1 + len(widths)), dtype=np.intp)
+    bounds = np.repeat(edges[:, None], n_trials, axis=1)
+    counts = np.empty((1 + len(widths), n_dies * n_trials), dtype=np.intp)
     for i, site in enumerate(sites):
-        batch = sample_track_batch(
-            payload.pitch.with_mean(site.mean_pitch_nm), w_max, n_trials,
-            die_stream(payload.seed_key, site), backend=backend,
-        )
-        counts[i * n_trials:(i + 1) * n_trials] = count_leq_rows(
-            batch.positions, bounds
+        counts[:, i * n_trials:(i + 1) * n_trials] = count_leq_rows(
+            sample_track_batch(
+                payload.pitch.with_mean(site.mean_pitch_nm), w_max, n_trials,
+                die_stream(payload.seed_key, site), backend=backend,
+            ).positions,
+            bounds,
         )
 
     # The value of a trial depends only on its count, so it is looked up
     # in a per-count table instead of evaluated per (class, die, trial).
-    n_cnt = (counts[:, 1:] - counts[:, :1]).T
+    n_cnt = counts[1:] - counts[:1]
     k = np.arange(int(n_cnt.max()) + 1, dtype=float)
     pf = payload.per_cnt_failure
     q = payload.short_probability
@@ -329,9 +329,8 @@ def _simulate_die_group(
         table = 1.0 - np.power(1.0 - q, k) + np.power(pf - q, k)
     else:
         table = np.power(pf, k)
-    # ``take`` writes C order (indexing would keep the transpose's
-    # layout), so each (class, die) trial slice is contiguous and its
-    # reductions sum in the same order as in any other group.
+    # Each (class, die) trial slice is contiguous, so its reductions sum
+    # in the same order as in any other group.
     values = np.take(table, n_cnt).reshape(len(widths), n_dies, n_trials)
     return _assemble_group(sites, values, payload)
 
@@ -554,7 +553,10 @@ class _DieGroupTask:
     sites: Tuple[DieSite, ...]
 
     def __call__(self) -> List[DieYieldEstimate]:
-        return _simulate_die_group(self.payload, list(self.sites))
+        # Die after die draws batches of one shape: the pool serves each
+        # from the slabs the previous die returned.
+        with buffer_pool():
+            return _simulate_die_group(self.payload, list(self.sites))
 
 
 @dataclass(frozen=True)
@@ -617,7 +619,7 @@ def simulate_die(
     """Simulate one die independently — the per-die reference of the runner.
 
     Runs the *same* die-group kernel on a single die — the die's trials on
-    :func:`~repro.montecarlo.engine.sample_track_batch`, one row-local
+    :func:`~repro.montecarlo.engine.sample_track_batch`, one column-local
     search per die — with the same spawn-keyed stream, so a die's
     estimate here is bitwise identical to its estimate inside any
     :func:`simulate_wafer` run sharing the seed key (the
@@ -663,7 +665,7 @@ def simulate_wafer(
 
     Each die draws its trials with
     :func:`~repro.montecarlo.engine.sample_track_batch` and counts every
-    width class with one row-local search per die; dies run in groups
+    width class with one column-local search per die; dies run in groups
     under the supervised executor.
 
     Parameters

@@ -11,8 +11,8 @@ the *same* kernel and generator consumption as
   every gate's delay scaled by the drive current its captured tubes carry
   (σ(Ion)/µ(Ion) ∝ 1/√N made concrete per trial).
 
-Each track slot draws one tube diameter, so devices that share tubes share
-their diameters too: gates on one window see identical currents, and
+Each working in-span tube draws one diameter, so devices that share tubes
+share their diameters too: gates on one window see identical currents, and
 overlapping windows covary through the tubes they have in common.  The
 delays along a path inherit that correlation, a heavier dependence
 structure than independent per-gate sampling would predict.
@@ -147,18 +147,28 @@ class _CorrelatedPayload:
     diameter_std_nm: float
     scalar_oracle: bool = False
 
-    def slot_currents(self, rng: np.random.Generator, shape, backend) -> np.ndarray:
-        """One tube diameter per track slot, as that tube's on-current (µA).
+    def slot_currents(
+        self, rng: np.random.Generator, tubes: np.ndarray, backend
+    ) -> np.ndarray:
+        """On-current (µA) of every working in-span tube, zero at other slots.
 
-        Diameters are normal, clipped at
-        :data:`~repro.device.current.MIN_TUBE_DIAMETER_NM`; the draw fills
-        a pooled buffer and is converted to currents in place.
+        ``tubes`` is the slot-major mask of those tubes; one diameter is
+        drawn per tube, in slot-major order, so slots that carry no
+        working tube consume no draw.  Diameters are normal, clipped at
+        :data:`~repro.device.current.MIN_TUBE_DIAMETER_NM`, and converted
+        to currents in place before they are scattered into a pooled
+        array of the mask's shape.
         """
-        currents = rng.standard_normal(out=backend.empty(shape, dtype=np.float64))
-        currents *= self.diameter_std_nm
-        currents += self.diameter_mean_nm
-        np.maximum(currents, MIN_TUBE_DIAMETER_NM, out=currents)
-        return self.current_model.tube_on_currents_ua(currents, out=currents)
+        diameters = rng.standard_normal(np.count_nonzero(tubes))
+        diameters *= self.diameter_std_nm
+        diameters += self.diameter_mean_nm
+        np.maximum(diameters, MIN_TUBE_DIAMETER_NM, out=diameters)
+        currents = backend.empty(tubes.shape, dtype=np.float64)
+        currents.fill(0.0)
+        currents[tubes] = self.current_model.tube_on_currents_ua(
+            diameters, out=diameters
+        )
+        return currents
 
 
 def _critical_paths(payload, currents: np.ndarray) -> np.ndarray:
@@ -177,7 +187,7 @@ def _sample_node_currents(
 
     One pass over the shared tracks: the window kernel
     (:func:`~repro.montecarlo.chip_sim._chip_window_counts_joint`) counts
-    the tubes, and sums one diameter's current per track slot over each
+    the tubes, and sums one diameter's current per working tube over each
     window's working tubes, from the same search.  Nodes on one window
     therefore see the same tubes *and* the same diameters.  The counts
     consume the generator first, exactly as the functional chip

@@ -78,8 +78,7 @@ def _fixed_shape_chunk(width, n_chunk, rng):
     # Every backend op the pool serves, on shapes fixed by ``n_chunk``.
     backend = default_backend()
     u = backend.uniform(rng, (n_chunk, width))
-    banded = backend.clip(backend.cumsum(u, axis=1), 0.0, width / 4.0)
-    both = backend.concatenate([banded, u], axis=1)
+    both = backend.concatenate([backend.prefix_sum(u), u], axis=0)
     total = float(backend.prefix_sum(np.ravel(both))[-1])
     gaps = backend.sample_gaps(ExponentialPitch(4.0), (n_chunk, width), rng,
                                out=backend.empty((n_chunk, width)))
@@ -90,11 +89,11 @@ def _fixed_shape_chunk(width, n_chunk, rng):
 def test_pool_serves_chunk_sized_outputs_only_inside_a_scope():
     backend = default_backend()
     a = np.random.default_rng(0).random((64, 256))
-    outside = backend.cumsum(a, axis=1)
+    outside = backend.prefix_sum(a)
     assert core._POOL.slabs == []
     with buffer_pool():
-        inside = backend.cumsum(a, axis=1)
-        small = backend.cumsum(a[:2, :8], axis=1)
+        inside = backend.prefix_sum(a)
+        small = backend.prefix_sum(a[:2, :8])
     assert inside.base is core._POOL.slabs[0]
     assert small.base is None
     assert np.array_equal(inside, outside)
@@ -134,11 +133,11 @@ def test_array_kept_from_a_chunk_survives_later_chunks():
     # The same within one thread's scopes, without the executor.
     backend = default_backend()
     with buffer_pool():
-        first = backend.cumsum(np.random.default_rng(1).random((64, 256)), axis=1)
+        first = backend.prefix_sum(np.random.default_rng(1).random((64, 256)))
     snapshot = first.copy()
     for seed in range(2, 5):
         with buffer_pool():
-            later = backend.cumsum(np.random.default_rng(seed).random((64, 256)), axis=1)
+            later = backend.prefix_sum(np.random.default_rng(seed).random((64, 256)))
         assert not np.shares_memory(first, later)
     assert np.array_equal(first, snapshot)
 
@@ -186,13 +185,13 @@ def test_slabs_are_per_thread():
     backend = default_backend()
     a = np.random.default_rng(0).random((64, 256))
     with buffer_pool():
-        mine = backend.cumsum(a, axis=1)
+        mine = backend.prefix_sum(a)
     seen = {}
 
     def other():
         seen["before"] = list(core._POOL.slabs)
         with buffer_pool():
-            seen["theirs"] = backend.cumsum(a, axis=1)
+            seen["theirs"] = backend.prefix_sum(a)
         release_buffers()
 
     thread = threading.Thread(target=other)

@@ -6,7 +6,8 @@ both dtype policies and are pinned to scalar oracles coded here from
 first principles:
 
 * NumPy/float64 is held to *bit identity* against a frozen plain-NumPy
-  re-implementation of the sampler (same draws, same order, same stream);
+  re-implementation of the slot-major sampler (same draws, same order,
+  same stream);
 * NumPy/float32 shares the float64 stream (draws are cast after sampling),
   so it is held to dtype-scaled tolerances against the same oracles.
 
@@ -49,23 +50,30 @@ def tolerance_for(backend) -> float:
     return 5e-4 if backend.dtype == np.dtype(np.float32) else 1e-14
 
 
-def _pre_dispatch_sample_track_batch(pitch, span_nm, n_trials, rng):
+def _reference_sample_track_batch(pitch, span_nm, n_trials, rng):
     """The engine's sampler in plain NumPy, frozen as the bit-identity oracle.
 
-    Tight initial budget, then per-trial top-ups: each round draws one
-    block of gaps for the trials still short of the span only, and pads
-    the others with their own last position.
+    Slot-major: ``positions[j, t]`` is slot ``j`` of trial ``t``.  Tight
+    initial budget with the start offset added to slot 0 before the
+    running sum, then per-trial top-ups: each round draws one block of
+    gaps for the trials still short of the span only, and the others
+    repeat their own last position.  Rows past the last in-span track of
+    every trial are dropped, all but the first of them.
     """
     start_offsets = rng.random(n_trials) * pitch.mean_nm
-    gaps = pitch.sample_batch((n_trials, tight_gap_budget(pitch, span_nm)), rng)
-    positions = np.cumsum(gaps, axis=1)
-    positions -= start_offsets[:, None]
-    while np.any(positions[:, -1] <= span_nm):
-        short = np.flatnonzero(positions[:, -1] <= span_nm)
-        extra = pitch.sample_batch((short.size, BLOCK), rng)
-        tail = np.repeat(positions[:, -1:], BLOCK, axis=1)
-        tail[short] += np.cumsum(extra, axis=1)
-        positions = np.concatenate([positions, tail], axis=1)
+    gaps = pitch.sample_batch((tight_gap_budget(pitch, span_nm), n_trials), rng)
+    gaps[0] -= start_offsets
+    positions = np.cumsum(gaps, axis=0)
+    while np.any(positions[-1] <= span_nm):
+        short = np.flatnonzero(positions[-1] <= span_nm)
+        extra = pitch.sample_batch((BLOCK, short.size), rng)
+        tail = np.repeat(positions[-1:], BLOCK, axis=0)
+        tail[:, short] += np.cumsum(extra, axis=0)
+        positions = np.concatenate([positions, tail], axis=0)
+    keep = positions.shape[0]
+    while keep > 1 and np.all(positions[keep - 2] > span_nm):
+        keep -= 1
+    positions = positions[:keep]
     valid = (positions >= 0.0) & (positions <= span_nm)
     return positions, valid, start_offsets
 
@@ -73,22 +81,24 @@ def _pre_dispatch_sample_track_batch(pitch, span_nm, n_trials, rng):
 def _brute_force_counts(positions, weights, lo, hi, trial_index):
     out = np.zeros(lo.size)
     for q in range(lo.size):
-        row = positions[trial_index[q]]
-        mask = (row >= lo[q]) & (row <= hi[q])
-        out[q] = weights[trial_index[q]][mask].sum()
+        column = positions[:, trial_index[q]]
+        mask = (column >= lo[q]) & (column <= hi[q])
+        out[q] = weights[:, trial_index[q]][mask].sum()
     return out
 
 
 class TestSampleTrackBatch:
-    def test_numpy_float64_bit_identical_to_pre_dispatch_engine(
-        self, reference_backend
+    # 128 trials sum with ``np.cumsum(axis=0)``, 600 with one add per row.
+    @pytest.mark.parametrize("n_trials", [128, 600])
+    def test_numpy_float64_bit_identical_to_reference_sampler(
+        self, reference_backend, n_trials
     ):
         pitch = GammaPitch(5.0, 0.6)
-        oracle_pos, oracle_valid, oracle_off = _pre_dispatch_sample_track_batch(
-            pitch, 240.0, 128, np.random.default_rng(2010)
+        oracle_pos, oracle_valid, oracle_off = _reference_sample_track_batch(
+            pitch, 240.0, n_trials, np.random.default_rng(2010)
         )
         batch = sample_track_batch(
-            pitch, 240.0, 128, np.random.default_rng(2010),
+            pitch, 240.0, n_trials, np.random.default_rng(2010),
             backend=reference_backend,
         )
         np.testing.assert_array_equal(batch.positions, oracle_pos)
@@ -113,7 +123,7 @@ class TestSampleTrackBatch:
         )
         positions = batch.positions
         assert positions.dtype == backend.dtype
-        assert np.all(np.diff(positions, axis=1) >= 0.0)
+        assert np.all(np.diff(positions, axis=0) >= 0.0)
         in_span = positions[batch.valid]
         assert np.all((in_span >= 0.0) & (in_span <= 300.0))
 
@@ -190,7 +200,7 @@ class TestWindowCounting:
         trial_index = host_rng.integers(0, 32, size=20)
         got = window_stop_indices(positions, hi, trial_index)
         expected = np.array([
-            np.searchsorted(positions[trial_index[q]], hi[q], side="right")
+            np.searchsorted(positions[:, trial_index[q]], hi[q], side="right")
             for q in range(20)
         ])
         np.testing.assert_array_equal(got, expected)
@@ -202,9 +212,9 @@ class TestStoppedLikelihoodRatios:
     def _scalar_log_weights(self, positions, offsets, tilt, hi, trial_index):
         out = np.empty(hi.size)
         for q in range(hi.size):
-            row = positions[trial_index[q]]
-            stop = int(np.searchsorted(row, hi[q], side="right"))
-            gap_sum = row[stop] + offsets[trial_index[q]]
+            column = positions[:, trial_index[q]]
+            stop = int(np.searchsorted(column, hi[q], side="right"))
+            gap_sum = column[stop] + offsets[trial_index[q]]
             out[q] = (
                 (stop + 1) * tilt.log_const_per_gap
                 + gap_sum * tilt.log_slope_per_nm
@@ -220,8 +230,8 @@ class TestStoppedLikelihoodRatios:
         offsets = batch.start_offsets.astype(float)
         expected = np.empty(64)
         for t in range(64):
-            stop = int(np.sum(positions[t] <= 120.0))
-            gap_sum = positions[t, stop] + offsets[t]
+            stop = int(np.sum(positions[:, t] <= 120.0))
+            gap_sum = positions[stop, t] + offsets[t]
             expected[t] = (
                 (stop + 1) * tilt.log_const_per_gap
                 + gap_sum * tilt.log_slope_per_nm

@@ -2,11 +2,11 @@
 
 Under the float32 policy the engine casts window bounds to the float32
 positions dtype (:func:`~repro.backend.match_dtype`) instead of letting
-NumPy promote, and counts each window by comparing only its own row's
+NumPy promote, and counts each window by comparing only its own trial's
 float32 positions with those float32 bounds.  These tests pin the cast
 helper and check that a float32 window count is exactly the count of
 the same float32 positions inside the same float32 bounds, however many
-trial rows share the batch.
+trials share the batch.
 """
 
 from __future__ import annotations
@@ -74,12 +74,13 @@ class TestFloat32PipelineStaysFloat32:
         assert b.prefix_sum(np.ones(4, dtype=np.float32)).dtype == np.float32
 
     def test_track_just_above_window_in_last_row(self):
-        # A track 1e-4 nm above ``hi`` in the last of 1,000 rows: an offset
-        # of ~1e5 nm per row index would round it onto ``hi`` in float32.
+        # A track 1e-4 nm above ``hi`` in the last of 1,000 trials: an
+        # offset of ~1e5 nm per trial index would round it onto ``hi`` in
+        # float32.
         b32 = get_backend(dtype="float32")
-        positions = np.tile(np.float32([10.0, 150.0, 200.0]), (1000, 1))
-        positions[-1, :2] = [40.0, np.float32(50.0001)]
-        assert positions[-1, 1] > np.float32(50.0)
+        positions = np.tile(np.float32([[10.0], [150.0], [200.0]]), (1, 1000))
+        positions[:2, -1] = [40.0, np.float32(50.0001)]
+        assert positions[1, -1] > np.float32(50.0)
         counts = count_in_windows_flat(
             positions, np.ones(positions.shape, dtype=bool),
             np.float32([30.0]), np.float32([50.0]), np.array([999]),
@@ -114,11 +115,11 @@ class TestFloat32PipelineStaysFloat32:
         counts = count_in_windows_flat(
             batch.positions, batch.valid, lo, hi, trial_index, backend=b32
         )
-        rows = batch.positions[trial_index]
+        columns = batch.positions[:, trial_index].T
         inside = (
-            (rows >= lo.astype(np.float32)[:, None])
-            & (rows <= hi.astype(np.float32)[:, None])
-            & batch.valid[trial_index]
+            (columns >= lo.astype(np.float32)[:, None])
+            & (columns <= hi.astype(np.float32)[:, None])
+            & batch.valid[:, trial_index].T
         )
         np.testing.assert_array_equal(counts, inside.sum(axis=1))
 

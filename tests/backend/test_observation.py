@@ -3,9 +3,10 @@
 The repository benchmark times the engine from outside by handing a
 ``NumpyBackend`` subclass to the public ``backend=`` argument and
 wrapping the backend's steps: ``uniform``, ``sample_gaps``, ``cumsum``,
-``clip``, ``take_pairs`` and ``prefix_sum`` (window counting is a
-row-local search of plain gathers, so no backend step is left for the
-benchmark's ``searchsorted`` wrapper to time).  A kernel that calls NumPy
+``take_pairs`` and ``prefix_sum`` (window counting is a column-local
+search of plain gathers, so no backend step is left for the benchmark's
+``searchsorted`` wrapper to time, and top-ups write spare rows, so none
+for its ``clip`` wrapper).  A kernel that calls NumPy
 directly for one of them would leave that step's timing at zero while
 the step still runs.  These tests hand the chip
 and wafer runners a subclass that counts those calls, check that each
@@ -31,9 +32,7 @@ from repro.netlist.openrisc import build_openrisc_like_design
 from repro.netlist.placement import RowPlacement
 
 #: The backend steps the benchmark's timing backend overrides.
-OBSERVED_STEPS = (
-    "uniform", "sample_gaps", "cumsum", "clip", "take_pairs", "prefix_sum",
-)
+OBSERVED_STEPS = ("uniform", "sample_gaps", "cumsum", "take_pairs", "prefix_sum")
 
 TYPE_MODEL = CNTTypeModel(1.0 / 3.0, 1.0, 0.3)
 
@@ -87,21 +86,23 @@ def test_chip_run_observes_every_window_pass_step(placement, monkeypatch):
     monkeypatch.setattr(engine, "tight_gap_budget", engine.estimate_gap_count)
     backend, (counted, plain) = _chip_runs(placement)
     assert backend.calls["take_pairs"] == 0
-    # The working-tube row is bool: its prefix sum is still a backend step.
+    # The working-tube mask is bool: its running count is still a backend
+    # step.
     for step in ("uniform", "sample_gaps", "cumsum", "prefix_sum",
                  "prefix_sum of bool"):
         assert backend.calls[step] > 0, step
     assert counted == plain
 
 
-def test_top_ups_gather_through_take_pairs(placement, monkeypatch):
+def test_top_ups_draw_and_sum_through_the_backend(placement, monkeypatch):
     # A one-block first draw leaves every trial short of the row span,
-    # so each chunk tops up and gathers its extra blocks.
+    # so each chunk tops up: every round draws and sums one block.
     monkeypatch.setattr(engine, "tight_gap_budget", lambda pitch, span: engine.BLOCK)
     backend, (counted, plain) = _chip_runs(placement)
-    assert backend.calls["take_pairs"] > 0
-    assert backend.calls["clip"] > 0
-    assert backend.calls["sample_gaps"] > backend.calls["uniform"]
+    rounds = backend.calls["sample_gaps"] - backend.calls["uniform"] // 2
+    assert rounds > 0
+    assert backend.calls["cumsum"] == backend.calls["sample_gaps"]
+    assert backend.calls["take_pairs"] == 0
     assert counted == plain
 
 
@@ -128,12 +129,11 @@ def test_wafer_run_observes_draws_and_cumsum():
     assert counted == plain
 
 
-def test_wafer_top_ups_gather_through_take_pairs(monkeypatch):
+def test_wafer_top_ups_draw_and_sum_through_the_backend(monkeypatch):
     # A one-block first draw leaves every die's trials short of the
     # widest class, so each die tops up on the shared track kernel.
     monkeypatch.setattr(engine, "tight_gap_budget", lambda pitch, span: engine.BLOCK)
     backend, (counted, plain) = _wafer_runs()
-    assert backend.calls["take_pairs"] > 0
-    assert backend.calls["clip"] > 0
     assert backend.calls["sample_gaps"] > backend.calls["uniform"]
+    assert backend.calls["cumsum"] == backend.calls["sample_gaps"]
     assert counted == plain

@@ -2,6 +2,7 @@
 
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.montecarlo.engine as engine
+from repro.backend import get_backend
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import DeterministicPitch, ExponentialPitch, GammaPitch
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.chip_sim import ChipMonteCarlo
 from repro.montecarlo.engine import (
     BLOCK,
+    TOP_UP_ROWS,
     TrackBatch,
     chunk_sizes,
     count_in_windows,
@@ -37,22 +40,24 @@ def _brute_force_counts(batch, weights, lo, hi):
     for t in range(n_trials):
         for w in range(n_windows):
             in_window = (
-                (batch.positions[t] >= lo[t, w])
-                & (batch.positions[t] <= hi[t, w])
+                (batch.positions[:, t] >= lo[t, w])
+                & (batch.positions[:, t] <= hi[t, w])
             )
-            out[t, w] = weights[t][in_window].sum()
+            out[t, w] = weights[:, t][in_window].sum()
     return out
 
 
 class TestSampleTrackBatch:
     def test_positions_sorted_and_valid_in_span(self, rng):
         batch = sample_track_batch(ExponentialPitch(4.0), 200.0, 64, rng)
-        assert batch.positions.shape[0] == 64
-        assert np.all(np.diff(batch.positions, axis=1) >= 0.0)
+        assert batch.positions.shape[1] == 64
+        assert np.all(np.diff(batch.positions, axis=0) >= 0.0)
         in_span = batch.positions[batch.valid]
         assert np.all((in_span >= 0.0) & (in_span <= 200.0))
         # Every trial's gap budget cleared the span.
-        assert np.all(batch.positions[:, -1] > 200.0)
+        assert np.all(batch.positions[-1] > 200.0)
+        # Only the last row is beyond the span in every column.
+        assert np.any(batch.positions[-2] <= 200.0)
 
     def test_poisson_count_statistics(self, rng):
         # Exponential gaps started at a uniform offset form a Poisson
@@ -85,25 +90,29 @@ def one_block_budget(monkeypatch):
 
 
 def _assert_top_up_invariants(batch, budget):
-    """Rows sorted, last slot beyond the span, padding finite and invalid."""
+    """Columns sorted, last slot beyond the span, padding finite and invalid."""
     positions, span = batch.positions, batch.span_nm
     assert np.all(np.isfinite(positions))
-    assert np.all(np.diff(positions, axis=1) >= 0.0)
-    assert np.all(positions[:, -1] > span)
-    slots = np.arange(positions.shape[1])[None, :]
-    first_out = np.argmax(positions > span, axis=1)[:, None]
+    assert np.all(np.diff(positions, axis=0) >= 0.0)
+    assert np.all(positions[-1] > span)
+    slots = np.arange(positions.shape[0])[:, None]
+    first_out = np.argmax(positions > span, axis=0)[None, :]
     assert not np.any(batch.valid & (slots >= first_out))
     # Blocks appended after a trial cleared the span repeat the last track
-    # of the draw that cleared it.
-    cleared_at = np.where(
-        first_out < budget,
-        budget - 1,
-        budget - 1 + ((first_out - budget) // BLOCK + 1) * BLOCK,
+    # of the draw that cleared it (or of the kept rows, when the rows past
+    # every trial's last in-span track were dropped).
+    cleared_at = np.minimum(
+        np.where(
+            first_out < budget,
+            budget - 1,
+            budget - 1 + ((first_out - budget) // BLOCK + 1) * BLOCK,
+        ),
+        positions.shape[0] - 1,
     )
-    rows = np.arange(positions.shape[0])[:, None]
+    columns = np.arange(positions.shape[1])[None, :]
     padding = slots > cleared_at
     assert np.any(padding)
-    repeated = np.broadcast_to(positions[rows, cleared_at], positions.shape)
+    repeated = np.broadcast_to(positions[cleared_at, columns], positions.shape)
     np.testing.assert_array_equal(positions[padding], repeated[padding])
 
 
@@ -118,8 +127,8 @@ class TestTopUps:
             self.PITCH, self.SPAN, 2_000, np.random.default_rng(1)
         )
         budget = tight_gap_budget(self.PITCH, self.SPAN)
-        rounds = (batch.positions.shape[1] - budget) // BLOCK
-        topped_up = np.mean(batch.positions[:, budget - 1] <= self.SPAN)
+        rounds = -(-(batch.positions.shape[0] - budget) // BLOCK)
+        topped_up = np.mean(batch.positions[budget - 1] <= self.SPAN)
         assert rounds >= 3
         assert topped_up > 0.01
         _assert_top_up_invariants(batch, budget)
@@ -128,7 +137,7 @@ class TestTopUps:
         batch = sample_track_batch(
             self.PITCH, self.SPAN, 500, np.random.default_rng(2)
         )
-        assert batch.positions.shape[1] > 4 * BLOCK
+        assert batch.positions.shape[0] > 4 * BLOCK
         _assert_top_up_invariants(batch, BLOCK)
 
     def test_only_short_trials_draw(self, one_block_budget):
@@ -136,13 +145,13 @@ class TestTopUps:
         # round: the generator is advanced by exactly those draws.
         rng = np.random.default_rng(3)
         batch = sample_track_batch(ExponentialPitch(4.0), 60.0, 64, rng)
-        first_out = np.argmax(batch.positions > 60.0, axis=1)
+        first_out = np.argmax(batch.positions > 60.0, axis=0)
         blocks = first_out // BLOCK + 1
         replay = np.random.default_rng(3)
         replay.random(64)
-        replay.standard_exponential((64, BLOCK))
+        replay.standard_exponential((BLOCK, 64))
         for r in range(1, blocks.max()):
-            replay.standard_exponential((int(np.sum(blocks > r)), BLOCK))
+            replay.standard_exponential((BLOCK, int(np.sum(blocks > r))))
         assert rng.random() == replay.random()
 
     def test_exponential_counts_are_poisson(self, one_block_budget):
@@ -150,7 +159,7 @@ class TestTopUps:
             ExponentialPitch(4.0), 400.0, 4_000, np.random.default_rng(4)
         )
         counts = batch.counts()
-        assert batch.positions.shape[1] >= 12 * BLOCK
+        assert batch.positions.shape[0] >= 12 * BLOCK
         assert counts.mean() == pytest.approx(100.0, rel=0.05)
         assert counts.var() == pytest.approx(100.0, rel=0.15)
 
@@ -260,72 +269,73 @@ class TestCountInWindows:
             )
 
 
-def _searchsorted_oracle(positions, bounds, rows=None, side="right"):
-    """Per-query ``searchsorted`` of the bound into its row.
+def _searchsorted_oracle(positions, bounds, columns=None, side="right"):
+    """Per-query ``searchsorted`` of the bound into its trial's column.
 
-    ``side="right"`` counts the row's slots <= bound, ``"left"`` those
-    < bound.  Without ``rows`` bound row ``r`` queries position row ``r``.
+    ``side="right"`` counts the column's slots <= bound, ``"left"`` those
+    < bound.  Without ``columns`` bound column ``t`` queries trial ``t``.
     """
-    if rows is None:
+    if columns is None:
         return np.array([
-            np.searchsorted(row, b, side=side)
-            for row, b in zip(positions, bounds)
-        ])
+            np.searchsorted(positions[:, t], bounds[:, t], side=side)
+            for t in range(positions.shape[1])
+        ]).T
     return np.array([
-        np.searchsorted(positions[r], b, side=side)
-        for r, b in zip(rows, bounds)
+        np.searchsorted(positions[:, t], b, side=side)
+        for t, b in zip(columns, bounds)
     ])
 
 
-def _padded_rows(rng, n_rows, n_slots, dtype):
-    """Sorted rows of positive-gap cumsums, each ending in random +inf padding.
+def _padded_columns(rng, n_trials, n_slots, dtype):
+    """Sorted slot-major columns of positive-gap sums, each ending in +inf padding.
 
-    Returns the rows and each row's number of finite slots.
+    Returns the ``(n_slots, n_trials)`` positions and each trial's number
+    of finite slots.
     """
-    positions = np.cumsum(rng.exponential(4.0, (n_rows, n_slots)), axis=1)
+    positions = np.cumsum(rng.exponential(4.0, (n_slots, n_trials)), axis=0)
     positions = positions.astype(dtype)
-    filled = rng.integers(1, n_slots + 1, size=n_rows)
-    positions[np.arange(n_slots)[None, :] >= filled[:, None]] = np.inf
+    filled = rng.integers(1, n_slots + 1, size=n_trials)
+    positions[np.arange(n_slots)[:, None] >= filled[None, :]] = np.inf
     return positions, filled
 
 
 def _edge_bounds(rng, positions, filled):
     """Float64 bounds below every slot, above every slot and on a slot.
 
-    Returns the bounds and the counts they must produce.
+    Returns the ``(3, n_trials)`` bounds and the counts they must produce.
     """
-    n_rows = positions.shape[0]
+    n_trials = positions.shape[1]
     above = float(np.max(np.where(np.isinf(positions), 0.0, positions))) + 1.0
     slot = rng.integers(0, filled)
-    bounds = np.column_stack([
-        np.full(n_rows, -1.0),
-        np.full(n_rows, above),
-        positions[np.arange(n_rows), slot],
+    bounds = np.vstack([
+        np.full(n_trials, -1.0),
+        np.full(n_trials, above),
+        positions[slot, np.arange(n_trials)],
     ])
-    return bounds, np.column_stack([np.zeros(n_rows), filled, slot + 1])
+    return bounds, np.vstack([np.zeros(n_trials), filled, slot + 1])
 
 
 class TestCountLeqRows:
-    """The row-local search of the wafer and chip tiers against a per-row oracle."""
+    """The column-local search of the wafer and chip tiers against per-trial searchsorted."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_rows=st.integers(1, 40),
+        n_trials=st.integers(1, 40),
         n_slots=st.integers(1, 130),
         n_between=st.integers(0, 5),
         dtype=st.sampled_from([np.float64, np.float32]),
         side=st.sampled_from(["left", "right"]),
     )
     def test_matches_searchsorted(
-        self, seed, n_rows, n_slots, n_between, dtype, side
+        self, seed, n_trials, n_slots, n_between, dtype, side
     ):
         rng = np.random.default_rng(seed)
-        positions, filled = _padded_rows(rng, n_rows, n_slots, dtype)
+        positions, filled = _padded_columns(rng, n_trials, n_slots, dtype)
         edges, _ = _edge_bounds(rng, positions, filled)
-        between = rng.uniform(-1.0, edges[0, 1], (n_rows, n_between))
-        # Bounds stay float64 whatever the rows' dtype.
-        bounds = np.column_stack([edges, between])
+        between = rng.uniform(-1.0, edges[1, 0], (n_between, n_trials))
+        # Bounds stay float64 whatever the positions' dtype.
+        bounds = np.vstack([edges, between])
         np.testing.assert_array_equal(
             count_leq_rows(positions, bounds, side=side),
             _searchsorted_oracle(positions, bounds, side=side),
@@ -334,22 +344,22 @@ class TestCountLeqRows:
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n_rows=st.integers(1, 40),
+        n_trials=st.integers(1, 40),
         n_slots=st.integers(1, 130),
         n_queries=st.integers(1, 60),
         dtype=st.sampled_from([np.float64, np.float32]),
         bound_dtype=st.sampled_from([np.float64, np.float32]),
         side=st.sampled_from(["left", "right"]),
     )
-    def test_per_query_rows_match_searchsorted(
-        self, seed, n_rows, n_slots, n_queries, dtype, bound_dtype, side
+    def test_per_query_columns_match_searchsorted(
+        self, seed, n_trials, n_slots, n_queries, dtype, bound_dtype, side
     ):
         # The flat ``(trial_index, bound)`` form: each query names its own
-        # row, repeated and in any order, as the chip window lists do.
+        # trial, repeated and in any order, as the chip window lists do.
         rng = np.random.default_rng(seed)
-        positions, filled = _padded_rows(rng, n_rows, n_slots, dtype)
-        rows = rng.integers(0, n_rows, size=n_queries)
-        on_slot = positions[rows, rng.integers(0, filled[rows])]
+        positions, filled = _padded_columns(rng, n_trials, n_slots, dtype)
+        columns = rng.integers(0, n_trials, size=n_queries)
+        on_slot = positions[rng.integers(0, filled[columns]), columns]
         kind = rng.integers(0, 4, size=n_queries)
         bounds = np.choose(kind, [
             on_slot,
@@ -358,22 +368,64 @@ class TestCountLeqRows:
             rng.uniform(-1.0, 4.0 * n_slots + 1.0, n_queries),
         ]).astype(bound_dtype)
         np.testing.assert_array_equal(
-            count_leq_rows(positions, bounds, rows, side=side),
-            _searchsorted_oracle(positions, bounds, rows, side=side),
+            count_leq_rows(positions, bounds, columns, side=side),
+            _searchsorted_oracle(positions, bounds, columns, side=side),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_trials=st.integers(1, 40),
+        span=st.floats(320.0, 400.0),
+        n_queries=st.integers(1, 60),
+        dtype=st.sampled_from(["float64", "float32"]),
+        side=st.sampled_from(["left", "right"]),
+    )
+    def test_matches_searchsorted_on_topped_up_batches(
+        self, seed, n_trials, span, n_queries, dtype, side
+    ):
+        # A one-block first draw leaves every trial short of spans this
+        # wide for more top-up rounds than the spare rows hold, so the
+        # batch moves to a grown buffer; trials that cleared the span
+        # repeat their last position, runs of ties the search must count.
+        rng = np.random.default_rng(seed)
+        with mock.patch.object(engine, "tight_gap_budget", lambda p, s: BLOCK):
+            batch = sample_track_batch(
+                ExponentialPitch(4.0), span, n_trials, rng,
+                backend=get_backend(dtype=dtype),
+            )
+        positions = batch.positions
+        assert positions.shape[0] > BLOCK + TOP_UP_ROWS
+        assert positions.dtype == np.dtype(dtype)
+        columns = rng.integers(0, n_trials, size=n_queries)
+        on_slot = positions[
+            rng.integers(0, positions.shape[0], size=n_queries), columns
+        ]
+        # Float64 bounds: on a slot (ties on both sides), between slots,
+        # below and beyond every slot.
+        bounds = np.choose(rng.integers(0, 4, size=n_queries), [
+            on_slot.astype(np.float64),
+            rng.uniform(-5.0, span + 5.0, n_queries),
+            np.full(n_queries, -5.0),
+            np.full(n_queries, np.inf),
+        ])
+        np.testing.assert_array_equal(
+            count_leq_rows(positions, bounds, columns, side=side),
+            _searchsorted_oracle(positions, bounds, columns, side=side),
         )
 
     def test_side_left_excludes_a_bound_on_a_slot(self):
-        positions = np.array([[1.0, 2.0, 2.0, 5.0], [0.5, 2.0, 3.0, np.inf]])
-        rows = np.array([1, 0, 0, 1])
+        positions = np.array([[1.0, 2.0, 2.0, 5.0], [0.5, 2.0, 3.0, np.inf]]).T
+        columns = np.array([1, 0, 0, 1])
         bounds = np.array([2.0, 2.0, 5.0, 9.0])
         np.testing.assert_array_equal(
-            count_leq_rows(positions, bounds, rows, side="left"), [1, 1, 3, 3]
+            count_leq_rows(positions, bounds, columns, side="left"), [1, 1, 3, 3]
         )
         np.testing.assert_array_equal(
-            count_leq_rows(positions, bounds, rows), [2, 3, 4, 3]
+            count_leq_rows(positions, bounds, columns), [2, 3, 4, 3]
         )
         with pytest.raises(ValueError, match="side"):
-            count_leq_rows(positions, bounds, rows, side="middle")
+            count_leq_rows(positions, bounds, columns, side="middle")
 
     @pytest.mark.parametrize(
         "n_slots", [1, 2, 3, 7, 8, 9, 56, 64, 65, 104, 128, 129, 130]
@@ -381,24 +433,25 @@ class TestCountLeqRows:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_edges_at_every_width(self, n_slots, dtype):
         rng = np.random.default_rng(n_slots)
-        positions, filled = _padded_rows(rng, 25, n_slots, dtype)
+        positions, filled = _padded_columns(rng, 25, n_slots, dtype)
         bounds, expected = _edge_bounds(rng, positions, filled)
         np.testing.assert_array_equal(count_leq_rows(positions, bounds), expected)
 
     def test_bound_equal_to_float32_slot_is_inclusive(self):
-        positions = np.array([[1.5, 2.25, 7.0, np.inf]], dtype=np.float32)
-        bounds = np.array([[1.5, 2.25, 2.2499999, 7.0, 1e30]])
+        positions = np.array([[1.5], [2.25], [7.0], [np.inf]], dtype=np.float32)
+        bounds = np.array([[1.5], [2.25], [2.2499999], [7.0], [1e30]])
         np.testing.assert_array_equal(
-            count_leq_rows(positions, bounds), [[1, 2, 1, 3, 3]]
+            count_leq_rows(positions, bounds), [[1], [2], [1], [3], [3]]
         )
 
-    def test_row_counts_independent_of_batch(self, rng):
-        positions, _ = _padded_rows(rng, 30, 24, np.float64)
-        bounds = rng.uniform(-1.0, 120.0, (30, 4))
+    def test_trial_counts_independent_of_batch(self, rng):
+        positions, _ = _padded_columns(rng, 30, 24, np.float64)
+        bounds = rng.uniform(-1.0, 120.0, (4, 30))
         whole = count_leq_rows(positions, bounds)
-        for r in (0, 17, 29):
+        for t in (0, 17, 29):
             np.testing.assert_array_equal(
-                count_leq_rows(positions[r:r + 1], bounds[r:r + 1]), whole[r:r + 1]
+                count_leq_rows(positions[:, t:t + 1], bounds[:, t:t + 1]),
+                whole[:, t:t + 1],
             )
 
 

@@ -71,7 +71,7 @@ class TestWeightProperties:
         assert np.all(weights >= 0.0)
         assert np.all(weights[log_w > -700.0] > 0.0)
         # The batch must still satisfy the engine contract.
-        assert np.all(batch.positions[:, -1] > span_nm)
+        assert np.all(batch.positions[-1] > span_nm)
 
     @given(
         pitch_args=pitch_strategy,
@@ -117,8 +117,8 @@ class TestWeightProperties:
         low, high = log_w[:16], log_w[16:]
         # The stopped gap count must be monotone in the bound, and both
         # weight sets must stay finite.
-        stops_low = np.sum(batch.positions <= 50.0, axis=1)
-        stops_high = np.sum(batch.positions <= 200.0, axis=1)
+        stops_low = np.sum(batch.positions <= 50.0, axis=0)
+        stops_high = np.sum(batch.positions <= 200.0, axis=0)
         assert np.all(stops_low <= stops_high)
         assert np.all(np.isfinite(low)) and np.all(np.isfinite(high))
 

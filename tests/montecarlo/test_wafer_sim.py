@@ -432,14 +432,17 @@ class TestBitwisePins:
 
 
 class _RowCountingBackend(NumpyBackend):
-    """NumPy float64 backend that counts the trial rows it draws gaps for."""
+    """NumPy float64 backend that counts the trials it draws gaps for.
+
+    Draws are slot-major, ``(n_slots, n_trials)``.
+    """
 
     def __init__(self):
         super().__init__()
-        self.rows_drawn = 0
+        self.trials_drawn = 0
 
     def sample_gaps(self, pitch, shape, rng, out=None):
-        self.rows_drawn += shape[0]
+        self.trials_drawn += shape[1]
         return super().sample_gaps(pitch, shape, rng, out)
 
 
@@ -457,8 +460,8 @@ def test_one_block_budget_tops_up_most_trials_and_stays_exact(
         wafer, ExponentialPitch(4.0), sparse_type_model, widths,
         n_trials=n_trials, seed_key=(43,), backend=backend,
     )
-    first_draw_rows = result.die_count * n_trials
-    assert backend.rows_drawn - first_draw_rows > first_draw_rows
+    first_draw_trials = result.die_count * n_trials
+    assert backend.trials_drawn - first_draw_trials > first_draw_trials
     pf = sparse_type_model.per_cnt_failure_probability
     for q, width in enumerate(widths):
         lam = np.array([width / d.mean_pitch_nm for d in result.dice])

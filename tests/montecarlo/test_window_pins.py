@@ -62,10 +62,10 @@ def _geometry(placement, type_model):
     ).chip_geometry()
 
 
-def _slot_values(rng, shape, backend):
-    """A per-slot float draw standing in for the timing tier's currents."""
-    values = rng.standard_normal(shape)
-    values += 10.0
+def _slot_values(rng, tubes, backend):
+    """A float per working tube standing in for the timing tier's currents."""
+    values = np.zeros(tubes.shape)
+    values[tubes] = rng.standard_normal(np.count_nonzero(tubes)) + 10.0
     return values
 
 
