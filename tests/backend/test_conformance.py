@@ -282,7 +282,7 @@ class TestTiltedEstimator:
         # Exact value pinned by tests/fixtures/golden_engine_values.json;
         # here we only anchor the magnitude so this test stays meaningful
         # for every backend param through the shared helper below.
-        assert est.estimate == pytest.approx(1.8937523285078687e-07, rel=1e-12)
+        assert est.estimate == pytest.approx(1.8748722358075324e-07, rel=1e-12)
 
     def test_matches_reference_within_dtype_tolerance(self, backend):
         est = estimate_device_failure_tilted(

@@ -368,13 +368,13 @@ class TestBitwisePins:
 
     DIGESTS = {
         "exponential":
-            "42f98c32f43269187dda217e3d21b4d4e29bf61e44dae9211f66d4c9a97880df",
+            "183147058c0102f1c340650d658a049a050e3043da9d91add4eb90e6c86f8f98",
         "gamma_cv05":
-            "9a91539181b4617161272e92ac7b75f700081dab6a6d01757c1f9d221afc1b3b",
+            "0ed7e1b341c048bd79022a5554d9ae02a4eb951e0ab615946e3809f58294fe71",
         "shorts":
-            "090b94c5b6ceaf466de98e9ae8f042c30a4d82342e994b214574534923e27844",
+            "0dfbdeb09e95c22285ab6594e0338a98ed79062baf0329368144aba826f702ab",
         "misaligned":
-            "f29580492b6a5345efd806260a48e55ba6589159b075bcf1d6c74009d57e0658",
+            "634cb954ce7d84a3b3362673a4ff8408cc3cb28f4499fa72aa5921194aedef11",
     }
 
     @pytest.fixture(scope="class")

@@ -89,12 +89,12 @@ def _tilted_pass(geometry):
 
 class TestChipWindowPins:
     DIGESTS = {
-        "opens": "e6d741dbfece5ca078dc9356166c43d7cabce52359b0406bd92400c6cee63796",
-        "shorts": "a98edc76ef809ba53a6c3678ef34b3ee4a7d986e5bf16a3c4ff8e72187e845ab",
-        "summed": "6e6e3f7991eaf5cd5f7454697e08d6cba70cb7a0802211690af10accfd4bfe29",
-        "tilted": "41b7fe77e7b5a668b17212bb959d6bc50ac57f45fafc0c8bc7ecf15d7171a929",
-        "tilted_chunk": "984e5b2feefbc0c2808ccb37da1d805f5cc18bcd9b2d22ecabf5328471c53e20",
-        "stop_indices": "68247dc3c6a786fd07ceb2257b9cc3256b16a23fd4bc5610c7721fdfccd9c898",
+        "opens": "fc1d6021df2991d833867a5209402183f232ad7a250aae1c38079836cc4c4a92",
+        "shorts": "2b201fca478cd1290feabef86ecabcd0ecdb1850cbe445cc1789084ac2c72d69",
+        "summed": "3fdb26745e9fa5dfc525bee1c61d5ec0966a4c4dfe86adf172ad09679d18b4a2",
+        "tilted": "add620a7e569f8e038c14d312143641dcf5dcc85781258f246f16ef986a8cbef",
+        "tilted_chunk": "1228b5b46d575790046ce70f5c2f6ebf4cef48d436fbdba2f0addd998cea254d",
+        "stop_indices": "dc6ba1de237aee62d5a0702dc5d0925ceab5e6a17de81dc13a307a8ae2eb67e9",
     }
 
     def test_opens_working_counts(self, placement):
