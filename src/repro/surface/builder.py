@@ -155,7 +155,9 @@ class ExactEvaluator:
 
     All evaluations go through a coordinate-keyed cache, so the builder's
     midpoint probes, refinement rounds and the serving layer's fallback
-    queries never pay twice for the same (W, ρ) point.
+    queries never pay twice for the same (W, ρ) point.  ``execution`` runs
+    the tilted Monte Carlo grid campaigns of ``method="tilted"``; like
+    every execution it changes no result bit.
     """
 
     def __init__(
@@ -168,6 +170,7 @@ class ExactEvaluator:
         mc_samples: int = 20_000,
         seed: int = 20100613,
         short_probability: float = 0.0,
+        execution: Execution = Execution(),
     ) -> None:
         if scenario not in ALL_SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
@@ -187,6 +190,7 @@ class ExactEvaluator:
         self.mc_samples = int(mc_samples)
         self.seed = int(seed)
         self.short_probability = float(short_probability)
+        self.execution = execution
         self._cache: Dict[Tuple[float, float], Tuple[float, float]] = {}
         self.evaluation_count = 0
 
@@ -240,6 +244,7 @@ class ExactEvaluator:
                 widths_nm[at],
                 self.mc_samples,
                 seed_key=(self.seed, int(round(float(density) * 1e6))),
+                execution=self.execution,
             )
             p = np.array([e.estimate for e in estimates])
             se = np.array([e.standard_error for e in estimates])
@@ -327,7 +332,10 @@ class SurfaceBuilder:
         replays instead of re-evaluating, and because refinement
         decisions are deterministic functions of the point values, the
         resumed surface is bitwise identical (same content hash) to an
-        uninterrupted build.  The sweep itself runs in-process.
+        uninterrupted build.  The tilted Monte Carlo grid campaigns of a
+        ``method="tilted"`` sweep run under the same workers, retry
+        policy and fault plan, without a checkpoint of their own: the
+        point cache already persists what they computed.
     """
 
     def __init__(
@@ -387,6 +395,7 @@ class SurfaceBuilder:
             mc_samples=spec.mc_samples,
             seed=spec.seed,
             short_probability=spec.short_probability,
+            execution=dataclasses.replace(self.execution, checkpoint_dir=None),
         )
         checkpoint = self.execution.checkpoint(
             f"sweep-{spec.scenario}", spec.max_refinement_rounds + 1, spec

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.backend import get_backend, match_dtype
+from repro.backend.core import ROW_LOOP_MIN
 from repro.growth.pitch import ExponentialPitch, GammaPitch
 from repro.montecarlo.engine import (
     BLOCK,
@@ -303,3 +304,40 @@ class TestTiltedEstimator:
         cast = match_dtype(np.arange(4, dtype=np.float64), base)
         assert cast.dtype == backend.dtype
         np.testing.assert_array_equal(cast, np.arange(4))
+
+
+class TestAccumulationRule:
+    """The row loop and ``np.cumsum(axis=0)`` give the same bits.
+
+    Batches at least :data:`~repro.backend.core.ROW_LOOP_MIN` trials wide
+    are summed one row add at a time, narrower ones by ``np.cumsum``;
+    both widths run here, so both paths are covered and compared with a
+    plain ``np.cumsum`` down the slot axis.
+    """
+
+    WIDTHS = (ROW_LOOP_MIN - 1, ROW_LOOP_MIN, 3 * ROW_LOOP_MIN + 5)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_cumsum_matches_numpy(self, backend, width, dtype):
+        a = np.random.default_rng(width).exponential(4.0, (57, width))
+        a = a.astype(dtype)
+        want = np.cumsum(a, axis=0)
+        got = backend.cumsum(a, axis=0)
+        assert got is a
+        assert got.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_running_counts_match_numpy(self, backend, width):
+        rng = np.random.default_rng(width)
+        tubes = rng.random((57, width)) < 0.6
+        values = rng.exponential(4.0, (57, width)).astype(backend.dtype)
+        for weights, dtype in ((tubes, np.int32), (values, backend.accum_dtype)):
+            running = backend.prefix_sum(weights, 40)
+            assert running.shape == (41, width)
+            assert running.dtype == dtype
+            np.testing.assert_array_equal(running[0], 0)
+            np.testing.assert_array_equal(
+                running[1:], np.cumsum(weights[:40], axis=0, dtype=dtype)
+            )

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.backend import default_backend
 from repro.cells.aligned_active import enforce_aligned_active
 from repro.cells.nangate45 import build_nangate45_library
 from repro.core.count_model import PoissonCountModel
 from repro.core.failure import CNFETFailureModel
 from repro.growth.pitch import ExponentialPitch
 from repro.growth.types import CNTTypeModel
-from repro.montecarlo.chip_sim import ChipMonteCarlo, compare_libraries
+from repro.montecarlo.chip_sim import (
+    ChipMonteCarlo,
+    _chip_window_counts_joint,
+    compare_libraries,
+)
+from repro.montecarlo.engine import sample_track_batch
 from repro.netlist.design import Design
 from repro.netlist.placement import RowPlacement
 
@@ -167,3 +173,48 @@ class TestLibraryComparison:
         # rate, which (together with clustering) raises the chip yield.
         assert aligned.device_failure_rate < original.device_failure_rate
         assert aligned.chip_yield >= original.chip_yield
+
+
+class TestWindowCountsAgainstScalarCounts:
+    """The chunk kernel's window counts, recounted window by window."""
+
+    @pytest.mark.parametrize("removal_eta", [1.0, 0.9])
+    def test_counts_equal_per_window_recount(self, placement, removal_eta):
+        # Replaying the chunk's stream gives the same positions and tube
+        # uniforms; each window is then counted on its own trial's column,
+        # with the validity mask the kernel leaves out.
+        type_model = CNTTypeModel(1.0 / 3.0, removal_eta, 0.3)
+        geometry = ChipMonteCarlo(
+            placement, pitch=ExponentialPitch(20.0), type_model=type_model
+        ).chip_geometry()
+        n_chunk = 3
+        working, shorts, _ = _chip_window_counts_joint(
+            geometry, n_chunk, np.random.default_rng(8)
+        )
+        replay = np.random.default_rng(8)
+        batch = sample_track_batch(
+            geometry.pitch, geometry.row_height_nm, n_chunk * geometry.n_rows,
+            replay,
+        )
+        u = default_backend().uniform(replay, batch.positions.shape)
+        pf = geometry.per_cnt_failure
+        q = geometry.short_probability
+        n_windows = geometry.window_lo.size
+        want_working = np.zeros((n_chunk, n_windows))
+        want_shorts = np.zeros((n_chunk, n_windows))
+        for t in range(n_chunk):
+            for w in range(n_windows):
+                column = t * geometry.n_rows + geometry.window_row[w]
+                y = batch.positions[:, column]
+                tubes = (
+                    (y >= geometry.window_lo[w]) & (y <= geometry.window_hi[w])
+                    & batch.valid[:, column]
+                )
+                want_working[t, w] = np.count_nonzero(tubes & (u[:, column] >= pf))
+                want_shorts[t, w] = np.count_nonzero(tubes & (u[:, column] < q))
+        np.testing.assert_array_equal(working, want_working)
+        if q > 0.0:
+            assert shorts.any()
+            np.testing.assert_array_equal(shorts, want_shorts)
+        else:
+            assert shorts is None

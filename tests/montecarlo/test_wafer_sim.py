@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import repro.montecarlo.engine as engine
+import repro.montecarlo.wafer_sim as wafer_sim
 from repro.backend import NumpyBackend, get_backend
 from repro.growth.pitch import ExponentialPitch, GammaPitch
 from repro.growth.types import CNTTypeModel
 from repro.growth.wafer import WaferGrowthModel, WaferMap
 from repro.montecarlo.engine import BLOCK, tight_gap_budget
-from repro.resilience import Execution
+from repro.resilience import Execution, RetryPolicy
 from repro.montecarlo.wafer_sim import (
     die_stream,
     per_die_loop,
@@ -470,3 +471,34 @@ def test_one_block_budget_tops_up_most_trials_and_stays_exact(
         total = sum(d.failure_probabilities[q] for d in result.dice)
         z = (total - mean.sum()) / math.sqrt(var.sum() / n_trials)
         assert abs(z) < 5.0
+
+
+def test_retried_die_group_leaves_a_held_slab_alone(
+    monkeypatch, wafer, sparse_type_model
+):
+    # Die groups run in a buffer-pool scope.  A first attempt that fails
+    # while something still holds its pooled track batch must not have
+    # that slab handed to the retry: the held array stays intact and the
+    # retried wafer equals a clean run bit for bit.
+    run = dict(
+        wafer=wafer, pitch=ExponentialPitch(4.0), type_model=sparse_type_model,
+        widths_nm=WIDTHS, device_counts=COUNTS, n_trials=256, seed_key=(47,),
+    )
+    clean = simulate_wafer(**run)
+    held = []
+    search = wafer_sim.count_leq_rows
+
+    def fail_first_search(positions, bounds, *args, **kwargs):
+        if not held:
+            held.append((positions, positions.copy()))
+            raise RuntimeError("injected failure holding a pooled batch")
+        return search(positions, bounds, *args, **kwargs)
+
+    monkeypatch.setattr(wafer_sim, "count_leq_rows", fail_first_search)
+    retried = simulate_wafer(
+        **run, execution=Execution(policy=RetryPolicy(max_retries=1, backoff_s=0.0))
+    )
+    positions, snapshot = held[0]
+    assert positions.base.dtype == np.uint8  # a view of a pool slab
+    np.testing.assert_array_equal(positions, snapshot)
+    assert retried == clean

@@ -20,6 +20,7 @@ from repro.growth.pitch import (
     GammaPitch,
     TruncatedNormalPitch,
 )
+from repro.resilience import Execution, FaultPlan, RetryPolicy, SupervisorError
 from repro.surface import (
     ExactEvaluator,
     GridAxis,
@@ -237,6 +238,51 @@ class TestMonteCarloBuild:
         first = SurfaceBuilder(spec).build()
         second = SurfaceBuilder(spec).build()
         assert first.content_hash == second.content_hash
+
+
+def tilted_spec():
+    """A 2 x 2 tilted sweep without refinement: four grid campaigns' worth."""
+    return small_spec(
+        width_axis=GridAxis.from_range("width_nm", 60.0, 120.0, 2),
+        density_axis=GridAxis.from_range("cnt_density_per_um", 200.0, 300.0, 2),
+        method="tilted",
+        mc_samples=2_000,
+        max_refinement_rounds=0,
+    )
+
+
+class TestTiltedBuildExecution:
+    """The builder's execution runs the tilted grid campaigns."""
+
+    def test_fault_plan_reaches_the_grid_campaign(self):
+        execution = Execution(
+            policy=RetryPolicy(max_retries=0, backoff_s=0.0),
+            faults=FaultPlan(kill_units=(0,)),
+        )
+        with pytest.raises(SupervisorError, match="unit 0"):
+            SurfaceBuilder(tilted_spec(), execution).build()
+
+    def test_retried_kill_gives_the_plain_surface(self):
+        plain = SurfaceBuilder(tilted_spec()).build()
+        execution = Execution(
+            policy=RetryPolicy(max_retries=1, backoff_s=0.0),
+            faults=FaultPlan(kill_units=(0, 3)),
+        )
+        retried = SurfaceBuilder(tilted_spec(), execution).build()
+        assert retried.content_hash == plain.content_hash
+
+    def test_two_workers_give_the_serial_surface(self):
+        serial = SurfaceBuilder(tilted_spec()).build()
+        pooled = SurfaceBuilder(tilted_spec(), Execution(n_workers=2)).build()
+        assert pooled.content_hash == serial.content_hash
+        np.testing.assert_array_equal(pooled.log_failure, serial.log_failure)
+        np.testing.assert_array_equal(pooled.stat_se_log, serial.stat_se_log)
+
+    def test_only_the_sweep_is_checkpointed(self, tmp_path):
+        SurfaceBuilder(
+            tilted_spec(), Execution(checkpoint_dir=tmp_path)
+        ).build()
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep-device"]
 
 
 class TestExactEvaluator:
