@@ -103,14 +103,20 @@ def _provenance() -> dict:
     }
 
 
-def _median_seconds(step, repeats: int) -> float:
-    """Median wall time of ``repeats`` calls of ``step`` after one warm-up."""
-    step()
+def _median_seconds(step, repeats: int, setup=None) -> float:
+    """Median wall time of ``repeats`` calls of ``step`` after one warm-up.
+
+    ``setup``, when given, runs untimed before every call (a step that
+    works in place gets its input restored there).
+    """
     times = []
-    for _ in range(repeats):
+    for i in range(repeats + 1):
+        if setup is not None:
+            setup()
         start = time.perf_counter()
         step()
-        times.append(time.perf_counter() - start)
+        if i:
+            times.append(time.perf_counter() - start)
     return float(np.median(times))
 
 
@@ -120,18 +126,20 @@ def chunk_layers(
     """Median seconds of each layer of one default-sized trial chunk.
 
     The layers of :func:`repro.montecarlo.chip_sim._chip_window_counts_joint`
-    timed one by one on the same chunk, inside a buffer pool scope as the
-    chunk runner executes them: the gap draw of the first (tight-budget)
-    batch, its ``cumsum``, the per-tube uniforms and the window count of
-    every distinct window.  Top-up rounds and the failure reductions are
-    left out, so the layers sum to a little less than one chunk.
+    timed one by one on the same slot-major chunk, inside a buffer pool
+    scope as the chunk runner executes them: the gap draw of the first
+    (tight-budget) batch, its in-place running sum down the slot axis,
+    the per-tube uniforms and the window count of every distinct window
+    (column-local searches plus the running counts of the working
+    tubes).  Top-up rounds and the failure reductions are left out, so
+    the layers sum to a little less than one chunk.
     """
     geometry = simulator.chip_geometry()
     backend = default_backend()
     n_chunk = _chip_trial_chunk(geometry.pitch, geometry, n_trials)
     shape = (
-        n_chunk * geometry.n_rows,
         tight_gap_budget(geometry.pitch, geometry.row_height_nm),
+        n_chunk * geometry.n_rows,
     )
     n_windows = geometry.window_lo.size
     trial_index = (
@@ -146,16 +154,16 @@ def chunk_layers(
             gaps = backend.sample_gaps(
                 geometry.pitch, shape, rng, out=backend.empty(shape)
             )
-            positions = backend.cumsum(gaps, axis=1)
+            positions = backend.cumsum(gaps.copy(), axis=0)
             working = backend.uniform(rng, shape) >= geometry.per_cnt_failure
-            working &= (positions >= 0.0) & (positions <= geometry.row_height_nm)
             layers = {
                 "gap_draw": _median_seconds(
                     lambda: backend.sample_gaps(
                         geometry.pitch, shape, rng, out=gaps
                     ), repeats),
                 "cumsum": _median_seconds(
-                    lambda: backend.cumsum(gaps, axis=1), repeats),
+                    lambda: backend.cumsum(positions, axis=0), repeats,
+                    setup=lambda: np.copyto(positions, gaps)),
                 "uniforms": _median_seconds(
                     lambda: backend.uniform(rng, shape), repeats),
                 "window_count": _median_seconds(
@@ -168,8 +176,8 @@ def chunk_layers(
         release_buffers()
     return {
         "trials_per_chunk": n_chunk,
-        "track_rows": shape[0],
-        "gap_slots_per_row": shape[1],
+        "batch_trials": shape[1],
+        "budget_slots": shape[0],
         "window_queries": int(lo.size),
         "median_seconds": layers,
     }
