@@ -63,6 +63,7 @@ accumulator dtype likewise from ``REPRO_ACCUM_DTYPE``.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import threading
@@ -194,9 +195,9 @@ def _pooled(shape, dtype) -> Optional[np.ndarray]:
     """
     if not _POOL.depth:
         return None
-    shape = tuple(shape) if np.ndim(shape) else (int(shape),)
+    shape = (int(shape),) if isinstance(shape, (int, np.integer)) else tuple(shape)
     dtype = np.dtype(dtype)
-    nbytes = int(np.prod(shape)) * dtype.itemsize
+    nbytes = math.prod(shape) * dtype.itemsize
     if nbytes < POOL_MIN_BYTES:
         return None
     slabs = _POOL.slabs

@@ -53,9 +53,8 @@ Every draw fills its array in C order, so the generator is consumed slot
 by slot: the start offsets of all trials, then gap 0 of every trial, gap
 1 of every trial, and so on; each top-up round draws its block the same
 way for the trials it serves, and per-slot draws of the callers (tube
-uniforms) follow the positions' layout.  This order was fixed when the
-batch became slot-major; results are therefore statistically, not
-bitwise, equal to those of the trial-major engine before it.
+uniforms) follow the positions' layout.  The golden fixture and the
+SHA-256 pins under ``tests/`` fix this order.
 
 Backend
 -------
@@ -397,7 +396,7 @@ def count_in_windows_flat(
         Per-slot weights, same shape; must already be zero on slots that
         should not count (failed tubes; out-of-span tracks when a window
         reaches outside the span).  A stack of ``k`` such weight arrays,
-        shape ``(k, n_slots, n_trials)``, or a list of them (rows of
+        shape ``(k, n_slots, n_trials)``, or a list of them (arrays of
         different dtypes, no stacking copy), is answered from one search
         pass, with one running count per weight array.  ``None`` counts
         every track of the window once, with no running count at all.
@@ -433,17 +432,17 @@ def count_in_windows_flat(
     left = _count_index(
         positions, match_dtype(lo, positions), trial_index, side="left"
     )
-
-    def weighted(w):
-        running = backend.prefix_sum(w, size)
-        counts = np.take(running, right) - np.take(running, left)
-        return counts.astype(backend.accum_dtype, copy=False)
-
     if weights is None:
         counts = ((right - left) // n_trials).astype(backend.accum_dtype)
     else:
         # Rows below the highest stop are all any window reads.
         size = int(right.max()) // n_trials if right.size else 0
+
+        def weighted(w):
+            running = backend.prefix_sum(w, size)
+            counts = np.take(running, right) - np.take(running, left)
+            return counts.astype(backend.accum_dtype, copy=False)
+
         if isinstance(weights, list) or weights.ndim > positions.ndim:
             counts = backend.concatenate(
                 [weighted(w)[None, :] for w in weights], axis=0
