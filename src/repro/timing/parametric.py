@@ -202,7 +202,7 @@ def _sample_node_currents(
     )
     failing = _failing_windows(geometry, working, shorts)
     # A window without working tubes carries exactly no current, whatever
-    # rounding the prefix-sum difference left: its gates stay dead (inf).
+    # rounding the running-count difference left: its gates stay dead (inf).
     currents[working == 0] = 0.0
     return _failing_devices(geometry, failing), currents[:, payload.node_window]
 
