@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.resilience.atomic import atomic_write_json
 from repro.analysis.mispositioned import MisalignmentImpactModel
-from repro.backend import get_backend
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import ExponentialPitch
 from repro.growth.spatial import SpatialFieldSpec
@@ -92,8 +91,6 @@ def _width_class_case(wafer, pitch, type_model, n_trials: int,
 
     loop_s = _time(lambda: per_die_loop(*args, **kwargs))
     stacked_s = _time(lambda: simulate_wafer(*args, **kwargs))
-    f32 = get_backend(dtype="float32")
-    stacked32_s = _time(lambda: simulate_wafer(*args, backend=f32, **kwargs))
 
     stacked = simulate_wafer(*args, **kwargs)
     loop = per_die_loop(*args, **kwargs)
@@ -114,12 +111,7 @@ def _width_class_case(wafer, pitch, type_model, n_trials: int,
             "die_estimates_per_sec": estimates / stacked_s,
             "dtype": "float64",
         },
-        "stacked_float32": {
-            "seconds": stacked32_s,
-            "die_estimates_per_sec": estimates / stacked32_s,
-        },
         "speedup": loop_s / stacked_s,
-        "speedup_float32": loop_s / stacked32_s,
         "agreement": {
             "mean_chip_yield_stacked": stacked.mean_chip_yield,
             "mean_chip_yield_loop": loop.mean_chip_yield,
@@ -224,7 +216,7 @@ def test_stacked_wafer_speedup():
         c = record[case]
         print(f"{case:17s}: loop {c['per_die_loop']['seconds']*1e3:8.1f} ms | "
               f"stacked {c['stacked']['seconds']*1e3:7.1f} ms | "
-              f"{c['speedup']:.2f}X (f32 {c['speedup_float32']:.2f}X)")
+              f"{c['speedup']:.2f}X")
     c = record["chip_wafer"]
     print(f"chip_wafer       : loop {c['per_die_chip_loop']['seconds']*1e3:8.1f} ms | "
           f"shared  {c['shared_geometry']['seconds']*1e3:7.1f} ms | "

@@ -2,24 +2,15 @@
 
 The engine's numerics (slot-major gap draw + running sum down the slot
 axis + column-local window searches + running window counts + stopped
-likelihood-ratio gathers) run on NumPy.  The steps
-that apply the dtype policy or the chunk buffer pool go through
-:class:`~repro.backend.core.NumpyBackend`, in float64 (the bit-identical
-reference) or float32.
+likelihood-ratio gathers) run on NumPy, in float64.  The steps that the
+chunk buffer pool serves, or that the repository benchmark times, go
+through :class:`~repro.backend.core.NumpyBackend`; every engine entry
+point that is not handed an explicit ``backend`` uses
+:func:`~repro.backend.core.default_backend`.
 
-Select the dtype policy explicitly::
-
-    from repro.backend import get_backend
-    backend = get_backend(dtype="float32")
-
-or through the environment (picked up by every engine entry point that is
-not handed an explicit backend)::
-
-    REPRO_DTYPE=float32 python -m repro.cli wafer ...
-
-See :mod:`repro.backend.core` for the dtype policy, the bit-identity
-contract and the chunk buffer pool, and ``tests/backend/`` for the
-conformance suite that enforces them.
+See :mod:`repro.backend.core` for the bit-identity contract and the
+chunk buffer pool, and ``tests/backend/`` for the conformance suite that
+enforces them.
 """
 
 from repro.backend.core import (
@@ -27,10 +18,7 @@ from repro.backend.core import (
     backend_signature,
     buffer_pool,
     default_backend,
-    get_backend,
-    match_dtype,
     release_buffers,
-    resolve_dtype,
 )
 
 __all__ = [
@@ -38,8 +26,5 @@ __all__ = [
     "backend_signature",
     "buffer_pool",
     "default_backend",
-    "get_backend",
-    "match_dtype",
     "release_buffers",
-    "resolve_dtype",
 ]

@@ -1,4 +1,4 @@
-"""The NumPy backend: dtype policy, chunk buffer pool and the engine's steps.
+"""The NumPy backend: float64 dtypes, chunk buffer pool and the engine's steps.
 
 The batched Monte Carlo engine is an array program over *slot-major*
 track batches (gap ``j`` of every trial is one contiguous row): one 2D
@@ -8,17 +8,17 @@ searches, running window counts and a handful of gathers.
 than a plain NumPy call — everything else the kernels call on NumPy
 directly.  A method lives here only when it does at least one of:
 
-* applies the *dtype policy* — ``dtype`` is the storage/compute dtype of
-  track positions and values (float64 reference, float32 for
-  half-bandwidth runs), ``accum_dtype`` the dtype of the reductions that
-  are sensitive to rounding (window sums of float weights and
-  likelihood-ratio accumulation), float64 by default even under a
-  float32 storage policy; bool weights are counted exactly in integers;
 * is served by the *buffer pool* (below);
 * is one of the steps the repository benchmark's timing subclass
   (``perfbench/tracing.py``) overrides to time: :meth:`~NumpyBackend.uniform`,
   :meth:`~NumpyBackend.sample_gaps`, :meth:`~NumpyBackend.cumsum`,
   :meth:`~NumpyBackend.take_pairs` and :meth:`~NumpyBackend.prefix_sum`.
+
+The engine computes in float64 only.  ``dtype`` (track positions and
+values) and ``accum_dtype`` (window sums of float weights and
+likelihood-ratio accumulation) are both float64; they stay attributes
+because run records and checkpoint fingerprints name them.  Bool weights
+are counted exactly in integers.
 
 Accumulation along the slot axis
 --------------------------------
@@ -32,13 +32,11 @@ whose per-call cost is lower than a Python loop over many short rows.
 
 Bit-identity contract
 ---------------------
-At float64 the backend is *bit-identical* to the same engine written in
-plain NumPy: every method is a NumPy call or a loop of elementwise NumPy
-adds, and the RNG steps pass the caller's
-:class:`numpy.random.Generator` straight through (draws always happen in
-the generator's native float64 and are cast to the policy dtype
-afterwards, so the float32 and float64 policies consume identical
-streams).  The conformance suite under ``tests/backend/`` pins this down.
+The backend is *bit-identical* to the same engine written in plain
+NumPy: every method is a NumPy call or a loop of elementwise NumPy adds,
+and the RNG steps pass the caller's :class:`numpy.random.Generator`
+straight through.  The conformance suite under ``tests/backend/`` pins
+this down.
 
 Buffer pool
 -----------
@@ -56,19 +54,17 @@ live array.  Slabs are per thread and persist across scopes until
 
 Selection
 ---------
-``get_backend()`` resolves the dtype policy explicitly or from the
-``REPRO_DTYPE`` environment variable (default ``float64``), and the
-accumulator dtype likewise from ``REPRO_ACCUM_DTYPE``.
+:func:`default_backend` returns the one shared instance, which every
+engine entry point that is not handed an explicit ``backend`` uses.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -79,53 +75,8 @@ __all__ = [
     "backend_signature",
     "buffer_pool",
     "default_backend",
-    "get_backend",
-    "match_dtype",
     "release_buffers",
-    "resolve_dtype",
 ]
-
-
-_DTYPE_NAMES = {
-    "float32": np.float32,
-    "float64": np.float64,
-    "f32": np.float32,
-    "f64": np.float64,
-}
-
-
-def resolve_dtype(dtype) -> np.dtype:
-    """Normalise a dtype spec (name or NumPy dtype) to a NumPy dtype.
-
-    Only the two floating policies of the engine are accepted; anything
-    else is a configuration error worth failing loudly on.
-    """
-    if isinstance(dtype, str):
-        try:
-            dtype = _DTYPE_NAMES[dtype.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown dtype policy {dtype!r}; expected one of "
-                f"{sorted(set(_DTYPE_NAMES))}"
-            ) from None
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(
-            f"dtype policy must be float32 or float64, got {dt}"
-        )
-    return dt
-
-
-def match_dtype(values, like: np.ndarray) -> np.ndarray:
-    """Cast ``values`` to the dtype of ``like`` (no copy when it already matches).
-
-    This is the explicit-cast helper for window bounds: NumPy would
-    compare float32 positions with float64 bounds in float64.  Casting
-    the *bounds* to the *positions* dtype keeps every comparison in the
-    policy dtype — a float32 batch is counted exactly against float32
-    bounds — and is a no-op in float64.
-    """
-    return np.asarray(values, dtype=like.dtype)
 
 
 #: Smallest output, in bytes, the pool serves; smaller arrays come from
@@ -242,7 +193,7 @@ def _accumulate(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class NumpyBackend:
-    """The engine's array steps on NumPy under one dtype policy.
+    """The engine's array steps on NumPy, in float64.
 
     Inside a :func:`buffer_pool` scope the outputs of ``empty`` (and so
     of ``uniform``), ``concatenate`` and ``prefix_sum`` come from the
@@ -251,13 +202,23 @@ class NumpyBackend:
 
     #: Backend name recorded in checkpoint fingerprints and run records.
     name = "numpy"
+    #: Dtype of track positions and drawn values.
+    dtype = np.dtype(np.float64)
+    #: Dtype of the window sums of float weights and of likelihood ratios.
+    accum_dtype = np.dtype(np.float64)
 
     def __init__(self, dtype=np.float64, accum_dtype=np.float64) -> None:
-        self.dtype = resolve_dtype(dtype)
-        self.accum_dtype = resolve_dtype(accum_dtype)
+        # The keywords name the one supported policy, so that code which
+        # spells it out (subclasses such as the benchmark's timing
+        # backend) keeps constructing.
+        if not (self.dtype == dtype and self.accum_dtype == accum_dtype):
+            raise ValueError(
+                f"the engine computes in float64 only, got dtype={dtype!r}, "
+                f"accum_dtype={accum_dtype!r}"
+            )
 
     def empty(self, shape, dtype=None) -> np.ndarray:
-        """Uninitialised array; ``dtype=None`` uses the policy dtype."""
+        """Uninitialised array; ``dtype=None`` means float64."""
         dtype = dtype or self.dtype
         out = _pooled(shape, dtype)
         return out if out is not None else np.empty(shape, dtype=dtype)
@@ -292,10 +253,8 @@ class NumpyBackend:
         ``values``) whose row ``i`` is the sum of ``values[:i]``, per
         column for a 2D slot-major array.  Bool values are counted in
         int32, which is exact for any slot count; callers cast the
-        differences they take to ``accum_dtype``.  Other values
-        accumulate in ``accum_dtype`` (the window-counting reduction is
-        the engine step most sensitive to float32 rounding, so it gets
-        its own dtype knob).
+        differences they take to float64.  Other values accumulate in
+        float64.
         """
         size = len(values) if size is None else size
         out = self.empty(
@@ -307,31 +266,19 @@ class NumpyBackend:
         return out
 
     def uniform(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """U(0, 1) draws from the caller's generator, cast to the policy dtype.
-
-        Always consumes the generator in its native float64, so the
-        float32 policy sees the *same* stream, cast.  The float64 draw,
-        and under the float32 policy its cast, go into :meth:`empty`
-        buffers, so a buffer pool scope serves both.
-        """
-        u = rng.random(shape, out=self.empty(shape, dtype=np.float64))
-        if u.dtype == self.dtype:
-            return u
-        out = self.empty(shape)
-        out[...] = u
-        return out
+        """U(0, 1) draws from the caller's generator, into an :meth:`empty` buffer."""
+        return rng.random(shape, out=self.empty(shape))
 
     def sample_gaps(self, pitch, shape, rng: np.random.Generator, out=None):
-        """Inter-CNT gap draws from ``pitch`` of ``shape``, policy dtype.
+        """Inter-CNT gap draws from ``pitch`` of ``shape``.
 
         ``out`` is an optional pre-allocated destination (a pooled
         :meth:`empty`, or rows of one); when given, the draws land in it
-        and it is returned.  Exponential and gamma families under the
-        float64 policy draw straight into it; any other case draws a
-        float64 array and casts it into ``out``.  The drawn values are
-        identical on both paths.
+        and it is returned.  Exponential and gamma families draw straight
+        into it; any other family draws an array that is copied into
+        ``out``.  The drawn values are identical on both paths.
         """
-        if out is not None and self.dtype == np.dtype(np.float64):
+        if out is not None:
             # ``Generator.exponential(scale)`` / ``gamma(k, scale)`` are
             # exactly ``standard_* * scale`` on the same stream, so the
             # values (not just the law) match the generic path.
@@ -353,8 +300,8 @@ class NumpyBackend:
 
     def __reduce__(self):
         # Backends ride inside picklable chunk payloads dispatched to
-        # process pools; workers rebuild them through the cache.
-        return (get_backend, (self.dtype.name, self.accum_dtype.name))
+        # process pools; workers unpickle the shared instance.
+        return (default_backend, ())
 
     def __repr__(self) -> str:
         # Checkpoint fingerprints encode a payload's backend by this repr.
@@ -364,40 +311,25 @@ class NumpyBackend:
         )
 
 
-_CACHE: Dict[Tuple[str, str], NumpyBackend] = {}
-
-
-def get_backend(dtype=None, accum_dtype=None) -> NumpyBackend:
-    """The backend of a dtype policy.
-
-    ``None`` arguments fall back to the ``REPRO_DTYPE`` /
-    ``REPRO_ACCUM_DTYPE`` environment variables and then to ``float64``.
-    Instances are cached per (dtype, accum_dtype) — backends are
-    stateless (the buffer pool is per thread, not per backend).
-    """
-    if dtype is None:
-        dtype = os.environ.get("REPRO_DTYPE", "float64")
-    if accum_dtype is None:
-        accum_dtype = os.environ.get("REPRO_ACCUM_DTYPE", "float64")
-    key = (resolve_dtype(dtype).name, resolve_dtype(accum_dtype).name)
-    backend = _CACHE.get(key)
-    if backend is None:
-        backend = _CACHE[key] = NumpyBackend(*key)
-    return backend
+_DEFAULT = NumpyBackend()
 
 
 def default_backend() -> NumpyBackend:
-    """The environment-selected backend (float64 by default)."""
-    return get_backend()
+    """The one shared backend instance.
+
+    Backends are stateless: the buffer pool is per thread, not per
+    backend.
+    """
+    return _DEFAULT
 
 
 def backend_signature(backend: Optional[NumpyBackend]) -> Tuple[str, str, str]:
     """``(name, dtype, accum_dtype)`` of the backend a run executes on.
 
-    ``None`` resolves the environment default, which is what the chunk
+    ``None`` means :func:`default_backend`, which is what the chunk
     kernels use when no backend is pinned.  Campaign checkpoint
-    fingerprints include this triple, so a run under ``REPRO_DTYPE=float32``
-    cannot resume a float64 campaign's units (and vice versa).
+    fingerprints include this triple, so a run on a backend of another
+    name cannot resume a campaign's units (and vice versa).
     """
     backend = backend if backend is not None else default_backend()
     return (backend.name, backend.dtype.name, backend.accum_dtype.name)

@@ -635,7 +635,6 @@ def _add_wafer_geometry_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_wafer(args: argparse.Namespace) -> int:
-    from repro.backend import get_backend
     from repro.growth.pitch import pitch_distribution_from_cv
     from repro.montecarlo.wafer_sim import simulate_wafer
     from repro.reporting.tables import (
@@ -670,7 +669,6 @@ def _cmd_wafer(args: argparse.Namespace) -> int:
         n_trials=args.trials,
         seed_key=(args.seed,),
         good_die_threshold=args.good_die_threshold,
-        backend=get_backend(dtype=args.dtype) if args.dtype else None,
         misalignment=misalignment,
         execution=_execution(args),
     )
@@ -1178,9 +1176,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: Mmin split evenly)")
     wafer.add_argument("--trials", type=int, default=2048,
                        help="Monte Carlo trials per die (default 2048)")
-    wafer.add_argument("--dtype", type=str, default=None,
-                       help="dtype policy float64/float32 (default: "
-                            "REPRO_DTYPE or float64)")
     _add_shorts_options(wafer)
 
     chip_wafer = add_subparser(

@@ -7,9 +7,12 @@ separated by i.i.d. positive pitches, so
 
 ``P{N(W) >= n} = P{s_1 + ... + s_n <= W}``
 
-with the boundary convention that the first tube sits a stationary-forward
-recurrence distance from the active-region edge.  We implement three
-interchangeable models behind a common :class:`CountModel` interface:
+with the boundary convention of an ordinary renewal process started at the
+active-region edge: the first tube sits one full pitch from the edge.  For
+exponential pitch this is also the stationary law; for any other pitch it
+differs from the mid-span windows the batched Monte Carlo kernel counts
+(see :class:`RenewalCountModel`).  We implement three interchangeable
+models behind a common :class:`CountModel` interface:
 
 :class:`PoissonCountModel`
     Exact for exponentially distributed pitch (CV = 1), and the default
@@ -230,10 +233,16 @@ class RenewalCountModel(CountModel):
 
     ``P{N >= n} = F_n(W)``, so ``P{N = n} = F_n(W) - F_{n+1}(W)``.
 
-    The first tube is placed a full pitch from the window edge (ordinary
-    renewal process started at the edge); this matches the sampling used by
-    the growth simulators up to the stationary-phase correction, which is
-    negligible for the widths of interest (W >> µS).
+    The first tube is placed a full pitch from the window edge: an
+    ordinary renewal process started at the edge, whose mean count is
+    about ``W / µS + (cv² - 1) / 2``.  The batched Monte Carlo kernel
+    counts windows that sit mid-span in a track process, which is
+    stationary, with mean count ``W / µS``.  The two conventions agree
+    for exponential pitch (cv = 1) and differ for any other: the gap is
+    a boundary effect of each window, so it does not shrink with ``W``.
+    For gamma pitch of CV 0.3-0.5 the kernel's device pF reads 0.76-0.81
+    of this model's.  Moving every layer onto one convention is
+    ROADMAP.md item 11.
 
     Parameters
     ----------

@@ -182,6 +182,24 @@ def _width_class_matrix(
     return widths, class_matrix, class_matrix.sum(axis=0)
 
 
+def _chunk_queries(
+    geometry: _ChipGeometry, n_chunk: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``(trial_index, lo, hi)`` window queries of a chunk's batch.
+
+    Query ``t * n_windows + w`` asks window ``w`` of chip trial ``t``,
+    which lives on flat renewal trial ``t * n_rows + window_row[w]``.
+    """
+    n_windows = geometry.window_lo.size
+    trial_index = (
+        np.repeat(np.arange(n_chunk) * geometry.n_rows, n_windows)
+        + np.tile(geometry.window_row, n_chunk)
+    )
+    lo = np.tile(geometry.window_lo, n_chunk)
+    hi = np.tile(geometry.window_hi, n_chunk)
+    return trial_index, lo, hi
+
+
 def _chip_window_counts_joint(
     geometry: _ChipGeometry,
     n_chunk: int,
@@ -214,9 +232,8 @@ def _chip_window_counts_joint(
     without the batch's validity mask.
     """
     backend = geometry.backend if geometry.backend is not None else default_backend()
-    n_rows = geometry.n_rows
     batch = sample_track_batch(
-        geometry.pitch, geometry.row_height_nm, n_chunk * n_rows, rng,
+        geometry.pitch, geometry.row_height_nm, n_chunk * geometry.n_rows, rng,
         backend=backend,
     )
     u = backend.uniform(rng, batch.positions.shape)
@@ -230,19 +247,13 @@ def _chip_window_counts_joint(
     if slot_values is not None:
         rows.append(slot_values(rng, working & batch.valid, backend))
 
-    n_windows = geometry.window_lo.size
-    trial_index = (
-        np.repeat(np.arange(n_chunk) * n_rows, n_windows)
-        + np.tile(geometry.window_row, n_chunk)
-    )
+    trial_index, lo, hi = _chunk_queries(geometry, n_chunk)
     counts = count_in_windows_flat(
         batch.positions,
         rows if len(rows) > 1 else working,
-        np.tile(geometry.window_lo, n_chunk),
-        np.tile(geometry.window_hi, n_chunk),
-        trial_index,
+        lo, hi, trial_index,
         backend=backend,
-    ).reshape(-1, n_chunk, n_windows)
+    ).reshape(-1, n_chunk, geometry.window_lo.size)
     shorts = counts[1] if geometry.short_probability > 0.0 else None
     summed = counts[-1] if slot_values is not None else None
     return counts[0], shorts, summed
@@ -383,28 +394,18 @@ def _simulate_chip_chunk_tilted(
     """
     geometry = payload.geometry
     backend = geometry.backend if geometry.backend is not None else default_backend()
-    n_rows = geometry.n_rows
     batch = sample_track_batch(
         payload.tilt.tilted,
         geometry.row_height_nm,
-        n_chunk * n_rows,
+        n_chunk * geometry.n_rows,
         rng,
         offset_mean_nm=payload.tilt.nominal.mean_nm,
         backend=backend,
     )
-    n_windows = geometry.window_lo.size
-    trial_index = (
-        np.repeat(np.arange(n_chunk) * n_rows, n_windows)
-        + np.tile(geometry.window_row, n_chunk)
-    )
-    hi = np.tile(geometry.window_hi, n_chunk)
+    trial_index, lo, hi = _chunk_queries(geometry, n_chunk)
     # Windows lie inside the span: every track of a window counts.
     counts, stop_index = count_in_windows_flat(
-        batch.positions,
-        None,
-        np.tile(geometry.window_lo, n_chunk),
-        hi,
-        trial_index,
+        batch.positions, None, lo, hi, trial_index,
         return_stop_index=True,
         backend=backend,
     )
@@ -414,7 +415,7 @@ def _simulate_chip_chunk_tilted(
     )
     values = (
         np.power(geometry.per_cnt_failure, counts) * np.exp(log_w)
-    ).reshape(n_chunk, n_windows)
+    ).reshape(n_chunk, -1)
     row_sums = np.add.reduceat(values, geometry.row_starts, axis=1)
     device_sums = (values * geometry.window_weight).sum(axis=1)
     return row_sums, device_sums
@@ -443,10 +444,8 @@ class ChipMonteCarlo:
         Devices at or below this width are counted as "small" in the
         statistics (mirrors the Mmin bookkeeping of the analytical model).
     backend:
-        Backend (dtype policy) of the batched passes (see
-        :mod:`repro.backend`).  ``None`` resolves the environment default
-        at chunk-execution time (``REPRO_DTYPE``); an explicit backend
-        pins the run to it regardless of the environment.
+        Backend of the batched passes (see :mod:`repro.backend`).
+        ``None`` means :func:`~repro.backend.default_backend`.
     min_working_tubes:
         Open threshold ``N_min``: a device fails open with fewer working
         tubes than this.  The short failure mode needs no extra knob here —

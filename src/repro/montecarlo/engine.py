@@ -59,14 +59,10 @@ SHA-256 pins under ``tests/`` fix this order.
 Backend
 -------
 Every array kernel takes an optional ``backend``
-(:class:`repro.backend.NumpyBackend`); ``None`` resolves the
-environment-selected dtype policy (``REPRO_DTYPE``, float64 out of the
-box).  The float64 path is bit-identical to a plain-NumPy
-re-implementation of the same sampler kept in the conformance suite
-under ``tests/backend/``; the float32 policy is held to tolerance there.
-Window bounds are explicitly cast to the positions dtype
-(:func:`~repro.backend.match_dtype`), so a float32 batch is counted
-exactly against float32 bounds, one trial at a time.
+(:class:`repro.backend.NumpyBackend`); ``None`` means
+:func:`~repro.backend.default_backend`.  The engine computes in float64
+and is bit-identical to a plain-NumPy re-implementation of the same
+sampler kept in the conformance suite under ``tests/backend/``.
 
 Workers receive ``(payload, n_chunk, stream)`` tuples through
 :func:`run_chunked`; the payload must be picklable (the simulators pass
@@ -82,7 +78,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import NumpyBackend, default_backend, match_dtype
+from repro.backend import NumpyBackend, default_backend
 from repro.growth.pitch import PitchDistribution
 from repro.resilience.supervise import (
     Execution,
@@ -161,11 +157,6 @@ class TrackBatch:
     def n_trials(self) -> int:
         """Number of renewal trials (columns of :attr:`positions`)."""
         return self.positions.shape[1]
-
-    @property
-    def dtype(self):
-        """Storage dtype of the track positions (the backend's policy dtype)."""
-        return self.positions.dtype
 
     def counts(self) -> np.ndarray:
         """Number of in-span tracks per trial, shape ``(n_trials,)``."""
@@ -286,7 +277,7 @@ def sample_track_counts(
 
     Internally chunks the trial axis so peak memory stays bounded by
     :data:`DEFAULT_BATCH_ELEMENTS` regardless of ``n_trials``.  Counts are
-    returned as NumPy int64 whatever the dtype policy.
+    returned as NumPy int64.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
@@ -350,8 +341,8 @@ def count_leq_rows(positions, bounds, columns=None, side="right"):
     ``ceil(log2(n_slots)) + 1`` gathers answer every query.  Each compare
     reads only the queried trial's own column (mixed dtypes compare
     exactly, in the promoted dtype), so a trial's counts are the same
-    whatever batch it sits in, and no float32 rounding of a batch-wide
-    offset can move a track across a bound.  Queries of neighbouring
+    whatever batch it sits in, and no rounding of a batch-wide offset
+    can move a track across a bound.  Queries of neighbouring
     trials probe neighbouring addresses, because a slot's row is
     contiguous.
     """
@@ -370,10 +361,9 @@ def window_stop_indices(
 
     The rare-event layer stops each query's likelihood-ratio weight at this
     slot; :func:`sample_track_batch` guarantees the index exists for any
-    bound inside the span (the last slot always clears it).  Bounds are
-    cast to the positions dtype, as in :func:`count_in_windows_flat`.
+    bound inside the span (the last slot always clears it).
     """
-    return count_leq_rows(positions, match_dtype(hi, positions), trial_index)
+    return count_leq_rows(positions, hi, trial_index)
 
 
 def count_in_windows_flat(
@@ -402,9 +392,7 @@ def count_in_windows_flat(
         every track of the window once, with no running count at all.
     lo, hi:
         Query bounds, shape ``(n_queries,)``.  Both ends are inclusive,
-        matching the scalar simulators.  They are cast to the positions
-        dtype, so a float32 batch is counted exactly against float32
-        bounds.
+        matching the scalar simulators.
     trial_index:
         ``(n_queries,)`` index of the trial each query interrogates.
     return_stop_index:
@@ -414,10 +402,8 @@ def count_in_windows_flat(
 
     Returns the weighted count per query, shape ``(n_queries,)``, or
     ``(k, n_queries)`` for stacked or listed weights (plus the stop
-    indices when requested).  Counts come out in the backend's
-    ``accum_dtype`` (float64 by default, even under a float32 policy):
-    bool weights are counted exactly in integers, float weights summed in
-    ``accum_dtype``.
+    indices when requested).  Counts come out in float64: bool weights
+    are counted exactly in integers, float weights summed in float64.
 
     Each query's column-local searches give the slots of its trial below
     ``lo`` and at or below ``hi``; as flat indices they address the
@@ -428,12 +414,10 @@ def count_in_windows_flat(
     if backend is None:
         backend = default_backend()
     n_trials = positions.shape[1]
-    right = _count_index(positions, match_dtype(hi, positions), trial_index)
-    left = _count_index(
-        positions, match_dtype(lo, positions), trial_index, side="left"
-    )
+    right = _count_index(positions, hi, trial_index)
+    left = _count_index(positions, lo, trial_index, side="left")
     if weights is None:
-        counts = ((right - left) // n_trials).astype(backend.accum_dtype)
+        counts = ((right - left) // n_trials).astype(np.float64)
     else:
         # Rows below the highest stop are all any window reads.
         size = int(right.max()) // n_trials if right.size else 0
@@ -441,7 +425,7 @@ def count_in_windows_flat(
         def weighted(w):
             running = backend.prefix_sum(w, size)
             counts = np.take(running, right) - np.take(running, left)
-            return counts.astype(backend.accum_dtype, copy=False)
+            return counts.astype(np.float64, copy=False)
 
         if isinstance(weights, list) or weights.ndim > positions.ndim:
             counts = backend.concatenate(

@@ -255,19 +255,15 @@ def resolve_tilt(
 # ----------------------------------------------------------------------
 
 
-def _affine_log_weights(
-    tilt: GapTilt, n_gaps, gap_sum, backend: NumpyBackend
-):
-    """``log dP_nominal/dP_tilted`` as the tilt's affine form, on-backend.
+def _affine_log_weights(tilt: GapTilt, n_gaps, gap_sum):
+    """``log dP_nominal/dP_tilted`` as the tilt's affine form, in float64.
 
-    Mirrors :meth:`repro.growth.pitch.GapTilt.log_likelihood_ratio` but
-    accumulates in the backend's ``accum_dtype`` (likelihood-ratio
-    accumulation is the float32 policy's most rounding-sensitive step, so
-    it stays in float64 unless explicitly lowered).
+    Mirrors :meth:`repro.growth.pitch.GapTilt.log_likelihood_ratio` on
+    arrays of gap counts and gap sums.
     """
     return (
-        np.asarray(n_gaps, dtype=backend.accum_dtype) * tilt.log_const_per_gap
-        + np.asarray(gap_sum, dtype=backend.accum_dtype) * tilt.log_slope_per_nm
+        np.asarray(n_gaps, dtype=np.float64) * tilt.log_const_per_gap
+        + np.asarray(gap_sum, dtype=np.float64) * tilt.log_slope_per_nm
     )
 
 
@@ -307,7 +303,7 @@ def sample_weighted_track_batch(
         backend.take_pairs(positions, stop_index, columns) + batch.start_offsets
     )
     n_gaps = stop_index + 1
-    log_w = _affine_log_weights(tilt, n_gaps, gap_sum, backend)
+    log_w = _affine_log_weights(tilt, n_gaps, gap_sum)
     return batch, log_w
 
 
@@ -346,7 +342,7 @@ def window_stopped_log_weights(
     gap_sum = (backend.take_pairs(positions, stop_index, trial_index)
                + np.take(batch.start_offsets, trial_index))
     n_gaps = stop_index + 1
-    return _affine_log_weights(tilt, n_gaps, gap_sum, backend)
+    return _affine_log_weights(tilt, n_gaps, gap_sum)
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +370,7 @@ def _device_tilted_chunk(
     )
     values = np.power(
         payload.per_cnt_failure,
-        np.asarray(batch.counts(), dtype=backend.accum_dtype),
+        np.asarray(batch.counts(), dtype=np.float64),
     )
     return (values * np.exp(log_w),)
 

@@ -305,7 +305,7 @@ def _simulate_die_group(
     # at or below W_q, so class q captures the tracks in (0, W_q], all on
     # one track set.  Built contiguous once per group: the search compares
     # against it at every step, and a stride-0 view is slower.
-    edges = np.asarray((0.0,) + widths, dtype=backend.dtype)
+    edges = np.asarray((0.0,) + widths, dtype=np.float64)
     bounds = np.repeat(edges[:, None], n_trials, axis=1)
     counts = np.empty((1 + len(widths), n_dies * n_trials), dtype=np.intp)
     for i, site in enumerate(sites):

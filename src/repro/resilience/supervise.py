@@ -133,9 +133,8 @@ class Execution:
     ) -> Optional[CampaignCheckpoint]:
         """The checkpoint of ``campaign``, or ``None`` without a directory.
 
-        Fingerprinted by the campaign name, the environment's backend
-        signature (a float32 run cannot resume float64 units) and
-        ``identity``; resuming a different fingerprint raises
+        Fingerprinted by the campaign name, the default backend's
+        signature and ``identity``; resuming a different fingerprint raises
         :class:`~repro.resilience.checkpoint.CheckpointError`.
         """
         if self.checkpoint_dir is None:

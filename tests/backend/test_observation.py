@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import repro.montecarlo.engine as engine
-from repro.backend import NumpyBackend, default_backend
+from repro.backend import NumpyBackend
 from repro.growth.pitch import ExponentialPitch
 from repro.growth.types import CNTTypeModel
 from repro.growth.wafer import WaferGrowthModel
@@ -38,11 +38,10 @@ TYPE_MODEL = CNTTypeModel(1.0 / 3.0, 1.0, 0.3)
 
 
 class CountingBackend(NumpyBackend):
-    """The default backend's dtype policy, counting calls of the observed steps."""
+    """The NumPy backend, counting calls of the observed steps."""
 
     def __init__(self) -> None:
-        base = default_backend()
-        super().__init__(base.dtype, base.accum_dtype)
+        super().__init__()
         self.calls: Counter = Counter()
 
 

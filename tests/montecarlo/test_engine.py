@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.montecarlo.engine as engine
-from repro.backend import get_backend
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import DeterministicPitch, ExponentialPitch, GammaPitch
 from repro.growth.types import CNTTypeModel
@@ -378,11 +377,10 @@ class TestCountLeqRows:
         n_trials=st.integers(1, 40),
         span=st.floats(320.0, 400.0),
         n_queries=st.integers(1, 60),
-        dtype=st.sampled_from(["float64", "float32"]),
         side=st.sampled_from(["left", "right"]),
     )
     def test_matches_searchsorted_on_topped_up_batches(
-        self, seed, n_trials, span, n_queries, dtype, side
+        self, seed, n_trials, span, n_queries, side
     ):
         # A one-block first draw leaves every trial short of spans this
         # wide for more top-up rounds than the spare rows hold, so the
@@ -390,21 +388,17 @@ class TestCountLeqRows:
         # repeat their last position, runs of ties the search must count.
         rng = np.random.default_rng(seed)
         with mock.patch.object(engine, "tight_gap_budget", lambda p, s: BLOCK):
-            batch = sample_track_batch(
-                ExponentialPitch(4.0), span, n_trials, rng,
-                backend=get_backend(dtype=dtype),
-            )
+            batch = sample_track_batch(ExponentialPitch(4.0), span, n_trials, rng)
         positions = batch.positions
         assert positions.shape[0] > BLOCK + TOP_UP_ROWS
-        assert positions.dtype == np.dtype(dtype)
         columns = rng.integers(0, n_trials, size=n_queries)
         on_slot = positions[
             rng.integers(0, positions.shape[0], size=n_queries), columns
         ]
-        # Float64 bounds: on a slot (ties on both sides), between slots,
-        # below and beyond every slot.
+        # Bounds on a slot (ties on both sides), between slots, below and
+        # beyond every slot.
         bounds = np.choose(rng.integers(0, 4, size=n_queries), [
-            on_slot.astype(np.float64),
+            on_slot,
             rng.uniform(-5.0, span + 5.0, n_queries),
             np.full(n_queries, -5.0),
             np.full(n_queries, np.inf),

@@ -7,10 +7,9 @@ Any change to the engine's numerics — a reordered reduction, a dtype
 promotion, a different RNG consumption pattern — shifts these values and
 shows up here as a visible diff instead of silent statistical drift.
 
-The tests pin the backend to the float64 policy explicitly, so they stay
-meaningful when the suite runs under ``REPRO_DTYPE`` overrides (the CI
-dtype matrix).  Count-derived statistics are compared exactly; smooth functionals allow 1e-9 relative slack for cross-platform
-libm differences in ``exp``/``log``.
+Count-derived statistics are compared exactly; smooth functionals allow
+1e-9 relative slack for cross-platform libm differences in
+``exp``/``log``.
 """
 
 import json
@@ -20,7 +19,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import ExponentialPitch, GammaPitch
 from repro.growth.types import CNTTypeModel
@@ -40,12 +38,7 @@ def golden():
 
 
 @pytest.fixture(scope="module")
-def reference_backend():
-    return get_backend(dtype="float64")
-
-
-@pytest.fixture(scope="module")
-def simulator(golden, reference_backend):
+def simulator(golden):
     library = build_nangate45_library()
     design = build_openrisc_like_design(
         library, scale=golden["chip_naive"]["scale"], seed=2010
@@ -55,7 +48,6 @@ def simulator(golden, reference_backend):
         placement,
         pitch=ExponentialPitch(20.0),
         type_model=CNTTypeModel(1.0 / 3.0, 1.0, 0.3),
-        backend=reference_backend,
     )
 
 
@@ -81,7 +73,7 @@ class TestGoldenChipNaive:
 
 
 class TestGoldenChipShorts:
-    def test_exact_failure_counts_with_shorts(self, golden, reference_backend):
+    def test_exact_failure_counts_with_shorts(self, golden):
         # Imperfect metallic removal (eta = 0.95) activates the joint
         # opens+shorts engine path; the frozen counts pin its RNG
         # consumption (the shared single-uniform partition) and the
@@ -98,7 +90,6 @@ class TestGoldenChipShorts:
                 g["removal_prob_metallic"],
                 g["removal_prob_semiconducting"],
             ),
-            backend=reference_backend,
         )
         result = simulator.run(
             g["n_trials"], np.random.default_rng(g["seed"])
@@ -139,7 +130,7 @@ class TestGoldenChipTilted:
 
 
 class TestGoldenDeviceTilted:
-    def test_tilted_device_estimate(self, golden, reference_backend):
+    def test_tilted_device_estimate(self, golden):
         g = golden["device_tilted"]
         spec = g["pitch"]
         assert spec["family"] == "gamma"
@@ -149,7 +140,6 @@ class TestGoldenDeviceTilted:
             g["width_nm"],
             g["n_samples"],
             np.random.default_rng(g["seed"]),
-            backend=reference_backend,
         )
         assert estimate.estimate == pytest.approx(g["estimate"], rel=REL)
         assert estimate.standard_error == pytest.approx(

@@ -8,7 +8,7 @@ import pytest
 
 import repro.montecarlo.engine as engine
 import repro.montecarlo.wafer_sim as wafer_sim
-from repro.backend import NumpyBackend, get_backend
+from repro.backend import NumpyBackend
 from repro.growth.pitch import ExponentialPitch, GammaPitch
 from repro.growth.types import CNTTypeModel
 from repro.growth.wafer import WaferGrowthModel, WaferMap
@@ -107,23 +107,6 @@ class TestStackedRunner:
             n_trials=64, seed_key=(17,), execution=Execution(n_workers=3),
         )
         assert serial.dice == pooled.dice
-
-    def test_float32_backend_agrees_with_float64(self, wafer, sparse_type_model):
-        kwargs = dict(n_trials=512, seed_key=(19,))
-        r64 = simulate_wafer(
-            wafer, ExponentialPitch(4.0), sparse_type_model, WIDTHS, COUNTS,
-            backend=get_backend(dtype="float64"), **kwargs,
-        )
-        r32 = simulate_wafer(
-            wafer, ExponentialPitch(4.0), sparse_type_model, WIDTHS, COUNTS,
-            backend=get_backend(dtype="float32"), **kwargs,
-        )
-        for a, b in zip(r64.dice, r32.dice):
-            for p1, s1, p2 in zip(
-                a.failure_probabilities, a.failure_standard_errors,
-                b.failure_probabilities,
-            ):
-                assert abs(p1 - p2) <= max(5.0 * s1, 1e-5 * max(p1, 1e-30))
 
     def test_die_metadata_and_aggregates(self, wafer, sparse_type_model):
         result = simulate_wafer(
@@ -363,8 +346,7 @@ class TestBitwisePins:
     """SHA-256 digests of whole wafer runs.
 
     A counting-kernel change that moves any count of any trial changes a
-    digest.  The backend is pinned to float64, so the pins hold under
-    every ``REPRO_DTYPE``.
+    digest.
     """
 
     DIGESTS = {
@@ -425,8 +407,7 @@ class TestBitwisePins:
     def test_dice_digest(self, field_wafer, configs, name):
         result = simulate_wafer(
             field_wafer, widths_nm=WIDTHS, device_counts=COUNTS,
-            n_trials=128, seed_key=(41,),
-            backend=get_backend(dtype="float64"), **configs[name],
+            n_trials=128, seed_key=(41,), **configs[name],
         )
         digest = hashlib.sha256(repr(result.dice).encode()).hexdigest()
         assert digest == self.DIGESTS[name]

@@ -1,4 +1,4 @@
-"""SHA-256 pins of the chip window pass under the float64 policy.
+"""SHA-256 pins of the chip window pass.
 
 The chip, tilted and timing tiers count every device window of a chunk
 with :func:`repro.montecarlo.engine.count_in_windows_flat`, and the
@@ -16,7 +16,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
 from repro.growth.pitch import ExponentialPitch
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.chip_sim import (
@@ -33,7 +32,6 @@ from repro.montecarlo.engine import (
 from repro.netlist.openrisc import build_openrisc_like_design
 from repro.netlist.placement import RowPlacement
 
-F64 = get_backend(dtype="float64")
 OPENS = CNTTypeModel(1.0 / 3.0, 1.0, 0.3)
 SHORTS = CNTTypeModel(1.0 / 3.0, 0.9, 0.3)
 N_CHUNK = 6
@@ -58,7 +56,6 @@ def placement(nangate45):
 def _geometry(placement, type_model):
     return ChipMonteCarlo(
         placement, pitch=ExponentialPitch(4.0), type_model=type_model,
-        backend=F64,
     ).chip_geometry()
 
 
@@ -75,7 +72,6 @@ def _tilted_pass(geometry):
     batch = sample_track_batch(
         tilt.tilted, geometry.row_height_nm, N_CHUNK * geometry.n_rows,
         np.random.default_rng(23), offset_mean_nm=tilt.nominal.mean_nm,
-        backend=F64,
     )
     n_windows = geometry.window_lo.size
     trial_index = (
@@ -123,8 +119,8 @@ class TestChipWindowPins:
         geometry = _geometry(placement, OPENS)
         batch, lo, hi, trial_index = _tilted_pass(geometry)
         counts, stop_index = count_in_windows_flat(
-            batch.positions, np.asarray(batch.valid, dtype=F64.dtype),
-            lo, hi, trial_index, return_stop_index=True, backend=F64,
+            batch.positions, np.asarray(batch.valid, dtype=np.float64),
+            lo, hi, trial_index, return_stop_index=True,
         )
         assert _digest(counts, stop_index) == self.DIGESTS["tilted"]
 

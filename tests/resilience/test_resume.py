@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.mispositioned import MisalignmentImpactModel
-from repro.backend import get_backend
+from repro.backend import NumpyBackend
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
@@ -246,17 +246,11 @@ class TestSweepResume:
 
 
 class TestBackendFingerprint:
-    """Campaign fingerprints carry the *resolved* backend and dtypes.
+    """Campaign fingerprints carry the resolved backend's signature.
 
-    A run that leaves ``backend=None`` resolves ``REPRO_DTYPE`` at
-    execution time, so a float32 run must not resume a
-    float64 campaign's units even though neither names its backend.
+    A run that leaves ``backend=None`` resumes the units it wrote on the
+    default backend, bit for bit.
     """
-
-    @pytest.fixture(autouse=True)
-    def _float64_default(self, monkeypatch):
-        for var in ("REPRO_DTYPE", "REPRO_ACCUM_DTYPE"):
-            monkeypatch.delenv(var, raising=False)
 
     def _chip(self, chip, tmp_path, **kwargs):
         return chip.run(
@@ -271,41 +265,9 @@ class TestBackendFingerprint:
             execution=Execution(checkpoint_dir=str(tmp_path), **kwargs),
         )
 
-    def _chip_wafer(self, wafer, chip, tmp_path, **kwargs):
-        return run_chip_wafer(
-            wafer, chip, n_trials=8, seed_key=(5,),
-            execution=Execution(checkpoint_dir=str(tmp_path), **kwargs),
-        )
-
-    def test_chip_float32_cannot_resume_float64(
-        self, chip, tmp_path, monkeypatch
-    ):
-        self._chip(chip, tmp_path)
-        monkeypatch.setenv("REPRO_DTYPE", "float32")
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            self._chip(chip, tmp_path)
-
-    def test_wafer_float32_cannot_resume_float64(
-        self, wafer, pitch, type_model, tmp_path, monkeypatch
-    ):
-        self._wafer(wafer, pitch, type_model, tmp_path)
-        monkeypatch.setenv("REPRO_DTYPE", "float32")
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            self._wafer(wafer, pitch, type_model, tmp_path)
-
-    def test_chip_wafer_float32_cannot_resume_float64(
-        self, wafer, chip, tmp_path, monkeypatch
-    ):
-        self._chip_wafer(wafer, chip, tmp_path)
-        monkeypatch.setenv("REPRO_DTYPE", "float32")
-        with pytest.raises(CheckpointError, match="fingerprint"):
-            self._chip_wafer(wafer, chip, tmp_path)
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_same_backend_resume_is_bitwise_identical(
-        self, chip, wafer, pitch, type_model, tmp_path, monkeypatch, dtype
+        self, chip, wafer, pitch, type_model, tmp_path
     ):
-        monkeypatch.setenv("REPRO_DTYPE", dtype)
         kill = dict(
             policy=RetryPolicy(max_retries=0, backoff_s=0.0),
             faults=FaultPlan(kill_units=(1,), kill_attempts=1),
@@ -391,10 +353,16 @@ class TestFingerprintDrift:
             run(2.5)
 
 
+class _RenamedBackend(NumpyBackend):
+    """A valid backend that differs from the default by name only."""
+
+    name = "renamed"
+
+
 #: Replacement values for fields a generic change cannot produce: ``None``
 #: defaults and strings restricted to a fixed vocabulary.
 _ALTERNATES = {
-    "backend": get_backend("float32"),
+    "backend": _RenamedBackend(),
     "misalignment": MisalignmentImpactModel(),
     "scenario": "uncorrelated",
     "method": "closed_form",

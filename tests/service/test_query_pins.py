@@ -6,8 +6,8 @@ interpolated, mapped through Eq. 2.3 / 3.1 or encoded — down to the last
 bit of one float — changes a digest.  The cases cover the in-grid path,
 per-query device counts, a row-scenario surface, the exact off-grid
 fallback, the ``deadline_s = 0`` clamp and the reference density used
-when a request omits it.  Surfaces are closed-form sweeps, so no
-``REPRO_DTYPE`` setting reaches them.
+when a request omits it.  Surfaces are closed-form sweeps, so no Monte
+Carlo draw reaches them.
 """
 
 import hashlib

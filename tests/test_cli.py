@@ -263,16 +263,6 @@ class TestJsonOutput:
         )
         assert 0.0 <= stacked["good_die_fraction"] <= 1.0
 
-    def test_wafer_dtype_option(self, capsys):
-        exit_code = main([
-            "wafer", "--trials", "64", "--die-size-mm", "25",
-            "--widths-nm", "100", "--device-counts", "50",
-            "--dtype", "float32", "--json",
-        ])
-        payload = json.loads(capsys.readouterr().out)
-        assert exit_code == 0
-        assert payload["die_count"] > 0
-
     def test_wafer_bad_width_list_exits_one(self, capsys):
         exit_code = main([
             "wafer", "--widths-nm", "not-a-number", "--trials", "8",
