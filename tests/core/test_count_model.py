@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.core.count_model import (
     EmpiricalCountModel,
@@ -98,6 +99,40 @@ class TestRenewalCountModel:
         rng = np.random.default_rng(1)
         counts = model.sample(100.0, 20_000, rng)
         assert counts.mean() == pytest.approx(model.mean_count(100.0), rel=0.05)
+
+
+class TestRenewalBoundaryConvention:
+    """The convention of the module notes: an ordinary renewal process from the edge.
+
+    The first tube sits one full pitch from the window edge, so no tube
+    falls in ``[0, W]`` exactly when the first pitch exceeds ``W``, and
+    the mean count carries the width-independent boundary offset
+    ``(cv² - 1) / 2`` of an ordinary renewal process, which vanishes for
+    exponential pitch only.
+    """
+
+    CVS = (0.3, 0.5, 1.0, 2.0)
+
+    @pytest.mark.parametrize("cv", CVS)
+    def test_prob_zero_is_first_pitch_survival(self, cv):
+        pitch = GammaPitch(4.0, cv)
+        width = 40.0
+        ordinary = stats.gamma.sf(width, pitch.shape, scale=pitch.scale_nm)
+        # Stationary start: P{N = 0} = E[(S - W)+] / µS.
+        stationary = (
+            stats.gamma.sf(width, pitch.shape + 1.0, scale=pitch.scale_nm)
+            - width / pitch.mean_nm * ordinary
+        )
+        p_zero = RenewalCountModel(pitch).pmf(width)[0]
+        assert math.isclose(p_zero, ordinary, rel_tol=1e-9)
+        assert math.isclose(p_zero, stationary, rel_tol=1e-3) == (cv == 1.0)
+
+    @pytest.mark.parametrize("width", [200.0, 300.0])
+    @pytest.mark.parametrize("cv", CVS)
+    def test_mean_count_carries_boundary_offset(self, cv, width):
+        pmf = RenewalCountModel(GammaPitch(4.0, cv)).pmf(width)
+        mean = float(np.arange(pmf.size) @ pmf)
+        assert mean - width / 4.0 == pytest.approx((cv**2 - 1.0) / 2.0, abs=1e-6)
 
 
 class TestEmpiricalCountModel:

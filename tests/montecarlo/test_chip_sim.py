@@ -13,6 +13,7 @@ from repro.growth.types import CNTTypeModel
 from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _chip_window_counts_joint,
+    _chunk_queries,
     compare_libraries,
 )
 from repro.montecarlo.engine import sample_track_batch
@@ -218,3 +219,20 @@ class TestWindowCountsAgainstScalarCounts:
             np.testing.assert_array_equal(shorts, want_shorts)
         else:
             assert shorts is None
+
+
+class TestChunkQueries:
+    """The flat window queries both chip kernels count a chunk with."""
+
+    @pytest.mark.parametrize("n_chunk", [1, 3, 32])
+    def test_query_names_window_of_its_chip_trial(self, placement, n_chunk):
+        geometry = ChipMonteCarlo(placement).chip_geometry()
+        trial_index, lo, hi = _chunk_queries(geometry, n_chunk)
+        n_windows = geometry.window_lo.size
+        assert trial_index.shape == lo.shape == hi.shape == (n_chunk * n_windows,)
+        for t in range(n_chunk):
+            for w in range(n_windows):
+                q = t * n_windows + w
+                assert trial_index[q] == t * geometry.n_rows + geometry.window_row[w]
+                assert lo[q] == geometry.window_lo[w]
+                assert hi[q] == geometry.window_hi[w]

@@ -408,6 +408,19 @@ class TestCountLeqRows:
             _searchsorted_oracle(positions, bounds, columns, side=side),
         )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_track_just_above_bound_in_last_of_many_trials(self, dtype):
+        # A track 1e-4 nm above the bound in the last of 1,000 trials: a
+        # search over one flat array offset by ~1e5 nm per trial would
+        # round it onto the bound in float32.
+        positions = np.tile(np.array([[10.0], [150.0], [200.0]], dtype), (1, 1000))
+        positions[:2, -1] = [40.0, dtype(50.0001)]
+        assert positions[1, -1] > 50.0
+        bounds = np.array([30.0, 50.0], dtype)
+        np.testing.assert_array_equal(
+            count_leq_rows(positions, bounds, np.array([999, 999])), [0, 1]
+        )
+
     def test_side_left_excludes_a_bound_on_a_slot(self):
         positions = np.array([[1.0, 2.0, 2.0, 5.0], [0.5, 2.0, 3.0, np.inf]]).T
         columns = np.array([1, 0, 0, 1])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.mispositioned import MisalignmentImpactModel
-from repro.backend import NumpyBackend
+from repro.backend import NumpyBackend, default_backend
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
@@ -248,8 +248,9 @@ class TestSweepResume:
 class TestBackendFingerprint:
     """Campaign fingerprints carry the resolved backend's signature.
 
-    A run that leaves ``backend=None`` resumes the units it wrote on the
-    default backend, bit for bit.
+    A run that leaves ``backend=None``, or names the shared backend,
+    resumes the units it wrote, bit for bit; a run on a backend of
+    another name must not resume them.
     """
 
     def _chip(self, chip, tmp_path, **kwargs):
@@ -258,16 +259,54 @@ class TestBackendFingerprint:
             execution=Execution(checkpoint_dir=str(tmp_path), **kwargs),
         )
 
-    def _wafer(self, wafer, pitch, type_model, tmp_path, **kwargs):
+    def _wafer(self, wafer, pitch, type_model, tmp_path, backend=None, **kwargs):
         return simulate_wafer(
             wafer, pitch, type_model, widths_nm=[200.0],
             device_counts=[1.0e6], n_trials=32, seed_key=(5,),
+            backend=backend,
             execution=Execution(checkpoint_dir=str(tmp_path), **kwargs),
         )
 
-    def test_same_backend_resume_is_bitwise_identical(
-        self, chip, wafer, pitch, type_model, tmp_path
+    def _chip_wafer(self, wafer, chip, tmp_path, **kwargs):
+        return run_chip_wafer(
+            wafer, chip, n_trials=8, seed_key=(5,),
+            execution=Execution(checkpoint_dir=str(tmp_path), **kwargs),
+        )
+
+    # Each campaign is written on the named shared backend, so the resume
+    # attempt differs from it in the backend alone.
+
+    def test_chip_renamed_backend_cannot_resume_numpy(self, chip, tmp_path):
+        named = ChipMonteCarlo(chip.placement, backend=default_backend())
+        self._chip(named, tmp_path)
+        renamed = ChipMonteCarlo(chip.placement, backend=_RenamedBackend())
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            self._chip(renamed, tmp_path)
+
+    def test_wafer_renamed_backend_cannot_resume_numpy(
+        self, wafer, pitch, type_model, tmp_path
     ):
+        self._wafer(wafer, pitch, type_model, tmp_path, backend=default_backend())
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            self._wafer(
+                wafer, pitch, type_model, tmp_path, backend=_RenamedBackend()
+            )
+
+    def test_chip_wafer_renamed_backend_cannot_resume_numpy(
+        self, wafer, chip, tmp_path
+    ):
+        named = ChipMonteCarlo(chip.placement, backend=default_backend())
+        self._chip_wafer(wafer, named, tmp_path)
+        renamed = ChipMonteCarlo(chip.placement, backend=_RenamedBackend())
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            self._chip_wafer(wafer, renamed, tmp_path)
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "named"])
+    def test_same_backend_resume_is_bitwise_identical(
+        self, chip, wafer, pitch, type_model, tmp_path, explicit
+    ):
+        backend = default_backend() if explicit else None
+        chip = ChipMonteCarlo(chip.placement, backend=backend)
         kill = dict(
             policy=RetryPolicy(max_retries=0, backoff_s=0.0),
             faults=FaultPlan(kill_units=(1,), kill_attempts=1),
@@ -278,10 +317,17 @@ class TestBackendFingerprint:
         resumed = self._chip(chip, tmp_path / "chip")
         assert _chip_fields(resumed) == _chip_fields(chip_plain)
 
-        wafer_plain = self._wafer(wafer, pitch, type_model, tmp_path / "plain")
+        wafer_plain = self._wafer(
+            wafer, pitch, type_model, tmp_path / "plain", backend=backend
+        )
         with pytest.raises(SupervisorError):
-            self._wafer(wafer, pitch, type_model, tmp_path / "wafer", **kill)
-        resumed = self._wafer(wafer, pitch, type_model, tmp_path / "wafer")
+            self._wafer(
+                wafer, pitch, type_model, tmp_path / "wafer", backend=backend,
+                **kill,
+            )
+        resumed = self._wafer(
+            wafer, pitch, type_model, tmp_path / "wafer", backend=backend
+        )
         assert resumed.dice == wafer_plain.dice
 
 
