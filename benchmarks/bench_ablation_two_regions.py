@@ -19,7 +19,7 @@ def _trade_off(setup, library, groups_list):
             min_cnfet_density_per_um=setup.correlation.min_cnfet_density_per_um,
             aligned_region_groups=groups,
         )
-        row_model = RowYieldModel(parameters=params, count_model=setup.count_model)
+        row_model = RowYieldModel(parameters=params)
         relaxation = row_model.relaxation_factor(setup.required_pf())
         wmin = setup.wmin_solver.solve_simplified(
             setup.min_size_device_count, relaxation_factor=relaxation

@@ -109,7 +109,7 @@ def main(scale: float = 0.5) -> None:
         cnt_length_um=200.0,
         min_cnfet_density_per_um=stats.small_density_per_um,
     )
-    row_model = RowYieldModel(parameters=params, count_model=setup.count_model)
+    row_model = RowYieldModel(parameters=params)
     relaxation = row_model.relaxation_factor(setup.required_pf())
     wmin_relaxed = setup.wmin_solver.solve_simplified(
         setup.min_size_device_count, relaxation_factor=relaxation

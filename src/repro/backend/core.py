@@ -298,10 +298,16 @@ class NumpyBackend:
         out[...] = gaps
         return out
 
-    def __reduce__(self):
-        # Backends ride inside picklable chunk payloads dispatched to
-        # process pools; workers unpickle the shared instance.
-        return (default_backend, ())
+    def __reduce_ex__(self, protocol):
+        """Pickle the base class as the shared instance, a subclass as itself.
+
+        Backends ride inside picklable chunk payloads dispatched to
+        process pools, so a pinned subclass must reach the workers as
+        the backend its campaign fingerprint's repr names.
+        """
+        if type(self) is NumpyBackend:
+            return (default_backend, ())
+        return super().__reduce_ex__(protocol)
 
     def __repr__(self) -> str:
         # Checkpoint fingerprints encode a payload's backend by this repr.

@@ -117,7 +117,7 @@ class CalibratedSetup:
     @property
     def row_yield_model(self) -> RowYieldModel:
         """Row yield model with the configured correlation parameters."""
-        return RowYieldModel(parameters=self.correlation, count_model=self.count_model)
+        return RowYieldModel(parameters=self.correlation)
 
     # ------------------------------------------------------------------
     # Headline quantities

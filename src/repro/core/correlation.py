@@ -14,9 +14,10 @@ compared (Table 1):
 * **Uncorrelated growth** — every device is independent, so
   ``pRF = 1 - (1 - pF)^MRmin ≈ MRmin · pF``.
 * **Directional growth, non-aligned layout** — devices in a row overlap
-  partially in the CNT direction; pRF lies between the two extremes and is
-  evaluated numerically (the paper states this case requires numerical
-  methods).
+  partially in the CNT direction; pRF lies between the two extremes.  The
+  paper evaluates this case numerically; here it is a closed form of pF
+  (an offset-cluster or shared-fraction model), and
+  :mod:`repro.montecarlo.row_sim` simulates it directly.
 * **Directional growth, aligned-active layout** — every device in the row
   covers exactly the same tracks, so a row fails exactly when one device
   fails: ``pRF = pF``.
@@ -39,7 +40,6 @@ from repro.constants import (
     DEFAULT_CNT_LENGTH_UM,
     DEFAULT_MIN_CNFET_DENSITY_PER_UM,
 )
-from repro.core.count_model import CountModel
 from repro.units import (
     ensure_positive,
     ensure_probability,
@@ -175,52 +175,26 @@ class RowYieldEstimate:
 class RowYieldModel:
     """Chip yield under the three growth/layout scenarios of Table 1.
 
+    Every scenario is a closed form of the device failure probability pF
+    and the row geometry alone.
+
     Parameters
     ----------
     parameters:
-        Correlation parameters (LCNT, Pmin-CNFET, alignment fraction).
-    count_model:
-        CNT count model; required for the numerically evaluated non-aligned
-        scenario (which needs count statistics, not just pF) and optional for
-        the two closed-form scenarios.
-    rng:
-        Random generator for the Monte Carlo part of the non-aligned
-        scenario.  A fixed default seed keeps results reproducible.
-    mc_samples:
-        Monte Carlo sample count for the non-aligned scenario.
+        Correlation parameters (LCNT, Pmin-CNFET, non-aligned model).
     """
 
-    def __init__(
-        self,
-        parameters: Optional[CorrelationParameters] = None,
-        count_model: Optional[CountModel] = None,
-        rng: Optional[np.random.Generator] = None,
-        mc_samples: int = 20_000,
-    ) -> None:
+    def __init__(self, parameters: Optional[CorrelationParameters] = None) -> None:
         self.parameters = parameters or CorrelationParameters()
-        self.count_model = count_model
-        self.rng = rng or np.random.default_rng(20100613)
-        if mc_samples <= 0:
-            raise ValueError("mc_samples must be positive")
-        self.mc_samples = int(mc_samples)
 
     # ------------------------------------------------------------------
     # Row failure probability per scenario
     # ------------------------------------------------------------------
 
     def row_failure_probability(
-        self,
-        scenario: LayoutScenario,
-        device_failure_probability: float,
-        width_nm: Optional[float] = None,
-        per_cnt_failure: Optional[float] = None,
+        self, scenario: LayoutScenario, device_failure_probability: float
     ) -> float:
-        """pRF for a given scenario.
-
-        ``width_nm`` and ``per_cnt_failure`` are only needed for the
-        non-aligned directional scenario, whose numerical evaluation requires
-        the underlying count statistics.
-        """
+        """pRF for a given scenario."""
         p_f = ensure_probability(
             device_failure_probability, "device_failure_probability"
         )
@@ -237,22 +211,16 @@ class RowYieldModel:
             return p_f
 
         if scenario is LayoutScenario.DIRECTIONAL_NON_ALIGNED:
-            return self._non_aligned_row_failure(
-                p_f, m_r, width_nm=width_nm, per_cnt_failure=per_cnt_failure
-            )
+            return self._non_aligned_row_failure(p_f, m_r)
 
         raise ValueError(f"unknown scenario {scenario!r}")
 
     # ------------------------------------------------------------------
-    # Non-aligned directional growth (numerical)
+    # Non-aligned directional growth
     # ------------------------------------------------------------------
 
     def _non_aligned_row_failure(
-        self,
-        device_failure_probability: float,
-        devices_per_row: float,
-        width_nm: Optional[float],
-        per_cnt_failure: Optional[float],
+        self, device_failure_probability: float, devices_per_row: float
     ) -> float:
         """Row failure probability for directional growth without aligned cells.
 
@@ -278,11 +246,9 @@ class RowYieldModel:
         conditioning on the shared core gives
         ``pRF = pF^frac · (1 - (1 - pF^(1-frac))^MRmin)``.
 
-        ``width_nm`` and ``per_cnt_failure`` are accepted for API symmetry
-        with the Monte Carlo validator in :mod:`repro.montecarlo.row_sim`,
-        which evaluates the same scenario by direct simulation.
+        The Monte Carlo validator in :mod:`repro.montecarlo.row_sim`
+        evaluates the same scenario by direct simulation.
         """
-        del width_nm, per_cnt_failure  # closed forms need only pF and geometry
         p_f = device_failure_probability
         if p_f == 0.0:
             return 0.0
@@ -315,19 +281,12 @@ class RowYieldModel:
         scenario: LayoutScenario,
         device_failure_probability: float,
         min_size_device_count: float,
-        width_nm: Optional[float] = None,
-        per_cnt_failure: Optional[float] = None,
     ) -> RowYieldResult:
         """Full row/chip yield evaluation for one scenario (one Table 1 column)."""
         ensure_positive(min_size_device_count, "min_size_device_count")
         m_r = self.parameters.devices_per_row
         k_r = min_size_device_count / m_r
-        p_rf = self.row_failure_probability(
-            scenario,
-            device_failure_probability,
-            width_nm=width_nm,
-            per_cnt_failure=per_cnt_failure,
-        )
+        p_rf = self.row_failure_probability(scenario, device_failure_probability)
         if p_rf >= 1.0:
             chip = 0.0
         else:
@@ -378,37 +337,39 @@ class RowYieldModel:
             chip_yield_se=slope * float(row_failure_probability_se),
         )
 
-    def relaxation_factor(
-        self,
-        device_failure_probability: float,
-        width_nm: Optional[float] = None,
-        per_cnt_failure: Optional[float] = None,
-    ) -> float:
+    def relaxation_factor(self, device_failure_probability: float) -> float:
         """Ratio pRF(uncorrelated) / pRF(aligned) — the paper's ≈350X."""
         uncorrelated = self.row_failure_probability(
             LayoutScenario.UNCORRELATED_GROWTH, device_failure_probability
         )
         aligned = self.row_failure_probability(
-            LayoutScenario.DIRECTIONAL_ALIGNED, device_failure_probability,
-            width_nm=width_nm, per_cnt_failure=per_cnt_failure,
+            LayoutScenario.DIRECTIONAL_ALIGNED, device_failure_probability
         )
         if aligned == 0.0:
             return math.inf
         return uncorrelated / aligned
 
 
-def _scenario_row_map(
+def scenario_row_failure_probabilities(
     scenario: LayoutScenario,
-    p: np.ndarray,
-    params: CorrelationParameters,
+    device_failure_probabilities: np.ndarray,
+    parameters: Optional[CorrelationParameters] = None,
 ) -> np.ndarray:
-    """Elementwise device-probability → row-probability map of one scenario.
+    """Vectorised pRF over an array of device pF values.
 
-    The shared core of :func:`scenario_row_failure_probabilities`: the
-    same structural map applies to any per-device failure channel (joint,
-    opens-only, or the marginal short channel), because it encodes only
-    *which devices share tracks*, not why a device fails.
+    The closed forms of :meth:`RowYieldModel.row_failure_probability`
+    evaluated elementwise in one pass — the yield-surface sweeps map whole
+    pF grids through the Table 1 scenarios with this hook instead of a
+    Python loop.  Matches the scalar path to floating-point accuracy.
+
+    The maps encode only *which devices share tracks*, not why a device
+    fails, so the metallic-short failure mode of :mod:`repro.device.shorts`
+    composes exactly: pass the joint opens+shorts device probability.
     """
+    params = parameters or CorrelationParameters()
+    p = np.asarray(device_failure_probabilities, dtype=float)
+    if p.size and (np.any(p < 0) | np.any(p > 1)):
+        raise ValueError("device failure probabilities must lie in [0, 1]")
     m_r = params.devices_per_row
 
     if scenario is LayoutScenario.DIRECTIONAL_ALIGNED:
@@ -441,59 +402,11 @@ def _scenario_row_map(
     raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def scenario_row_failure_probabilities(
-    scenario: LayoutScenario,
-    device_failure_probabilities: np.ndarray,
-    parameters: Optional[CorrelationParameters] = None,
-    device_short_probabilities: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Vectorised pRF over an array of device pF values.
-
-    The closed forms of :meth:`RowYieldModel.row_failure_probability`
-    evaluated elementwise in one pass — the yield-surface sweeps map whole
-    pF grids through the Table 1 scenarios with this hook instead of a
-    Python loop.  Matches the scalar path to floating-point accuracy.
-
-    Shorts composition
-    ------------------
-    There are two ways to carry the metallic-short failure mode of
-    :mod:`repro.device.shorts` through the row maps.  The *exact* route is
-    to pass the joint opens+shorts device probability as
-    ``device_failure_probabilities`` — the maps encode only which devices
-    share tracks, so they compose exactly with any per-device failure
-    channel.  Alternatively, ``device_short_probabilities`` accepts the
-    marginal short channel (``short_only_failure_probability``) separately
-    and composes the two row events as independent,
-    ``1 - (1 - pRF_open)(1 - pRF_short)`` — a slight *upper bound* on the
-    true row failure probability, because opens and shorts are
-    anticorrelated through the shared tube count.  Use it when the two
-    channels are estimated separately (e.g. from different sweeps).
-    """
-    params = parameters or CorrelationParameters()
-    p = np.asarray(device_failure_probabilities, dtype=float)
-    if p.size and (np.any(p < 0) | np.any(p > 1)):
-        raise ValueError("device failure probabilities must lie in [0, 1]")
-    base = _scenario_row_map(scenario, p, params)
-    if device_short_probabilities is None:
-        return base
-    s = np.asarray(device_short_probabilities, dtype=float)
-    if s.shape != p.shape:
-        raise ValueError(
-            "device_short_probabilities must match "
-            "device_failure_probabilities in shape"
-        )
-    if s.size and (np.any(s < 0) | np.any(s > 1)):
-        raise ValueError("device short probabilities must lie in [0, 1]")
-    row_short = _scenario_row_map(scenario, s, params)
-    return 1.0 - (1.0 - base) * (1.0 - row_short)
-
-
 def propagate_row_failure_se(
     scenario: LayoutScenario,
     device_failure_probabilities: np.ndarray,
     device_failure_se: np.ndarray,
     parameters: Optional[CorrelationParameters] = None,
-    device_short_probabilities: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Delta-method pRF standard errors from sampled device pF errors.
 
@@ -503,9 +416,7 @@ def propagate_row_failure_se(
     for every scenario model (offset-cluster and shared-fraction alike).
     This is how Monte Carlo-built yield surfaces carry the rare-event
     sampler's :class:`~repro.core.circuit_yield.YieldEstimate`-style
-    uncertainties through Eq. 3.1.  A separately-composed short channel
-    (``device_short_probabilities``) is held fixed while the open channel
-    is perturbed, matching the composition of the map itself.
+    uncertainties through Eq. 3.1.
     """
     params = parameters or CorrelationParameters()
     p = np.asarray(device_failure_probabilities, dtype=float)
@@ -517,14 +428,8 @@ def propagate_row_failure_se(
     step = np.maximum(1e-6 * p, 1e-300)
     lo = np.clip(p - step, 0.0, 1.0)
     hi = np.clip(p + step, 0.0, 1.0)
-    f_lo = scenario_row_failure_probabilities(
-        scenario, lo, params,
-        device_short_probabilities=device_short_probabilities,
-    )
-    f_hi = scenario_row_failure_probabilities(
-        scenario, hi, params,
-        device_short_probabilities=device_short_probabilities,
-    )
+    f_lo = scenario_row_failure_probabilities(scenario, lo, params)
+    f_hi = scenario_row_failure_probabilities(scenario, hi, params)
     span = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(span > 0.0, (f_hi - f_lo) / span, 0.0)

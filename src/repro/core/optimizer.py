@@ -172,16 +172,11 @@ class CoOptimizationFlow:
     ) -> Dict[LayoutScenario, RowYieldResult]:
         """Table 1 — pRF per scenario at the device pF implied by ``wmin_nm``."""
         p_f = self.setup.failure_model.failure_probability(wmin_nm)
-        pf_cnt = self.setup.corner.per_cnt_failure_probability
         model = self.setup.row_yield_model
         results = {}
         for scenario in LayoutScenario:
             results[scenario] = model.evaluate(
-                scenario,
-                p_f,
-                self.min_size_device_count,
-                width_nm=wmin_nm,
-                per_cnt_failure=pf_cnt,
+                scenario, p_f, self.min_size_device_count
             )
         return results
 

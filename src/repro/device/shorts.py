@@ -79,6 +79,7 @@ __all__ = [
     "ShortsModel",
     "surviving_short_probability",
     "joint_failure_probability",
+    "conditional_failure_probabilities",
     "short_only_failure_probability",
 ]
 
@@ -181,15 +182,32 @@ def joint_failure_probability(
     return min(1.0, float(np.sum(pmf * failing)))
 
 
+def conditional_failure_probabilities(
+    counts, per_cnt_failure: float, short_probability: float
+) -> np.ndarray:
+    """Device failure probability given the captured tube counts ``N``.
+
+    The per-count value behind the Monte Carlo estimators (``N_min = 1``):
+    the joint ``1 - (1 - q)**N + (pf - q)**N`` of the thinning derivation
+    when ``q > 0``, else the opens-only Eq. 2.2 conditional ``pf ** N``,
+    kept as that literal expression so opens-only results stay bitwise.
+    """
+    n = np.asarray(counts, dtype=float)
+    pf, q = per_cnt_failure, short_probability
+    if q > 0.0:
+        return 1.0 - np.power(1.0 - q, n) + np.power(pf - q, n)
+    return np.power(pf, n)
+
+
 def short_only_failure_probability(
     count_model: CountModel, width_nm: float, short_probability: float
 ) -> float:
     """Probability ``1 - PGF(1 - b)`` of at least one surviving short.
 
-    The marginal short-failure channel — useful for composing row-level
-    short terms and for pinning the anticorrelation sign in tests (the
-    joint failure probability is *below* the independent combination of
-    this term with the opens-only Eq. 2.2 value).  Summed as the positive
+    The marginal short-failure channel, which pins the anticorrelation
+    sign in tests (the joint failure probability is *below* the
+    independent combination of this term with the opens-only Eq. 2.2
+    value).  Summed as the positive
     terms ``P{N = n} · (1 - (1 - b)^n)`` through ``expm1``/``log1p``, so it
     keeps full relative precision at tiny ``b``.
     """

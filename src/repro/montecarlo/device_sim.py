@@ -28,6 +28,7 @@ import numpy as np
 
 import repro.montecarlo.rare_event as rare_event
 from repro.core.count_model import CountModel
+from repro.device.shorts import conditional_failure_probabilities
 from repro.growth.isotropic import IsotropicGrowthModel
 from repro.growth.pitch import PitchDistribution
 from repro.growth.types import CNTTypeModel
@@ -159,13 +160,11 @@ class DeviceMonteCarlo:
         """
         ensure_positive(width_nm, "width_nm")
         counts = self._sample_counts(width_nm, n_samples, rng)
-        pf = self.type_model.per_cnt_failure_probability
-        q = self.type_model.surviving_metallic_probability
-        n = counts.astype(float)
-        if q > 0.0:
-            conditional = 1.0 - np.power(1.0 - q, n) + np.power(pf - q, n)
-        else:
-            conditional = np.power(pf, n)
+        conditional = conditional_failure_probabilities(
+            counts,
+            self.type_model.per_cnt_failure_probability,
+            self.type_model.surviving_metallic_probability,
+        )
         estimate = float(np.mean(conditional))
         stderr = (
             float(np.std(conditional, ddof=1) / np.sqrt(n_samples))

@@ -116,7 +116,7 @@ def compare_row_scenarios(
         min_cnfet_density_per_um=1.0,
         alignment_fraction=0.5,
     )
-    analytic_model = RowYieldModel(parameters=params, count_model=count_model)
+    analytic_model = RowYieldModel(parameters=params)
 
     mc = RowMonteCarlo(pitch=pitch, type_model=type_model)
     config = RowScenarioConfig(
@@ -128,12 +128,7 @@ def compare_row_scenarios(
 
     records: Dict[LayoutScenario, ComparisonRecord] = {}
     for scenario in LayoutScenario:
-        analytic = analytic_model.row_failure_probability(
-            scenario,
-            p_f,
-            width_nm=device_width_nm,
-            per_cnt_failure=type_model.per_cnt_failure_probability,
-        )
+        analytic = analytic_model.row_failure_probability(scenario, p_f)
         result = mc.estimate(scenario, config, n_samples, rng)
         records[scenario] = ComparisonRecord(
             label=f"pRF[{scenario.value}]",
@@ -224,7 +219,7 @@ def compare_tail_scenarios(
         cnt_length_um=float(devices_per_segment),
         min_cnfet_density_per_um=1.0,
     )
-    analytic_model = RowYieldModel(parameters=params, count_model=count_model)
+    analytic_model = RowYieldModel(parameters=params)
 
     mc = RowMonteCarlo(pitch=pitch, type_model=type_model)
     config = RowScenarioConfig(
@@ -236,12 +231,7 @@ def compare_tail_scenarios(
 
     records: Dict[LayoutScenario, ComparisonRecord] = {}
     for scenario in LayoutScenario:
-        analytic = analytic_model.row_failure_probability(
-            scenario,
-            p_f,
-            width_nm=device_width_nm,
-            per_cnt_failure=type_model.per_cnt_failure_probability,
-        )
+        analytic = analytic_model.row_failure_probability(scenario, p_f)
         if scenario is LayoutScenario.DIRECTIONAL_NON_ALIGNED:
             result = mc.estimate(
                 scenario, config, splitting_particles, rng, sampler="splitting"

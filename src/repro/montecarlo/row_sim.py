@@ -53,6 +53,7 @@ import numpy as np
 
 import repro.montecarlo.rare_event as rare_event
 from repro.core.correlation import LayoutScenario
+from repro.device.shorts import conditional_failure_probabilities
 from repro.growth.pitch import PitchDistribution, pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.engine import (
@@ -155,18 +156,14 @@ class RowMonteCarlo:
     def _device_conditional_failures(self, counts: np.ndarray) -> np.ndarray:
         """Per-device failure probability conditioned on captured counts.
 
-        The opens-only ``pf ** N`` of the Rao-Blackwellised estimators, or
-        the joint thinned ``1 - (1 - q)**N + (pf - q)**N`` of
-        :mod:`repro.device.shorts` when the type model leaves surviving
-        metallic tubes; the ``q = 0`` branch is the untouched pre-shorts
-        expression (bitwise contract).
+        :func:`repro.device.shorts.conditional_failure_probabilities` at
+        this simulator's type model.
         """
-        pf = self.type_model.per_cnt_failure_probability
-        q = self.type_model.surviving_metallic_probability
-        n = np.asarray(counts, dtype=float)
-        if q > 0.0:
-            return 1.0 - np.power(1.0 - q, n) + np.power(pf - q, n)
-        return np.power(pf, n)
+        return conditional_failure_probabilities(
+            counts,
+            self.type_model.per_cnt_failure_probability,
+            self.type_model.surviving_metallic_probability,
+        )
 
     def _segment_failure_uncorrelated(
         self, config: RowScenarioConfig, rng: np.random.Generator

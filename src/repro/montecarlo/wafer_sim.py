@@ -82,6 +82,7 @@ import numpy as np
 
 from repro.analysis.mispositioned import MisalignmentImpactModel
 from repro.backend import NumpyBackend, buffer_pool, default_backend
+from repro.device.shorts import conditional_failure_probabilities
 from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _ChipGeometry,
@@ -321,14 +322,9 @@ def _simulate_die_group(
     # in a per-count table instead of evaluated per (class, die, trial).
     n_cnt = counts[1:] - counts[:1]
     k = np.arange(int(n_cnt.max()) + 1, dtype=float)
-    pf = payload.per_cnt_failure
-    q = payload.short_probability
-    if q > 0.0:
-        # Joint opens+shorts conditional of repro.device.shorts:
-        # 1 - (1 - q)**N + (pf - q)**N given the sampled counts.
-        table = 1.0 - np.power(1.0 - q, k) + np.power(pf - q, k)
-    else:
-        table = np.power(pf, k)
+    table = conditional_failure_probabilities(
+        k, payload.per_cnt_failure, payload.short_probability
+    )
     # Each (class, die) trial slice is contiguous, so its reductions sum
     # in the same order as in any other group.
     values = np.take(table, n_cnt).reshape(len(widths), n_dies, n_trials)

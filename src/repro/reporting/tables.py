@@ -102,7 +102,7 @@ def table2_data(
             alignment_fraction=base_params.alignment_fraction,
             aligned_region_groups=groups,
         )
-        row_model = RowYieldModel(parameters=params, count_model=setup.count_model)
+        row_model = RowYieldModel(parameters=params)
         relaxation = row_model.relaxation_factor(setup.required_pf())
         wmin = setup.wmin_solver.solve_simplified(
             setup.min_size_device_count, relaxation_factor=relaxation

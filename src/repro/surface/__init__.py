@@ -14,9 +14,10 @@ for that loop, so this package precomputes the answer:
   interpolation error bound meets tolerance.
 * :mod:`repro.surface.surface` — the versioned, content-hashed, disk-
   persisted :class:`YieldSurface` artifact and its :class:`SurfaceStore`.
-* :mod:`repro.surface.eta_family` — a removal-efficiency (eta) axis over
-  2D surfaces for the metallic-short failure mode, served with the same
-  probed error-bound contract.
+
+The metallic-short knobs of :class:`SweepSpec` (``metallic_fraction``,
+``removal_eta``) fix one short probability per surface: each removal
+efficiency gets its own surface.
 
 The batched query layer on top lives in :mod:`repro.serving`.
 """
@@ -39,11 +40,8 @@ from repro.surface.builder import (
     pitch_descriptor,
     pitch_from_descriptor,
 )
-from repro.surface.eta_family import EtaQuery, EtaSurfaceFamily
 
 __all__ = [
-    "EtaQuery",
-    "EtaSurfaceFamily",
     "GridAxis",
     "bilinear_interpolate",
     "YieldSurface",

@@ -323,3 +323,28 @@ class TestBackendIdentity:
     def test_pickle_round_trip(self):
         backend = default_backend()
         assert pickle.loads(pickle.dumps(backend)) is backend
+
+
+class _Renamed(NumpyBackend):
+    """A module-level subclass that differs from the base by name only."""
+
+    name = "renamed"
+
+
+class TestSubclassPickling:
+    """Pool workers receive a pinned subclass backend as itself.
+
+    Chunk payloads carry their backend to process-pool workers by pickle,
+    while the campaign fingerprint records the backend's repr; a subclass
+    that unpickled as the shared base instance would run the workers on
+    another backend than the one its fingerprint names.
+    """
+
+    def test_subclass_round_trips_as_itself(self):
+        backend = _Renamed()
+        backend.label = "pinned"
+        restored = pickle.loads(pickle.dumps(backend))
+        assert type(restored) is _Renamed
+        assert restored.label == "pinned"
+        assert repr(restored) == repr(backend)
+        assert backend_signature(restored) == ("renamed", "float64", "float64")

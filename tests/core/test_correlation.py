@@ -10,8 +10,8 @@ from repro.core.correlation import (
     LayoutScenario,
     RowYieldModel,
     relaxation_factor,
+    scenario_row_failure_probabilities,
 )
-from repro.core.count_model import PoissonCountModel
 
 
 @pytest.fixture
@@ -23,9 +23,7 @@ def params():
 
 @pytest.fixture
 def model(params):
-    return RowYieldModel(
-        parameters=params, count_model=PoissonCountModel(4.0), mc_samples=5_000
-    )
+    return RowYieldModel(parameters=params)
 
 
 class TestCorrelationParameters:
@@ -70,8 +68,7 @@ class TestRowFailureProbability:
             LayoutScenario.UNCORRELATED_GROWTH, p_f
         )
         middle = model.row_failure_probability(
-            LayoutScenario.DIRECTIONAL_NON_ALIGNED, p_f,
-            width_nm=103.0, per_cnt_failure=0.5333,
+            LayoutScenario.DIRECTIONAL_NON_ALIGNED, p_f
         )
         assert aligned <= middle <= uncorrelated
 
@@ -160,3 +157,25 @@ class TestRelaxationFactor:
 
     def test_model_level_relaxation(self, model):
         assert model.relaxation_factor(1e-8) == pytest.approx(360.0, rel=0.01)
+
+
+class TestClosedFormInputs:
+    """Every scenario is a closed form of pF and the row geometry alone."""
+
+    @pytest.mark.parametrize("keyword", ["count_model", "rng", "mc_samples"])
+    def test_model_takes_only_parameters(self, params, keyword):
+        with pytest.raises(TypeError):
+            RowYieldModel(parameters=params, **{keyword: None})
+
+    @pytest.mark.parametrize("keyword", ["width_nm", "per_cnt_failure"])
+    def test_row_failure_takes_only_pf(self, model, keyword):
+        with pytest.raises(TypeError):
+            model.row_failure_probability(
+                LayoutScenario.DIRECTIONAL_NON_ALIGNED, 1e-6, **{keyword: 1.0}
+            )
+
+    def test_vectorised_map_rejects_out_of_range_pf(self, params):
+        with pytest.raises(ValueError, match="lie in"):
+            scenario_row_failure_probabilities(
+                LayoutScenario.DIRECTIONAL_ALIGNED, np.array([0.5, 1.5]), params
+            )

@@ -20,6 +20,7 @@ from repro.core.count_model import PoissonCountModel, RenewalCountModel
 from repro.core.failure import CNFETFailureModel, log_failure_probabilities
 from repro.device.shorts import (
     ShortsModel,
+    conditional_failure_probabilities,
     joint_failure_probability,
     surviving_short_probability,
 )
@@ -145,6 +146,31 @@ class TestJointClosedFormProperties:
     def test_short_probability_above_pf_rejected(self):
         with pytest.raises(ValueError, match="short_probability"):
             joint_failure_probability(PoissonCountModel(4.0), 40.0, 0.1, 0.2)
+
+
+class TestConditionalFailure:
+    """The per-count value the Monte Carlo estimators average."""
+
+    @DEFAULT_SETTINGS
+    @given(pm=fractions, eta=etas, p_rs=probabilities, width=widths)
+    def test_count_average_is_the_joint_closed_form(self, pm, eta, p_rs, width):
+        model = PoissonCountModel(4.0)
+        pmf = model.pmf(width)
+        conditional = conditional_failure_probabilities(
+            np.arange(pmf.size),
+            per_cnt_failure_probability(pm, p_rs),
+            surviving_short_probability(pm, eta),
+        )
+        assert float(np.sum(pmf * conditional)) == pytest.approx(
+            _joint(width, pm, eta, p_rs), rel=1e-9, abs=1e-12
+        )
+
+    @DEFAULT_SETTINGS
+    @given(pf=probabilities)
+    def test_opens_only_is_the_literal_power(self, pf):
+        n = np.arange(200, dtype=float)
+        values = conditional_failure_probabilities(n, pf, 0.0)
+        assert np.array_equal(values, np.power(pf, n))
 
 
 class TestLogJointConsistency:

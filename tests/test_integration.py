@@ -128,6 +128,6 @@ class TestPhysicalToAnalyticConsistency:
         params = CorrelationParameters(
             cnt_length_um=200.0, min_cnfet_density_per_um=density
         )
-        model = RowYieldModel(parameters=params, count_model=setup.count_model)
+        model = RowYieldModel(parameters=params)
         factor = model.relaxation_factor(setup.required_pf())
         assert factor == pytest.approx(200.0 * density, rel=0.05)
