@@ -12,6 +12,7 @@ from repro.core.correlation import (
     relaxation_factor,
     scenario_row_failure_probabilities,
 )
+from repro.core.count_model import PoissonCountModel
 
 
 @pytest.fixture
@@ -162,10 +163,18 @@ class TestRelaxationFactor:
 class TestClosedFormInputs:
     """Every scenario is a closed form of pF and the row geometry alone."""
 
-    @pytest.mark.parametrize("keyword", ["count_model", "rng", "mc_samples"])
-    def test_model_takes_only_parameters(self, params, keyword):
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("count_model", PoissonCountModel(4.0)),
+            ("rng", np.random.default_rng(0)),
+            ("mc_samples", 5_000),
+        ],
+        ids=["count_model", "rng", "mc_samples"],
+    )
+    def test_model_takes_only_parameters(self, params, keyword, value):
         with pytest.raises(TypeError):
-            RowYieldModel(parameters=params, **{keyword: None})
+            RowYieldModel(parameters=params, **{keyword: value})
 
     @pytest.mark.parametrize("keyword", ["width_nm", "per_cnt_failure"])
     def test_row_failure_takes_only_pf(self, model, keyword):
