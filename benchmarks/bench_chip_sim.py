@@ -6,9 +6,10 @@ engine on the Nangate45 OpenRISC-like block, and writes
 device-windows/sec for both, so future changes can track the performance
 trajectory.  The record also carries its provenance (git commit, CPU,
 Python and NumPy versions, dtype policy, mode) and the wall time of each
-layer of one batched chunk: gap draw, ``cumsum``, tube uniforms and the
-window count.  Runs as a pytest test (``pytest benchmarks/bench_chip_sim.py``)
-or standalone (``python benchmarks/bench_chip_sim.py``).
+layer of one batched chunk: gap draw (of the working tubes only),
+``cumsum`` and the window count.  Runs as a pytest test
+(``pytest benchmarks/bench_chip_sim.py``) or standalone
+(``python benchmarks/bench_chip_sim.py``).
 
 Set ``REPRO_BENCH_QUICK=1`` for a smaller design and fewer trials (the CI
 smoke configuration).
@@ -29,7 +30,12 @@ from repro.resilience.atomic import atomic_write_json
 from repro.cells.nangate45 import build_nangate45_library
 from repro.growth.pitch import ExponentialPitch
 from repro.growth.types import CNTTypeModel
-from repro.montecarlo.chip_sim import ChipMonteCarlo, _chip_trial_chunk
+from repro.montecarlo.chip_sim import (
+    ChipMonteCarlo,
+    _chip_trial_chunk,
+    _chunk_queries,
+    _drawn_pitch,
+)
 from repro.montecarlo.engine import count_in_windows_flat, tight_gap_budget
 from repro.netlist.openrisc import build_openrisc_like_design
 from repro.netlist.placement import RowPlacement
@@ -128,48 +134,37 @@ def chunk_layers(
     The layers of :func:`repro.montecarlo.chip_sim._chip_window_counts_joint`
     timed one by one on the same slot-major chunk, inside a buffer pool
     scope as the chunk runner executes them: the gap draw of the first
-    (tight-budget) batch, its in-place running sum down the slot axis,
-    the per-tube uniforms and the window count of every distinct window
-    (column-local searches plus the running counts of the working
-    tubes).  Top-up rounds and the failure reductions are left out, so
+    (tight-budget) batch from the thinned pitch the kernel draws (only
+    the working tubes), its in-place running sum down the slot axis and
+    the window count of every distinct window (column-local searches
+    alone: an opens-only run draws no tube uniforms and takes no running
+    count).  Top-up rounds and the failure reductions are left out, so
     the layers sum to a little less than one chunk.
     """
     geometry = simulator.chip_geometry()
     backend = default_backend()
-    n_chunk = _chip_trial_chunk(geometry.pitch, geometry, n_trials)
+    pitch = _drawn_pitch(geometry)
+    n_chunk = _chip_trial_chunk(pitch, geometry, n_trials)
     shape = (
-        tight_gap_budget(geometry.pitch, geometry.row_height_nm),
+        tight_gap_budget(pitch, geometry.row_height_nm),
         n_chunk * geometry.n_rows,
     )
-    n_windows = geometry.window_lo.size
-    trial_index = (
-        np.repeat(np.arange(n_chunk) * geometry.n_rows, n_windows)
-        + np.tile(geometry.window_row, n_chunk)
-    )
-    lo = np.tile(geometry.window_lo, n_chunk)
-    hi = np.tile(geometry.window_hi, n_chunk)
+    trial_index, lo, hi = _chunk_queries(geometry, n_chunk)
     rng = np.random.default_rng(3)
     try:
         with buffer_pool():
-            gaps = backend.sample_gaps(
-                geometry.pitch, shape, rng, out=backend.empty(shape)
-            )
+            gaps = backend.sample_gaps(pitch, shape, rng, out=backend.empty(shape))
             positions = backend.cumsum(gaps.copy(), axis=0)
-            working = backend.uniform(rng, shape) >= geometry.per_cnt_failure
             layers = {
                 "gap_draw": _median_seconds(
-                    lambda: backend.sample_gaps(
-                        geometry.pitch, shape, rng, out=gaps
-                    ), repeats),
+                    lambda: backend.sample_gaps(pitch, shape, rng, out=gaps),
+                    repeats),
                 "cumsum": _median_seconds(
                     lambda: backend.cumsum(positions, axis=0), repeats,
                     setup=lambda: np.copyto(positions, gaps)),
-                "uniforms": _median_seconds(
-                    lambda: backend.uniform(rng, shape), repeats),
                 "window_count": _median_seconds(
                     lambda: count_in_windows_flat(
-                        positions, working, lo, hi, trial_index,
-                        backend=backend,
+                        positions, None, lo, hi, trial_index, backend=backend,
                     ), repeats),
             }
     finally:

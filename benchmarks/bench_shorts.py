@@ -6,10 +6,11 @@ removal (``eta = 1``, the opens-only regime) and once with imperfect
 removal (``eta < 1``, the joint opens+shorts regime) — and writes
 ``BENCH_shorts.json`` at the repository root.  Two headline checks:
 
-* **throughput floor** — the joint engine shares each trial's track
-  positions and per-tube uniforms with the opens-only pass and adds only
-  a second thinning threshold plus one more window count, so it must
-  stay within 1.5X of the opens-only trials/sec;
+* **throughput floor** — the joint engine draws the kept tubes of a
+  pitch thinned only slightly less than the opens-only pass (working
+  tubes plus surviving shorts) and adds only the short marks, one
+  geometric skip per mark, and their running count in the same window
+  pass, so it must stay within 1.5X of the opens-only trials/sec;
 * **accuracy** — the joint engine's mean failing-device count must match
   the thinned closed form of :mod:`repro.device.shorts` within Monte
   Carlo error (|z| < 6), trial by the same acceptance gate the

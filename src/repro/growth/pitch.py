@@ -19,7 +19,10 @@ exposes:
 * ``sum_cdf_array(n, w_nm)`` / ``sum_sf_array(n, w_nm)`` — the CDF and
   survival function of the n-fold sum, broadcast over counts and widths
   (exact when the family is closed under summation, otherwise a central
-  limit approximation is used); ``sum_cdf(n, w_nm)`` is one value of it.
+  limit approximation is used); ``sum_cdf(n, w_nm)`` is one value of it,
+* ``thinned(p_keep)`` — the gap law of the tubes kept independently with
+  probability ``p_keep`` (:class:`ThinnedPitch`), which lets a sampler
+  draw only the tubes its answer reads.
 
 The paper keeps the ratio σS/µS from [Zhang 09a] and sets µS to the
 optimised 4 nm of [Deng 07]; the exact σS/µS value is a calibration knob
@@ -117,6 +120,34 @@ class PitchDistribution(abc.ABC):
         """
         size = int(np.prod(shape))
         return self.sample(size, rng).reshape(shape)
+
+    def sample_sums(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Draw, for every entry of ``counts`` (each >= 1), a sum of that many gaps.
+
+        The generic form draws ``counts.sum()`` gaps and adds them up
+        group by group; families closed under summation override it with
+        one draw per sum.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if not counts.size:
+            return np.zeros(counts.shape)
+        gaps = self.sample(int(counts.sum()), rng)
+        starts = np.cumsum(counts.ravel()) - counts.ravel()
+        return np.add.reduceat(gaps, starts).reshape(counts.shape)
+
+    def thinned(self, p_keep: float) -> "PitchDistribution":
+        """Gap law of the tubes kept independently with probability ``p_keep``.
+
+        Between two kept tubes lie ``G ~ Geometric(p_keep)`` gaps of this
+        law, so a kept gap is their sum: mean ``µ / p`` and variance
+        ``σ² / p + µ² (1 − p) / p²``.  ``p_keep = 1`` returns this
+        distribution itself; families with a closed form (exponential)
+        stay in their family, every other one becomes a
+        :class:`ThinnedPitch`.
+        """
+        if _keeps_all(p_keep):
+            return self
+        return ThinnedPitch(base=self, p_keep=float(p_keep))
 
     def sum_cdf(self, n: int, w_nm: float) -> float:
         """Return ``P{s_1 + ... + s_n <= w_nm}``.
@@ -284,6 +315,12 @@ class ExponentialPitch(PitchDistribution):
         """Exponential pitch rescaled to a new mean (CV stays 1)."""
         return ExponentialPitch(mean_pitch_nm=mean_nm)
 
+    def thinned(self, p_keep: float) -> "ExponentialPitch":
+        """Thinning a Poisson process leaves it Poisson: mean ``µ / p_keep``."""
+        if _keeps_all(p_keep):
+            return self
+        return ExponentialPitch(mean_pitch_nm=self.mean_pitch_nm / p_keep)
+
 
 @dataclass(frozen=True, repr=False)
 class GammaPitch(PitchDistribution):
@@ -324,6 +361,12 @@ class GammaPitch(PitchDistribution):
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` independent gamma gaps (nm)."""
         return rng.gamma(shape=self.shape, scale=self.scale_nm, size=size)
+
+    def sample_sums(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """A sum of ``m`` Gamma(k, θ) gaps is one Gamma(m·k, θ) draw."""
+        sums = rng.standard_gamma(self.shape * np.asarray(counts, dtype=np.int64))
+        sums *= self.scale_nm
+        return sums
 
     def sum_cdf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
         """Exact n-fold sum CDF: Gamma(n·k, θ) closure under summation."""
@@ -451,6 +494,72 @@ class TruncatedNormalPitch(PitchDistribution):
             nominal_mean_nm=self.nominal_mean_nm * factor,
             nominal_std_nm=self.nominal_std_nm * factor,
         )
+
+
+def _keeps_all(p_keep: float) -> bool:
+    """Whether a thinning by ``p_keep`` keeps every tube; rejects ``p_keep``
+    outside ``(0, 1]`` (keeping no tube leaves no gap law to draw)."""
+    if not 0.0 < p_keep <= 1.0:
+        raise ValueError(f"p_keep must lie in (0, 1], got {p_keep}")
+    return p_keep == 1.0
+
+
+#: Tail mass of the number of base gaps that :meth:`ThinnedPitch.sum_cdf_array`
+#: leaves out of its mixture.
+THINNED_TAIL = 1e-17
+
+
+@dataclass(frozen=True, repr=False)
+class ThinnedPitch(PitchDistribution):
+    """Gap law of the tubes of ``base`` kept independently with ``p_keep``.
+
+    A kept gap is the sum of ``G ~ Geometric(p_keep)`` consecutive base
+    gaps (:meth:`PitchDistribution.sample_sums`; one Gamma(k·G, θ) draw
+    for a gamma base).  Built by :meth:`PitchDistribution.thinned`, which
+    returns closed families (exponential) in their own family instead.
+    """
+
+    base: PitchDistribution
+    p_keep: float
+
+    def __post_init__(self) -> None:
+        _keeps_all(self.p_keep)  # rejects p_keep outside (0, 1]
+
+    @property
+    def mean_nm(self) -> float:
+        """Mean kept gap ``µ / p`` in nm."""
+        return self.base.mean_nm / self.p_keep
+
+    @property
+    def std_nm(self) -> float:
+        """Kept-gap standard deviation: ``sqrt(σ² / p + µ² (1 − p) / p²)``."""
+        p, mean = self.p_keep, self.base.mean_nm
+        return math.sqrt(self.base.std_nm ** 2 / p + mean ** 2 * (1.0 - p) / p ** 2)
+
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``size`` kept gaps: geometric group sizes, then their sums."""
+        return self.base.sample_sums(rng.geometric(self.p_keep, size), rng)
+
+    def sum_cdf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
+        """n-fold sum CDF as a mixture over the number of base gaps.
+
+        ``n`` kept gaps span ``n + J`` base gaps with ``J`` negative
+        binomial; the mixture of the base's sum CDFs is cut where the
+        largest ``n``'s ``J`` has tail mass :data:`THINNED_TAIL` left.
+        """
+        n = np.asarray(n_values)
+        if np.any(n < 0):
+            raise ValueError("n must be non-negative")
+        w = np.asarray(w_nm, dtype=float)
+        safe_n = np.maximum(n, 1)
+        j_max = int(stats.nbinom.isf(THINNED_TAIL, int(safe_n.max()), self.p_keep))
+        extra = np.arange(j_max + 1).reshape((-1,) + (1,) * max(n.ndim, w.ndim))
+        mixture = np.sum(
+            stats.nbinom.pmf(extra, safe_n, self.p_keep)
+            * self.base.sum_cdf_array(safe_n + extra, w),
+            axis=0,
+        )
+        return np.where(n == 0, w >= 0, mixture).astype(float)
 
 
 def _gamma_family_tilt(

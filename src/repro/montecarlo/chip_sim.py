@@ -18,8 +18,12 @@ Batched engine
 one renewal trial, one column of a single slot-major
 :func:`~repro.montecarlo.engine.sample_track_batch` call (one 2D gap draw
 and a running sum down the slot axis), and every device window of every
-trial is answered by one pass of column-local searches and running counts
-(:func:`~repro.montecarlo.engine.count_in_windows_flat`).  Trials are
+trial is answered by one pass of column-local searches
+(:func:`~repro.montecarlo.engine.count_in_windows_flat`).  Only the tubes
+an answer reads are drawn: the tracks are the working tubes (and, with
+imperfect metallic removal, the surviving shorts) of the pitch thinned
+by :meth:`~repro.growth.pitch.PitchDistribution.thinned`, so an
+opens-only window count is its search alone.  Trials are
 processed in fixed-size chunks whose boundaries depend only on the trial
 count, and each chunk consumes its own ``spawn_key``-derived RNG stream —
 so a run is bitwise reproducible for any
@@ -36,6 +40,7 @@ model extrapolates to the 1e8-device, 1e-9-probability regime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -46,6 +51,7 @@ from repro.backend import NumpyBackend, default_backend
 from repro.growth.pitch import GapTilt, PitchDistribution, pitch_distribution_from_cv
 from repro.growth.types import CNTTypeModel
 from repro.montecarlo.engine import (
+    BLOCK,
     count_in_windows_flat,
     default_trial_chunk,
     estimate_gap_count,
@@ -185,19 +191,56 @@ def _width_class_matrix(
 def _chunk_queries(
     geometry: _ChipGeometry, n_chunk: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat ``(trial_index, lo, hi)`` window queries of a chunk's batch.
+    """``(trial_index, lo, hi)`` window queries of a chunk's batch.
 
-    Query ``t * n_windows + w`` asks window ``w`` of chip trial ``t``,
-    which lives on flat renewal trial ``t * n_rows + window_row[w]``.
+    Query ``(t, w)`` of the ``(n_chunk, n_windows)`` grid asks window
+    ``w`` of chip trial ``t``, which lives on flat renewal trial
+    ``t * n_rows + window_row[w]``.  The trial index is one broadcast
+    add; ``lo`` and ``hi`` are read-only broadcast views of the
+    geometry's bounds, so no per-chunk copy of them is made.
     """
-    n_windows = geometry.window_lo.size
+    shape = (n_chunk, geometry.window_lo.size)
     trial_index = (
-        np.repeat(np.arange(n_chunk) * geometry.n_rows, n_windows)
-        + np.tile(geometry.window_row, n_chunk)
+        (np.arange(n_chunk) * geometry.n_rows)[:, None] + geometry.window_row
     )
-    lo = np.tile(geometry.window_lo, n_chunk)
-    hi = np.tile(geometry.window_hi, n_chunk)
+    lo = np.broadcast_to(geometry.window_lo, shape)
+    hi = np.broadcast_to(geometry.window_hi, shape)
     return trial_index, lo, hi
+
+
+def _kept_fraction(geometry: _ChipGeometry) -> float:
+    """Share of tubes the naive chip kernel draws: working ones and shorts.
+
+    The three per-tube states partition the tubes as short (``q``), dud
+    (``pf − q``) and working (``1 − pf``); only duds are never read.
+    """
+    return 1.0 - geometry.per_cnt_failure + geometry.short_probability
+
+
+def _drawn_pitch(geometry: _ChipGeometry) -> PitchDistribution:
+    """Gap law :func:`_chip_window_counts_joint` draws (the full law when it
+    keeps no tube and so draws nothing)."""
+    keep = _kept_fraction(geometry)
+    return geometry.pitch.thinned(keep) if keep > 0.0 else geometry.pitch
+
+
+def _short_marks(
+    rng: np.random.Generator, n_cells: int, p_short: float
+) -> np.ndarray:
+    """Sorted indices in ``[0, n_cells)`` of independent Bernoulli(p_short) marks.
+
+    The skips between marks are geometric, so the draw costs one variate
+    per mark, not one per cell: one block sized for the expected marks
+    plus a margin, and a further block while the last mark falls short
+    of the end.
+    """
+    expected = n_cells * p_short
+    size = int(expected + 4.0 * math.sqrt(expected)) + BLOCK
+    marks = np.cumsum(rng.geometric(p_short, size)) - 1
+    while marks[-1] < n_cells:
+        more = np.cumsum(rng.geometric(p_short, size))
+        marks = np.concatenate([marks, more + marks[-1]])
+    return marks[:np.searchsorted(marks, n_cells)]
 
 
 def _chip_window_counts_joint(
@@ -211,52 +254,73 @@ def _chip_window_counts_joint(
     Every (trial, row) pair is one renewal trial; flat trial ``t * n_rows + r``
     carries row ``r`` of chip trial ``t``.  Returns ``(working, shorts,
     summed)`` matrices of shape ``(n_chunk, n_windows)``; ``shorts`` is
-    ``None`` in the opens-only regime (``short_probability = 0``).  Both
-    failure modes are decided by *one* uniform per tube — the three
-    per-tube states partition ``[0, 1)`` as ``[0, q)`` short, ``[q, pf)``
-    dud and ``[pf, 1)`` working — so the joint mode consumes exactly the
-    RNG stream of the opens-only mode and ``q = 0`` runs are bitwise
-    unchanged, as are the shared-kernel consumers (wafer tier, timing
-    tier).
+    ``None`` in the opens-only regime (``short_probability = 0``).
+
+    Only the tubes a window's answer reads are drawn: the tracks are the
+    kept tubes of the pitch thinned to :func:`_kept_fraction`
+    (:meth:`~repro.growth.pitch.PitchDistribution.thinned`), started one
+    uniformly offset *unthinned* mean pitch below the origin, so they
+    are equal in law to drawing every tube and dropping the duds.  In the
+    opens-only regime every kept tube works and a window's count is its
+    search alone, with no running count.  In the joint regime each kept
+    tube is a short with probability ``q / (1 − pf + q)``; the marks are
+    drawn after the tracks, one geometric skip per mark over the batch's
+    slot-major cells (:func:`_short_marks`), and get the one running
+    count of the pass.  The joint mode therefore draws its own stream;
+    ``q = 0`` runs take the literal opens-only path.  With ``pf = 1`` and
+    no shorts no tube is kept: nothing is drawn and every window counts
+    zero.
 
     ``slot_values(rng, tubes, backend)``, when given, draws one value per
     working in-span tube, the ``True`` slots of the slot-major mask
     ``tubes`` (the timing tier's per-tube on-current), and returns them
     in an array of the mask's shape that is zero elsewhere; ``summed`` is
     then each window's sum of it over its working tubes, else ``None``.
-    The draw comes after the uniforms and gets its own weight array of the
-    same search pass, so the counts are bitwise those of a run without it.
+    The draw comes last and gets its own running count in the same
+    search pass, so the counts are bitwise those of a run without it.
 
     Device windows lie inside the row span (the geometry clamps them), so
     they never capture an out-of-span track: the tube states are counted
     without the batch's validity mask.
     """
     backend = geometry.backend if geometry.backend is not None else default_backend()
+    shape = (n_chunk, geometry.window_lo.size)
+    keep = _kept_fraction(geometry)
+    if keep <= 0.0:
+        return np.zeros(shape), None, (
+            np.zeros(shape) if slot_values is not None else None
+        )
     batch = sample_track_batch(
-        geometry.pitch, geometry.row_height_nm, n_chunk * geometry.n_rows, rng,
-        backend=backend,
+        _drawn_pitch(geometry), geometry.row_height_nm, n_chunk * geometry.n_rows,
+        rng, offset_mean_nm=geometry.pitch.mean_nm, backend=backend,
     )
-    u = backend.uniform(rng, batch.positions.shape)
-    working = u >= geometry.per_cnt_failure
-    # Opens, shorts and slot values share one search pass, one running
-    # count per weight array.
-    rows = [working]
-    if geometry.short_probability > 0.0:
-        rows.append(u < geometry.short_probability)
-    del u  # frees its pooled buffer for the slot values or the window pass
-    if slot_values is not None:
-        rows.append(slot_values(rng, working & batch.valid, backend))
-
     trial_index, lo, hi = _chunk_queries(geometry, n_chunk)
+    # Kept-tube counts come from the search alone; the short marks and the
+    # slot values, when present, get one running count each in that pass.
+    weights = [None]
+    marked = None
+    if geometry.short_probability > 0.0:
+        marked = np.zeros(batch.positions.shape, dtype=np.bool_)
+        marked.ravel()[_short_marks(
+            rng, marked.size, geometry.short_probability / keep
+        )] = True
+        weights.append(marked)
+    if slot_values is not None:
+        tubes = batch.valid if marked is None else batch.valid & ~marked
+        weights.append(slot_values(rng, tubes, backend))
+    if len(weights) == 1:
+        kept = count_in_windows_flat(
+            batch.positions, None, lo, hi, trial_index, backend=backend
+        )
+        return kept, None, None
     counts = count_in_windows_flat(
-        batch.positions,
-        rows if len(rows) > 1 else working,
-        lo, hi, trial_index,
-        backend=backend,
-    ).reshape(-1, n_chunk, geometry.window_lo.size)
-    shorts = counts[1] if geometry.short_probability > 0.0 else None
-    summed = counts[-1] if slot_values is not None else None
-    return counts[0], shorts, summed
+        batch.positions, weights, lo, hi, trial_index, backend=backend
+    )
+    working, shorts = counts[0], None
+    if marked is not None:
+        shorts = counts[1]
+        working = working - shorts
+    return working, shorts, counts[-1] if slot_values is not None else None
 
 
 def _failing_windows(
@@ -362,10 +426,11 @@ def _chip_trial_chunk(
     """Trials per batch of a chip campaign that draws its gaps from ``pitch``.
 
     The engine's one chunk policy (:func:`default_trial_chunk`) with the
-    chip's gap count per trial.  Naive runs size chunks at the nominal
-    pitch, tilted runs at the tilted pitch actually sampled, and the wafer
-    tier's per-die chip runs at the die's pitch — the same layout, hence
-    the same RNG streams, as a fresh per-die simulator.
+    chip's gap count per trial, at the law actually drawn: naive runs and
+    the wafer tier's per-die chip runs at the thinned pitch of
+    :func:`_drawn_pitch` (a die's with its own mean, so its layout, hence
+    its RNG streams, are those of a fresh per-die simulator), tilted runs
+    at the tilted pitch.
     """
     est_slots = estimate_gap_count(pitch, geometry.row_height_nm)
     return default_trial_chunk(max(1, geometry.n_rows * est_slots), n_trials)
@@ -646,9 +711,11 @@ class ChipMonteCarlo:
         independent implementation of the renewal convention (first track
         one uniformly-offset pitch below the origin, gaps accumulated until
         the span is cleared) that the equivalence tests check the engine
-        against.  One uniform per track decides both failure modes (the
-        same three-interval partition the batched kernel uses), so the
-        joint oracle consumes exactly the opens-only RNG stream.
+        against.  It draws every tube, and one uniform per track decides
+        both failure modes (``[0, q)`` short, ``[q, pf)`` dud, ``[pf, 1)``
+        working), so the joint oracle consumes exactly the opens-only RNG
+        stream; the batched kernel reaches the same law by drawing only
+        the kept tubes (:func:`_chip_window_counts_joint`).
         """
         mean = self.pitch.mean_nm
         block = max(16, int(self.row_height_nm / mean * 1.5) + 8)
@@ -787,9 +854,10 @@ class ChipMonteCarlo:
             # the scalar oracle, which skips empty rows).
             zeros = np.zeros(n_trials)
             return self._result(zeros, zeros)
+        geometry = self._geometry
         chunks = run_chunked(
-            _simulate_chip_chunk, self._geometry, n_trials, rng,
-            _chip_trial_chunk(self.pitch, self._geometry, n_trials),
+            _simulate_chip_chunk, geometry, n_trials, rng,
+            _chip_trial_chunk(_drawn_pitch(geometry), geometry, n_trials),
             execution, "chip-naive",
         )
         failing_devices = np.concatenate([c[0] for c in chunks])

@@ -52,9 +52,13 @@ RNG order
 Every draw fills its array in C order, so the generator is consumed slot
 by slot: the start offsets of all trials, then gap 0 of every trial, gap
 1 of every trial, and so on; each top-up round draws its block the same
-way for the trials it serves, and per-slot draws of the callers (tube
-uniforms) follow the positions' layout.  The golden fixture and the
-SHA-256 pins under ``tests/`` fix this order.
+way for the trials it serves.  Callers' per-tube draws come after the
+batch and follow the positions' layout: the row tier's shared-track
+path and the scalar oracles give every tube one uniform, while the naive
+chip kernel (:func:`repro.montecarlo.chip_sim._chip_window_counts_joint`)
+draws the kept tubes of a thinned pitch instead and, in joint mode, its
+short marks.
+The golden fixture and the SHA-256 pins under ``tests/`` fix this order.
 
 Backend
 -------
@@ -388,20 +392,23 @@ def count_in_windows_flat(
         reaches outside the span).  A stack of ``k`` such weight arrays,
         shape ``(k, n_slots, n_trials)``, or a list of them (arrays of
         different dtypes, no stacking copy), is answered from one search
-        pass, with one running count per weight array.  ``None`` counts
-        every track of the window once, with no running count at all.
+        pass, with one running count per weight array.  ``None``, alone
+        or as an entry of the list, counts every track of the window
+        once, with no running count at all.
     lo, hi:
-        Query bounds, shape ``(n_queries,)``.  Both ends are inclusive,
-        matching the scalar simulators.
+        Query bounds, any shape (``(n_queries,)`` for a flat list, or
+        broadcast views of one grid).  Both ends are inclusive, matching
+        the scalar simulators.
     trial_index:
-        ``(n_queries,)`` index of the trial each query interrogates.
+        Index of the trial each query interrogates, of the queries'
+        shape.
     return_stop_index:
         When True also return each query's per-trial slot index of the
         first track strictly above ``hi`` (as :func:`window_stop_indices`,
         from this pass's search — the rare-event chip sampler needs both).
 
-    Returns the weighted count per query, shape ``(n_queries,)``, or
-    ``(k, n_queries)`` for stacked or listed weights (plus the stop
+    Returns the weighted count per query, of the queries' shape, with a
+    leading axis of ``k`` for stacked or listed weights (plus the stop
     indices when requested).  Counts come out in float64: bool weights
     are counted exactly in integers, float weights summed in float64.
 
@@ -423,6 +430,8 @@ def count_in_windows_flat(
         size = int(right.max()) // n_trials if right.size else 0
 
         def weighted(w):
+            if w is None:
+                return ((right - left) // n_trials).astype(np.float64)
             running = backend.prefix_sum(w, size)
             counts = np.take(running, right) - np.take(running, left)
             return counts.astype(np.float64, copy=False)

@@ -89,6 +89,7 @@ from repro.montecarlo.chip_sim import (
     _chip_trial_chunk,
     _chip_window_failures,
     _direct_statistics,
+    _drawn_pitch,
     _failing_devices_and_rows,
     _width_class_matrix,
 )
@@ -965,7 +966,7 @@ def _simulate_chip_die(payload: _ChipWaferPayload, site: DieSite) -> ChipDieYiel
         (geometry, payload.class_matrix),
         payload.n_trials,
         chip_die_stream(payload.seed_key, site),
-        _chip_trial_chunk(die_pitch, geometry, payload.n_trials),
+        _chip_trial_chunk(_drawn_pitch(geometry), geometry, payload.n_trials),
     )
     failing_devices = np.concatenate([c[0] for c in chunks])
     failing_rows = np.concatenate([c[1] for c in chunks])

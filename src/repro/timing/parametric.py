@@ -39,6 +39,7 @@ from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _ChipGeometry,
     _chip_window_counts_joint,
+    _drawn_pitch,
     _failing_devices,
     _failing_windows,
 )
@@ -394,7 +395,7 @@ class TimingMonteCarlo:
         # Per trial: the chip's gap matrix plus the slot-current row that
         # rides through the window pass with it, and the per-node current,
         # delay and arrival matrices.
-        est_slots = estimate_gap_count(geometry.pitch, geometry.row_height_nm)
+        est_slots = estimate_gap_count(_drawn_pitch(geometry), geometry.row_height_nm)
         per_trial = 2 * geometry.n_rows * est_slots + 3 * timing.graph.n_nodes
         return cls(
             timing.graph, payload, _simulate_timing_chunk, per_trial, nominal_ps

@@ -11,7 +11,10 @@ directly for one of them would leave that step's timing at zero while
 the step still runs.  These tests hand the chip
 and wafer runners a subclass that counts those calls, check that each
 step a run performs is counted, and check that the counting backend
-changes no result.
+changes no result.  An opens-only chip run draws only its working tubes
+and counts each window by the search alone, so its one ``uniform`` call
+per chunk is the start offsets and it takes no running count; a joint
+run's short marks take one.
 """
 
 from __future__ import annotations
@@ -66,12 +69,12 @@ def placement(nangate45):
     return RowPlacement(design, row_width_nm=40_000.0)
 
 
-def _chip_runs(placement):
+def _chip_runs(placement, type_model=TYPE_MODEL):
     """One small chip run on a counting backend and one on the default."""
     backend = CountingBackend()
     runs = [
         ChipMonteCarlo(
-            placement, pitch=ExponentialPitch(4.0), type_model=TYPE_MODEL,
+            placement, pitch=ExponentialPitch(4.0), type_model=type_model,
             backend=chosen,
         ).run(12, np.random.default_rng(3))
         for chosen in (backend, None)
@@ -85,11 +88,23 @@ def test_chip_run_observes_every_window_pass_step(placement, monkeypatch):
     monkeypatch.setattr(engine, "tight_gap_budget", engine.estimate_gap_count)
     backend, (counted, plain) = _chip_runs(placement)
     assert backend.calls["take_pairs"] == 0
-    # The working-tube mask is bool: its running count is still a backend
-    # step.
+    # Opens-only draws the working tubes alone: one uniform call per chunk
+    # (the start offsets), and the search alone counts each window, so no
+    # running count is taken.
+    for step in ("uniform", "sample_gaps", "cumsum"):
+        assert backend.calls[step] > 0, step
+    assert backend.calls["prefix_sum"] == 0
+    assert counted == plain
+
+
+def test_joint_chip_run_counts_short_marks_through_the_backend(placement, monkeypatch):
+    # The short marks are bool: their running count is a backend step.
+    monkeypatch.setattr(engine, "tight_gap_budget", engine.estimate_gap_count)
+    backend, (counted, plain) = _chip_runs(placement, CNTTypeModel(1.0 / 3.0, 0.9, 0.3))
     for step in ("uniform", "sample_gaps", "cumsum", "prefix_sum",
                  "prefix_sum of bool"):
         assert backend.calls[step] > 0, step
+    assert backend.calls["prefix_sum"] == backend.calls["uniform"]
     assert counted == plain
 
 
@@ -98,7 +113,7 @@ def test_top_ups_draw_and_sum_through_the_backend(placement, monkeypatch):
     # so each chunk tops up: every round draws and sums one block.
     monkeypatch.setattr(engine, "tight_gap_budget", lambda pitch, span: engine.BLOCK)
     backend, (counted, plain) = _chip_runs(placement)
-    rounds = backend.calls["sample_gaps"] - backend.calls["uniform"] // 2
+    rounds = backend.calls["sample_gaps"] - backend.calls["uniform"]
     assert rounds > 0
     assert backend.calls["cumsum"] == backend.calls["sample_gaps"]
     assert backend.calls["take_pairs"] == 0

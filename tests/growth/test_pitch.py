@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.growth.pitch import (
     DeterministicPitch,
     ExponentialPitch,
     GammaPitch,
+    PitchDistribution,
+    ThinnedPitch,
     TruncatedNormalPitch,
     pitch_distribution_from_cv,
 )
@@ -124,6 +127,89 @@ class TestTruncatedNormalPitch:
         assert mid == pytest.approx(0.5, abs=0.05)
 
 
+class TestThinnedPitch:
+    """The gap law of the tubes kept independently with probability p."""
+
+    FAMILIES = [
+        DeterministicPitch(5.0),
+        ExponentialPitch(4.0),
+        GammaPitch(4.0, 0.5),
+        TruncatedNormalPitch(4.0, 2.0),
+    ]
+
+    @pytest.mark.parametrize("pitch", FAMILIES)
+    def test_keeping_every_tube_is_the_pitch_itself(self, pitch):
+        assert pitch.thinned(1.0) is pitch
+
+    @pytest.mark.parametrize("p_keep", [0.0, -0.1, 1.5, float("nan")])
+    def test_rejects_keep_outside_the_unit_interval(self, p_keep):
+        with pytest.raises(ValueError):
+            GammaPitch(4.0, 0.5).thinned(p_keep)
+        with pytest.raises(ValueError):
+            ExponentialPitch(4.0).thinned(p_keep)
+
+    def test_exponential_stays_in_its_family(self):
+        thinned = ExponentialPitch(4.0).thinned(0.4)
+        assert thinned == ExponentialPitch(10.0)
+
+    @pytest.mark.parametrize("pitch", FAMILIES)
+    def test_moments(self, pitch):
+        p = 0.4
+        thinned = pitch.thinned(p)
+        mean, var = pitch.mean_nm, pitch.std_nm ** 2
+        assert thinned.mean_nm == pytest.approx(mean / p, rel=1e-12)
+        assert thinned.std_nm ** 2 == pytest.approx(
+            var / p + mean ** 2 * (1.0 - p) / p ** 2, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("pitch", FAMILIES)
+    def test_sample_moments(self, pitch):
+        thinned = pitch.thinned(0.4)
+        samples = thinned.sample(200_000, np.random.default_rng(5))
+        se = thinned.std_nm / np.sqrt(samples.size)
+        assert abs(samples.mean() - thinned.mean_nm) < 5.0 * se
+        assert samples.std() == pytest.approx(thinned.std_nm, rel=0.02)
+        assert np.all(samples > 0.0)
+
+    def test_gamma_closed_form_matches_generic_compound(self):
+        # One Gamma(k·G, θ) draw per kept gap against G base gaps summed.
+        pitch = GammaPitch(4.0, 0.5)
+        counts = np.random.default_rng(1).geometric(0.4, 50_000)
+        closed = pitch.sample_sums(counts, np.random.default_rng(2))
+        generic = PitchDistribution.sample_sums(pitch, counts, np.random.default_rng(3))
+        assert closed.shape == generic.shape == counts.shape
+        assert stats.ks_2samp(closed, generic).pvalue > 1e-3
+        # Given the same group sizes, both sums have mean k·θ·G each.
+        assert closed.mean() == pytest.approx(4.0 * counts.mean(), rel=0.01)
+
+    def test_generic_compound_sums_its_groups(self):
+        pitch = ExponentialPitch(4.0)
+        counts = np.array([1, 3, 2])
+        gaps = pitch.sample(6, np.random.default_rng(4))
+        sums = PitchDistribution.sample_sums(pitch, counts, np.random.default_rng(4))
+        np.testing.assert_allclose(sums, [gaps[0], gaps[1:4].sum(), gaps[4:].sum()])
+
+    def test_sum_cdf_mixture_matches_the_exponential_closed_form(self):
+        # The generic mixture over base-gap counts, on a base whose
+        # thinning has a closed form.
+        mixture = ThinnedPitch(ExponentialPitch(4.0), 0.4)
+        exact = ExponentialPitch(10.0)
+        n = np.arange(0, 40)[:, None]
+        w = np.array([-1.0, 0.0, 5.0, 30.0, 120.0, 400.0])
+        np.testing.assert_allclose(
+            mixture.sum_cdf_array(n, w), exact.sum_cdf_array(n, w),
+            rtol=1e-10, atol=1e-15,
+        )
+
+    def test_sum_cdf_matches_samples(self):
+        thinned = GammaPitch(4.0, 0.5).thinned(0.4)
+        gaps = thinned.sample(3 * 40_000, np.random.default_rng(6))
+        sums = gaps.reshape(-1, 3).sum(axis=1)
+        p = thinned.sum_cdf(3, 30.0)
+        se = np.sqrt(p * (1.0 - p) / sums.size)
+        assert abs(np.mean(sums <= 30.0) - p) < 5.0 * se
+
+
 class TestFactory:
     def test_zero_cv_gives_deterministic(self):
         assert isinstance(pitch_distribution_from_cv(4.0, 0.0), DeterministicPitch)
@@ -154,6 +240,7 @@ class TestSumCdfArray:
         GammaPitch(4.0, 0.5),
         GammaPitch(4.0, 1.7),
         TruncatedNormalPitch(4.0, 2.0),
+        ThinnedPitch(GammaPitch(4.0, 0.5), 0.4),
     ])
     @pytest.mark.parametrize("w_nm", [-1.0, 0.0, 3.0, 40.0])
     def test_matches_scalar_elementwise(self, pitch, w_nm):
@@ -168,6 +255,7 @@ class TestSumCdfArray:
         GammaPitch(4.0, 0.5),
         GammaPitch(4.0, 1.7),
         TruncatedNormalPitch(4.0, 2.0),
+        ThinnedPitch(GammaPitch(4.0, 0.5), 0.4),
     ])
     @pytest.mark.parametrize("w_nm", [-1.0, 0.0, 3.0, 40.0])
     def test_sf_complements_cdf(self, pitch, w_nm):

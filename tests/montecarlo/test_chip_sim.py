@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.backend import default_backend
 from repro.cells.aligned_active import enforce_aligned_active
 from repro.cells.nangate45 import build_nangate45_library
 from repro.core.count_model import PoissonCountModel
@@ -14,6 +13,8 @@ from repro.montecarlo.chip_sim import (
     ChipMonteCarlo,
     _chip_window_counts_joint,
     _chunk_queries,
+    _kept_fraction,
+    _short_marks,
     compare_libraries,
 )
 from repro.montecarlo.engine import sample_track_batch
@@ -181,9 +182,10 @@ class TestWindowCountsAgainstScalarCounts:
 
     @pytest.mark.parametrize("removal_eta", [1.0, 0.9])
     def test_counts_equal_per_window_recount(self, placement, removal_eta):
-        # Replaying the chunk's stream gives the same positions and tube
-        # uniforms; each window is then counted on its own trial's column,
-        # with the validity mask the kernel leaves out.
+        # Replaying the chunk's stream gives the same kept-tube positions
+        # and short marks; each window is then counted on its own trial's
+        # column by comparisons, with the validity mask the kernel leaves
+        # out.
         type_model = CNTTypeModel(1.0 / 3.0, removal_eta, 0.3)
         geometry = ChipMonteCarlo(
             placement, pitch=ExponentialPitch(20.0), type_model=type_model
@@ -193,13 +195,16 @@ class TestWindowCountsAgainstScalarCounts:
             geometry, n_chunk, np.random.default_rng(8)
         )
         replay = np.random.default_rng(8)
+        keep = _kept_fraction(geometry)
         batch = sample_track_batch(
-            geometry.pitch, geometry.row_height_nm, n_chunk * geometry.n_rows,
-            replay,
+            geometry.pitch.thinned(keep), geometry.row_height_nm,
+            n_chunk * geometry.n_rows, replay,
+            offset_mean_nm=geometry.pitch.mean_nm,
         )
-        u = default_backend().uniform(replay, batch.positions.shape)
-        pf = geometry.per_cnt_failure
         q = geometry.short_probability
+        marked = np.zeros(batch.positions.shape, dtype=bool)
+        if q > 0.0:
+            marked.ravel()[_short_marks(replay, marked.size, q / keep)] = True
         n_windows = geometry.window_lo.size
         want_working = np.zeros((n_chunk, n_windows))
         want_shorts = np.zeros((n_chunk, n_windows))
@@ -211,8 +216,8 @@ class TestWindowCountsAgainstScalarCounts:
                     (y >= geometry.window_lo[w]) & (y <= geometry.window_hi[w])
                     & batch.valid[:, column]
                 )
-                want_working[t, w] = np.count_nonzero(tubes & (u[:, column] >= pf))
-                want_shorts[t, w] = np.count_nonzero(tubes & (u[:, column] < q))
+                want_working[t, w] = np.count_nonzero(tubes & ~marked[:, column])
+                want_shorts[t, w] = np.count_nonzero(tubes & marked[:, column])
         np.testing.assert_array_equal(working, want_working)
         if q > 0.0:
             assert shorts.any()
@@ -222,17 +227,23 @@ class TestWindowCountsAgainstScalarCounts:
 
 
 class TestChunkQueries:
-    """The flat window queries both chip kernels count a chunk with."""
+    """The window queries both chip kernels count a chunk with."""
 
     @pytest.mark.parametrize("n_chunk", [1, 3, 32])
     def test_query_names_window_of_its_chip_trial(self, placement, n_chunk):
         geometry = ChipMonteCarlo(placement).chip_geometry()
         trial_index, lo, hi = _chunk_queries(geometry, n_chunk)
         n_windows = geometry.window_lo.size
-        assert trial_index.shape == lo.shape == hi.shape == (n_chunk * n_windows,)
+        assert trial_index.shape == lo.shape == hi.shape == (n_chunk, n_windows)
         for t in range(n_chunk):
             for w in range(n_windows):
-                q = t * n_windows + w
-                assert trial_index[q] == t * geometry.n_rows + geometry.window_row[w]
-                assert lo[q] == geometry.window_lo[w]
-                assert hi[q] == geometry.window_hi[w]
+                assert trial_index[t, w] == t * geometry.n_rows + geometry.window_row[w]
+                assert lo[t, w] == geometry.window_lo[w]
+                assert hi[t, w] == geometry.window_hi[w]
+
+    def test_bounds_are_views_of_the_geometry(self, placement):
+        # No per-chunk copy: the bounds read the geometry's own arrays.
+        geometry = ChipMonteCarlo(placement).chip_geometry()
+        _, lo, hi = _chunk_queries(geometry, 16)
+        assert np.shares_memory(lo, geometry.window_lo)
+        assert np.shares_memory(hi, geometry.window_hi)

@@ -76,8 +76,8 @@ class TestGoldenChipShorts:
     def test_exact_failure_counts_with_shorts(self, golden):
         # Imperfect metallic removal (eta = 0.95) activates the joint
         # opens+shorts engine path; the frozen counts pin its RNG
-        # consumption (the shared single-uniform partition) and the
-        # short-count window reduction.
+        # consumption (the kept tubes, then the geometric-skip short
+        # marks among them) and the short-count window reduction.
         g = golden["chip_shorts"]
         library = build_nangate45_library()
         design = build_openrisc_like_design(library, scale=g["scale"], seed=2010)

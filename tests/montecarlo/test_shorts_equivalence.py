@@ -1,14 +1,15 @@
 """Oracle-and-engine equivalence for the metallic-short failure mode.
 
 The joint opens+shorts regime (surviving metallic tubes, ``q = p_m ·
-(1 - eta) > 0``) reuses the batched engine's track positions and the
-*same* per-tube uniform draw for both channels, so a shorts-active run
-must agree statistically with the retained scalar oracles at every level
-(device, row, chip), match the thinned closed form of
-:mod:`repro.device.shorts` within Monte Carlo error, stay *bitwise*
-invariant to worker count and chunking, and — when ``q`` collapses to
-zero, however the (p_m, eta) pair achieves it — reduce bitwise to the
-opens-only code path.
+(1 - eta) > 0``) decides both channels from one tube population: the
+scalar oracles give every tube one uniform, and the batched chip kernel
+draws the working and shorting tubes together from the thinned pitch and
+marks the shorts among them.  A shorts-active run must therefore agree
+statistically with the retained scalar oracles at every level (device,
+row, chip), match the thinned closed form of :mod:`repro.device.shorts`
+within Monte Carlo error, stay *bitwise* invariant to worker count and
+chunking, and — when ``q`` collapses to zero, however the (p_m, eta)
+pair achieves it — reduce bitwise to the opens-only code path.
 """
 
 import math
@@ -228,8 +229,8 @@ class TestChipLevelShorts:
 
     def test_zero_metallic_fraction_reduces_bitwise(self, block_placement):
         # q = p_m·(1 - eta) = 0 via p_m = 0 must replay the opens-only
-        # stream exactly: the shared single-uniform partition consumes no
-        # extra randomness, so eta cannot matter when p_m is zero.
+        # stream exactly: with no shorts the kernel takes the opens-only
+        # path and draws no marks, so eta cannot matter when p_m is zero.
         opens = ChipMonteCarlo(
             block_placement,
             pitch=ExponentialPitch(20.0),

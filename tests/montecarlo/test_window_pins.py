@@ -85,9 +85,9 @@ def _tilted_pass(geometry):
 
 class TestChipWindowPins:
     DIGESTS = {
-        "opens": "fc1d6021df2991d833867a5209402183f232ad7a250aae1c38079836cc4c4a92",
-        "shorts": "2b201fca478cd1290feabef86ecabcd0ecdb1850cbe445cc1789084ac2c72d69",
-        "summed": "3fdb26745e9fa5dfc525bee1c61d5ec0966a4c4dfe86adf172ad09679d18b4a2",
+        "opens": "4bc128a33c1705e6a99f7247604b3fabdce6a670bd7ef02e5b0d894b3603a237",
+        "shorts": "1c7b6f27d092753124ecfeea441f3bf4413308aebd6b0d0ab5a7faa49283f9d5",
+        "summed": "0be2925149d9673415d08958512f329a031989837fdb9ca8074cc8c772938911",
         "tilted": "add620a7e569f8e038c14d312143641dcf5dcc85781258f246f16ef986a8cbef",
         "tilted_chunk": "1228b5b46d575790046ce70f5c2f6ebf4cef48d436fbdba2f0addd998cea254d",
         "stop_indices": "dc6ba1de237aee62d5a0702dc5d0925ceab5e6a17de81dc13a307a8ae2eb67e9",
