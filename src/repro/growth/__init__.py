@@ -32,6 +32,7 @@ from repro.growth.pitch import (
     DeterministicPitch,
     ExponentialPitch,
     GammaPitch,
+    ThinnedPitch,
     TruncatedNormalPitch,
     pitch_distribution_from_cv,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "DeterministicPitch",
     "ExponentialPitch",
     "GammaPitch",
+    "ThinnedPitch",
     "TruncatedNormalPitch",
     "pitch_distribution_from_cv",
     "CNTTypeModel",

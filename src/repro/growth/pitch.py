@@ -537,8 +537,18 @@ class ThinnedPitch(PitchDistribution):
         return math.sqrt(self.base.std_nm ** 2 / p + mean ** 2 * (1.0 - p) / p ** 2)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``size`` kept gaps: geometric group sizes, then their sums."""
-        return self.base.sample_sums(rng.geometric(self.p_keep, size), rng)
+        """Draw ``size`` kept gaps: geometric group sizes, then their sums.
+
+        ``G = 1 + floor(E / λ)``, with ``E`` standard exponential and
+        ``λ = −log(1 − p)``, is Geometric(p).  Drawn this way a group size
+        costs one exponential variate: for kept fractions near 1/2, where
+        ``Generator.geometric`` searches, that is about twice as fast.
+        """
+        groups = rng.standard_exponential(size)
+        groups /= -math.log1p(-self.p_keep)
+        np.floor(groups, out=groups)
+        groups += 1.0
+        return self.base.sample_sums(groups.astype(np.int64), rng)
 
     def sum_cdf_array(self, n_values: np.ndarray, w_nm) -> np.ndarray:
         """n-fold sum CDF as a mixture over the number of base gaps.

@@ -57,8 +57,8 @@ batch and follow the positions' layout: the row tier's shared-track
 path and the scalar oracles give every tube one uniform, while the naive
 chip kernel (:func:`repro.montecarlo.chip_sim._chip_window_counts_joint`)
 draws the kept tubes of a thinned pitch instead and, in joint mode, its
-short marks.
-The golden fixture and the SHA-256 pins under ``tests/`` fix this order.
+short marks.  The golden fixture and the SHA-256 pins under ``tests/``
+fix this order.
 
 Backend
 -------

@@ -97,10 +97,14 @@ def test_chip_run_observes_every_window_pass_step(placement, monkeypatch):
     assert counted == plain
 
 
-def test_joint_chip_run_counts_short_marks_through_the_backend(placement, monkeypatch):
+def test_joint_chip_run_counts_short_marks_through_the_backend(
+    placement, monkeypatch
+):
     # The short marks are bool: their running count is a backend step.
     monkeypatch.setattr(engine, "tight_gap_budget", engine.estimate_gap_count)
-    backend, (counted, plain) = _chip_runs(placement, CNTTypeModel(1.0 / 3.0, 0.9, 0.3))
+    backend, (counted, plain) = _chip_runs(
+        placement, CNTTypeModel(1.0 / 3.0, 0.9, 0.3)
+    )
     for step in ("uniform", "sample_gaps", "cumsum", "prefix_sum",
                  "prefix_sum of bool"):
         assert backend.calls[step] > 0, step

@@ -343,10 +343,9 @@ class TestFingerprintDrift:
 
     def test_chip_wafer_row_height_change_refuses_resume(self, chip, tmp_path):
         # The two campaigns differ in their payload's row height.  Their
-        # dice need not differ: windows inside both spans read the same
-        # prefix of the slot-major draw, which no tube uniform follows, so
-        # here both runs give the same dice.  The refusal must not hang on
-        # the answer changing; it follows from the fingerprint alone.
+        # dice need not differ (windows inside both spans read the same
+        # prefix of the slot-major draw, which no tube uniform follows),
+        # so the refusal must follow from the fingerprint alone.
         wafer = WaferGrowthModel(
             wafer_diameter_mm=100.0, die_size_mm=25.0, center_pitch_nm=40.0
         ).generate(np.random.default_rng(5), seed_key=(5,))
@@ -364,7 +363,6 @@ class TestFingerprintDrift:
             taller.chip_geometry().row_height_nm
             > chip.chip_geometry().row_height_nm
         )
-        assert run(taller).dice == run(chip).dice
         run(chip, checkpoint_dir=str(tmp_path))
         with pytest.raises(CheckpointError, match="fingerprint"):
             run(taller, checkpoint_dir=str(tmp_path))
